@@ -20,8 +20,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 
 class NumericalFailure(RuntimeError):
@@ -160,11 +158,37 @@ class GridConfig:
             raise ValueError("domain extents must be positive")
 
 
-class Grid:
-    """Uniform MAC grid with cached sparse factorizations."""
+def _modes_1d(kind, n, h):
+    """Orthonormal eigenvectors (rows of Q) and eigenvalues of the 1-D -d2/dx2.
 
-    # above this cell count the pressure solve falls back to CG
-    _DIRECT_LIMIT = 256 * 256
+    kind 'wall': n nodes between two zero wall nodes (DST-I); 'mirror': n
+    cells with ghost = -interior at both ends (DST-II); 'neumann': n cells
+    with zero end fluxes (DCT-II).  Eigenvalues are (2/h sin(theta/2))^2.
+    """
+    k = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    if kind == "wall":
+        theta = np.pi * (k + 1) / (n + 1)
+        q = np.sqrt(2.0 / (n + 1)) * np.sin(theta * (j + 1))
+    elif kind == "mirror":
+        theta = np.pi * (k + 1) / n
+        q = np.sqrt(2.0 / n) * np.sin(theta * (j + 0.5))
+        q[-1] /= np.sqrt(2.0)
+    else:
+        theta = np.pi * k / n
+        q = np.sqrt(2.0 / n) * np.cos(theta * (j + 0.5))
+        q[0] /= np.sqrt(2.0)
+    lam = (2.0 / h * np.sin(theta[:, 0] / 2.0)) ** 2
+    return q, lam
+
+
+class Grid:
+    """Uniform MAC grid whose implicit solves are fast diagonalisations.
+
+    Every implicit operator is separable, so it is solved as Q^T D^-1 Q with
+    dense per-axis mode matrices Q built here, once (Lynch, Rice & Thomas
+    1964).  The only lazy state is the per-coefficient Helmholtz spectrum.
+    """
 
     def __init__(self, cfg: GridConfig):
         self.cfg = cfg
@@ -178,9 +202,20 @@ class Grid:
         self.yc = (np.arange(self.ny) + 0.5) * self.hy
         self.xf = np.arange(self.nx + 1) * self.hx
         self.yf = np.arange(self.ny + 1) * self.hy
-        self._poisson = None
-        self._poisson_mat = None
-        self._diff = {}
+        # (Qx, Qy, eigenvalues of -Laplacian) per operator: cell scalar,
+        # u faces (wall in x), v faces (wall in y), Neumann pressure
+        kinds = ("wall", "mirror", "neumann")
+        x = {k: _modes_1d(k, self.nx - (k == "wall"), self.hx) for k in kinds}
+        y = {k: _modes_1d(k, self.ny - (k == "wall"), self.hy) for k in kinds}
+        self._modes = {}
+        for op, kx, ky in (("c", "mirror", "mirror"), ("u", "wall", "mirror"),
+                           ("v", "mirror", "wall"), ("p", "neumann", "neumann")):
+            (qx, lx), (qy, ly) = x[kx], y[ky]
+            self._modes[op] = (qx, qy, lx[:, None] + ly[None, :])
+        lam = self._modes["p"][2].copy()
+        lam[0, 0] = np.inf      # drop the constant mode: zero-mean solution
+        self._poisson_inv = -1.0 / lam
+        self._inv = {}
 
     # -- allocation helpers -------------------------------------------------
 
@@ -295,168 +330,47 @@ class Grid:
         ov[:, 1:-1] = lap + tmp
         return Vec2(ou, ov)
 
-    # -- sparse matrices for the implicit solves ----------------------------
+    # -- implicit solves by fast diagonalisation ----------------------------
 
-    def _cell_helmholtz(self, coef):
-        """I - coef * laplacian_dirichlet as a sparse matrix (row-major cells)."""
-        nx, ny = self.nx, self.ny
-        hx2, hy2 = self.hx ** 2, self.hy ** 2
-        n = nx * ny
-        idx = np.arange(n).reshape(nx, ny)
-        diag = np.full((nx, ny), 2.0 / hx2 + 2.0 / hy2)
-        diag[0, :] += 1.0 / hx2
-        diag[-1, :] += 1.0 / hx2
-        diag[:, 0] += 1.0 / hy2
-        diag[:, -1] += 1.0 / hy2
-        rows, cols, vals = [idx.ravel()], [idx.ravel()], [1.0 + coef * diag.ravel()]
-        rows.append(idx[1:, :].ravel()); cols.append(idx[:-1, :].ravel())
-        vals.append(np.full((nx - 1) * ny, -coef / hx2))
-        rows.append(idx[:-1, :].ravel()); cols.append(idx[1:, :].ravel())
-        vals.append(np.full((nx - 1) * ny, -coef / hx2))
-        rows.append(idx[:, 1:].ravel()); cols.append(idx[:, :-1].ravel())
-        vals.append(np.full(nx * (ny - 1), -coef / hy2))
-        rows.append(idx[:, :-1].ravel()); cols.append(idx[:, 1:].ravel())
-        vals.append(np.full(nx * (ny - 1), -coef / hy2))
-        A = sp.csc_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(n, n))
-        return A
+    def _diag_solve(self, kind, inv, rhs):
+        """Apply Q^T diag(inv) Q, Q the 2-D mode basis of operator kind."""
+        qx, qy, _ = self._modes[kind]
+        return qx.T @ (inv * (qx @ rhs @ qy.T)) @ qy
 
-    def _face_helmholtz(self, coef, comp):
-        """I - coef * lap on one velocity component, Dirichlet walls.
-
-        comp 'u': interior DOFs i = 1..nx-1 eliminated against zero wall
-        faces; comp 'v' symmetric.  Matrix covers interior faces only.
-        """
-        nx, ny = self.nx, self.ny
-        hx2, hy2 = self.hx ** 2, self.hy ** 2
-        if comp == "u":
-            mi, mj = nx - 1, ny
-            # normal direction x (full-cell neighbor spacing), tangential y
-            dn2, dt2 = hx2, hy2
-        else:
-            mi, mj = nx, ny - 1
-            dn2, dt2 = hy2, hx2
-        n = mi * mj
-        idx = np.arange(n).reshape(mi, mj)
-        if comp == "u":
-            diag = np.full((mi, mj), 2.0 / dn2 + 2.0 / dt2)
-            diag[:, 0] += 1.0 / dt2
-            diag[:, -1] += 1.0 / dt2
-            off_i = -coef / dn2
-            off_j = -coef / dt2
-        else:
-            diag = np.full((mi, mj), 2.0 / dn2 + 2.0 / dt2)
-            diag[0, :] += 1.0 / dt2
-            diag[-1, :] += 1.0 / dt2
-            off_i = -coef / dt2
-            off_j = -coef / dn2
-        rows, cols, vals = [idx.ravel()], [idx.ravel()], [1.0 + coef * diag.ravel()]
-        rows.append(idx[1:, :].ravel()); cols.append(idx[:-1, :].ravel())
-        vals.append(np.full((mi - 1) * mj, off_i))
-        rows.append(idx[:-1, :].ravel()); cols.append(idx[1:, :].ravel())
-        vals.append(np.full((mi - 1) * mj, off_i))
-        rows.append(idx[:, 1:].ravel()); cols.append(idx[:, :-1].ravel())
-        vals.append(np.full(mi * (mj - 1), off_j))
-        rows.append(idx[:, :-1].ravel()); cols.append(idx[:, 1:].ravel())
-        vals.append(np.full(mi * (mj - 1), off_j))
-        return sp.csc_matrix((np.concatenate(vals),
-                              (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(n, n))
-
-    def diffusion_solver(self, coef, kind):
-        """Cached factorization of (I - coef * Laplacian) for kind in c/u/v."""
+    def _helmholtz_inv(self, kind, coef):
+        """Eigenvalues of (I - coef * Laplacian)^-1, cached per coefficient."""
         key = (kind, float(coef))
-        if key not in self._diff:
-            if kind == "c":
-                A = self._cell_helmholtz(coef)
-            else:
-                A = self._face_helmholtz(coef, kind)
-            self._diff[key] = spla.factorized(A)
-        return self._diff[key]
+        inv = self._inv.get(key)
+        if inv is None:
+            inv = self._inv[key] = 1.0 / (1.0 + coef * self._modes[kind][2])
+        return inv
 
     def helmholtz_solve_scalar(self, coef, rhs):
-        sol = self.diffusion_solver(coef, "c")(rhs.ravel())
+        sol = self._diag_solve("c", self._helmholtz_inv("c", coef), rhs)
         if not np.all(np.isfinite(sol)):
             raise NumericalFailure("implicit scalar diffusion solve produced non-finite values")
-        return sol.reshape(self.nx, self.ny)
+        return sol
 
     def helmholtz_solve_vec(self, coef, w: Vec2):
         out = self.vec2()
-        su = self.diffusion_solver(coef, "u")(w.u[1:-1, :].ravel())
-        sv = self.diffusion_solver(coef, "v")(w.v[:, 1:-1].ravel())
-        if not (np.all(np.isfinite(su)) and np.all(np.isfinite(sv))):
+        out.u[1:-1, :] = self._diag_solve("u", self._helmholtz_inv("u", coef), w.u[1:-1, :])
+        out.v[:, 1:-1] = self._diag_solve("v", self._helmholtz_inv("v", coef), w.v[:, 1:-1])
+        if not out.isfinite():
             raise NumericalFailure("implicit velocity diffusion solve produced non-finite values")
-        out.u[1:-1, :] = su.reshape(self.nx - 1, self.ny)
-        out.v[:, 1:-1] = sv.reshape(self.nx, self.ny - 1)
         return out
 
     # -- pressure Poisson / Leray projection --------------------------------
 
-    def _build_poisson(self):
-        """Neumann Laplacian over cells, pinned at cell 0 for invertibility.
-
-        Row and column 0 are replaced by the identity; the dropped equation
-        is redundant (rows sum to zero) once the right-hand side is demeaned,
-        so the pinned solve still yields an exact solution of the singular
-        system.
-        """
-        nx, ny = self.nx, self.ny
-        hx2, hy2 = self.hx ** 2, self.hy ** 2
-        n = nx * ny
-        idx = np.arange(n).reshape(nx, ny)
-        diag = np.zeros((nx, ny))
-        diag[1:, :] -= 1.0 / hx2
-        diag[:-1, :] -= 1.0 / hx2
-        diag[:, 1:] -= 1.0 / hy2
-        diag[:, :-1] -= 1.0 / hy2
-        rows, cols, vals = [idx.ravel()], [idx.ravel()], [diag.ravel()]
-        rows.append(idx[1:, :].ravel()); cols.append(idx[:-1, :].ravel())
-        vals.append(np.full((nx - 1) * ny, 1.0 / hx2))
-        rows.append(idx[:-1, :].ravel()); cols.append(idx[1:, :].ravel())
-        vals.append(np.full((nx - 1) * ny, 1.0 / hx2))
-        rows.append(idx[:, 1:].ravel()); cols.append(idx[:, :-1].ravel())
-        vals.append(np.full(nx * (ny - 1), 1.0 / hy2))
-        rows.append(idx[:, :-1].ravel()); cols.append(idx[:, 1:].ravel())
-        vals.append(np.full(nx * (ny - 1), 1.0 / hy2))
-        A = sp.csr_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(n, n)).tolil()
-        A.rows[0] = [0]
-        A.data[0] = [1.0]
-        for r in range(1, n):
-            if 0 in A.rows[r]:
-                k = A.rows[r].index(0)
-                del A.rows[r][k]
-                del A.data[r][k]
-        A = A.tocsc()
-        self._poisson_mat = A
-        if n <= self._DIRECT_LIMIT:
-            self._poisson = spla.factorized(A)
-        else:
-            ilu = spla.spilu(A, drop_tol=1e-5, fill_factor=20)
-            M = spla.LinearOperator((n, n), ilu.solve)
-
-            def solve(b, A=A, M=M):
-                x, info = spla.cg(A, b, rtol=1e-12, atol=0.0, maxiter=10000, M=M)
-                if info != 0:
-                    raise NumericalFailure(f"pressure solve did not converge (info={info})")
-                return x
-
-            self._poisson = solve
-
     def poisson_neumann(self, rhs):
-        """Solve lap(phi) = rhs with homogeneous Neumann data, zero-mean phi."""
-        if self._poisson is None:
-            self._build_poisson()
-        b = rhs.ravel().copy()
-        b -= b.mean()
-        b[0] = 0.0
-        phi = self._poisson(b)
+        """Solve lap(phi) = rhs with homogeneous Neumann data, zero-mean phi.
+
+        The constant mode of rhs is dropped, so a rhs with nonzero mean gets
+        the least-squares solution.
+        """
+        phi = self._diag_solve("p", self._poisson_inv, rhs)
         if not np.all(np.isfinite(phi)):
             raise NumericalFailure("pressure Poisson solve produced non-finite values")
-        phi = phi.reshape(self.nx, self.ny)
-        return phi - phi.mean()
+        return phi
 
     def leray_project(self, w: Vec2, return_phi=False):
         """Remove the discrete gradient part: returns w - grad(phi)."""

@@ -30,8 +30,8 @@ def grid8():
 
 @pytest.fixture
 def grid_rect():
-    # non-square cells catch hx/hy mixups
-    return Grid(GridConfig(8, 6, lx=1.0, ly=0.75))
+    # non-square cells (hx = 0.125, hy = 1/12) catch hx/hy mixups
+    return Grid(GridConfig(8, 6, lx=1.0, ly=0.5))
 
 
 def make_problem(nx=8, ny=8, T=0.2, nt=8, nu=0.05, kappa=0.02,

@@ -206,6 +206,77 @@ def test_helmholtz_solves_are_self_adjoint(grid_rect):
                       rtol=1e-12)
 
 
+# the minimal grid, and one where the u-wall basis has 3 modes and hx/hy = 0.15
+ORACLE_GRIDS = [GridConfig(4, 4), GridConfig(4, 9, lx=0.2, ly=3.0)]
+
+
+def rel_err(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+FACE_INTERIOR = {"u": (slice(1, -1), slice(None)), "v": (slice(None), slice(1, -1))}
+
+
+def face_operator(grid, comp):
+    """Dense Laplacian on the interior DOFs of one velocity component."""
+    inner = FACE_INTERIOR[comp]
+    shape = getattr(grid.vec2(), comp)[inner].shape
+
+    def apply(x):
+        w = grid.vec2()
+        getattr(w, comp)[inner] = x
+        return getattr(grid.laplacian_dirichlet_v(w), comp)[inner]
+
+    return operator_matrix(apply, shape, shape)
+
+
+@pytest.mark.parametrize("cfg", ORACLE_GRIDS, ids=["4x4", "4x9-aniso"])
+def test_helmholtz_solves_match_dense_oracle(cfg):
+    g = Grid(cfg)
+    rng = np.random.default_rng(30)
+    coef = 0.03
+    shape = (g.nx, g.ny)
+    A = np.eye(g.nx * g.ny) - coef * operator_matrix(g.laplacian_dirichlet, shape, shape)
+    s = rand_scalar(g, rng)
+    ref = np.linalg.solve(A, s.ravel()).reshape(shape)
+    assert rel_err(g.helmholtz_solve_scalar(coef, s), ref) <= 1e-12
+    w = rand_vec2(g, rng)
+    got = g.helmholtz_solve_vec(coef, w)
+    for comp in ("u", "v"):
+        inner = FACE_INTERIOR[comp]
+        rhs = getattr(w, comp)[inner]
+        A = np.eye(rhs.size) - coef * face_operator(g, comp)
+        ref = np.linalg.solve(A, rhs.ravel()).reshape(rhs.shape)
+        assert rel_err(getattr(got, comp)[inner], ref) <= 1e-12
+    # boundary-normal faces stay exactly zero
+    assert not np.any(got.u[[0, -1], :]) and not np.any(got.v[:, [0, -1]])
+
+
+@pytest.mark.parametrize("cfg", ORACLE_GRIDS, ids=["4x4", "4x9-aniso"])
+def test_poisson_neumann_matches_dense_lstsq(cfg):
+    g = Grid(cfg)
+    rng = np.random.default_rng(31)
+    shape = (g.nx, g.ny)
+    M = operator_matrix(lambda p: g.divergence(g.gradient(p)), shape, shape)
+    rhs = rand_scalar(g, rng)       # nonzero mean: least-squares solution
+    ref, *_ = np.linalg.lstsq(M, rhs.ravel(), rcond=None)
+    assert rel_err(g.poisson_neumann(rhs), ref.reshape(shape)) <= 1e-12
+
+
+def test_solves_reject_nonfinite_input(grid8):
+    s = grid8.scalar()
+    s[2, 3] = np.nan
+    with pytest.raises(NumericalFailure):
+        grid8.poisson_neumann(s)
+    with pytest.raises(NumericalFailure):
+        grid8.helmholtz_solve_scalar(0.01, s)
+    for comp in ("u", "v"):
+        w = grid8.vec2()
+        getattr(w, comp)[2, 3] = np.nan
+        with pytest.raises(NumericalFailure):
+            grid8.helmholtz_solve_vec(0.01, w)
+
+
 # ---------------------------------------------------------------------------
 # Leray projection
 # ---------------------------------------------------------------------------

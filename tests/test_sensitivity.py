@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from convecopt.grid import Vec2
+from convecopt.grid import Grid, GridConfig, Vec2
 from convecopt.boussinesq import PhysicalParams, TimeGrid, SourceData, solve_state
 from convecopt.sensitivity import (solve_linearized, solve_second,
                                    solve_adjoint, duality_residual)
@@ -174,6 +174,19 @@ def test_duality_holds_with_coupling_disabled(grid8):
                            adjF, adjG, rand_div_free(grid8, rng),
                            rand_scalar(grid8, rng), coupling=False)
     assert res <= 1e-12
+
+
+def test_duality_holds_on_large_anisotropic_grid():
+    # 69,120 cells with hx != hy: every solve size must keep exact transposes
+    grid = Grid(GridConfig(288, 240, lx=1.0, ly=0.6))
+    pp, tg, _, _, _, base, rng = base_setup(grid, nt=3)
+    tanF, tanG, v0, th0 = perturb_inputs(grid, tg, rng)
+    adjF = [None] + [rand_vec2(grid, rng) for _ in range(tg.nt)]
+    adjG = [None] + [rand_scalar(grid, rng) for _ in range(tg.nt)]
+    res = duality_residual(grid, pp, tg, base, tanF, tanG, v0, th0,
+                           adjF, adjG, rand_div_free(grid, rng),
+                           rand_scalar(grid, rng))
+    assert res <= 1e-11
 
 
 def test_adjoint_rejects_mismatched_base(grid8):
