@@ -19,6 +19,7 @@ from .grid import Grid, GridConfig, Vec2
 from .boussinesq import PhysicalParams, TimeGrid, SourceData
 from .objective import ObjectiveWeights, Targets, ControlSpace, Problem
 from .optimizer import OptOptions
+from .stability_lab import KNOWN_FAMILIES, fourier_scalar, fourier_vec2
 
 
 class ConfigError(ValueError):
@@ -92,9 +93,60 @@ class ExperimentConfig:
             json.dumps(self.data, sort_keys=True).encode()).hexdigest()
 
 
-def validate(data) -> list:
-    """All violations as 'field.path: constraint' strings."""
+def _kind(x):
+    """JSON type name of a config value; a list is typed by its elements."""
+    if isinstance(x, bool):
+        return "a boolean"
+    if isinstance(x, int):
+        return "an integer"
+    if isinstance(x, float):
+        return "a number"
+    if isinstance(x, str):
+        return "a string"
+    if isinstance(x, dict):
+        return "an object"
+    if isinstance(x, list):
+        kinds = {_kind(e) for e in x}
+        if kinds <= {"an integer"}:
+            return "a list of integers"
+        if kinds <= {"an integer", "a number"}:
+            return "a list of numbers"
+    return "of another type"
+
+
+# a value of the first kind is accepted where the default has the second
+_WIDER = {("an integer", "a number"),
+          ("a list of integers", "a list of numbers")}
+
+
+def _type_violations(data, defaults, path=""):
+    """One violation per value whose JSON type differs from its default's.
+
+    A null default marks an optional number: null or a number is accepted.
+    """
     v = []
+    for key, default in defaults.items():
+        val, field = data[key], f"{path}{key}"
+        if default is None and val is None:
+            continue
+        want = "a number" if default is None else _kind(default)
+        got = _kind(val)
+        if got != want and (got, want) not in _WIDER:
+            v.append(f"{field}: must be {want}")
+        elif isinstance(default, dict):
+            v += _type_violations(val, default, field + ".")
+    return v
+
+
+def validate(data) -> list:
+    """All violations as 'field.path: constraint' strings.
+
+    Type violations are reported alone: the range checks below need
+    well-typed values.
+    """
+    v = _type_violations(data, DEFAULTS)
+    if v:
+        return v
 
     def need(cond, path, msg):
         if not cond:
@@ -140,6 +192,9 @@ def validate(data) -> list:
     mags = np.asarray(sw["magnitudes"], dtype=float)
     need(mags.size >= 2 and np.all(mags > 0) and np.all(np.diff(mags) > 0),
          "sweep.magnitudes", "need >= 2 strictly increasing positive values")
+    for sec in ("sweep", "second_order"):
+        need(data[sec]["family"] in KNOWN_FAMILIES, f"{sec}.family",
+             "must be one of " + ", ".join(KNOWN_FAMILIES))
     eg = np.asarray(data["tikhonov"]["eps_grid"], dtype=float)
     need(eg.size >= 2 and np.all(np.diff(eg) < 0) and np.all(eg >= 0),
          "tikhonov.eps_grid", "need strictly decreasing nonnegative values")
@@ -164,6 +219,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def from_dict(user) -> ExperimentConfig:
+    if not isinstance(user, dict):
+        raise ConfigError(["(top level): must be an object"])
     unknown = []
     data = _merge(DEFAULTS, user, "", unknown)
     violations = unknown + validate(data)
@@ -182,7 +239,6 @@ def default_config() -> ExperimentConfig:
 
 def _synth_pair(grid, spec, rng):
     """(Vec2, scalar) pair from a 'zero'/'fourier' section."""
-    from .stability_lab import fourier_scalar, fourier_vec2
     if spec["kind"] == "zero":
         return None, None
     amp = spec["amplitude"]

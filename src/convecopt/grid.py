@@ -552,17 +552,6 @@ class Grid:
 
     # -- gradient magnitude for sup-norm diagnostics ------------------------
 
-    def grad_inf_scalar(self, s):
-        """Max norm of the one-sided difference gradient of a cell scalar."""
-        gx = np.abs(_dx(s, self.hx))
-        gy = np.abs(_dy(s, self.hy))
-        m = 0.0
-        if gx.size:
-            m = max(m, float(gx.max()))
-        if gy.size:
-            m = max(m, float(gy.max()))
-        return m
-
     def grad_inf_vec(self, w: Vec2):
         return max(self.grad_inf_scalar_any(w.u), self.grad_inf_scalar_any(w.v))
 

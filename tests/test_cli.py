@@ -79,6 +79,20 @@ def test_config_error_exit_code(tmp_path):
     assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("doc,field", [
+    ({"grid": {"lx": "one"}}, "grid.lx"),
+    ([], "top level"),
+    ({"sweep": {"family": "bogus"}}, "sweep.family"),
+])
+def test_ill_typed_config_exits_2_with_field_path(tmp_path, capsys, doc, field):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["stability-sweep", "--config", str(p), "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_exit_code(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 

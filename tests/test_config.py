@@ -102,3 +102,24 @@ def test_opt_options_built_from_config():
     opts = opt_options(cfg)
     assert opts.max_iters == 17
     assert opts.kkt_tol == 1e-5
+
+
+def test_type_errors_are_violations_with_field_paths():
+    with pytest.raises(ConfigError, match="grid.lx: must be a number"):
+        from_dict({"grid": {"lx": "one"}})
+    with pytest.raises(ConfigError, match="physics: must be an object"):
+        from_dict({"physics": 0.05})
+    with pytest.raises(ConfigError, match="seed: must be an integer"):
+        from_dict({"seed": 1.5})
+    with pytest.raises(ConfigError, match="mms.levels: must be a list of integers"):
+        from_dict({"mms": {"levels": [8.5, 16]}})
+    # integers are numbers, and null marks an optional number
+    from_dict({"time": {"T": 1}, "sweep": {"trust_radius": None}})
+    with pytest.raises(ConfigError, match="top level"):
+        from_dict([])
+
+
+@pytest.mark.parametrize("section", ["sweep", "second_order"])
+def test_unknown_perturbation_family_is_rejected(section):
+    with pytest.raises(ConfigError, match=f"{section}.family"):
+        from_dict({section: {"family": "bogus"}})

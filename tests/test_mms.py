@@ -1,10 +1,13 @@
 """Manufactured-solution checks for the forward discretization."""
 
 import numpy as np
+import pytest
+import sympy
 
 from convecopt.grid import Grid, GridConfig
 from convecopt.boussinesq import PhysicalParams
-from convecopt.mms import build_case, initial_data, run_level, convergence_study
+from convecopt.mms import (build_case, initial_data, run_level,
+                           convergence_study, _eval)
 
 
 def test_manufactured_velocity_satisfies_continuity():
@@ -37,3 +40,61 @@ def test_convergence_study_second_order():
     errs, orders, _ = convergence_study((8, 16, 32))
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     assert min(orders) >= 1.8
+
+
+def test_sources_satisfy_the_strong_form_equations():
+    # centred differences of the exact fields, no symbolic algebra involved
+    nu, kappa, h = 0.05, 0.02, 1e-4
+    case = build_case(nu, kappa)
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(0.05, 0.95, (2, 20))
+    t = rng.uniform(0.0, 0.1, 20)
+
+    def d(fn, ax, k=1):
+        e = [h if i == ax else 0.0 for i in range(3)]
+        p = fn(x + e[0], y + e[1], t + e[2])
+        m = fn(x - e[0], y - e[1], t - e[2])
+        if k == 1:
+            return (p - m) / (2 * h)
+        return (p - 2 * fn(x, y, t) + m) / h ** 2
+
+    u, v = case.u_fn(x, y, t), case.v_fn(x, y, t)
+
+    def residual(fn, coef):
+        return (d(fn, 2) - coef * (d(fn, 0, 2) + d(fn, 1, 2))
+                + u * d(fn, 0) + v * d(fn, 1))
+
+    checks = [(residual(case.u_fn, nu), case.fx_fn(x, y, t)),
+              (residual(case.v_fn, nu) - case.th_fn(x, y, t), case.fy_fn(x, y, t)),
+              (residual(case.th_fn, kappa), case.g_fn(x, y, t))]
+    for fd, exact in checks:
+        assert np.linalg.norm(fd - exact) <= 1e-6 * np.linalg.norm(exact)
+
+
+def _meshgrid_eval(fn, xs, ys, t):
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    return np.broadcast_to(np.asarray(fn(X, Y, t), dtype=float), X.shape)
+
+
+@pytest.mark.parametrize("expr", ["fx", "sin(pi*y)*cos(t)",
+                                  "cos(pi*x) + t", "2*t + 1"])
+def test_broadcast_eval_matches_meshgrid_bitwise(expr):
+    x, y, t = sympy.symbols("x y t")
+    if expr == "fx":
+        fn = build_case(0.05, 0.02).fx_fn
+    else:
+        fn = sympy.lambdify((x, y, t), sympy.sympify(expr), "numpy", cse=True)
+    xs, ys = np.linspace(0.0, 1.0, 5), (np.arange(7) + 0.5) / 7
+    out = _eval(fn, xs, ys, 0.3)
+    assert out.shape == (5, 7)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, _meshgrid_eval(fn, xs, ys, 0.3))
+
+
+def test_build_case_does_not_simplify(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("sympy.simplify called")
+
+    monkeypatch.setattr(sympy, "simplify", boom)
+    case = build_case(0.05, 0.02)
+    assert np.isfinite(case.g_fn(0.3, 0.4, 0.05))
