@@ -1,16 +1,16 @@
 """Forward-in-time solver for the buoyancy-coupled incompressible flow system.
 
 One IMEX Euler step per time level: explicit advection, buoyancy and forcing,
-then an implicit diffusion solve per unknown, then projection of the velocity
-onto the discretely divergence-free space.  The step is deliberately a
-composition of linear solves and bilinear terms so that its linearization and
-transpose can be written down exactly (see the sensitivity module).
+then `implicit_block`, the shared P D P block (project, diffuse, project the
+velocity; diffuse the temperature).  The step is deliberately a composition
+of linear solves and bilinear terms so that its linearization and transpose
+can be written down exactly (see the sensitivity module).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,41 +106,37 @@ def _cfl_advisory(grid: Grid, dt, u0: Vec2, extra_scale=0.0):
 def step_explicit(grid: Grid, pp: PhysicalParams, u: Vec2, theta, dt,
                   f: Vec2 | None, h, coupling=True):
     """Explicit stage of one IMEX step; returns tentative (u*, theta*)."""
+    us = u + dt * grid.buoyancy(theta, pp.buoyancy_dir)
+    ts = theta.copy()
     if coupling:
-        adv_u = grid.advect_vector(u, u)
-        adv_t = grid.advect_scalar(u, theta)
-    else:
-        adv_u = None
-        adv_t = None
-    buoy = grid.buoyancy(theta, pp.buoyancy_dir)
-    us = Vec2(u.u + dt * buoy.u, u.v + dt * buoy.v)
-    if adv_u is not None:
-        us.u -= dt * adv_u.u
-        us.v -= dt * adv_u.v
+        us = us - dt * grid.advect_vector(u, u)
+        ts = ts - dt * grid.advect_scalar(u, theta)
     if f is not None:
-        us.u += dt * f.u
-        us.v += dt * f.v
-    ts = theta.copy() if adv_t is None else theta - dt * adv_t
+        us = us + dt * f
     if h is not None:
         ts = ts + dt * h
-    us.zero_normal_boundary()
-    return us, ts
+    return us.zero_normal_boundary(), ts
+
+
+def implicit_block(grid: Grid, pp: PhysicalParams, dt, u: Vec2, theta):
+    """Implicit stage of one step; returns (P D P u, phi, D theta).
+
+    The tentative velocity is projected both before and after the implicit
+    diffusion solve, and phi is the potential removed by the last
+    projection.  The extra projection makes the block symmetric, so the
+    tangent and adjoint marches apply this same function, and adjoint
+    velocities come out discretely divergence-free.
+    """
+    ud = grid.helmholtz_solve_vec(dt * pp.nu, grid.leray_project(u))
+    un, phi = grid.leray_project(ud, return_phi=True)
+    return un, phi, grid.helmholtz_solve_scalar(dt * pp.kappa, theta)
 
 
 def step(grid: Grid, pp: PhysicalParams, dt, u: Vec2, theta,
          f: Vec2 | None, h, coupling=True):
-    """One full IMEX step; returns (u_next, p_next, theta_next).
-
-    The tentative velocity is projected both before and after the implicit
-    diffusion solve.  The extra projection keeps the one-step map of the
-    symmetric form P D P E, whose transpose produces adjoint velocities that
-    are themselves discretely divergence-free.
-    """
+    """One full IMEX step; returns (u_next, p_next, theta_next)."""
     us, ts = step_explicit(grid, pp, u, theta, dt, f, h, coupling)
-    usp = grid.leray_project(us)
-    uss = grid.helmholtz_solve_vec(dt * pp.nu, usp)
-    tn = grid.helmholtz_solve_scalar(dt * pp.kappa, ts)
-    un, phi = grid.leray_project(uss, return_phi=True)
+    un, phi, tn = implicit_block(grid, pp, dt, us, ts)
     return un, phi / dt, tn
 
 
@@ -200,7 +196,7 @@ def energy_report(grid: Grid, tg: TimeGrid, traj: StateTrajectory,
         ket = grid.norm2(th) ** 2
         # H1 seminorms via interior differences (enstrophy-like diagnostics)
         eu = _h1_semi_sq_vec(grid, u)
-        et = _h1_semi_sq_scalar(grid, th)
+        et = _h1_semi_sq(grid, th)
         rows[k] = (k, times[k], keu, ket, eu, et)
         max_e = max(max_e, keu + ket)
         if k >= 1:
@@ -220,17 +216,11 @@ def energy_report(grid: Grid, tg: TimeGrid, traj: StateTrajectory,
     return EnergyReport(max_e, diss, data, ratio, rows)
 
 
-def _h1_semi_sq_scalar(grid: Grid, s):
-    gx = np.diff(s, axis=0) / grid.hx
-    gy = np.diff(s, axis=1) / grid.hy
+def _h1_semi_sq(grid: Grid, arr):
+    gx = np.diff(arr, axis=0) / grid.hx
+    gy = np.diff(arr, axis=1) / grid.hy
     return grid.vol * (float(np.sum(gx * gx)) + float(np.sum(gy * gy)))
 
 
 def _h1_semi_sq_vec(grid: Grid, w: Vec2):
-    return _h1_semi_sq_any(grid, w.u) + _h1_semi_sq_any(grid, w.v)
-
-
-def _h1_semi_sq_any(grid: Grid, arr):
-    gx = np.diff(arr, axis=0) / grid.hx
-    gy = np.diff(arr, axis=1) / grid.hy
-    return grid.vol * (float(np.sum(gx * gx)) + float(np.sum(gy * gy)))
+    return _h1_semi_sq(grid, w.u) + _h1_semi_sq(grid, w.v)

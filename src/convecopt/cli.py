@@ -3,7 +3,8 @@
 Every command reads one JSON config, writes its artifacts (CSV for curves,
 JSON for summaries, VTK for field snapshots) into the output directory, and
 finishes by writing a run manifest with the config hash and per-file
-checksums.  Exit codes: 0 success, 1 numerical failure, 2 config error.
+checksums.  Exit codes: 0 success, 1 failure during the run (recorded in
+failure.json next to the manifest), 2 config error.
 """
 
 from __future__ import annotations
@@ -15,16 +16,16 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 
 import numpy as np
 
 from . import __version__
-from .grid import NumericalFailure, Vec2, fields_to_vtk
+from .grid import Vec2, fields_to_vtk
 from .boussinesq import solve_state, energy_report
 from .objective import Perturbation
 from .optimizer import (projected_gradient, pointwise_sign_check,
-                        measure_condition_estimate, adjoint_restriction_samples,
-                        bang_bang_fraction)
+                        measure_condition_estimate, adjoint_restriction_samples)
 from . import sensitivity as sen
 from . import stability_lab as lab
 from .config import (ConfigError, ExperimentConfig, load_config, default_config,
@@ -337,7 +338,7 @@ def cmd_sweep(cfg, run, seed, snapshot_stride=0, threads=1):
 
 def cmd_growth(cfg, run, seed, snapshot_stride=0):
     prob = build_problem(cfg, seed)
-    res, opts = _optimize_base(prob, cfg)
+    res, _ = _optimize_base(prob, cfg)
     gcfg = cfg["growth"]
     rep = lab.growth_probe(prob, res.control, gcfg["n_samples"],
                            gcfg["radius_grid"], seed, gcfg["variant"],
@@ -433,14 +434,16 @@ def run_command(cmd, cfg: ExperimentConfig, out_dir=None, seed=None,
             status = DISPATCH[cmd](cfg, run, seed, stride, threads)
         else:
             status = DISPATCH[cmd](cfg, run, seed, stride)
-    except NumericalFailure as exc:
-        run.write_json("failure.json", {"error": str(exc)})
-        run.finish()
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return 1
     except ConfigError as exc:
         sys.stderr.write(str(exc) + "\n")
         return 2
+    except Exception as exc:
+        kind = type(exc).__name__
+        run.write_json("failure.json", {"type": kind, "error": str(exc),
+                                        "traceback": traceback.format_exc()})
+        run.finish()
+        sys.stderr.write(f"{kind}: {exc}\n")
+        return 1
     run.finish()
     return status
 

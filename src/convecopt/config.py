@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridConfig, Vec2
+from .grid import Grid, GridConfig
 from .boussinesq import PhysicalParams, TimeGrid, SourceData
 from .objective import ObjectiveWeights, Targets, ControlSpace, Problem
 from .optimizer import OptOptions
@@ -202,6 +202,10 @@ def validate(data) -> list:
     need(me.size >= 2 and np.all(me > 0) and np.all(np.diff(me) > 0),
          "measure.eps_grid", "need strictly increasing positive values")
     need(data["s_norm"] >= 2, "s_norm", "must be >= 2")
+    levels = data["mms"]["levels"]
+    need(len(levels) >= 2 and min(levels) >= 4, "mms.levels",
+         "need >= 2 grid sizes, each >= 4")
+    need(data["duality"]["seeds"] >= 1, "duality.seeds", "must be >= 1")
     need(data["growth"]["variant"] in ("control", "state"),
          "growth.variant", "must be 'control' or 'state'")
     need(data["growth"]["tau"] in (0.5, 1.0),

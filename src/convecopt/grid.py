@@ -16,7 +16,6 @@ for v) are not degrees of freedom and are kept at exactly zero.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -387,12 +386,10 @@ class Grid:
 
     # -- advection (skew-symmetric) and transposes --------------------------
 
-    def advect_scalar(self, U: Vec2, s, check_div=False):
+    def advect_scalar(self, U: Vec2, s):
         """Skew form 0.5[(u.grad)s + div(u s)] with centered interpolation."""
         self.check_vec2(U)
         self.check_scalar(s)
-        if check_div and self.norm_lp(self.divergence(U), np.inf) > 1e-8:
-            warnings.warn("advecting velocity is not discretely divergence-free")
         hx, hy = self.hx, self.hy
         u, v = U.u, U.v
         Fx = np.zeros_like(u)
@@ -428,12 +425,10 @@ class Grid:
         gv += _dy_t(d, hy)
         return Vec2(gu, gv).zero_normal_boundary()
 
-    def advect_vector(self, U: Vec2, W: Vec2, check_div=False):
+    def advect_vector(self, U: Vec2, W: Vec2):
         """Skew-symmetric advection of W by U, componentwise on shifted grids."""
         self.check_vec2(U)
         self.check_vec2(W)
-        if check_div and self.norm_lp(self.divergence(U), np.inf) > 1e-8:
-            warnings.warn("advecting velocity is not discretely divergence-free")
         hx, hy = self.hx, self.hy
         u, v = U.u, U.v
         wu, wv = W.u, W.v
@@ -569,17 +564,6 @@ class Grid:
 # ---------------------------------------------------------------------------
 # export helpers
 # ---------------------------------------------------------------------------
-
-def scalar_to_csv(grid: Grid, s, path, header_lines=()):
-    """Flat CSV (i, j, x, y, value) for a cell-centered field."""
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("i,j,x,y,value\n")
-        for i in range(grid.nx):
-            for j in range(grid.ny):
-                fh.write(f"{i},{j},{grid.xc[i]:.17g},{grid.yc[j]:.17g},{s[i, j]:.17g}\n")
-
 
 def fields_to_vtk(grid: Grid, path, scalars=None, vectors=None, title="fields"):
     """Legacy VTK structured-points text file with cell-centered data.

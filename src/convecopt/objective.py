@@ -11,7 +11,8 @@ problem family.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -233,7 +234,7 @@ class Perturbation:
         control tilt eps * rho when the reference control is supplied, else
         as the raw weights.
         """
-        from .boussinesq import _h1_semi_sq_vec, _h1_semi_sq_scalar
+        from .boussinesq import _h1_semi_sq_vec, _h1_semi_sq
         total = 0.0
         if self.f_hat is not None:
             total += grid.norm_lp(self.f_hat, s)
@@ -244,7 +245,7 @@ class Perturbation:
                              + _h1_semi_sq_vec(grid, self.u0_hat))
         if self.th0_hat is not None:
             total += np.sqrt(grid.norm2(self.th0_hat) ** 2
-                             + _h1_semi_sq_scalar(grid, self.th0_hat))
+                             + _h1_semi_sq(grid, self.th0_hat))
         if self.eta_u is not None:
             total += grid.norm_lp(self.eta_u, s)
         if self.eta_th is not None:
@@ -277,7 +278,8 @@ class Problem:
     """Bundles everything needed to evaluate the objective at a control.
 
     Caches forward and adjoint solves keyed by (control, perturbation) so the
-    optimizer's repeated J/grad evaluations at one point cost one solve.
+    optimizer's repeated J/grad evaluations at one point cost one solve.  The
+    caches may be shared by threads (a parallel stability sweep).
     """
 
     grid: Grid
@@ -299,6 +301,15 @@ class Problem:
             self.theta0 = self.grid.scalar()
         self._state_cache = {}
         self._adj_cache = {}
+        self._cache_lock = threading.Lock()
+
+    def _remember(self, cache, key, value):
+        """Insert into a FIFO cache holding at most cache_size entries."""
+        with self._cache_lock:
+            cache[key] = value
+            while len(cache) > self.cache_size:
+                cache.pop(next(iter(cache)))
+        return value
 
     # -- state solves --------------------------------------------------------
 
@@ -311,11 +322,11 @@ class Problem:
             bf = self.base_sources.f_at(k)
             bh = self.base_sources.h_at(k)
             if bf is not None:
-                f = Vec2(f.u + bf.u, f.v + bf.v)
+                f = f + bf
             if bh is not None:
                 h = h + bh
             if pert.f_hat is not None:
-                f = Vec2(f.u + pert.f_hat.u, f.v + pert.f_hat.v)
+                f = f + pert.f_hat
             if pert.h_hat is not None:
                 h = h + pert.h_hat
             fs.append(f)
@@ -326,8 +337,7 @@ class Problem:
         u0 = self.u0
         th0 = self.theta0
         if pert.u0_hat is not None:
-            u0 = Vec2(u0.u + pert.u0_hat.u, u0.v + pert.u0_hat.v)
-            u0 = self.grid.leray_project(u0.copy().zero_normal_boundary())
+            u0 = self.grid.leray_project((u0 + pert.u0_hat).zero_normal_boundary())
         if pert.th0_hat is not None:
             th0 = th0 + pert.th0_hat
         return u0, th0
@@ -342,37 +352,35 @@ class Problem:
         u0, th0 = self._initial_for(pert)
         traj = solve_state(self.grid, self.phys, self.tg, sources, u0, th0,
                            coupling=self.coupling, check_cfl=False)
-        if len(self._state_cache) >= self.cache_size:
-            self._state_cache.pop(next(iter(self._state_cache)))
-        self._state_cache[key] = traj
-        return traj
+        return self._remember(self._state_cache, key, traj)
 
     # -- objective -----------------------------------------------------------
 
     def _misfits(self, traj, pert, k):
-        """(u_k - u_d - u_d_hat, theta_k - theta_d - theta_d_hat)."""
-        du = traj.u[k].copy()
+        """(u_k - u_d - u_d_hat, theta_k - theta_d - theta_d_hat).
+
+        Without targets or shifts these are the trajectory's own fields, so
+        callers must not modify them in place.
+        """
+        du = traj.u[k]
         ud = self.targets.u_d_at(k)
         if ud is not None:
-            du.u -= ud.u
-            du.v -= ud.v
+            du = du - ud
         if pert.u_d_hat is not None:
-            du.u -= pert.u_d_hat.u
-            du.v -= pert.u_d_hat.v
-        dth = traj.theta[k].copy()
+            du = du - pert.u_d_hat
+        dth = traj.theta[k]
         td = self.targets.theta_d_at(k)
         if td is not None:
-            dth -= td
+            dth = dth - td
         if pert.th_d_hat is not None:
-            dth -= pert.th_d_hat
+            dth = dth - pert.th_d_hat
         return du, dth
 
     def _terminal_misfits(self, traj):
-        du = traj.u[-1].copy()
+        du = traj.u[-1]
         if self.targets.u_T is not None:
-            du.u -= self.targets.u_T.u
-            du.v -= self.targets.u_T.v
-        dth = traj.theta[-1].copy()
+            du = du - self.targets.u_T
+        dth = traj.theta[-1]
         if self.targets.theta_T is not None:
             dth = dth - self.targets.theta_T
         return du, dth
@@ -431,31 +439,20 @@ class Problem:
         rhsG = [None] * (nt + 1)
         for k in range(1, nt + 1):
             du, dth = self._misfits(traj, pert, k)
-            fv = None
-            if w.alpha1:
-                fv = Vec2(w.alpha1 * du.u, w.alpha1 * du.v)
+            fv = w.alpha1 * du if w.alpha1 else None
             if pert.eta_u is not None:
-                if fv is None:
-                    fv = pert.eta_u.copy()
-                else:
-                    fv.u += pert.eta_u.u
-                    fv.v += pert.eta_u.v
+                fv = pert.eta_u if fv is None else fv + pert.eta_u
             rhsF[k] = fv
-            gv = None
-            if w.alpha2:
-                gv = w.alpha2 * dth
+            gv = w.alpha2 * dth if w.alpha2 else None
             if pert.eta_th is not None:
-                gv = pert.eta_th.copy() if gv is None else gv + pert.eta_th
+                gv = pert.eta_th if gv is None else gv + pert.eta_th
             rhsG[k] = gv
         duT, dthT = self._terminal_misfits(traj)
-        wT = Vec2(w.beta1 * duT.u, w.beta1 * duT.v) if w.beta1 else None
+        wT = w.beta1 * duT if w.beta1 else None
         psiT = w.beta2 * dthT if w.beta2 else None
         adj = sen.solve_adjoint(self.grid, self.phys, self.tg, traj,
                                 rhsF, rhsG, wT, psiT, coupling=self.coupling)
-        if len(self._adj_cache) >= self.cache_size:
-            self._adj_cache.pop(next(iter(self._adj_cache)))
-        self._adj_cache[key] = adj
-        return adj
+        return self._remember(self._adj_cache, key, adj)
 
     def grad_J(self, ctrl: Control, pert: Perturbation | None = None) -> Control:
         """Pointwise gradient density on the control regions.
@@ -553,15 +550,3 @@ class Problem:
         if eps2:
             val += eps2 * wq * float(np.dot(d1.th.ravel(), d2.th.ravel()))
         return val
-
-    def polarization_check(self, ctrl: Control, d1: Control, d2: Control,
-                           pert: Perturbation | None = None) -> float:
-        """Relative consistency of J'' as a quadratic vs bilinear form."""
-        both = self.second_variation(ctrl, d1.axpy(1.0, d2), pert)
-        a = self.second_variation(ctrl, d1, pert)
-        b = self.second_variation(ctrl, d2, pert)
-        cross = self.second_bilinear(ctrl, d1, d2, pert)
-        scale = abs(both) + abs(a) + abs(b) + abs(cross)
-        if scale == 0.0:
-            return 0.0
-        return abs(both - a - b - 2.0 * cross) / scale

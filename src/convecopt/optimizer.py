@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objective import Control, ControlSpace, Problem, Perturbation
+from .objective import Control, Problem, Perturbation
 
 
 @dataclass(frozen=True)
@@ -162,38 +162,6 @@ def projected_gradient(prob: Problem, ctrl0: Control, opts: OptOptions,
         term = "kkt_tol"
     return OptResult(x, J_hist, kkt_hist, it, term,
                      bang_bang_fraction(x), step_hist, bt_hist)
-
-
-def conditional_gradient(prob: Problem, ctrl0: Control, opts: OptOptions,
-                         pert: Perturbation | None = None) -> OptResult:
-    """Frank-Wolfe mode for unregularized runs: vertex steps, 2/(k+2) rule.
-
-    Flagged option; useful when the expected solution is bang-bang.
-    """
-    sp = ctrl0.space
-    x = project_box(ctrl0)
-    J_hist = []
-    kkt_hist = []
-    term = "max_iters"
-    it = 0
-    while True:
-        J = prob.eval_J(x, pert)
-        g = prob.grad_J(x, pert)
-        kkt = kkt_residual_from_grad(x, g)
-        J_hist.append(J)
-        kkt_hist.append(kkt)
-        if kkt <= opts.kkt_tol:
-            term = "kkt_tol"
-            break
-        if it >= opts.max_iters:
-            break
-        vq = np.where(g.q > 0, sp.q_lo, sp.q_hi)
-        vt = np.where(g.th > 0, sp.th_lo, sp.th_hi)
-        v = Control(sp, vq, vt)
-        gamma = 2.0 / (it + 2.0)
-        x = x.axpy(gamma, v.axpy(-1.0, x))
-        it += 1
-    return OptResult(x, J_hist, kkt_hist, it, term, bang_bang_fraction(x))
 
 
 @dataclass

@@ -2,24 +2,26 @@
 
 The forward step is the composition  x_{k+1} = (P D P) E_k(x_k)  where E_k is
 the explicit stage around the base state at level k, D the implicit diffusion
-solve, and P the Leray projection (the heat part omits P).  The tangent solver
-applies the exact Frechet derivative of that composition; the adjoint solver
-applies its exact transpose, term by term, so the discrete duality identity
-holds to roundoff.  No automatic differentiation is involved: the transposed
-advection terms are the stencil transposes from the grid module, which is
-where the (grad u)^T w and Psi grad(theta) structure of the continuous
-adjoint system comes out.
+solve, and P the Leray projection (the heat part omits P).  The P D P block is
+`boussinesq.implicit_block`; it is symmetric, so the tangent and adjoint
+solvers apply it unchanged.  The tangent solver applies the exact Frechet
+derivative of the composition; the adjoint solver applies its exact
+transpose, term by term, so the discrete duality identity holds to
+roundoff.  No automatic differentiation is involved: the transposed advection
+terms are the stencil transposes from the grid module, which is where the
+(grad u)^T w and Psi grad(theta) structure of the continuous adjoint system
+comes out.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Grid, Vec2
-from .boussinesq import PhysicalParams, TimeGrid, StateTrajectory
+from .boussinesq import PhysicalParams, TimeGrid, StateTrajectory, implicit_block
 
 
 @dataclass
@@ -45,7 +47,6 @@ class AdjointTrajectory:
 
     w: list
     psi: list
-    r: list
     lam0_u: Vec2
     lam0_t: np.ndarray
 
@@ -68,22 +69,16 @@ def _at(seq, k):
 def tangent_explicit(grid: Grid, pp: PhysicalParams, uk: Vec2, thk,
                      v: Vec2, vth, dt, F: Vec2 | None, G, coupling=True):
     """Exact linearization of the explicit stage around (uk, thk)."""
-    buoy = grid.buoyancy(vth, pp.buoyancy_dir)
-    vs = Vec2(v.u + dt * buoy.u, v.v + dt * buoy.v)
+    vs = v + dt * grid.buoyancy(vth, pp.buoyancy_dir)
     ts = vth.copy()
     if coupling:
-        a1 = grid.advect_vector(uk, v)
-        a2 = grid.advect_vector(v, uk)
-        vs.u -= dt * (a1.u + a2.u)
-        vs.v -= dt * (a1.v + a2.v)
+        vs = vs - dt * (grid.advect_vector(uk, v) + grid.advect_vector(v, uk))
         ts = ts - dt * (grid.advect_scalar(uk, vth) + grid.advect_scalar(v, thk))
     if F is not None:
-        vs.u += dt * F.u
-        vs.v += dt * F.v
+        vs = vs + dt * F
     if G is not None:
         ts = ts + dt * G
-    vs.zero_normal_boundary()
-    return vs, ts
+    return vs.zero_normal_boundary(), ts
 
 
 def tangent_explicit_t(grid: Grid, pp: PhysicalParams, uk: Vec2, thk,
@@ -92,14 +87,11 @@ def tangent_explicit_t(grid: Grid, pp: PhysicalParams, uk: Vec2, thk,
     lu = w.copy()
     lt = psi + dt * grid.buoyancy_t(w, pp.buoyancy_dir)
     if coupling:
-        a1 = grid.advect_vector_t_field(uk, w)
-        a2 = grid.advect_vector_t_vel(uk, w)
-        a3 = grid.advect_scalar_t_vel(thk, psi)
-        lu.u -= dt * (a1.u + a2.u + a3.u)
-        lu.v -= dt * (a1.v + a2.v + a3.v)
+        lu = lu - dt * (grid.advect_vector_t_field(uk, w)
+                        + grid.advect_vector_t_vel(uk, w)
+                        + grid.advect_scalar_t_vel(thk, psi))
         lt = lt - dt * grid.advect_scalar_t_field(uk, psi)
-    lu.zero_normal_boundary()
-    return lu, lt
+    return lu.zero_normal_boundary(), lt
 
 
 def solve_linearized(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
@@ -117,10 +109,7 @@ def solve_linearized(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
         vs, ts = tangent_explicit(grid, pp, base.u[k], base.theta[k],
                                   vs_list[-1], th_list[-1], dt,
                                   _at(rhsF, k), _at(rhsG, k), coupling)
-        vp = grid.leray_project(vs)
-        vd = grid.helmholtz_solve_vec(dt * pp.nu, vp)
-        tn = grid.helmholtz_solve_scalar(dt * pp.kappa, ts)
-        vn = grid.leray_project(vd)
+        vn, _, tn = implicit_block(grid, pp, dt, vs, ts)
         vs_list.append(vn)
         th_list.append(tn)
     return LinTrajectory(vs_list, th_list)
@@ -179,42 +168,23 @@ def solve_adjoint(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
             wT = grid.leray_project(wT)
     if psiT is None:
         psiT = grid.scalar()
-    w = [None] * (nt + 1)
-    psi = [None] * (nt + 1)
-    r = [None] * (nt + 1)
-    w[nt] = wT
-    psi[nt] = psiT.copy()
-    r[nt] = grid.scalar()
-    lu = wT.copy()
-    lt = psiT.copy()
-    fN = _at(rhsF, nt)
-    gN = _at(rhsG, nt)
-    if fN is not None:
-        lu.u += dt * fN.u
-        lu.v += dt * fN.v
-    if gN is not None:
-        lt = lt + dt * gN
+    w = [None] * nt + [wT]
+    psi = [None] * nt + [psiT.copy()]
+    lu, lt = wT, psiT
     for k in range(nt - 1, -1, -1):
-        # transpose of the implicit/projection block of step k
-        lup = grid.leray_project(lu)
-        lud = grid.helmholtz_solve_vec(dt * pp.nu, lup)
-        wk, phi = grid.leray_project(lud, return_phi=True)
-        pk = grid.helmholtz_solve_scalar(dt * pp.kappa, lt)
-        w[k] = wk
-        psi[k] = pk
-        r[k] = phi / dt
-        # transpose of the explicit stage around base level k
+        # sources pairing against the tangent state at level k + 1
+        fk = _at(rhsF, k + 1)
+        gk = _at(rhsG, k + 1)
+        if fk is not None:
+            lu = lu + dt * fk
+        if gk is not None:
+            lt = lt + dt * gk
+        # transpose of step k: the symmetric implicit block, then the
+        # explicit stage around base level k
+        w[k], _, psi[k] = implicit_block(grid, pp, dt, lu, lt)
         lu, lt = tangent_explicit_t(grid, pp, base.u[k], base.theta[k],
-                                    wk, pk, dt, coupling)
-        if k >= 1:
-            fk = _at(rhsF, k)
-            gk = _at(rhsG, k)
-            if fk is not None:
-                lu.u += dt * fk.u
-                lu.v += dt * fk.v
-            if gk is not None:
-                lt = lt + dt * gk
-    return AdjointTrajectory(w, psi, r, lu, lt)
+                                    w[k], psi[k], dt, coupling)
+    return AdjointTrajectory(w, psi, lu, lt)
 
 
 def duality_residual(grid: Grid, pp: PhysicalParams, tg: TimeGrid,

@@ -10,15 +10,14 @@ fits carry an R^2 and are reported as unreliable below 0.8.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Grid, Vec2
-from .boussinesq import TimeGrid
 from .objective import Control, Perturbation, Problem
 from .optimizer import (OptOptions, OptResult, projected_gradient,
-                        kkt_residual_from_grad, loglog_fit, MeasureFit,
+                        kkt_residual_from_grad, loglog_fit,
                         measure_condition_estimate, adjoint_restriction_samples)
 
 
@@ -121,7 +120,6 @@ def state_distance_l2(prob: Problem, ta, tb) -> float:
 
 
 def state_distance_linf(prob: Problem, ta, tb) -> float:
-    g = prob.grid
     m = 0.0
     for k in range(prob.tg.nt + 1):
         m = max(m, (ta.u[k] - tb.u[k]).max_abs())

@@ -5,7 +5,8 @@ import pytest
 
 from convecopt.grid import Grid, GridConfig, Vec2, NumericalFailure
 from convecopt.boussinesq import (PhysicalParams, TimeGrid, SourceData,
-                                  solve_state, step, energy_report)
+                                  solve_state, step, energy_report,
+                                  implicit_block)
 
 from conftest import rand_scalar, rand_vec2, rand_div_free
 
@@ -17,6 +18,21 @@ def test_params_validation():
         PhysicalParams(0.1, 0.1, (1.0, 1.0))
     with pytest.raises(ValueError):
         TimeGrid(-1.0, 10)
+
+
+def test_implicit_block_is_symmetric(grid_rect):
+    # the forward, tangent and adjoint marches share the block because of this
+    g = grid_rect
+    pp = PhysicalParams(0.05, 0.02)
+    rng = np.random.default_rng(3)
+    x, y = rand_vec2(g, rng), rand_vec2(g, rng)
+    s, r = rand_scalar(g, rng), rand_scalar(g, rng)
+    bx, _, bs = implicit_block(g, pp, 0.01, x, s)
+    by, _, br = implicit_block(g, pp, 0.01, y, r)
+    assert np.isclose(g.inner(bx, y), g.inner(x, by), rtol=1e-13, atol=0.0)
+    assert np.isclose(g.inner(bs, r), g.inner(s, br), rtol=1e-13, atol=0.0)
+    assert g.norm_lp(g.divergence(bx), np.inf) <= 1e-12
+    assert g.norm_lp(g.divergence(by), np.inf) <= 1e-12
 
 
 def test_zero_data_is_a_bitwise_fixed_point(grid8):

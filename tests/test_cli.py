@@ -83,6 +83,8 @@ def test_config_error_exit_code(tmp_path):
     ({"grid": {"lx": "one"}}, "grid.lx"),
     ([], "top level"),
     ({"sweep": {"family": "bogus"}}, "sweep.family"),
+    ({"mms": {"levels": [2, 4]}}, "mms.levels"),
+    ({"duality": {"seeds": 0}}, "duality.seeds"),
 ])
 def test_ill_typed_config_exits_2_with_field_path(tmp_path, capsys, doc, field):
     p = tmp_path / "bad.json"
@@ -122,7 +124,28 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
     fail = json.loads((out / "failure.json").read_text())
     assert "blow-up" in fail["error"]
+    assert fail["type"] == "NumericalFailure"
     assert (out / "manifest.json").exists()
+
+
+def test_unexpected_exception_exits_1_with_failure_record(tmp_path, capsys,
+                                                          monkeypatch):
+    from convecopt import cli
+
+    def boom(cfg, run, seed, snapshot_stride=0):
+        raise RuntimeError("synthetic bug")
+
+    monkeypatch.setitem(cli.DISPATCH, "solve", boom)
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    fail = json.loads((out / "failure.json").read_text())
+    assert fail["type"] == "RuntimeError"
+    assert fail["error"] == "synthetic bug"
+    assert "in boom" in fail["traceback"]
+    names = {f["path"] for f in read_manifest(out)["files"]}
+    assert names == {"failure.json"}
+    assert "synthetic bug" in capsys.readouterr().err
 
 
 def test_manifest_checksums_are_deterministic(tmp_path):

@@ -36,6 +36,18 @@ def test_validation_reports_all_violations_with_field_paths():
     assert len(msgs) >= 4
 
 
+@pytest.mark.parametrize("doc,field", [
+    ({"mms": {"levels": [2, 4]}}, "mms.levels"),
+    ({"mms": {"levels": []}}, "mms.levels"),
+    ({"mms": {"levels": [16]}}, "mms.levels"),
+    ({"duality": {"seeds": 0}}, "duality.seeds"),
+])
+def test_count_and_level_ranges_are_checked(doc, field):
+    with pytest.raises(ConfigError) as err:
+        from_dict(doc)
+    assert [m.split(":")[0] for m in err.value.violations] == [field]
+
+
 def test_unknown_keys_are_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         from_dict({"grdi": {"nx": 8}})

@@ -418,14 +418,6 @@ def test_advect_vector_transposes(grid_rect):
                       rtol=1e-12, atol=1e-14)
 
 
-def test_advection_warns_on_divergent_velocity(grid8):
-    rng = np.random.default_rng(20)
-    U = rand_vec2(grid8, rng)   # generically divergent
-    s = rand_scalar(grid8, rng)
-    with pytest.warns(UserWarning):
-        grid8.advect_scalar(U, s, check_div=True)
-
-
 # ---------------------------------------------------------------------------
 # buoyancy and control injection
 # ---------------------------------------------------------------------------
@@ -462,21 +454,6 @@ def test_injection_keeps_boundary_faces_zero(grid_rect):
 # ---------------------------------------------------------------------------
 # export helpers
 # ---------------------------------------------------------------------------
-
-def test_scalar_csv_roundtrip(grid8, tmp_path):
-    from convecopt.grid import scalar_to_csv
-    rng = np.random.default_rng(24)
-    s = rand_scalar(grid8, rng)
-    path = tmp_path / "field.csv"
-    scalar_to_csv(grid8, s, path, header_lines=["hash=abc"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# hash=abc"
-    got = np.zeros_like(s)
-    for line in lines[2:]:
-        i, j, _, _, v = line.split(",")
-        got[int(i), int(j)] = float(v)
-    assert np.array_equal(got, s)
-
 
 def test_vtk_export_structure(grid8, tmp_path):
     from convecopt.grid import fields_to_vtk

@@ -1,5 +1,8 @@
 """Objective, gradient, and second-variation tests."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -123,7 +126,13 @@ def test_second_variation_polarization():
     ctrl = rand_control(prob.space, rng, 0.3)
     d1 = rand_control(prob.space, rng)
     d2 = rand_control(prob.space, rng)
-    assert prob.polarization_check(ctrl, d1, d2) <= 1e-11
+    # J''[d1 + d2] = J''[d1] + J''[d2] + 2 J''[d1, d2]
+    both = prob.second_variation(ctrl, d1.axpy(1.0, d2))
+    a = prob.second_variation(ctrl, d1)
+    b = prob.second_variation(ctrl, d2)
+    cross = prob.second_bilinear(ctrl, d1, d2)
+    scale = abs(both) + abs(a) + abs(b) + abs(cross)
+    assert abs(both - a - b - 2.0 * cross) <= 1e-11 * scale
 
 
 def test_second_variation_is_convex_with_coupling_off():
@@ -143,6 +152,37 @@ def test_state_cache_returns_identical_object():
     ctrl = rand_control(prob.space, rng)
     assert prob.state(ctrl) is prob.state(ctrl)
     assert prob.adjoint(ctrl) is prob.adjoint(ctrl)
+
+
+def test_cache_eviction_is_thread_safe():
+    # a threaded stability sweep shares one Problem and its caches
+    prob = make_problem()
+    prob.cache_size = 2
+    cache = prob._state_cache
+    errors = []
+
+    def insert(tid):
+        try:
+            for i in range(20000):
+                prob._remember(cache, (tid, i), i)
+        except Exception as exc:
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=insert, args=(t,)) for t in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []
+    assert len(cache) <= 2
+    # the globally newest insertion is some thread's last one
+    assert any((t, 19999) in cache for t in range(4))
 
 
 def test_control_norms_and_admissibility():

@@ -6,7 +6,7 @@ import pytest
 from convecopt.objective import Control
 from convecopt.optimizer import (OptOptions, project_box, kkt_residual,
                                  kkt_residual_from_grad, bang_bang_fraction,
-                                 projected_gradient, conditional_gradient,
+                                 projected_gradient,
                                  pointwise_sign_check, loglog_fit,
                                  smallness_mass, measure_condition_estimate,
                                  adjoint_restriction_samples)
@@ -101,14 +101,6 @@ def test_brute_force_optimality_on_micro_instance():
         d = rand_control(prob.space, rng)
         cand = project_box(res.control.axpy(1e-4, d))
         assert prob.eval_J(cand) >= J - 1e-10
-
-
-def test_conditional_gradient_decreases_objective():
-    prob = make_problem(coupling=False)
-    opts = OptOptions(max_iters=40, kkt_tol=1e-12)
-    res = conditional_gradient(prob, prob.space.zero(), opts)
-    assert res.J_history[-1] < res.J_history[0]
-    assert res.control.is_admissible()
 
 
 def test_bang_bang_fraction_trivial_cases():
