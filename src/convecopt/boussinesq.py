@@ -52,37 +52,37 @@ class TimeGrid:
 class SourceData:
     """Body force and heat source, constant in time or one entry per step.
 
-    f entries are Vec2 (face layout), h entries cell scalars.  `None` means
-    zero.  Per-step lists must have nt entries (value held on [t_k, t_{k+1})).
+    f is a Vec2 (face layout), h a cell scalar; `None` means zero.  A
+    per-step source has nt entries (value held on [t_k, t_{k+1})) stacked on
+    a leading axis; a list of single-level fields is stacked here.
     """
 
     f: object = None
     h: object = None
 
-    def f_at(self, k):
-        if self.f is None:
-            return None
-        if isinstance(self.f, Vec2):
-            return self.f
-        return self.f[k]
+    def __post_init__(self):
+        if isinstance(self.f, list):
+            self.f = Vec2(np.stack([f.u for f in self.f]),
+                          np.stack([f.v for f in self.f]))
+        if isinstance(self.h, list):
+            self.h = np.stack(self.h)
 
-    def h_at(self, k):
-        if self.h is None:
-            return None
-        if isinstance(self.h, np.ndarray):
-            return self.h
-        return self.h[k]
+    def at(self, k):
+        """(f, h) held on step k."""
+        f, h = self.f, self.h
+        return (f if f is None or f.u.ndim == 2 else f[k],
+                h if h is None or h.ndim == 2 else h[k])
 
 
 @dataclass
 class StateTrajectory:
-    u: list            # Vec2 per level 0..nt
-    p: list            # cell scalar per level (p[0] is zeros by convention)
-    theta: list        # cell scalar per level
+    """Levels 0..nt stacked on a leading axis: u is a Vec2 of shapes
+    (nt+1, nx+1, ny) and (nt+1, nx, ny+1); p and theta are (nt+1, nx, ny)
+    arrays (p[0] is zeros by convention).  u[k] and theta[k] are views."""
 
-    @property
-    def nlevels(self):
-        return len(self.u)
+    u: Vec2
+    p: np.ndarray
+    theta: np.ndarray
 
 
 @dataclass
@@ -155,25 +155,23 @@ def solve_state(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
     dt = tg.dt
     if check_cfl:
         _cfl_advisory(grid, dt, u0)
-    u = u0.copy().zero_normal_boundary()
-    th = theta0.copy()
-    us = [u]
-    ps = [grid.scalar()]
-    ths = [th]
+    traj = StateTrajectory(grid.vec2(tg.nt + 1), grid.scalar(tg.nt + 1),
+                           grid.scalar(tg.nt + 1))
+    traj.u[0] = u0
+    traj.u[0].zero_normal_boundary()
+    traj.theta[0] = theta0
     for k in range(tg.nt):
         try:
-            un, pn, tn = step(grid, pp, dt, us[-1], ths[-1],
-                              sources.f_at(k), sources.h_at(k), coupling)
+            un, pn, tn = step(grid, pp, dt, traj.u[k], traj.theta[k],
+                              *sources.at(k), coupling)
         except NumericalFailure as exc:
             raise NumericalFailure(f"step {k}: {exc}") from exc
         if not (un.isfinite() and np.all(np.isfinite(tn))):
             raise NumericalFailure(
                 f"non-finite state detected at step {k} "
-                f"(|u| max so far {us[-1].max_abs():.3g})")
-        us.append(un)
-        ps.append(pn)
-        ths.append(tn)
-    return StateTrajectory(us, ps, ths)
+                f"(|u| max so far {traj.u[k].max_abs():.3g})")
+        traj.u[k + 1], traj.p[k + 1], traj.theta[k + 1] = un, pn, tn
+    return traj
 
 
 def energy_report(grid: Grid, tg: TimeGrid, traj: StateTrajectory,
@@ -185,42 +183,32 @@ def energy_report(grid: Grid, tg: TimeGrid, traj: StateTrajectory,
     """
     dt = tg.dt
     nt = tg.nt
-    times = tg.times()
-    rows = np.zeros((nt + 1, 6))
-    max_e = 0.0
-    diss = 0.0
-    for k in range(nt + 1):
-        u = traj.u[k]
-        th = traj.theta[k]
-        keu = grid.norm2(u) ** 2
-        ket = grid.norm2(th) ** 2
-        # H1 seminorms via interior differences (enstrophy-like diagnostics)
-        eu = _h1_semi_sq_vec(grid, u)
-        et = _h1_semi_sq(grid, th)
-        rows[k] = (k, times[k], keu, ket, eu, et)
-        max_e = max(max_e, keu + ket)
-        if k >= 1:
-            diss += dt * (eu + et)
-    fnorm = 0.0
-    gnorm = 0.0
-    for k in range(nt):
-        fk = sources.f_at(k)
-        hk = sources.h_at(k)
-        if fk is not None:
-            fnorm += dt * grid.norm2(fk) ** 2
-        if hk is not None:
-            gnorm += dt * grid.norm2(hk) ** 2
+    keu, ket = _sq(grid, traj.u), _sq(grid, traj.theta)
+    # H1 seminorms via interior differences (enstrophy-like diagnostics)
+    eu, et = _h1_semi_sq(grid, traj.u), _h1_semi_sq(grid, traj.theta)
+    rows = np.column_stack([np.arange(nt + 1), tg.times(), keu, ket, eu, et])
+    max_e = float(np.max(keu + ket))
+    diss = dt * float(np.sum(eu[1:] + et[1:]))
+    # sums of the per-step squared norms; a constant source counts nt times
+    fnorm, gnorm = (0.0 if s is None else dt * float(np.sum(np.broadcast_to(_sq(grid, s), (nt,))))
+                    for s in (sources.f, sources.h))
     data = np.sqrt(fnorm) + np.sqrt(gnorm) + grid.norm2(u0) + grid.norm2(theta0)
     num = max_e + diss
     ratio = 0.0 if data == 0.0 else num / data ** 2
     return EnergyReport(max_e, diss, data, ratio, rows)
 
 
-def _h1_semi_sq(grid: Grid, arr):
-    gx = np.diff(arr, axis=0) / grid.hx
-    gy = np.diff(arr, axis=1) / grid.hy
-    return grid.vol * (float(np.sum(gx * gx)) + float(np.sum(gy * gy)))
+def _sq(grid: Grid, a):
+    """Squared L2 norm of a scalar or Vec2, one value per level."""
+    if isinstance(a, Vec2):
+        return _sq(grid, a.u) + _sq(grid, a.v)
+    return grid.vol * np.sum(a * a, axis=(-2, -1))
 
 
-def _h1_semi_sq_vec(grid: Grid, w: Vec2):
-    return _h1_semi_sq(grid, w.u) + _h1_semi_sq(grid, w.v)
+def _h1_semi_sq(grid: Grid, a):
+    """Squared H1 seminorm of a scalar or Vec2, one value per level."""
+    if isinstance(a, Vec2):
+        return _h1_semi_sq(grid, a.u) + _h1_semi_sq(grid, a.v)
+    gx = np.diff(a, axis=-2) / grid.hx
+    gy = np.diff(a, axis=-1) / grid.hy
+    return grid.vol * (np.sum(gx * gx, axis=(-2, -1)) + np.sum(gy * gy, axis=(-2, -1)))

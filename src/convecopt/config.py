@@ -203,9 +203,13 @@ def validate(data) -> list:
          "measure.eps_grid", "need strictly increasing positive values")
     need(data["s_norm"] >= 2, "s_norm", "must be >= 2")
     levels = data["mms"]["levels"]
-    need(len(levels) >= 2 and min(levels) >= 4, "mms.levels",
-         "need >= 2 grid sizes, each >= 4")
-    need(data["duality"]["seeds"] >= 1, "duality.seeds", "must be >= 1")
+    need(len(levels) >= 2 and min(levels) >= 4 and np.all(np.diff(levels) > 0),
+         "mms.levels", "need >= 2 strictly increasing grid sizes, each >= 4")
+    for sec, key in (("duality", "seeds"), ("taylor", "seeds"),
+                     ("growth", "n_samples"), ("second_order", "n_samples"),
+                     ("targets", "modes"), ("initial", "modes"),
+                     ("sources", "modes"), ("sweep", "modes")):
+        need(data[sec][key] >= 1, f"{sec}.{key}", "must be >= 1")
     need(data["growth"]["variant"] in ("control", "state"),
          "growth.variant", "must be 'control' or 'state'")
     need(data["growth"]["tau"] in (0.5, 1.0),

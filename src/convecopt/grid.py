@@ -11,7 +11,9 @@ differentiation tool.
 Sign/layout conventions: arrays are indexed [i, j] with i along x.  A scalar
 field has shape (nx, ny); the x-velocity has shape (nx+1, ny) and the
 y-velocity (nx, ny+1).  Boundary-normal faces (i = 0, nx for u; j = 0, ny
-for v) are not degrees of freedom and are kept at exactly zero.
+for v) are not degrees of freedom and are kept at exactly zero.  A trajectory
+stacks its levels on a leading axis, (nlevels, nx, ny) and so on; the stencil
+primitives index with `...`, so leading axes pass through them.
 """
 
 from __future__ import annotations
@@ -30,47 +32,47 @@ class NumericalFailure(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _dx(a, h):
-    return (a[1:, :] - a[:-1, :]) / h
+    return (a[..., 1:, :] - a[..., :-1, :]) / h
 
 
 def _dy(a, h):
-    return (a[:, 1:] - a[:, :-1]) / h
+    return (a[..., 1:] - a[..., :-1]) / h
 
 
 def _dx_t(c, h):
     # adjoint of _dx in the plain (unweighted) dot product
-    out = np.zeros((c.shape[0] + 1, c.shape[1]))
-    out[1:, :] += c / h
-    out[:-1, :] -= c / h
+    out = np.zeros(c.shape[:-2] + (c.shape[-2] + 1, c.shape[-1]))
+    out[..., 1:, :] += c / h
+    out[..., :-1, :] -= c / h
     return out
 
 
 def _dy_t(c, h):
-    out = np.zeros((c.shape[0], c.shape[1] + 1))
-    out[:, 1:] += c / h
-    out[:, :-1] -= c / h
+    out = np.zeros(c.shape[:-1] + (c.shape[-1] + 1,))
+    out[..., 1:] += c / h
+    out[..., :-1] -= c / h
     return out
 
 
 def _ax(a):
-    return 0.5 * (a[1:, :] + a[:-1, :])
+    return 0.5 * (a[..., 1:, :] + a[..., :-1, :])
 
 
 def _ay(a):
-    return 0.5 * (a[:, 1:] + a[:, :-1])
+    return 0.5 * (a[..., 1:] + a[..., :-1])
 
 
 def _ax_t(c):
-    out = np.zeros((c.shape[0] + 1, c.shape[1]))
-    out[1:, :] += 0.5 * c
-    out[:-1, :] += 0.5 * c
+    out = np.zeros(c.shape[:-2] + (c.shape[-2] + 1, c.shape[-1]))
+    out[..., 1:, :] += 0.5 * c
+    out[..., :-1, :] += 0.5 * c
     return out
 
 
 def _ay_t(c):
-    out = np.zeros((c.shape[0], c.shape[1] + 1))
-    out[:, 1:] += 0.5 * c
-    out[:, :-1] += 0.5 * c
+    out = np.zeros(c.shape[:-1] + (c.shape[-1] + 1,))
+    out[..., 1:] += 0.5 * c
+    out[..., :-1] += 0.5 * c
     return out
 
 
@@ -80,10 +82,27 @@ def _ay_t(c):
 
 @dataclass
 class Vec2:
-    """MAC velocity-like field: u on vertical faces, v on horizontal faces."""
+    """MAC velocity-like field: u on vertical faces, v on horizontal faces.
+
+    A stack of levels carries a leading axis on both arrays; indexing it
+    (`w[k]`, `w[1:]`) returns views of the selected levels.
+    """
 
     u: np.ndarray
     v: np.ndarray
+
+    def __len__(self):
+        if self.u.ndim < 3:
+            raise TypeError("a single-level Vec2 has no level axis")
+        return len(self.u)
+
+    def __getitem__(self, k):
+        len(self)       # on a single level, u[k] would be a row
+        return Vec2(self.u[k], self.v[k])
+
+    def __setitem__(self, k, w):
+        self.u[k] = w.u
+        self.v[k] = w.v
 
     def copy(self):
         return Vec2(self.u.copy(), self.v.copy())
@@ -103,10 +122,10 @@ class Vec2:
         return Vec2(-self.u, -self.v)
 
     def zero_normal_boundary(self):
-        self.u[0, :] = 0.0
-        self.u[-1, :] = 0.0
-        self.v[:, 0] = 0.0
-        self.v[:, -1] = 0.0
+        self.u[..., 0, :] = 0.0
+        self.u[..., -1, :] = 0.0
+        self.v[..., 0] = 0.0
+        self.v[..., -1] = 0.0
         return self
 
     def max_abs(self):
@@ -181,6 +200,11 @@ def _modes_1d(kind, n, h):
     return q, lam
 
 
+def _dot(a, b):
+    a, b = np.broadcast_arrays(a, b)
+    return float(np.dot(a.ravel(), b.ravel()))
+
+
 class Grid:
     """Uniform MAC grid whose implicit solves are fast diagonalisations.
 
@@ -218,12 +242,13 @@ class Grid:
 
     # -- allocation helpers -------------------------------------------------
 
-    def scalar(self):
-        return np.zeros((self.nx, self.ny))
+    def scalar(self, *levels):
+        """Zero cell scalar; leading sizes (e.g. nt + 1) allocate a stack."""
+        return np.zeros(levels + (self.nx, self.ny))
 
-    def vec2(self):
-        return Vec2(np.zeros((self.nx + 1, self.ny)),
-                    np.zeros((self.nx, self.ny + 1)))
+    def vec2(self, *levels):
+        return Vec2(np.zeros(levels + (self.nx + 1, self.ny)),
+                    np.zeros(levels + (self.nx, self.ny + 1)))
 
     def check_scalar(self, s):
         if s.shape != (self.nx, self.ny):
@@ -248,11 +273,14 @@ class Grid:
     # -- quadrature ---------------------------------------------------------
 
     def inner(self, a, b):
-        """Cell-volume-weighted inner product; works for scalars and Vec2."""
+        """Cell-volume-weighted inner product; works for scalars and Vec2.
+
+        Stacks are summed over their levels; a single level broadcasts
+        against a stack.
+        """
         if isinstance(a, Vec2):
-            return self.vol * (float(np.dot(a.u.ravel(), b.u.ravel()))
-                               + float(np.dot(a.v.ravel(), b.v.ravel())))
-        return self.vol * float(np.dot(a.ravel(), b.ravel()))
+            return self.vol * (_dot(a.u, b.u) + _dot(a.v, b.v))
+        return self.vol * _dot(a, b)
 
     def norm_lp(self, a, p=2):
         if p != np.inf and p < 1:
@@ -536,14 +564,14 @@ class Grid:
 
     def inject_cell_vector(self, qx, qy):
         """Cell-centered vector density interpolated onto interior faces."""
-        out = self.vec2()
-        out.u[1:-1, :] = _ax(qx)
-        out.v[:, 1:-1] = _ay(qy)
+        out = self.vec2(*qx.shape[:-2])
+        out.u[..., 1:-1, :] = _ax(qx)
+        out.v[..., 1:-1] = _ay(qy)
         return out
 
     def restrict_face_vector(self, C: Vec2):
         """Transpose of inject_cell_vector; face field to cell-centered vector."""
-        return _ax_t(C.u[1:-1, :]), _ay_t(C.v[:, 1:-1])
+        return _ax_t(C.u[..., 1:-1, :]), _ay_t(C.v[..., 1:-1])
 
     # -- gradient magnitude for sup-norm diagnostics ------------------------
 
@@ -551,8 +579,8 @@ class Grid:
         return max(self.grad_inf_scalar_any(w.u), self.grad_inf_scalar_any(w.v))
 
     def grad_inf_scalar_any(self, arr):
-        gx = np.abs(np.diff(arr, axis=0)) / self.hx
-        gy = np.abs(np.diff(arr, axis=1)) / self.hy
+        gx = np.abs(np.diff(arr, axis=-2)) / self.hx
+        gy = np.abs(np.diff(arr, axis=-1)) / self.hy
         m = 0.0
         if gx.size:
             m = max(m, float(gx.max()))

@@ -48,7 +48,8 @@ def build_case(nu, kappa) -> MMSCase:
     gg = sym.diff(th, t) - kappa * lap(th) + u * sym.diff(th, x) + v * sym.diff(th, y)
 
     def fn(e):
-        return sym.lambdify((x, y, t), e, "numpy", cse=True)
+        # the module, not "numpy": that runs `from numpy import *` (f2py, ...)
+        return sym.lambdify((x, y, t), e, [np], cse=True)
 
     return MMSCase(fn(u), fn(v), fn(th), fn(fx), fn(fy), fn(gg), fn(psi))
 
@@ -73,17 +74,15 @@ def run_level(n, pp: PhysicalParams, case: MMSCase, T=0.1, dt_factor=1.0):
     nt = max(4, int(np.ceil(T / (dt_factor * h2))))
     tg = TimeGrid(T, nt)
     times = tg.times()
-    fs = []
-    hs = []
+    f = grid.vec2(nt)
+    h = grid.scalar(nt)
     for k in range(nt):
-        f = grid.vec2()
-        f.u[:, :] = _eval(case.fx_fn, grid.xf, grid.yc, times[k])
-        f.v[:, :] = _eval(case.fy_fn, grid.xc, grid.yf, times[k])
-        f.zero_normal_boundary()
-        fs.append(f)
-        hs.append(_eval(case.g_fn, grid.xc, grid.yc, times[k]))
+        f.u[k] = _eval(case.fx_fn, grid.xf, grid.yc, times[k])
+        f.v[k] = _eval(case.fy_fn, grid.xc, grid.yf, times[k])
+        h[k] = _eval(case.g_fn, grid.xc, grid.yc, times[k])
+    f.zero_normal_boundary()
     u0, th0 = initial_data(grid, case)
-    traj = solve_state(grid, pp, tg, SourceData(fs, hs), u0, th0, check_cfl=False)
+    traj = solve_state(grid, pp, tg, SourceData(f, h), u0, th0, check_cfl=False)
     err2 = 0.0
     for k in range(1, nt + 1):
         ue = Vec2(_eval(case.u_fn, grid.xf, grid.yc, times[k]),
@@ -96,7 +95,7 @@ def run_level(n, pp: PhysicalParams, case: MMSCase, T=0.1, dt_factor=1.0):
 
 def convergence_study(levels=(16, 32, 64), nu=0.05, kappa=0.05,
                       T=0.1, dt_factor=1.0):
-    """Errors and observed orders across a grid refinement sequence."""
+    """Errors and observed orders log(e0/e1) / log(n1/n0) across levels."""
     pp = PhysicalParams(nu, kappa)
     case = build_case(nu, kappa)
     errs = []
@@ -105,5 +104,6 @@ def convergence_study(levels=(16, 32, 64), nu=0.05, kappa=0.05,
         e, nt = run_level(n, pp, case, T, dt_factor)
         errs.append(e)
         nts.append(nt)
-    orders = [float(np.log2(errs[i - 1] / errs[i])) for i in range(1, len(errs))]
+    orders = [float(np.log2(errs[i - 1] / errs[i]) / np.log2(levels[i] / levels[i - 1]))
+              for i in range(1, len(errs))]
     return errs, orders, nts

@@ -42,22 +42,12 @@ class ObjectiveWeights:
 
 @dataclass
 class Targets:
-    """Tracking data; `None` entries mean zero fields."""
+    """Tracking data, constant in time; `None` entries mean zero fields."""
 
-    u_d: Vec2 | None = None          # constant in time (or list per level)
+    u_d: Vec2 | None = None
     theta_d: np.ndarray | None = None
     u_T: Vec2 | None = None
     theta_T: np.ndarray | None = None
-
-    def u_d_at(self, k):
-        if self.u_d is None or isinstance(self.u_d, Vec2):
-            return self.u_d
-        return self.u_d[k]
-
-    def theta_d_at(self, k):
-        if self.theta_d is None or isinstance(self.theta_d, np.ndarray):
-            return self.theta_d
-        return self.theta_d[k]
 
 
 @dataclass
@@ -153,27 +143,33 @@ class Control:
 
     # -- mapping into the PDE source space ----------------------------------
 
-    def source_fields(self, k):
-        """Vec2 force and cell heat source for step k."""
+    def source_fields(self):
+        """Force and heat source of every step: a Vec2 stack of shapes
+        (nt, nx+1, ny) and (nt, nx, ny+1), and an (nt, nx, ny) array."""
         sp = self.space
         g = sp.grid
-        qx = g.scalar()
-        qy = g.scalar()
-        qx[sp.mask_q.ii, sp.mask_q.jj] = self.q[k, 0]
-        qy[sp.mask_q.ii, sp.mask_q.jj] = self.q[k, 1]
+        nt = len(self.q)
+        qx = g.scalar(nt)
+        qy = g.scalar(nt)
+        qx[:, sp.mask_q.ii, sp.mask_q.jj] = self.q[:, 0]
+        qy[:, sp.mask_q.ii, sp.mask_q.jj] = self.q[:, 1]
         f = g.inject_cell_vector(qx, qy)
-        h = g.scalar()
-        h[sp.mask_h.ii, sp.mask_h.jj] = self.th[k]
+        h = g.scalar(nt)
+        h[:, sp.mask_h.ii, sp.mask_h.jj] = self.th
         return f, h
 
 
 def restrict_adjoint(space: ControlSpace, w: Vec2, psi):
-    """Transpose of the control-to-source mapping at one time step."""
+    """Transpose of the control-to-source mapping.
+
+    On one level (w a Vec2, psi (nx, ny)) returns q of shape (2, n_q) and
+    th of shape (n_h,); on a stack of nt levels, (nt, 2, n_q) and (nt, n_h).
+    """
     g = space.grid
     rx, ry = g.restrict_face_vector(w)
-    q = np.stack([rx[space.mask_q.ii, space.mask_q.jj],
-                  ry[space.mask_q.ii, space.mask_q.jj]])
-    th = psi[space.mask_h.ii, space.mask_h.jj]
+    q = np.stack([rx[..., space.mask_q.ii, space.mask_q.jj],
+                  ry[..., space.mask_q.ii, space.mask_q.jj]], axis=-2)
+    th = psi[..., space.mask_h.ii, space.mask_h.jj]
     return q, th
 
 
@@ -181,9 +177,9 @@ def restrict_adjoint(space: ControlSpace, w: Vec2, psi):
 class Perturbation:
     """The perturbation tuple driving the stability experiments.
 
-    Fields are constant in time except where a list is supplied.  Signs are
-    normalized so the perturbed gradient on the control regions is exactly
-    (restricted adjoint) + Tikhonov + (sigma, Lambda).
+    Fields are constant in time; sigma and lam may also carry one entry
+    per step.  Signs are normalized so the perturbed gradient on the control
+    regions is exactly (restricted adjoint) + Tikhonov + (sigma, Lambda).
     """
 
     f_hat: Vec2 | None = None
@@ -198,16 +194,6 @@ class Perturbation:
     th_d_hat: np.ndarray | None = None
     eps1: float = 0.0
     eps2: float = 0.0
-
-    def sigma_at(self, k):
-        if self.sigma is None:
-            return None
-        return self.sigma if self.sigma.ndim == 2 else self.sigma[k]
-
-    def lam_at(self, k):
-        if self.lam is None:
-            return None
-        return self.lam if self.lam.ndim == 1 else self.lam[k]
 
     def hash(self):
         hsh = hashlib.sha256()
@@ -234,7 +220,7 @@ class Perturbation:
         control tilt eps * rho when the reference control is supplied, else
         as the raw weights.
         """
-        from .boussinesq import _h1_semi_sq_vec, _h1_semi_sq
+        from .boussinesq import _h1_semi_sq
         total = 0.0
         if self.f_hat is not None:
             total += grid.norm_lp(self.f_hat, s)
@@ -242,7 +228,7 @@ class Perturbation:
             total += grid.norm_lp(self.h_hat, s)
         if self.u0_hat is not None:
             total += np.sqrt(grid.norm2(self.u0_hat) ** 2
-                             + _h1_semi_sq_vec(grid, self.u0_hat))
+                             + _h1_semi_sq(grid, self.u0_hat))
         if self.th0_hat is not None:
             total += np.sqrt(grid.norm2(self.th0_hat) ** 2
                              + _h1_semi_sq(grid, self.th0_hat))
@@ -314,24 +300,16 @@ class Problem:
     # -- state solves --------------------------------------------------------
 
     def _sources_for(self, ctrl: Control, pert: Perturbation):
-        nt = self.tg.nt
-        fs = []
-        hs = []
-        for k in range(nt):
-            f, h = ctrl.source_fields(k)
-            bf = self.base_sources.f_at(k)
-            bh = self.base_sources.h_at(k)
-            if bf is not None:
-                f = f + bf
-            if bh is not None:
-                h = h + bh
-            if pert.f_hat is not None:
-                f = f + pert.f_hat
-            if pert.h_hat is not None:
-                h = h + pert.h_hat
-            fs.append(f)
-            hs.append(h)
-        return SourceData(fs, hs)
+        f, h = ctrl.source_fields()
+        if self.base_sources.f is not None:
+            f = f + self.base_sources.f
+        if self.base_sources.h is not None:
+            h = h + self.base_sources.h
+        if pert.f_hat is not None:
+            f = f + pert.f_hat
+        if pert.h_hat is not None:
+            h = h + pert.h_hat
+        return SourceData(f, h)
 
     def _initial_for(self, pert: Perturbation):
         u0 = self.u0
@@ -356,22 +334,20 @@ class Problem:
 
     # -- objective -----------------------------------------------------------
 
-    def _misfits(self, traj, pert, k):
-        """(u_k - u_d - u_d_hat, theta_k - theta_d - theta_d_hat).
+    def _misfits(self, traj, pert):
+        """(u - u_d - u_d_hat, theta - theta_d - theta_d_hat) at every level.
 
         Without targets or shifts these are the trajectory's own fields, so
         callers must not modify them in place.
         """
-        du = traj.u[k]
-        ud = self.targets.u_d_at(k)
-        if ud is not None:
-            du = du - ud
+        du = traj.u
+        if self.targets.u_d is not None:
+            du = du - self.targets.u_d
         if pert.u_d_hat is not None:
             du = du - pert.u_d_hat
-        dth = traj.theta[k]
-        td = self.targets.theta_d_at(k)
-        if td is not None:
-            dth = dth - td
+        dth = traj.theta
+        if self.targets.theta_d is not None:
+            dth = dth - self.targets.theta_d
         if pert.th_d_hat is not None:
             dth = dth - pert.th_d_hat
         return du, dth
@@ -392,17 +368,16 @@ class Problem:
         g = self.grid
         dt = self.tg.dt
         traj = self.state(ctrl, pert)
+        du, dth = self._misfits(traj, pert)
         val = 0.0
-        for k in range(1, self.tg.nt + 1):
-            du, dth = self._misfits(traj, pert, k)
-            if w.alpha1:
-                val += 0.5 * w.alpha1 * dt * g.norm2(du) ** 2
-            if w.alpha2:
-                val += 0.5 * w.alpha2 * dt * g.norm2(dth) ** 2
-            if pert.eta_u is not None:
-                val += dt * g.inner(pert.eta_u, traj.u[k])
-            if pert.eta_th is not None:
-                val += dt * g.inner(pert.eta_th, traj.theta[k])
+        if w.alpha1:
+            val += 0.5 * w.alpha1 * dt * g.inner(du[1:], du[1:])
+        if w.alpha2:
+            val += 0.5 * w.alpha2 * dt * g.inner(dth[1:], dth[1:])
+        if pert.eta_u is not None:
+            val += dt * g.inner(pert.eta_u, traj.u[1:])
+        if pert.eta_th is not None:
+            val += dt * g.inner(pert.eta_th, traj.theta[1:])
         if w.beta1 or w.beta2:
             duT, dthT = self._terminal_misfits(traj)
             val += 0.5 * w.beta1 * g.norm2(duT) ** 2
@@ -414,13 +389,10 @@ class Problem:
             val += 0.5 * eps1 * wq * float(np.sum(ctrl.q ** 2))
         if eps2:
             val += 0.5 * eps2 * wq * float(np.sum(ctrl.th ** 2))
-        for k in range(self.tg.nt):
-            sg = pert.sigma_at(k)
-            lm = pert.lam_at(k)
-            if sg is not None:
-                val += wq * float(np.sum(sg * ctrl.q[k]))
-            if lm is not None:
-                val += wq * float(np.sum(lm * ctrl.th[k]))
+        if pert.sigma is not None:
+            val += wq * float(np.sum(pert.sigma * ctrl.q))
+        if pert.lam is not None:
+            val += wq * float(np.sum(pert.lam * ctrl.th))
         return val
 
     # -- adjoint and gradient ------------------------------------------------
@@ -434,19 +406,14 @@ class Problem:
             return hit
         w = self.weights
         traj = self.state(ctrl, pert)
-        nt = self.tg.nt
-        rhsF = [None] * (nt + 1)
-        rhsG = [None] * (nt + 1)
-        for k in range(1, nt + 1):
-            du, dth = self._misfits(traj, pert, k)
-            fv = w.alpha1 * du if w.alpha1 else None
-            if pert.eta_u is not None:
-                fv = pert.eta_u if fv is None else fv + pert.eta_u
-            rhsF[k] = fv
-            gv = w.alpha2 * dth if w.alpha2 else None
-            if pert.eta_th is not None:
-                gv = pert.eta_th if gv is None else gv + pert.eta_th
-            rhsG[k] = gv
+        # level 0 of the right-hand sides is not read by the sweep
+        du, dth = self._misfits(traj, pert)
+        rhsF, rhsG = w.alpha1 * du, w.alpha2 * dth
+        del du, dth     # not held through the sweep
+        if pert.eta_u is not None:
+            rhsF = rhsF + pert.eta_u
+        if pert.eta_th is not None:
+            rhsG = rhsG + pert.eta_th
         duT, dthT = self._terminal_misfits(traj)
         wT = w.beta1 * duT if w.beta1 else None
         psiT = w.beta2 * dthT if w.beta2 else None
@@ -462,28 +429,19 @@ class Problem:
         """
         pert = pert or _zero_pert()
         adj = self.adjoint(ctrl, pert)
-        nt = self.tg.nt
-        sp = self.space
-        gq = np.zeros_like(ctrl.q)
-        gt = np.zeros_like(ctrl.th)
-        for k in range(nt):
-            q, th = restrict_adjoint(sp, adj.w[k], adj.psi[k])
-            gq[k] = q
-            gt[k] = th
+        # levels 0..nt-1 carry the gradient; level nt is terminal data
+        gq, gt = restrict_adjoint(self.space, adj.w[:-1], adj.psi[:-1])
         eps1 = self.weights.eps1 + pert.eps1
         eps2 = self.weights.eps2 + pert.eps2
         if eps1:
             gq += eps1 * ctrl.q
         if eps2:
             gt += eps2 * ctrl.th
-        for k in range(nt):
-            sg = pert.sigma_at(k)
-            lm = pert.lam_at(k)
-            if sg is not None:
-                gq[k] += sg
-            if lm is not None:
-                gt[k] += lm
-        return Control(sp, gq, gt)
+        if pert.sigma is not None:
+            gq += pert.sigma
+        if pert.lam is not None:
+            gt += pert.lam
+        return Control(self.space, gq, gt)
 
     # -- tangent along a control direction ------------------------------------
 
@@ -491,13 +449,7 @@ class Problem:
                 pert: Perturbation | None = None) -> sen.LinTrajectory:
         pert = pert or _zero_pert()
         traj = self.state(ctrl, pert)
-        nt = self.tg.nt
-        dF = []
-        dG = []
-        for k in range(nt):
-            f, h = delta.source_fields(k)
-            dF.append(f)
-            dG.append(h)
+        dF, dG = delta.source_fields()
         return sen.solve_linearized(self.grid, self.phys, self.tg, traj,
                                     dF, dG, coupling=self.coupling)
 
@@ -527,11 +479,10 @@ class Problem:
         if lin2 is None:
             lin2 = self.tangent(ctrl, d2, pert) if d2 is not d1 else lin1
         val = 0.0
-        for k in range(1, nt + 1):
-            if w.alpha1:
-                val += w.alpha1 * dt * g.inner(lin1.v[k], lin2.v[k])
-            if w.alpha2:
-                val += w.alpha2 * dt * g.inner(lin1.theta[k], lin2.theta[k])
+        if w.alpha1:
+            val += w.alpha1 * dt * g.inner(lin1.v[1:], lin2.v[1:])
+        if w.alpha2:
+            val += w.alpha2 * dt * g.inner(lin1.theta[1:], lin2.theta[1:])
         if w.beta1:
             val += w.beta1 * g.inner(lin1.v[nt], lin2.v[nt])
         if w.beta2:
@@ -539,9 +490,7 @@ class Problem:
         if self.coupling:
             adj = self.adjoint(ctrl, pert)
             rhsF, rhsG = sen.second_rhs(g, lin1, lin2, nt)
-            for k in range(nt):
-                val += dt * g.inner(adj.w[k], rhsF[k])
-                val += dt * g.inner(adj.psi[k], rhsG[k])
+            val += dt * (g.inner(adj.w[:nt], rhsF) + g.inner(adj.psi[:nt], rhsG))
         eps1 = w.eps1 + pert.eps1
         eps2 = w.eps2 + pert.eps2
         wq = dt * g.vol

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objective import Control, Problem, Perturbation
+from .objective import Control, Problem, Perturbation, restrict_adjoint
 
 
 @dataclass(frozen=True)
@@ -275,16 +275,6 @@ def adjoint_restriction_samples(prob: Problem, ctrl: Control,
     Tikhonov and tilt contributions are excluded: the condition is about the
     adjoint state itself.
     """
-    from .objective import restrict_adjoint
     adj = prob.adjoint(ctrl, pert)
-    nt = prob.tg.nt
-    sp = prob.space
-    w1 = np.zeros((nt, sp.mask_q.ncells))
-    w2 = np.zeros((nt, sp.mask_q.ncells))
-    ps = np.zeros((nt, sp.mask_h.ncells))
-    for k in range(nt):
-        q, th = restrict_adjoint(sp, adj.w[k], adj.psi[k])
-        w1[k] = q[0]
-        w2[k] = q[1]
-        ps[k] = th
-    return w1, w2, ps
+    q, ps = restrict_adjoint(prob.space, adj.w[:-1], adj.psi[:-1])
+    return q[:, 0], q[:, 1], ps

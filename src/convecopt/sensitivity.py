@@ -26,37 +26,32 @@ from .boussinesq import PhysicalParams, TimeGrid, StateTrajectory, implicit_bloc
 
 @dataclass
 class LinTrajectory:
-    v: list        # Vec2 per level 0..nt
-    theta: list    # cell scalar per level
+    """Tangent levels 0..nt on a leading axis, shaped as StateTrajectory."""
 
-    @property
-    def nlevels(self):
-        return len(self.v)
+    v: Vec2
+    theta: np.ndarray
 
 
 @dataclass
 class AdjointTrajectory:
     """Backward-sweep output.
 
-    w[k], psi[k] for k < nt are the gradient-carrier fields: the pairing
+    Levels 0..nt on a leading axis, shaped as StateTrajectory.  w[k],
+    psi[k] for k < nt are the gradient-carrier fields: the pairing
     sum_k dt*<w[k], F_k> + dt*<psi[k], G_k> equals the tangent/terminal
     pairing exactly.  Level nt holds the supplied terminal data (velocity
     projected if it was not divergence-free).  lam0_* is the costate at
     level 0, which pairs against tangent initial data.
     """
 
-    w: list
-    psi: list
+    w: Vec2
+    psi: np.ndarray
     lam0_u: Vec2
     lam0_t: np.ndarray
 
-    @property
-    def nlevels(self):
-        return len(self.w)
-
 
 def _check_compat(tg: TimeGrid, base: StateTrajectory):
-    if base.nlevels != tg.nt + 1:
+    if len(base.u) != tg.nt + 1:
         raise ValueError("base trajectory does not match the time grid")
 
 
@@ -101,31 +96,33 @@ def solve_linearized(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
     """Tangent solve: rhsF/rhsG hold one entry per step (k = 0..nt-1)."""
     _check_compat(tg, base)
     dt = tg.dt
-    v = v0.copy().zero_normal_boundary() if v0 is not None else grid.vec2()
-    th = theta0.copy() if theta0 is not None else grid.scalar()
-    vs_list = [v]
-    th_list = [th]
+    lin = LinTrajectory(grid.vec2(tg.nt + 1), grid.scalar(tg.nt + 1))
+    if v0 is not None:
+        lin.v[0] = v0
+        lin.v[0].zero_normal_boundary()
+    if theta0 is not None:
+        lin.theta[0] = theta0
     for k in range(tg.nt):
         vs, ts = tangent_explicit(grid, pp, base.u[k], base.theta[k],
-                                  vs_list[-1], th_list[-1], dt,
+                                  lin.v[k], lin.theta[k], dt,
                                   _at(rhsF, k), _at(rhsG, k), coupling)
-        vn, _, tn = implicit_block(grid, pp, dt, vs, ts)
-        vs_list.append(vn)
-        th_list.append(tn)
-    return LinTrajectory(vs_list, th_list)
+        lin.v[k + 1], _, lin.theta[k + 1] = implicit_block(grid, pp, dt, vs, ts)
+    return lin
 
 
 def second_rhs(grid: Grid, lin1: LinTrajectory, lin2: LinTrajectory, nt):
-    """Symmetrized bilinear right-hand sides for the second derivative."""
-    rhsF = []
-    rhsG = []
+    """Symmetrized bilinear right-hand sides for the second derivative.
+
+    Returns (F, G) stacked over the steps k = 0..nt-1.
+    """
+    rhsF = grid.vec2(nt)
+    rhsG = grid.scalar(nt)
     for k in range(nt):
         a = grid.advect_vector(lin1.v[k], lin2.v[k])
         b = grid.advect_vector(lin2.v[k], lin1.v[k])
-        rhsF.append(Vec2(-(a.u + b.u), -(a.v + b.v)))
-        g = grid.advect_scalar(lin1.v[k], lin2.theta[k]) \
-            + grid.advect_scalar(lin2.v[k], lin1.theta[k])
-        rhsG.append(-g)
+        rhsF[k] = -(a + b)
+        rhsG[k] = -(grid.advect_scalar(lin1.v[k], lin2.theta[k])
+                    + grid.advect_scalar(lin2.v[k], lin1.theta[k]))
     return rhsF, rhsG
 
 
@@ -139,7 +136,7 @@ def solve_second(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
     construction of the right-hand side.
     """
     _check_compat(tg, base)
-    if lin1.nlevels != base.nlevels or lin2.nlevels != base.nlevels:
+    if len(lin1.v) != len(base.u) or len(lin2.v) != len(base.u):
         raise ValueError("tangent trajectories do not match the base")
     rhsF, rhsG = second_rhs(grid, lin1, lin2, tg.nt)
     return solve_linearized(grid, pp, tg, base, rhsF, rhsG, coupling=coupling)
@@ -168,8 +165,8 @@ def solve_adjoint(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
             wT = grid.leray_project(wT)
     if psiT is None:
         psiT = grid.scalar()
-    w = [None] * nt + [wT]
-    psi = [None] * nt + [psiT.copy()]
+    adj = AdjointTrajectory(grid.vec2(nt + 1), grid.scalar(nt + 1), None, None)
+    adj.w[nt], adj.psi[nt] = wT, psiT
     lu, lt = wT, psiT
     for k in range(nt - 1, -1, -1):
         # sources pairing against the tangent state at level k + 1
@@ -181,10 +178,12 @@ def solve_adjoint(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
             lt = lt + dt * gk
         # transpose of step k: the symmetric implicit block, then the
         # explicit stage around base level k
-        w[k], _, psi[k] = implicit_block(grid, pp, dt, lu, lt)
+        wk, _, pk = implicit_block(grid, pp, dt, lu, lt)
+        adj.w[k], adj.psi[k] = wk, pk
         lu, lt = tangent_explicit_t(grid, pp, base.u[k], base.theta[k],
-                                    w[k], psi[k], dt, coupling)
-    return AdjointTrajectory(w, psi, lu, lt)
+                                    wk, pk, dt, coupling)
+    adj.lam0_u, adj.lam0_t = lu, lt
+    return adj
 
 
 def duality_residual(grid: Grid, pp: PhysicalParams, tg: TimeGrid,

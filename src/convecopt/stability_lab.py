@@ -111,29 +111,20 @@ def state_distance_l2(prob: Problem, ta, tb) -> float:
     """L2(Q) distance of two trajectories: velocity plus temperature."""
     g = prob.grid
     dt = prob.tg.dt
-    su = 0.0
-    st = 0.0
-    for k in range(1, prob.tg.nt + 1):
-        su += dt * g.norm2(ta.u[k] - tb.u[k]) ** 2
-        st += dt * g.norm2(ta.theta[k] - tb.theta[k]) ** 2
+    su = dt * g.norm2(ta.u[1:] - tb.u[1:]) ** 2
+    st = dt * g.norm2(ta.theta[1:] - tb.theta[1:]) ** 2
     return float(np.sqrt(su) + np.sqrt(st))
 
 
 def state_distance_linf(prob: Problem, ta, tb) -> float:
-    m = 0.0
-    for k in range(prob.tg.nt + 1):
-        m = max(m, (ta.u[k] - tb.u[k]).max_abs())
-    return m
+    return (ta.u - tb.u).max_abs()
 
 
 def adjoint_gradient_gap(prob: Problem, adj_a, adj_b) -> float:
     """sup-norm of the discrete gradients of (w - w*) and (Psi - Psi*)."""
     g = prob.grid
-    m = 0.0
-    for k in range(prob.tg.nt + 1):
-        m = max(m, g.grad_inf_vec(adj_a.w[k] - adj_b.w[k]))
-        m = max(m, g.grad_inf_scalar_any(adj_a.psi[k] - adj_b.psi[k]))
-    return m
+    return max(g.grad_inf_vec(adj_a.w - adj_b.w),
+               g.grad_inf_scalar_any(adj_a.psi - adj_b.psi))
 
 
 # ---------------------------------------------------------------------------
@@ -416,15 +407,9 @@ def tracking_margin(prob: Problem, ctrl_star: Control, s_norm: int = 4):
     dt = prob.tg.dt
     traj = prob.state(ctrl_star)
     adj = prob.adjoint(ctrl_star)
-    mis = 0.0
-    zero = Perturbation()
-    mu_s = 0.0
-    mth_s = 0.0
-    for k in range(1, prob.tg.nt + 1):
-        du, dth = prob._misfits(traj, zero, k)
-        mu_s += dt * g.norm_lp(du, s_norm) ** s_norm
-        mth_s += dt * g.norm_lp(dth, s_norm) ** s_norm
-    mis = mu_s ** (1.0 / s_norm) + mth_s ** (1.0 / s_norm)
+    du, dth = prob._misfits(traj, Perturbation())
+    mis = (dt * g.norm_lp(du[1:], s_norm) ** s_norm) ** (1.0 / s_norm) \
+        + (dt * g.norm_lp(dth[1:], s_norm) ** s_norm) ** (1.0 / s_norm)
     sup = 0.0
     for k in range(prob.tg.nt + 1):
         sup = max(sup, g.grad_inf_vec(adj.w[k]) + g.grad_inf_scalar_any(adj.psi[k]))

@@ -85,6 +85,14 @@ def test_config_error_exit_code(tmp_path):
     ({"sweep": {"family": "bogus"}}, "sweep.family"),
     ({"mms": {"levels": [2, 4]}}, "mms.levels"),
     ({"duality": {"seeds": 0}}, "duality.seeds"),
+    ({"mms": {"levels": [16, 16]}}, "mms.levels"),
+    ({"taylor": {"seeds": 0}}, "taylor.seeds"),
+    ({"growth": {"n_samples": 0}}, "growth.n_samples"),
+    ({"second_order": {"n_samples": -1}}, "second_order.n_samples"),
+    ({"targets": {"modes": 0}}, "targets.modes"),
+    ({"initial": {"modes": 0}}, "initial.modes"),
+    ({"sources": {"modes": 0}}, "sources.modes"),
+    ({"sweep": {"modes": 0}}, "sweep.modes"),
 ])
 def test_ill_typed_config_exits_2_with_field_path(tmp_path, capsys, doc, field):
     p = tmp_path / "bad.json"

@@ -41,6 +41,14 @@ def test_validation_reports_all_violations_with_field_paths():
     ({"mms": {"levels": []}}, "mms.levels"),
     ({"mms": {"levels": [16]}}, "mms.levels"),
     ({"duality": {"seeds": 0}}, "duality.seeds"),
+    ({"mms": {"levels": [16, 16]}}, "mms.levels"),
+    ({"taylor": {"seeds": 0}}, "taylor.seeds"),
+    ({"growth": {"n_samples": 0}}, "growth.n_samples"),
+    ({"second_order": {"n_samples": -1}}, "second_order.n_samples"),
+    ({"targets": {"modes": 0}}, "targets.modes"),
+    ({"initial": {"modes": 0}}, "initial.modes"),
+    ({"sources": {"modes": 0}}, "sources.modes"),
+    ({"sweep": {"modes": 0}}, "sweep.modes"),
 ])
 def test_count_and_level_ranges_are_checked(doc, field):
     with pytest.raises(ConfigError) as err:

@@ -1,5 +1,9 @@
 """Manufactured-solution checks for the forward discretization."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import sympy
@@ -40,6 +44,27 @@ def test_convergence_study_second_order():
     errs, orders, _ = convergence_study((8, 16, 32))
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     assert min(orders) >= 1.8
+
+
+def test_orders_account_for_the_refinement_ratio():
+    # (8, 32) quadruples h^-1 in one step: its order is the mean of the two
+    # doubling steps', not twice it
+    _, doubling, _ = convergence_study((8, 16, 32))
+    _, (order,), _ = convergence_study((8, 32))
+    assert abs(order - np.mean(doubling)) <= 0.1
+
+
+def test_build_case_does_not_load_numpy_extras():
+    # lambdify with the string "numpy" runs `from numpy import *`, which
+    # imports numpy.f2py, numpy.testing, numpy.ma and numpy.random
+    import convecopt
+    src = os.path.dirname(os.path.dirname(convecopt.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from convecopt.mms import build_case; build_case(0.05, 0.02); "
+            "print('numpy.f2py' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_sources_satisfy_the_strong_form_equations():

@@ -208,9 +208,9 @@ def test_control_source_fields_live_on_region():
     sp = prob.space
     ctrl = sp.zero()
     ctrl.th[0, :] = 1.0
-    _, h = ctrl.source_fields(0)
-    assert np.all(h[sp.mask_h.mask] == 1.0)
-    assert np.all(h[~sp.mask_h.mask] == 0.0)
+    _, h = ctrl.source_fields()
+    assert np.all(h[0][sp.mask_h.mask] == 1.0)
+    assert np.all(h[0][~sp.mask_h.mask] == 0.0)
 
 
 def test_perturbation_norm_components():
