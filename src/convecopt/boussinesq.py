@@ -150,7 +150,7 @@ def solve_state(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
     """
     grid.check_vec2(u0)
     grid.check_scalar(theta0)
-    if not (u0.isfinite() and np.all(np.isfinite(theta0))):
+    if not (u0.isfinite() and np.isfinite(theta0).all()):
         raise ValueError("initial data must be finite")
     dt = tg.dt
     if check_cfl:
@@ -166,7 +166,7 @@ def solve_state(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
                               *sources.at(k), coupling)
         except NumericalFailure as exc:
             raise NumericalFailure(f"step {k}: {exc}") from exc
-        if not (un.isfinite() and np.all(np.isfinite(tn))):
+        if not (un.isfinite() and np.isfinite(tn).all()):
             raise NumericalFailure(
                 f"non-finite state detected at step {k} "
                 f"(|u| max so far {traj.u[k].max_abs():.3g})")

@@ -40,18 +40,20 @@ def _dy(a, h):
 
 
 def _dx_t(c, h):
-    # adjoint of _dx in the plain (unweighted) dot product
-    out = np.zeros(c.shape[:-2] + (c.shape[-2] + 1, c.shape[-1]))
-    out[..., 1:, :] += c / h
-    out[..., :-1, :] -= c / h
-    return out
+    # adjoint of _dx in the plain (unweighted) dot product: the difference
+    # of c / h padded with a zero row at each end.  The far pad is -0.0, as
+    # x - (-0.0) = 0.0 + x: signed zeros then match accumulating onto zeros.
+    p = np.zeros(c.shape[:-2] + (c.shape[-2] + 2, c.shape[-1]))
+    p[..., -1, :] = -0.0
+    np.divide(c, h, out=p[..., 1:-1, :])
+    return p[..., :-1, :] - p[..., 1:, :]
 
 
 def _dy_t(c, h):
-    out = np.zeros(c.shape[:-1] + (c.shape[-1] + 1,))
-    out[..., 1:] += c / h
-    out[..., :-1] -= c / h
-    return out
+    p = np.zeros(c.shape[:-1] + (c.shape[-1] + 2,))
+    p[..., -1] = -0.0
+    np.divide(c, h, out=p[..., 1:-1])
+    return p[..., :-1] - p[..., 1:]
 
 
 def _ax(a):
@@ -63,17 +65,16 @@ def _ay(a):
 
 
 def _ax_t(c):
-    out = np.zeros(c.shape[:-2] + (c.shape[-2] + 1, c.shape[-1]))
-    out[..., 1:, :] += 0.5 * c
-    out[..., :-1, :] += 0.5 * c
-    return out
+    # zero-extended average: the sum of 0.5 * c padded with zero rows
+    p = np.zeros(c.shape[:-2] + (c.shape[-2] + 2, c.shape[-1]))
+    np.multiply(c, 0.5, out=p[..., 1:-1, :])
+    return p[..., :-1, :] + p[..., 1:, :]
 
 
 def _ay_t(c):
-    out = np.zeros(c.shape[:-1] + (c.shape[-1] + 1,))
-    out[..., 1:] += 0.5 * c
-    out[..., :-1] += 0.5 * c
-    return out
+    p = np.zeros(c.shape[:-1] + (c.shape[-1] + 2,))
+    np.multiply(c, 0.5, out=p[..., 1:-1])
+    return p[..., :-1] + p[..., 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,7 @@ class Vec2:
         return m
 
     def isfinite(self):
-        return bool(np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v)))
+        return bool(np.isfinite(self.u).all() and np.isfinite(self.v).all())
 
 
 @dataclass
@@ -145,17 +146,21 @@ class RegionMask:
     """Cell-index mask for a control subdomain.
 
     Built from an axis-aligned rectangle snapped outward to whole cells;
-    stored both as a boolean (nx, ny) array and as flat index lists.
+    stored both as a boolean (nx, ny) array and as flat index lists.  box
+    holds the cell ranges ((i0, i1), (j0, j1)) of its bounding box.
     """
 
     mask: np.ndarray  # bool, (nx, ny)
     ii: np.ndarray = field(init=False)
     jj: np.ndarray = field(init=False)
+    box: tuple = field(init=False)
 
     def __post_init__(self):
         if not self.mask.any():
             raise ValueError("region mask is empty")
         self.ii, self.jj = np.nonzero(self.mask)
+        self.box = ((int(self.ii.min()), int(self.ii.max()) + 1),
+                    (int(self.jj.min()), int(self.jj.max()) + 1))
 
     @property
     def ncells(self):
@@ -374,7 +379,7 @@ class Grid:
 
     def helmholtz_solve_scalar(self, coef, rhs):
         sol = self._diag_solve("c", self._helmholtz_inv("c", coef), rhs)
-        if not np.all(np.isfinite(sol)):
+        if not np.isfinite(sol).all():
             raise NumericalFailure("implicit scalar diffusion solve produced non-finite values")
         return sol
 
@@ -395,7 +400,7 @@ class Grid:
         the least-squares solution.
         """
         phi = self._diag_solve("p", self._poisson_inv, rhs)
-        if not np.all(np.isfinite(phi)):
+        if not np.isfinite(phi).all():
             raise NumericalFailure("pressure Poisson solve produced non-finite values")
         return phi
 
@@ -428,7 +433,11 @@ class Grid:
         return _dx(Fx, hx) + _dy(Fy, hy) - 0.5 * s * divu
 
     def advect_scalar_t_field(self, U: Vec2, c):
-        """Transpose of s -> advect_scalar(U, s)."""
+        """Transpose of s -> advect_scalar(U, s), stencil by stencil.
+
+        Equal to -advect_scalar(U, .) when U has zero boundary-normal faces,
+        which is what the adjoint march uses; this version is the oracle.
+        """
         hx, hy = self.hx, self.hy
         u, v = U.u, U.v
         cu = _dx_t(c, hx)
@@ -442,16 +451,14 @@ class Grid:
     def advect_scalar_t_vel(self, s, c):
         """Transpose of U -> advect_scalar(U, s); returns a Vec2."""
         hx, hy = self.hx, self.hy
-        cu = _dx_t(c, hx)
-        cv = _dy_t(c, hy)
-        gu = np.zeros((self.nx + 1, self.ny))
-        gv = np.zeros((self.nx, self.ny + 1))
-        gu[1:-1, :] = _ax(s) * cu[1:-1, :]
-        gv[:, 1:-1] = _ay(s) * cv[:, 1:-1]
-        d = -0.5 * s * c
-        gu += _dx_t(d, hx)
-        gv += _dy_t(d, hy)
-        return Vec2(gu, gv).zero_normal_boundary()
+        e = 0.5 * s * c
+        g = self.vec2()
+        # differences of quotients, the rounding of _dx_t/_dy_t
+        r, q = e / hx, c / hx
+        g.u[1:-1, :] = (r[1:, :] - r[:-1, :]) - _ax(s) * (q[1:, :] - q[:-1, :])
+        r, q = e / hy, c / hy
+        g.v[:, 1:-1] = (r[:, 1:] - r[:, :-1]) - _ay(s) * (q[:, 1:] - q[:, :-1])
+        return g
 
     def advect_vector(self, U: Vec2, W: Vec2):
         """Skew-symmetric advection of W by U, componentwise on shifted grids."""
@@ -481,7 +488,11 @@ class Grid:
         return Vec2(ou, ov)
 
     def advect_vector_t_field(self, U: Vec2, C: Vec2):
-        """Transpose of W -> advect_vector(U, W)."""
+        """Transpose of W -> advect_vector(U, W), stencil by stencil.
+
+        Equal to -advect_vector(U, .) on fields with zero boundary-normal
+        faces when U has them too; the adjoint march uses that form.
+        """
         hx, hy = self.hx, self.hy
         u, v = U.u, U.v
         cu = C.u[1:-1, :]
@@ -507,36 +518,29 @@ class Grid:
         return Vec2(gu, gv).zero_normal_boundary()
 
     def advect_vector_t_vel(self, W: Vec2, C: Vec2):
-        """Transpose of U -> advect_vector(U, W); returns a Vec2."""
+        """Transpose of U -> advect_vector(U, W); returns a Vec2.
+
+        The cotangents of the transporting fields a = _ax(u), b = _ax(v),
+        c2 = _ay(v) and d2 = _ay(u) are built only where they reach
+        interior faces.
+        """
         hx, hy = self.hx, self.hy
         wu, wv = W.u, W.v
         cu = C.u[1:-1, :]
         cv = C.v[:, 1:-1]
-        gu = np.zeros((self.nx + 1, self.ny))
-        gv = np.zeros((self.nx, self.ny + 1))
-        # x-component path: cotangent flows into a = _ax(u), b = _ax(v)
-        Fx_cot = _dx_t(cu, hx)              # (nx, ny)
-        a_cot = _ax(wu) * Fx_cot
-        Fy_cot = _dy_t(cu, hy)              # (nx-1, ny+1)
-        b_cot = np.zeros((self.nx - 1, self.ny + 1))
-        b_cot[:, 1:-1] = _ay(wu[1:-1, :]) * Fy_cot[:, 1:-1]
-        dcot = -0.5 * wu[1:-1, :] * cu      # (nx-1, ny)
-        a_cot += _dx_t(dcot, hx)
-        b_cot += _dy_t(dcot, hy)
-        gu += _ax_t(a_cot)
-        gv += _ax_t(b_cot)
-        # y-component path: cotangent flows into c2 = _ay(v), d2 = _ay(u)
-        Fy2_cot = _dy_t(cv, hy)             # (nx, ny)
-        c2_cot = _ay(wv) * Fy2_cot
-        Fx2_cot = _dx_t(cv, hx)             # (nx+1, ny-1)
-        d2_cot = np.zeros((self.nx + 1, self.ny - 1))
-        d2_cot[1:-1, :] = _ax(wv[:, 1:-1]) * Fx2_cot[1:-1, :]
-        dcot2 = -0.5 * wv[:, 1:-1] * cv     # (nx, ny-1)
-        c2_cot += _dy_t(dcot2, hy)
-        d2_cot += _dx_t(dcot2, hx)
-        gv += _ay_t(c2_cot)
-        gu += _ay_t(d2_cot)
-        return Vec2(gu, gv).zero_normal_boundary()
+        e = 0.5 * wu[1:-1, :] * cu          # (nx-1, ny)
+        e2 = 0.5 * wv[:, 1:-1] * cv         # (nx, ny-1)
+        a_cot = _ax(wu) * _dx_t(cu, hx) - _dx_t(e, hx)      # (nx, ny)
+        c2_cot = _ay(wv) * _dy_t(cv, hy) - _dy_t(e2, hy)    # (nx, ny)
+        # the corner cotangents' end rows reach only boundary-normal faces
+        r, q = e / hy, cu / hy
+        b_cot = (r[:, 1:] - r[:, :-1]) - _ay(wu[1:-1, :]) * (q[:, 1:] - q[:, :-1])
+        r, q = e2 / hx, cv / hx
+        d2_cot = (r[1:, :] - r[:-1, :]) - _ax(wv[:, 1:-1]) * (q[1:, :] - q[:-1, :])
+        g = self.vec2()
+        g.u[1:-1, :] = _ax(a_cot) + _ay_t(d2_cot)
+        g.v[:, 1:-1] = _ay(c2_cot) + _ax_t(b_cot)
+        return g
 
     # -- buoyancy -----------------------------------------------------------
 
@@ -572,6 +576,34 @@ class Grid:
     def restrict_face_vector(self, C: Vec2):
         """Transpose of inject_cell_vector; face field to cell-centered vector."""
         return _ax_t(C.u[..., 1:-1, :]), _ay_t(C.v[..., 1:-1])
+
+    # Region versions of the pair above, for densities that vanish off a
+    # region: they touch only the region's bounding box widened by one cell
+    # along the interpolation axis, [a, b), and give the same numbers.
+
+    def inject_region_vector(self, region: RegionMask, qx, qy):
+        """inject_cell_vector of (..., ncells) values on the region's cells."""
+        lead = qx.shape[:-1]
+        out = self.vec2(*lead)
+        (i0, i1), (j0, j1) = region.box
+        a, b = max(i0 - 1, 0), min(i1 + 1, self.nx)
+        cx = np.zeros(lead + (b - a, j1 - j0))
+        cx[..., region.ii - a, region.jj - j0] = qx
+        out.u[..., a + 1:b, j0:j1] = _ax(cx)
+        a, b = max(j0 - 1, 0), min(j1 + 1, self.ny)
+        cy = np.zeros(lead + (i1 - i0, b - a))
+        cy[..., region.ii - i0, region.jj - a] = qy
+        out.v[..., i0:i1, a + 1:b] = _ay(cy)
+        return out
+
+    def restrict_region_vector(self, region: RegionMask, C: Vec2):
+        """Transpose of inject_region_vector: (..., ncells) values per axis."""
+        (i0, i1), (j0, j1) = region.box
+        a, b = max(i0 - 1, 0), min(i1 + 1, self.nx)
+        rx = _ax_t(C.u[..., a + 1:b, j0:j1])[..., region.ii - a, region.jj - j0]
+        a, b = max(j0 - 1, 0), min(j1 + 1, self.ny)
+        ry = _ay_t(C.v[..., i0:i1, a + 1:b])[..., region.ii - i0, region.jj - a]
+        return rx, ry
 
     # -- gradient magnitude for sup-norm diagnostics ------------------------
 

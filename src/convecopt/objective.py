@@ -148,13 +148,8 @@ class Control:
         (nt, nx+1, ny) and (nt, nx, ny+1), and an (nt, nx, ny) array."""
         sp = self.space
         g = sp.grid
-        nt = len(self.q)
-        qx = g.scalar(nt)
-        qy = g.scalar(nt)
-        qx[:, sp.mask_q.ii, sp.mask_q.jj] = self.q[:, 0]
-        qy[:, sp.mask_q.ii, sp.mask_q.jj] = self.q[:, 1]
-        f = g.inject_cell_vector(qx, qy)
-        h = g.scalar(nt)
+        f = g.inject_region_vector(sp.mask_q, self.q[:, 0], self.q[:, 1])
+        h = g.scalar(len(self.q))
         h[:, sp.mask_h.ii, sp.mask_h.jj] = self.th
         return f, h
 
@@ -165,10 +160,7 @@ def restrict_adjoint(space: ControlSpace, w: Vec2, psi):
     On one level (w a Vec2, psi (nx, ny)) returns q of shape (2, n_q) and
     th of shape (n_h,); on a stack of nt levels, (nt, 2, n_q) and (nt, n_h).
     """
-    g = space.grid
-    rx, ry = g.restrict_face_vector(w)
-    q = np.stack([rx[..., space.mask_q.ii, space.mask_q.jj],
-                  ry[..., space.mask_q.ii, space.mask_q.jj]], axis=-2)
+    q = np.stack(space.grid.restrict_region_vector(space.mask_q, w), axis=-2)
     th = psi[..., space.mask_h.ii, space.mask_h.jj]
     return q, th
 

@@ -11,6 +11,14 @@ roundoff.  No automatic differentiation is involved: the transposed advection
 terms are the stencil transposes from the grid module, which is where the
 (grad u)^T w and Psi grad(theta) structure of the continuous adjoint system
 comes out.
+
+The transpose of advection in the advected field needs no stencil of its
+own.  The skew form keeps b(u; w, w) = 0 discretely, which for a transporting
+velocity with zero boundary-normal faces makes its matrix skew-symmetric, so
+that transpose is the forward advection operator negated.  The adjoint
+explicit stage therefore costs about what the forward one does.  Base
+trajectories must have zero boundary-normal faces on every level; every
+trajectory from `solve_state` has, and `_check_compat` rejects any other.
 """
 
 from __future__ import annotations
@@ -53,6 +61,9 @@ class AdjointTrajectory:
 def _check_compat(tg: TimeGrid, base: StateTrajectory):
     if len(base.u) != tg.nt + 1:
         raise ValueError("base trajectory does not match the time grid")
+    u, v = base.u.u, base.u.v
+    if u[:, 0].any() or u[:, -1].any() or v[:, :, 0].any() or v[:, :, -1].any():
+        raise ValueError("base trajectory has nonzero boundary-normal faces")
 
 
 def _at(seq, k):
@@ -78,14 +89,23 @@ def tangent_explicit(grid: Grid, pp: PhysicalParams, uk: Vec2, thk,
 
 def tangent_explicit_t(grid: Grid, pp: PhysicalParams, uk: Vec2, thk,
                        w: Vec2, psi, dt, coupling=True):
-    """Transpose of tangent_explicit in its (v, vth) argument."""
+    """Transpose of tangent_explicit in its (v, vth) argument.
+
+    The transposes in the advected field are the forward operators negated:
+    advect_*_t_field(uk, .) = -advect_*(uk, .), because the skew form is a
+    skew-symmetric matrix once uk has zero boundary-normal faces
+    (symmetry-preserving discretisation, Verstappen & Veldman 2003).  Every
+    base level from solve_state satisfies that (_check_compat enforces it),
+    and w, a carrier from implicit_block, has zero normal faces too, which
+    the vector form needs because it reads w's boundary entries.
+    """
     lu = w.copy()
     lt = psi + dt * grid.buoyancy_t(w, pp.buoyancy_dir)
     if coupling:
-        lu = lu - dt * (grid.advect_vector_t_field(uk, w)
-                        + grid.advect_vector_t_vel(uk, w)
+        lu = lu - dt * (grid.advect_vector_t_vel(uk, w)
+                        - grid.advect_vector(uk, w)
                         + grid.advect_scalar_t_vel(thk, psi))
-        lt = lt - dt * grid.advect_scalar_t_field(uk, psi)
+        lt = lt + dt * grid.advect_scalar(uk, psi)
     return lu.zero_normal_boundary(), lt
 
 

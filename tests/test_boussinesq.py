@@ -95,6 +95,21 @@ def test_buoyancy_step_decomposition(grid8):
     assert (u1 - ref).max_abs() <= 1e-13
 
 
+def test_state_has_zero_normal_faces_on_every_level(grid_rect):
+    # the adjoint's skew-symmetric transposes rely on this; initial data and
+    # forcing with nonzero normal faces must not leak into the trajectory
+    g = grid_rect
+    rng = np.random.default_rng(17)
+    u0 = Vec2(rng.standard_normal((g.nx + 1, g.ny)), rng.standard_normal((g.nx, g.ny + 1)))
+    f = Vec2(rng.standard_normal((g.nx + 1, g.ny)), rng.standard_normal((g.nx, g.ny + 1)))
+    traj = solve_state(g, PhysicalParams(0.05, 0.02), TimeGrid(0.1, 4),
+                       SourceData(f, rand_scalar(g, rng)), u0,
+                       rand_scalar(g, rng), check_cfl=False)
+    u, v = traj.u.u, traj.u.v
+    for faces in (u[:, 0], u[:, -1], v[:, :, 0], v[:, :, -1]):
+        assert np.all(faces == 0.0)
+
+
 def test_solver_is_deterministic(grid8):
     rng = np.random.default_rng(4)
     pp = PhysicalParams(0.05, 0.02)

@@ -6,6 +6,8 @@ import pytest
 from convecopt.grid import (Grid, GridConfig, Vec2, NumericalFailure,
                             _dx, _dy, _ax, _ay, _dx_t, _dy_t, _ax_t, _ay_t)
 
+from hypothesis import given, settings, strategies as st
+
 from conftest import rand_scalar, rand_vec2, rand_div_free
 
 
@@ -90,6 +92,57 @@ def test_stencil_transposes_are_exact_adjoints():
             lhs = np.sum(out * c)
             rhs = np.sum(a * adj(c, h))
         assert abs(lhs - rhs) <= 1e-13 * (1 + abs(lhs))
+
+
+def _dx_t_accumulating(c, h):
+    out = np.zeros(c.shape[:-2] + (c.shape[-2] + 1, c.shape[-1]))
+    out[..., 1:, :] += c / h
+    out[..., :-1, :] -= c / h
+    return out
+
+
+def _dy_t_accumulating(c, h):
+    out = np.zeros(c.shape[:-1] + (c.shape[-1] + 1,))
+    out[..., 1:] += c / h
+    out[..., :-1] -= c / h
+    return out
+
+
+def _ax_t_accumulating(c):
+    out = np.zeros(c.shape[:-2] + (c.shape[-2] + 1, c.shape[-1]))
+    out[..., 1:, :] += 0.5 * c
+    out[..., :-1, :] += 0.5 * c
+    return out
+
+
+def _ay_t_accumulating(c):
+    out = np.zeros(c.shape[:-1] + (c.shape[-1] + 1,))
+    out[..., 1:] += 0.5 * c
+    out[..., :-1] += 0.5 * c
+    return out
+
+
+def test_transposed_primitives_match_accumulating_oracle():
+    # bitwise, signed zeros included, on zero rows and a -0.0 at the far
+    # corner.  Inside the field the single pass omits the accumulation's
+    # leading 0.0 +, which can change only the sign of a zero result
+    # (-0.0 + -0.0 is -0.0; 0.0 + -0.0 + -0.0 is +0.0).
+    rng = np.random.default_rng(5)
+    for shape in ((7, 5), (3, 4, 6), (1, 3), (4, 1)):
+        c = rng.standard_normal(shape)
+        c[..., 0, :] = 0.0
+        c[..., -1, -1] = -0.0
+        for data in (c, np.zeros(shape), -np.zeros(shape)):
+            pairs = ((_dx_t(data, 0.3), _dx_t_accumulating(data, 0.3)),
+                     (_dy_t(data, 0.7), _dy_t_accumulating(data, 0.7)),
+                     (_ax_t(data), _ax_t_accumulating(data)),
+                     (_ay_t(data), _ay_t_accumulating(data)))
+            for new, old in pairs:
+                assert new.shape == old.shape
+                if data is c or not np.signbit(data).any():
+                    assert new.tobytes() == old.tobytes()
+                else:
+                    assert np.array_equal(new, old)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +471,51 @@ def test_advect_vector_transposes(grid_rect):
                       rtol=1e-12, atol=1e-14)
 
 
+# Property tests over the grid sizes and cell aspect ratios the CLI accepts.
+# Derandomised, so every run draws the same examples.
+_grids = st.builds(
+    lambda nx, ny, lx, aspect: Grid(GridConfig(nx, ny, lx=lx, ly=lx * aspect)),
+    st.integers(4, 40), st.integers(4, 40),
+    st.floats(0.1, 10.0), st.floats(0.1, 10.0))
+_props = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def _close_pairing(g, lhs_field, c, rhs):
+    """<lhs_field, c> == rhs to roundoff on the Cauchy-Schwarz scale."""
+    lhs = g.inner(lhs_field, c)
+    scale = g.norm2(lhs_field) * g.norm2(c)
+    return abs(lhs - rhs) <= 1e-12 * scale
+
+
+@_props
+@given(_grids, st.integers(0, 2 ** 32 - 1))
+def test_field_transposes_are_negated_forward_advection(g, seed):
+    # skew symmetry: with zero boundary-normal faces on U (and on the
+    # advected W, which the vector form reads) the transpose in the advected
+    # field is the forward operator negated
+    rng = np.random.default_rng(seed)
+    U, W = rand_vec2(g, rng), rand_vec2(g, rng)
+    c = rand_scalar(g, rng)
+    ref = g.advect_scalar_t_field(U, c)
+    assert np.abs(ref + g.advect_scalar(U, c)).max() <= 1e-13 * np.abs(ref).max()
+    ref = g.advect_vector_t_field(U, W)
+    neg = g.advect_vector(U, W)
+    tol = 1e-13 * ref.max_abs()
+    assert np.abs(ref.u + neg.u).max() <= tol and np.abs(ref.v + neg.v).max() <= tol
+
+
+@_props
+@given(_grids, st.integers(0, 2 ** 32 - 1))
+def test_velocity_transposes_pair_exactly(g, seed):
+    rng = np.random.default_rng(seed)
+    U, W, C = rand_vec2(g, rng), rand_vec2(g, rng), rand_vec2(g, rng)
+    s, c = rand_scalar(g, rng), rand_scalar(g, rng)
+    assert _close_pairing(g, g.advect_scalar(U, s), c,
+                          g.inner(U, g.advect_scalar_t_vel(s, c)))
+    assert _close_pairing(g, g.advect_vector(U, W), C,
+                          g.inner(U, g.advect_vector_t_vel(W, C)))
+
+
 # ---------------------------------------------------------------------------
 # buoyancy and control injection
 # ---------------------------------------------------------------------------
@@ -441,6 +539,33 @@ def test_inject_restrict_transpose(grid_rect):
     rx, ry = grid_rect.restrict_face_vector(C)
     rhs = grid_rect.inner(qx, rx) + grid_rect.inner(qy, ry)
     assert np.isclose(lhs, rhs, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("rect", [(0.1, 0.6, 0.1, 0.3), (0.0, 1.0, 0.0, 0.5),
+                                  (0.0, 0.3, 0.0, 0.1), (0.6, 1.0, 0.3, 0.5),
+                                  (0.4, 0.5, 0.0, 0.5)],
+                         ids=["interior", "whole", "sw-corner", "ne-corner", "strip"])
+def test_region_injection_matches_full_grid_oracle(grid_rect, rect):
+    # the region versions compute on a window around the region and must
+    # reproduce the full-grid pair bitwise, on one level and on a stack
+    g = grid_rect
+    rng = np.random.default_rng(24)
+    region = g.rect_mask(*rect)
+    for lead in ((), (3,)):
+        qx = rng.standard_normal(lead + (region.ncells,))
+        qy = rng.standard_normal(lead + (region.ncells,))
+        full_x, full_y = np.zeros(lead + (g.nx, g.ny)), np.zeros(lead + (g.nx, g.ny))
+        full_x[..., region.ii, region.jj] = qx
+        full_y[..., region.ii, region.jj] = qy
+        f, ref = g.inject_region_vector(region, qx, qy), g.inject_cell_vector(full_x, full_y)
+        assert f.u.tobytes() == ref.u.tobytes() and f.v.tobytes() == ref.v.tobytes()
+        # nonzero wall faces: restriction must ignore them, as the oracle does
+        C = Vec2(rng.standard_normal(lead + (g.nx + 1, g.ny)),
+                 rng.standard_normal(lead + (g.nx, g.ny + 1)))
+        rx, ry = g.restrict_region_vector(region, C)
+        ox, oy = g.restrict_face_vector(C)
+        assert rx.tobytes() == ox[..., region.ii, region.jj].tobytes()
+        assert ry.tobytes() == oy[..., region.ii, region.jj].tobytes()
 
 
 def test_injection_keeps_boundary_faces_zero(grid_rect):

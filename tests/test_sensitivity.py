@@ -6,7 +6,8 @@ import pytest
 from convecopt.grid import Grid, GridConfig, Vec2
 from convecopt.boussinesq import PhysicalParams, TimeGrid, SourceData, solve_state
 from convecopt.sensitivity import (solve_linearized, solve_second,
-                                   solve_adjoint, duality_residual)
+                                   solve_adjoint, duality_residual,
+                                   tangent_explicit_t)
 
 from conftest import rand_scalar, rand_vec2, rand_div_free
 
@@ -194,3 +195,42 @@ def test_adjoint_rejects_mismatched_base(grid8):
     bad_tg = TimeGrid(tg.T, tg.nt + 1)
     with pytest.raises(ValueError):
         solve_adjoint(grid8, pp, bad_tg, base)
+
+
+def explicit_t_four_transposes(grid, pp, uk, thk, w, psi, dt):
+    """The adjoint explicit stage written with all four advection transposes."""
+    lu = w - dt * (grid.advect_vector_t_field(uk, w)
+                   + grid.advect_vector_t_vel(uk, w)
+                   + grid.advect_scalar_t_vel(thk, psi))
+    lt = (psi + dt * grid.buoyancy_t(w, pp.buoyancy_dir)
+          - dt * grid.advect_scalar_t_field(uk, psi))
+    return lu.zero_normal_boundary(), lt
+
+
+@pytest.mark.parametrize("cfg", [GridConfig(8, 6, lx=1.0, ly=0.5),
+                                 GridConfig(4, 9, lx=0.2, ly=3.0)],
+                         ids=["8x6", "4x9-aniso"])
+def test_adjoint_explicit_stage_matches_four_transpose_oracle(cfg):
+    grid = Grid(cfg)
+    rng = np.random.default_rng(31)
+    pp = PhysicalParams(0.05, 0.02, (0.6, 0.8))
+    dt = 0.5 * min(grid.hx, grid.hy)
+    uk, w = rand_div_free(grid, rng), rand_div_free(grid, rng)
+    thk, psi = rand_scalar(grid, rng), rand_scalar(grid, rng)
+    lu, lt = tangent_explicit_t(grid, pp, uk, thk, w, psi, dt)
+    ru, rt = explicit_t_four_transposes(grid, pp, uk, thk, w, psi, dt)
+    tol = 1e-13 * max(ru.max_abs(), np.abs(rt).max())
+    assert np.abs(lu.u - ru.u).max() <= tol
+    assert np.abs(lu.v - ru.v).max() <= tol
+    assert np.abs(lt - rt).max() <= tol
+
+
+@pytest.mark.parametrize("face", ["west", "east", "south", "north"])
+def test_adjoint_rejects_base_with_nonzero_normal_faces(grid8, face):
+    # the skew-symmetric field transposes need zero normal faces on the base
+    pp, tg, _, _, _, base, _ = base_setup(grid8)
+    u, v = base.u.u, base.u.v
+    {"west": u[3, 0], "east": u[3, -1],
+     "south": v[3, :, 0], "north": v[3, :, -1]}[face][2] = 1e-3
+    with pytest.raises(ValueError, match="boundary-normal"):
+        solve_adjoint(grid8, pp, tg, base)
