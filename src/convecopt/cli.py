@@ -130,8 +130,6 @@ def _json_default(o):
         return bool(o)
     if isinstance(o, np.ndarray):
         return o.tolist()
-    if isinstance(o, float) and not np.isfinite(o):
-        return str(o)
     raise TypeError(f"not serializable: {type(o)}")
 
 
@@ -259,7 +257,7 @@ def cmd_duality(cfg, run, seed, snapshot_stride=0):
 
         from .boussinesq import SourceData
         base = solve_state(g, pp, tg, SourceData(rv(), rs()),
-                           g.leray_project(rv()), rs(), check_cfl=False)
+                           g.leray_project(rv()), rs())
         res = sen.duality_residual(
             g, pp, tg, base,
             tanF=[rv() for _ in range(tg.nt)], tanG=[rs() for _ in range(tg.nt)],

@@ -11,11 +11,12 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridConfig
+from .grid import Grid, GridConfig, cell_span
 from .boussinesq import PhysicalParams, TimeGrid, SourceData
 from .objective import ObjectiveWeights, Targets, ControlSpace, Problem
 from .optimizer import OptOptions
@@ -117,12 +118,14 @@ def _kind(x):
 # a value of the first kind is accepted where the default has the second
 _WIDER = {("an integer", "a number"),
           ("a list of integers", "a list of numbers")}
+_NUMERIC = {"an integer", "a number", "a list of integers", "a list of numbers"}
 
 
 def _type_violations(data, defaults, path=""):
     """One violation per value whose JSON type differs from its default's.
 
     A null default marks an optional number: null or a number is accepted.
+    Every number must be a finite float, or an integer within float range.
     """
     v = []
     for key, default in defaults.items():
@@ -135,6 +138,9 @@ def _type_violations(data, defaults, path=""):
             v.append(f"{field}: must be {want}")
         elif isinstance(default, dict):
             v += _type_violations(val, default, field + ".")
+        elif got in _NUMERIC and not all(abs(x) <= sys.float_info.max  # False for nan
+                                         for x in (val if isinstance(val, list) else [val])):
+            v.append(f"{field}: numbers must be finite and within float range")
     return v
 
 
@@ -153,13 +159,13 @@ def validate(data) -> list:
             v.append(f"{path}: {msg}")
 
     g = data["grid"]
-    need(isinstance(g["nx"], int) and g["nx"] >= 4, "grid.nx", "integer >= 4 required")
-    need(isinstance(g["ny"], int) and g["ny"] >= 4, "grid.ny", "integer >= 4 required")
-    need(g["lx"] > 0, "grid.lx", "must be > 0")
-    need(g["ly"] > 0, "grid.ly", "must be > 0")
+    for n, length in (("nx", "lx"), ("ny", "ly")):
+        need(g[n] >= 4, f"grid.{n}", "integer >= 4 required")
+        need(g[length] / max(g[n], 1) > 0, f"grid.{length}", f"must be > 0, as must {length}/{n}")
+    grid_ok = not v
     t = data["time"]
     need(t["T"] > 0, "time.T", "must be > 0")
-    need(isinstance(t["nt"], int) and t["nt"] >= 1, "time.nt", "integer >= 1 required")
+    need(t["nt"] >= 1, "time.nt", "integer >= 1 required")
     p = data["physics"]
     need(p["nu"] > 0, "physics.nu", "must be > 0")
     need(p["kappa"] > 0, "physics.kappa", "must be > 0")
@@ -178,6 +184,11 @@ def validate(data) -> list:
         r = c[name]
         ok = (len(r) == 4 and 0 <= r[0] < r[1] and 0 <= r[2] < r[3])
         need(ok, f"control.{name}", "need [x0, x1, y0, y1] with x0 < x1, y0 < y1")
+        if ok and grid_ok:
+            # the snapping of Grid.rect_mask, so the two agree on emptiness
+            i0, i1 = cell_span(r[0], r[1], g["lx"] / g["nx"], g["nx"])
+            j0, j1 = cell_span(r[2], r[3], g["ly"] / g["ny"], g["ny"])
+            need(i0 < i1 and j0 < j1, f"control.{name}", "covers no cell of the domain")
     for name in ("q_bounds", "th_bounds"):
         b = c[name]
         need(len(b) == 2 and b[0] <= b[1], f"control.{name}", "need lo <= hi")
@@ -202,6 +213,7 @@ def validate(data) -> list:
     need(me.size >= 2 and np.all(me > 0) and np.all(np.diff(me) > 0),
          "measure.eps_grid", "need strictly increasing positive values")
     need(data["s_norm"] >= 2, "s_norm", "must be >= 2")
+    need(data["seed"] >= 0, "seed", "must be >= 0")
     levels = data["mms"]["levels"]
     need(len(levels) >= 2 and min(levels) >= 4 and np.all(np.diff(levels) > 0),
          "mms.levels", "need >= 2 strictly increasing grid sizes, each >= 4")

@@ -82,7 +82,7 @@ def run_level(n, pp: PhysicalParams, case: MMSCase, T=0.1, dt_factor=1.0):
         h[k] = _eval(case.g_fn, grid.xc, grid.yc, times[k])
     f.zero_normal_boundary()
     u0, th0 = initial_data(grid, case)
-    traj = solve_state(grid, pp, tg, SourceData(f, h), u0, th0, check_cfl=False)
+    traj = solve_state(grid, pp, tg, SourceData(f, h), u0, th0)
     err2 = 0.0
     for k in range(1, nt + 1):
         ue = Vec2(_eval(case.u_fn, grid.xf, grid.yc, times[k]),

@@ -321,7 +321,7 @@ class Problem:
         sources = self._sources_for(ctrl, pert)
         u0, th0 = self._initial_for(pert)
         traj = solve_state(self.grid, self.phys, self.tg, sources, u0, th0,
-                           coupling=self.coupling, check_cfl=False)
+                           coupling=self.coupling)
         return self._remember(self._state_cache, key, traj)
 
     # -- objective -----------------------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, Vec2
-from .boussinesq import PhysicalParams, TimeGrid, StateTrajectory, implicit_block
+from .boussinesq import PhysicalParams, TimeGrid, StateTrajectory, implicit_block, check_step
 
 
 @dataclass
@@ -127,6 +127,7 @@ def solve_linearized(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
                                   lin.v[k], lin.theta[k], dt,
                                   _at(rhsF, k), _at(rhsG, k), coupling)
         lin.v[k + 1], _, lin.theta[k + 1] = implicit_block(grid, pp, dt, vs, ts)
+        check_step(grid, k + 1, lin.v[k + 1], lin.theta[k + 1])
     return lin
 
 
@@ -199,6 +200,7 @@ def solve_adjoint(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
         # transpose of step k: the symmetric implicit block, then the
         # explicit stage around base level k
         wk, _, pk = implicit_block(grid, pp, dt, lu, lt)
+        check_step(grid, k, wk, pk)
         adj.w[k], adj.psi[k] = wk, pk
         lu, lt = tangent_explicit_t(grid, pp, base.u[k], base.theta[k],
                                     wk, pk, dt, coupling)

@@ -48,7 +48,7 @@ def test_01_discrete_duality_identity():
         rng = np.random.default_rng(seed)
         src = SourceData(rand_vec2(grid, rng, 0.3), rand_scalar(grid, rng, 0.3))
         base = solve_state(grid, pp, tg, src, rand_div_free(grid, rng, 0.3),
-                           rand_scalar(grid, rng, 0.3), check_cfl=False)
+                           rand_scalar(grid, rng, 0.3))
         res = duality_residual(
             grid, pp, tg, base,
             tanF=[rand_vec2(grid, rng) for _ in range(tg.nt)],

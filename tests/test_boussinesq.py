@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from convecopt.grid import Grid, GridConfig, Vec2, NumericalFailure
+from convecopt import boussinesq
 from convecopt.boussinesq import (PhysicalParams, TimeGrid, SourceData,
                                   solve_state, step, energy_report,
-                                  implicit_block)
+                                  implicit_block, data_norm)
 
 from conftest import rand_scalar, rand_vec2, rand_div_free
 
@@ -52,8 +53,7 @@ def test_unforced_isothermal_flow_loses_energy(grid8):
     pp = PhysicalParams(0.05, 0.02)
     tg = TimeGrid(0.2, 10)
     u0 = rand_div_free(grid8, rng)
-    traj = solve_state(grid8, pp, tg, SourceData(), u0, grid8.scalar(),
-                       check_cfl=False)
+    traj = solve_state(grid8, pp, tg, SourceData(), u0, grid8.scalar())
     energies = [grid8.norm2(u) ** 2 for u in traj.u]
     assert all(e2 < e1 + 1e-15 for e1, e2 in zip(energies, energies[1:]))
     assert energies[-1] < 0.5 * energies[0]
@@ -64,8 +64,7 @@ def test_temperature_decays_without_sources(grid8):
     pp = PhysicalParams(0.05, 0.1)
     tg = TimeGrid(0.2, 10)
     th0 = rand_scalar(grid8, rng)
-    traj = solve_state(grid8, pp, tg, SourceData(), grid8.vec2(), th0,
-                       check_cfl=False)
+    traj = solve_state(grid8, pp, tg, SourceData(), grid8.vec2(), th0)
     norms = [grid8.norm2(t) for t in traj.theta]
     assert all(n2 < n1 for n1, n2 in zip(norms, norms[1:]))
 
@@ -76,7 +75,7 @@ def test_velocity_stays_divergence_free(grid8):
     tg = TimeGrid(0.2, 8)
     src = SourceData(rand_vec2(grid8, rng), rand_scalar(grid8, rng))
     traj = solve_state(grid8, pp, tg, src, rand_div_free(grid8, rng),
-                       rand_scalar(grid8, rng), check_cfl=False)
+                       rand_scalar(grid8, rng))
     for u in traj.u:
         assert grid8.norm_lp(grid8.divergence(u), np.inf) <= 1e-10
 
@@ -104,7 +103,7 @@ def test_state_has_zero_normal_faces_on_every_level(grid_rect):
     f = Vec2(rng.standard_normal((g.nx + 1, g.ny)), rng.standard_normal((g.nx, g.ny + 1)))
     traj = solve_state(g, PhysicalParams(0.05, 0.02), TimeGrid(0.1, 4),
                        SourceData(f, rand_scalar(g, rng)), u0,
-                       rand_scalar(g, rng), check_cfl=False)
+                       rand_scalar(g, rng))
     u, v = traj.u.u, traj.u.v
     for faces in (u[:, 0], u[:, -1], v[:, :, 0], v[:, :, -1]):
         assert np.all(faces == 0.0)
@@ -117,8 +116,8 @@ def test_solver_is_deterministic(grid8):
     src = SourceData(rand_vec2(grid8, rng), rand_scalar(grid8, rng))
     u0 = rand_div_free(grid8, rng)
     th0 = rand_scalar(grid8, rng)
-    a = solve_state(grid8, pp, tg, src, u0, th0, check_cfl=False)
-    b = solve_state(grid8, pp, tg, src, u0, th0, check_cfl=False)
+    a = solve_state(grid8, pp, tg, src, u0, th0)
+    b = solve_state(grid8, pp, tg, src, u0, th0)
     for k in range(tg.nt + 1):
         assert np.array_equal(a.u[k].u, b.u[k].u)
         assert np.array_equal(a.u[k].v, b.u[k].v)
@@ -134,7 +133,7 @@ def test_per_step_sources_are_honored(grid8):
     f0 = rand_vec2(grid8, rng)
     fs = [f0] + [grid8.vec2() for _ in range(3)]
     traj = solve_state(grid8, pp, tg, SourceData(fs, None), grid8.vec2(),
-                       grid8.scalar(), check_cfl=False)
+                       grid8.scalar())
     assert traj.u[1].max_abs() > 0
     assert traj.u[-1].max_abs() > 0
 
@@ -148,13 +147,53 @@ def test_nan_input_rejected(grid8):
         solve_state(grid8, pp, tg, SourceData(), u0, grid8.scalar())
 
 
-def test_cfl_advisory_warns_for_fast_flow(grid8):
+@pytest.mark.parametrize("k", [1, 3])
+def test_nan_in_a_source_names_its_step(grid8, k):
+    # source entry k - 1 is held on the step that produces level k
     pp = PhysicalParams(0.05, 0.02)
-    tg = TimeGrid(1.0, 2)     # dt = 0.5, h = 0.125
+    tg = TimeGrid(0.1, 4)
+    rng = np.random.default_rng(5)
+    h = rand_scalar(grid8, rng) * np.ones((tg.nt, 1, 1))
+    h[k - 1, 2, 3] = np.nan
+    with pytest.raises(NumericalFailure, match=f"^step {k}: energy"):
+        solve_state(grid8, pp, tg, SourceData(None, h), grid8.vec2(),
+                    grid8.scalar())
+
+
+def test_first_step_beyond_the_energy_bound_fails(grid8, monkeypatch):
+    # fast flow at dt = 0.5 on h = 1/8: E/D^2 grows from 0.5 to 1e90
     rng = np.random.default_rng(6)
-    u0 = rand_div_free(grid8, rng, scale=2.0)
-    with pytest.warns(UserWarning, match="CFL"):
-        solve_state(grid8, pp, tg, SourceData(), u0, grid8.scalar())
+    pp, tg, src = PhysicalParams(0.05, 0.02), TimeGrid(5.0, 10), SourceData()
+    u0, th0 = rand_div_free(grid8, rng, 5.0), rand_scalar(grid8, rng, 5.0)
+    with monkeypatch.context() as m:
+        m.setattr(boussinesq, "ENERGY_BOUND", np.inf)
+        free = solve_state(grid8, pp, tg, src, u0, th0)
+    d = data_norm(grid8, tg, src, u0, th0)
+    ratio = [(grid8.norm2(free.u[k]) ** 2 + grid8.norm2(free.theta[k]) ** 2) / d ** 2
+             for k in range(tg.nt + 1)]
+    first = next(k for k, r in enumerate(ratio) if r > boussinesq.ENERGY_BOUND)
+    assert 1 < first < tg.nt and ratio[-1] > 1e80
+    with pytest.raises(NumericalFailure, match=f"^step {first}: energy ") as err:
+        solve_state(grid8, pp, tg, src, u0, th0)
+    assert err.value.args[0].endswith(f"bound {boussinesq.ENERGY_BOUND * d ** 2:.3g}")
+
+
+def test_data_norm_is_the_energy_report_data_norm(grid8):
+    rng = np.random.default_rng(8)
+    tg = TimeGrid(0.2, 4)
+    u0, th0 = rand_div_free(grid8, rng), rand_scalar(grid8, rng)
+    for src in (SourceData(rand_vec2(grid8, rng), None),
+                SourceData([rand_vec2(grid8, rng) for _ in range(tg.nt)],
+                           [rand_scalar(grid8, rng) for _ in range(tg.nt)])):
+        traj = solve_state(grid8, PhysicalParams(0.05, 0.02), tg, src, u0, th0)
+        d = data_norm(grid8, tg, src, u0, th0)
+        assert d == energy_report(grid8, tg, traj, src, u0, th0).data_norm
+        f2 = sum(grid8.norm2(src.at(k)[0]) ** 2 for k in range(tg.nt))
+        h2 = sum(0.0 if src.h is None else grid8.norm2(src.at(k)[1]) ** 2
+                 for k in range(tg.nt))
+        ref = (np.sqrt(tg.dt * f2) + np.sqrt(tg.dt * h2)
+               + grid8.norm2(u0) + grid8.norm2(th0))
+        assert np.isclose(d, ref, rtol=1e-13, atol=0.0)
 
 
 def test_energy_report_contents(grid8):
@@ -164,7 +203,7 @@ def test_energy_report_contents(grid8):
     src = SourceData(rand_vec2(grid8, rng), rand_scalar(grid8, rng))
     u0 = rand_div_free(grid8, rng)
     th0 = rand_scalar(grid8, rng)
-    traj = solve_state(grid8, pp, tg, src, u0, th0, check_cfl=False)
+    traj = solve_state(grid8, pp, tg, src, u0, th0)
     rep = energy_report(grid8, tg, traj, src, u0, th0)
     assert rep.series.shape == (tg.nt + 1, 6)
     # max energy consistent with the trajectory it was computed from
@@ -189,7 +228,7 @@ def test_energy_ratio_regression():
                      fourier_scalar(grid, rng, 3, 2.0))
     u0 = grid.leray_project(fourier_vec2(grid, rng, 3, 2.0))
     th0 = fourier_scalar(grid, rng, 3, 2.0)
-    traj = solve_state(grid, pp, tg, src, u0, th0, check_cfl=False)
+    traj = solve_state(grid, pp, tg, src, u0, th0)
     rep = energy_report(grid, tg, traj, src, u0, th0)
     assert np.isclose(rep.ratio, RATIO_GOLDEN, rtol=1e-12)
 

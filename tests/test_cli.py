@@ -1,6 +1,7 @@
 """Command-line layer tests: exit codes, artifacts, manifest determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,9 @@ def write_cfg(tmp_path, extra=None):
 
 def read_manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
+
+
+TRACKING_CLOSE = Path(__file__).resolve().parents[1] / "configs" / "tracking-close.json"
 
 
 def test_solve_writes_artifacts_and_manifest(tmp_path):
@@ -93,14 +97,61 @@ def test_config_error_exit_code(tmp_path):
     ({"initial": {"modes": 0}}, "initial.modes"),
     ({"sources": {"modes": 0}}, "sources.modes"),
     ({"sweep": {"modes": 0}}, "sweep.modes"),
+    ({"measure": {"eps_grid": [1, 10 ** 400]}}, "measure.eps_grid"),
+    ({"grid": {"lx": 10 ** 400}}, "grid.lx"),
+    ({"weights": {"alpha1": float("inf")}}, "weights.alpha1"),
+    ({"control": {"q_bounds": [-float("inf"), 1]}}, "control.q_bounds"),
+    ({"control": {"q_region": [2, 3, 2, 3]}}, "control.q_region"),
+    ({"control": {"h_region": [2, 3, 2, 3]}}, "control.h_region"),
+    ({"seed": -1}, "seed"),
 ])
 def test_ill_typed_config_exits_2_with_field_path(tmp_path, capsys, doc, field):
     p = tmp_path / "bad.json"
-    p.write_text(json.dumps(doc))
+    p.write_text(json.dumps(doc))       # inf is written as Infinity
     out = tmp_path / "o"
     assert main(["stability-sweep", "--config", str(p), "--out", str(out)]) == 2
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("doc,step", [
+    ({"time": {"T": 50, "nt": 5},
+      "initial": {"kind": "fourier", "amplitude": 30},
+      "sources": {"kind": "fourier", "amplitude": 30}}, 2),
+    # finite values whose squares overflow
+    ({"time": {"T": 5, "nt": 10},
+      "initial": {"kind": "fourier", "amplitude": 10},
+      "sources": {"kind": "fourier", "amplitude": 10}}, 3),
+])
+def test_blow_up_exits_1_naming_its_step(tmp_path, doc, step):
+    p = tmp_path / "blow.json"
+    p.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(p), "--out", str(out)]) == 1
+    fail = json.loads((out / "failure.json").read_text())
+    assert fail["type"] == "NumericalFailure"
+    assert fail["error"].startswith(f"step {step}: energy")
+    assert not (out / "summary.json").exists()
+
+
+def test_tracking_close_config_runs_the_paper_regime(tmp_path, monkeypatch):
+    from convecopt import boussinesq
+    check, seen = boussinesq.check_step, []
+
+    def spy(grid, k, u, theta, bound=np.inf):
+        seen.append((grid.norm2(u) ** 2 + grid.norm2(theta) ** 2, bound))
+        return check(grid, k, u, theta, bound)
+
+    monkeypatch.setattr(boussinesq, "check_step", spy)
+    cfg = str(TRACKING_CLOSE)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    nt = from_dict(json.loads(TRACKING_CLOSE.read_text()))["time"]["nt"]
+    assert len(seen) == nt
+    assert all(0 < e < 1e-3 * bound < np.inf for e, bound in seen)
+    assert main(["second-order-check", "--config", cfg,
+                 "--out", str(tmp_path / "so")]) == 0
+    so = json.loads((tmp_path / "so" / "summary.json").read_text())
+    assert so["skipped"] is False and so["margin"] > 0
 
 
 def test_missing_config_file_exit_code(tmp_path):

@@ -1,13 +1,16 @@
 """Configuration loading, validation, and problem assembly tests."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convecopt.config import (ConfigError, DEFAULTS, default_config,
                               from_dict, load_config, build_problem,
                               opt_options)
+from convecopt.grid import Grid, GridConfig
 
 
 def test_default_config_is_valid_and_hashable():
@@ -143,3 +146,96 @@ def test_type_errors_are_violations_with_field_paths():
 def test_unknown_perturbation_family_is_rejected(section):
     with pytest.raises(ConfigError, match=f"{section}.family"):
         from_dict({section: {"family": "bogus"}})
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"measure": {"eps_grid": [1, 10 ** 400]}}, "measure.eps_grid"),
+    ({"grid": {"lx": 10 ** 400}}, "grid.lx"),
+    ({"grid": {"nx": 2 ** 1024}}, "grid.nx"),
+    ({"weights": {"alpha1": float("inf")}}, "weights.alpha1"),
+    ({"control": {"q_bounds": [-float("inf"), 1]}}, "control.q_bounds"),
+    ({"time": {"T": float("nan")}}, "time.T"),
+    ({"sweep": {"trust_radius": float("inf")}}, "sweep.trust_radius"),
+])
+def test_numbers_must_be_finite_and_within_float_range(doc, field):
+    with pytest.raises(ConfigError) as err:
+        from_dict(doc)
+    assert err.value.violations == [
+        f"{field}: numbers must be finite and within float range"]
+
+
+@pytest.mark.parametrize("name", ["q_region", "h_region"])
+def test_control_region_must_cover_a_cell(name):
+    with pytest.raises(ConfigError, match=f"control.{name}: covers no cell"):
+        from_dict({"control": {name: [2.0, 3.0, 2.0, 3.0]}})
+    with pytest.raises(ConfigError, match="grid.lx: must be > 0, as must lx/nx"):
+        from_dict({"grid": {"lx": 5e-324}})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(x0=st.floats(0, 1.2), w=st.floats(1e-14, 0.3),
+       y0=st.floats(0, 0.7), h=st.floats(1e-14, 0.3))
+def test_region_check_agrees_with_rect_mask(x0, w, y0, h):
+    # validate and Grid.rect_mask share one snapping, so they cannot disagree
+    grid = Grid(GridConfig(8, 6, lx=1.0, ly=0.5))
+    region = [x0, x0 + w, y0, y0 + h]
+    try:
+        grid.rect_mask(*region)
+        covered = True
+    except ValueError:
+        covered = False
+    try:
+        from_dict({"grid": {"nx": 8, "ny": 6, "ly": 0.5},
+                   "control": {"q_region": region, "h_region": [0, 1, 0, 0.5]}})
+        valid = True
+    except ConfigError:
+        valid = False
+    assert valid == covered
+
+
+# arbitrary JSON, with numbers that a float cannot hold
+_numbers = (st.floats() | st.integers()
+            | st.sampled_from([10 ** 400, -(10 ** 400), 2 ** 1024]))
+_json = st.recursive(
+    st.none() | st.booleans() | _numbers | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=8)
+
+
+def _leaf_paths(d, prefix=()):
+    for key, val in d.items():
+        if isinstance(val, dict):
+            yield from _leaf_paths(val, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+_fuzz = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def _returns_or_raises_config_error(doc):
+    try:
+        from_dict(doc)
+    except ConfigError:
+        pass
+
+
+@_fuzz
+@given(_json)
+def test_from_dict_on_arbitrary_json(doc):
+    _returns_or_raises_config_error(doc)
+
+
+@_fuzz
+@given(st.lists(st.tuples(st.sampled_from(list(_leaf_paths(DEFAULTS))),
+                          _json | st.lists(_numbers, max_size=5)),
+                min_size=1, max_size=3))
+def test_from_dict_on_defaults_with_random_leaves(edits):
+    doc = copy.deepcopy(DEFAULTS)
+    for path, val in edits:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = val
+    _returns_or_raises_config_error(doc)

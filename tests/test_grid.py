@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from convecopt.grid import (Grid, GridConfig, Vec2, NumericalFailure,
+from convecopt.grid import (Grid, GridConfig, Vec2,
                             _dx, _dy, _ax, _ay, _dx_t, _dy_t, _ax_t, _ay_t)
 
 from hypothesis import given, settings, strategies as st
@@ -316,20 +316,6 @@ def test_poisson_neumann_matches_dense_lstsq(cfg):
     assert rel_err(g.poisson_neumann(rhs), ref.reshape(shape)) <= 1e-12
 
 
-def test_solves_reject_nonfinite_input(grid8):
-    s = grid8.scalar()
-    s[2, 3] = np.nan
-    with pytest.raises(NumericalFailure):
-        grid8.poisson_neumann(s)
-    with pytest.raises(NumericalFailure):
-        grid8.helmholtz_solve_scalar(0.01, s)
-    for comp in ("u", "v"):
-        w = grid8.vec2()
-        getattr(w, comp)[2, 3] = np.nan
-        with pytest.raises(NumericalFailure):
-            grid8.helmholtz_solve_vec(0.01, w)
-
-
 # ---------------------------------------------------------------------------
 # Leray projection
 # ---------------------------------------------------------------------------
@@ -390,13 +376,6 @@ def test_leray_matches_dense_pseudoinverse_solution():
     ref = w - g.gradient(phi)
     got = g.leray_project(w)
     assert (got - ref).max_abs() <= 1e-9
-
-
-def test_leray_rejects_nonfinite_input(grid8):
-    w = grid8.vec2()
-    w.u[2, 2] = np.nan
-    with pytest.raises(NumericalFailure):
-        grid8.leray_project(w)
 
 
 def test_poisson_neumann_solution_is_zero_mean(grid_rect):

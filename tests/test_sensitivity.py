@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from convecopt.grid import Grid, GridConfig, Vec2
+from convecopt.grid import Grid, GridConfig, Vec2, NumericalFailure
 from convecopt.boussinesq import PhysicalParams, TimeGrid, SourceData, solve_state
 from convecopt.sensitivity import (solve_linearized, solve_second,
                                    solve_adjoint, duality_residual,
@@ -19,7 +19,7 @@ def base_setup(grid, seed=0, nt=8, T=0.2):
     src = SourceData(rand_vec2(grid, rng, 0.3), rand_scalar(grid, rng, 0.3))
     u0 = rand_div_free(grid, rng, 0.3)
     th0 = rand_scalar(grid, rng, 0.3)
-    base = solve_state(grid, pp, tg, src, u0, th0, check_cfl=False)
+    base = solve_state(grid, pp, tg, src, u0, th0)
     return pp, tg, src, u0, th0, base, rng
 
 
@@ -82,8 +82,7 @@ def test_tangent_taylor_rate(grid8):
         hs = [src.h + t * d for d in dG]
         pu0 = Vec2(u0.u + t * dv0.u, u0.v + t * dv0.v)
         pth0 = th0 + t * dth0
-        pert = solve_state(grid8, pp, tg, SourceData(fs, hs), pu0, pth0,
-                           check_cfl=False)
+        pert = solve_state(grid8, pp, tg, SourceData(fs, hs), pu0, pth0)
         err = 0.0
         for k in range(tg.nt + 1):
             du = pert.u[k] - base.u[k] - t * lin.v[k]
@@ -106,8 +105,7 @@ def test_second_derivative_taylor_rate(grid8):
         hs = [src.h + t * d for d in dG]
         pu0 = Vec2(u0.u + t * dv0.u, u0.v + t * dv0.v)
         pth0 = th0 + t * dth0
-        pert = solve_state(grid8, pp, tg, SourceData(fs, hs), pu0, pth0,
-                           check_cfl=False)
+        pert = solve_state(grid8, pp, tg, SourceData(fs, hs), pu0, pth0)
         err = 0.0
         for k in range(tg.nt + 1):
             du = pert.u[k] - base.u[k] - t * lin.v[k] \
@@ -166,8 +164,7 @@ def test_duality_identity_holds_to_roundoff(grid8):
 
 def test_duality_holds_with_coupling_disabled(grid8):
     pp, tg, src, u0, th0s, _, rng = base_setup(grid8)
-    base = solve_state(grid8, pp, tg, src, u0, th0s, coupling=False,
-                       check_cfl=False)
+    base = solve_state(grid8, pp, tg, src, u0, th0s, coupling=False)
     tanF, tanG, v0, th0 = perturb_inputs(grid8, tg, rng)
     adjF = [None] + [rand_vec2(grid8, rng) for _ in range(tg.nt)]
     adjG = [None] + [rand_scalar(grid8, rng) for _ in range(tg.nt)]
@@ -234,3 +231,23 @@ def test_adjoint_rejects_base_with_nonzero_normal_faces(grid8, face):
      "south": v[3, :, 0], "north": v[3, :, -1]}[face][2] = 1e-3
     with pytest.raises(ValueError, match="boundary-normal"):
         solve_adjoint(grid8, pp, tg, base)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_nan_in_a_tangent_source_names_its_step(grid8, k):
+    # entry k - 1 drives the step that produces level k
+    pp, tg, _, _, _, base, rng = base_setup(grid8)
+    dF, dG, dv0, dth0 = perturb_inputs(grid8, tg, rng)
+    dG[k - 1][2, 3] = np.nan
+    with pytest.raises(NumericalFailure, match=f"^step {k}: energy"):
+        solve_linearized(grid8, pp, tg, base, dF, dG, dv0, dth0)
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_nan_in_an_adjoint_source_names_its_step(grid8, k):
+    # the backward step that produces level k adds the level-(k + 1) sources
+    pp, tg, _, _, _, base, rng = base_setup(grid8)
+    adjF = [None] + [rand_vec2(grid8, rng) for _ in range(tg.nt)]
+    adjF[k + 1].u[3, 2] = np.nan
+    with pytest.raises(NumericalFailure, match=f"^step {k}: energy"):
+        solve_adjoint(grid8, pp, tg, base, adjF)

@@ -155,7 +155,7 @@ def test_trajectory_levels_are_views(grid8):
     tg = TimeGrid(0.1, 3)
     traj = solve_state(grid8, PhysicalParams(0.05, 0.02), tg,
                        SourceData(rand_vec2(grid8, rng), rand_scalar(grid8, rng)),
-                       grid8.vec2(), grid8.scalar(), check_cfl=False)
+                       grid8.vec2(), grid8.scalar())
     assert traj.u.u.shape == (tg.nt + 1, grid8.nx + 1, grid8.ny)
     level = traj.u[2]
     level.u[3, 3] = 7.0
