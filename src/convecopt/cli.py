@@ -458,6 +458,11 @@ def main(argv=None):
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--snapshot-stride", type=int, default=None)
     args = parser.parse_args(argv)
+    # the config rules for the values these flags override
+    for flag, value in (("--seed", args.seed), ("--snapshot-stride", args.snapshot_stride)):
+        if value is not None and value < 0:
+            sys.stderr.write(f"{flag}: must be >= 0\n")
+            return 2
     try:
         cfg = load_config(args.config) if args.config else default_config()
     except ConfigError as exc:

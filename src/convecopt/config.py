@@ -214,6 +214,7 @@ def validate(data) -> list:
          "measure.eps_grid", "need strictly increasing positive values")
     need(data["s_norm"] >= 2, "s_norm", "must be >= 2")
     need(data["seed"] >= 0, "seed", "must be >= 0")
+    need(data["output"]["snapshot_stride"] >= 0, "output.snapshot_stride", "must be >= 0")
     levels = data["mms"]["levels"]
     need(len(levels) >= 2 and min(levels) >= 4 and np.all(np.diff(levels) > 0),
          "mms.levels", "need >= 2 strictly increasing grid sizes, each >= 4")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,6 +166,19 @@ def restrict_adjoint(space: ControlSpace, w: Vec2, psi):
     return q, th
 
 
+def _digest(*fields):
+    """SHA-256 over optional Vec2 and array fields, None distinct from zero."""
+    hsh = hashlib.sha256()
+    for a in fields:
+        if isinstance(a, Vec2):
+            hsh.update(a.u.tobytes())
+            hsh.update(a.v.tobytes())
+        elif a is not None:
+            hsh.update(np.ascontiguousarray(a).tobytes())
+        hsh.update(b"|")
+    return hsh.hexdigest()
+
+
 @dataclass
 class Perturbation:
     """The perturbation tuple driving the stability experiments.
@@ -187,21 +201,13 @@ class Perturbation:
     eps1: float = 0.0
     eps2: float = 0.0
 
-    def hash(self):
-        hsh = hashlib.sha256()
-        for a in (self.f_hat, self.u0_hat, self.eta_u, self.u_d_hat):
-            if a is not None:
-                hsh.update(a.u.tobytes())
-                hsh.update(a.v.tobytes())
-            hsh.update(b"|")
-        for a in (self.h_hat, self.th0_hat, self.eta_th, self.sigma,
-                  self.lam, self.th_d_hat):
-            if a is not None:
-                hsh.update(np.ascontiguousarray(a).tobytes())
-            hsh.update(b"|")
-        hsh.update(np.float64(self.eps1).tobytes())
-        hsh.update(np.float64(self.eps2).tobytes())
-        return hsh.hexdigest()
+    def state_hash(self):
+        """Digest of what the state depends on: sources and initial data."""
+        return _digest(self.f_hat, self.h_hat, self.u0_hat, self.th0_hat)
+
+    def adjoint_hash(self):
+        """Digest of what the adjoint adds: objective tilts, target shifts."""
+        return _digest(self.eta_u, self.eta_th, self.u_d_hat, self.th_d_hat)
 
     def norm_P(self, grid: Grid, tg: TimeGrid, s=4, control: "Control" = None):
         """Size of the perturbation: sum of per-component norms.
@@ -255,9 +261,15 @@ def _zero_pert():
 class Problem:
     """Bundles everything needed to evaluate the objective at a control.
 
-    Caches forward and adjoint solves keyed by (control, perturbation) so the
-    optimizer's repeated J/grad evaluations at one point cost one solve.  The
-    caches may be shared by threads (a parallel stability sweep).
+    Forward and adjoint solves are cached, so the optimizer's repeated
+    J/grad evaluations at one point cost one solve of each.  A state is
+    keyed on the control and the perturbation's sources and initial data
+    (f_hat, h_hat, u0_hat, th0_hat); an adjoint also on its objective tilts
+    and target shifts (eta_u, eta_th, u_d_hat, th_d_hat).  Control tilts
+    (sigma, lam) and Tikhonov weights change neither, so they reuse both.
+    Each thread keeps its own least-recently-used caches of cache_size
+    entries, so the threads of a parallel stability sweep share no mutable
+    state and none evicts another's entries.
     """
 
     grid: Grid
@@ -270,23 +282,33 @@ class Problem:
     u0: Vec2 | None = None
     theta0: np.ndarray | None = None
     coupling: bool = True
-    cache_size: int = 6
+    cache_size: int = 2
 
     def __post_init__(self):
         if self.u0 is None:
             self.u0 = self.grid.vec2()
         if self.theta0 is None:
             self.theta0 = self.grid.scalar()
-        self._state_cache = {}
-        self._adj_cache = {}
-        self._cache_lock = threading.Lock()
+        self._local = threading.local()
 
-    def _remember(self, cache, key, value):
-        """Insert into a FIFO cache holding at most cache_size entries."""
-        with self._cache_lock:
-            cache[key] = value
-            while len(cache) > self.cache_size:
-                cache.pop(next(iter(cache)))
+    def _cache(self, kind):
+        """This thread's cache of one kind, least recently used first."""
+        return self._local.__dict__.setdefault(kind, OrderedDict())
+
+    def _recall(self, kind, key):
+        """The cached value under key, now the most recently used, or None."""
+        cache = self._cache(kind)
+        if key in cache:
+            cache.move_to_end(key)
+            return cache[key]
+        return None
+
+    def _remember(self, kind, key, value):
+        """Insert, evicting the least recently used beyond cache_size."""
+        cache = self._cache(kind)
+        cache[key] = value
+        while len(cache) > self.cache_size:
+            cache.popitem(last=False)
         return value
 
     # -- state solves --------------------------------------------------------
@@ -314,15 +336,15 @@ class Problem:
 
     def state(self, ctrl: Control, pert: Perturbation | None = None) -> StateTrajectory:
         pert = pert or _zero_pert()
-        key = (ctrl.hash(), pert.hash())
-        hit = self._state_cache.get(key)
+        key = (ctrl.hash(), pert.state_hash())
+        hit = self._recall("state", key)
         if hit is not None:
             return hit
         sources = self._sources_for(ctrl, pert)
         u0, th0 = self._initial_for(pert)
         traj = solve_state(self.grid, self.phys, self.tg, sources, u0, th0,
                            coupling=self.coupling)
-        return self._remember(self._state_cache, key, traj)
+        return self._remember("state", key, traj)
 
     # -- objective -----------------------------------------------------------
 
@@ -392,8 +414,8 @@ class Problem:
     def adjoint(self, ctrl: Control, pert: Perturbation | None = None) -> sen.AdjointTrajectory:
         """Adjoint sweep with the tracking right-hand sides and terminal data."""
         pert = pert or _zero_pert()
-        key = (ctrl.hash(), pert.hash())
-        hit = self._adj_cache.get(key)
+        key = (ctrl.hash(), pert.state_hash(), pert.adjoint_hash())
+        hit = self._recall("adjoint", key)
         if hit is not None:
             return hit
         w = self.weights
@@ -411,7 +433,7 @@ class Problem:
         psiT = w.beta2 * dthT if w.beta2 else None
         adj = sen.solve_adjoint(self.grid, self.phys, self.tg, traj,
                                 rhsF, rhsG, wT, psiT, coupling=self.coupling)
-        return self._remember(self._adj_cache, key, adj)
+        return self._remember("adjoint", key, adj)
 
     def grad_J(self, ctrl: Control, pert: Perturbation | None = None) -> Control:
         """Pointwise gradient density on the control regions.

@@ -134,16 +134,20 @@ def solve_linearized(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
 def second_rhs(grid: Grid, lin1: LinTrajectory, lin2: LinTrajectory, nt):
     """Symmetrized bilinear right-hand sides for the second derivative.
 
-    Returns (F, G) stacked over the steps k = 0..nt-1.
+    Returns (F, G) stacked over the steps k = 0..nt-1.  When lin1 is lin2
+    (every second variation) the two terms of each sum are the same call,
+    so it is made once.
     """
+    same = lin1 is lin2
     rhsF = grid.vec2(nt)
     rhsG = grid.scalar(nt)
     for k in range(nt):
         a = grid.advect_vector(lin1.v[k], lin2.v[k])
-        b = grid.advect_vector(lin2.v[k], lin1.v[k])
+        b = a if same else grid.advect_vector(lin2.v[k], lin1.v[k])
         rhsF[k] = -(a + b)
-        rhsG[k] = -(grid.advect_scalar(lin1.v[k], lin2.theta[k])
-                    + grid.advect_scalar(lin2.v[k], lin1.theta[k]))
+        c = grid.advect_scalar(lin1.v[k], lin2.theta[k])
+        d = c if same else grid.advect_scalar(lin2.v[k], lin1.theta[k])
+        rhsG[k] = -(c + d)
     return rhsF, rhsG
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
 
 from convecopt.grid import Grid, GridConfig, Vec2
 from convecopt.boussinesq import PhysicalParams, TimeGrid, SourceData
@@ -21,6 +22,15 @@ def rand_vec2(grid, rng, scale=1.0):
 
 def rand_div_free(grid, rng, scale=1.0):
     return grid.leray_project(rand_vec2(grid, rng, scale))
+
+
+# every grid size from 4 to 40 cells a side and cell aspect ratio from 0.1
+# to 10, for the exact-transpose properties
+GRIDS = st.builds(
+    lambda nx, ny, lx, aspect: Grid(GridConfig(nx, ny, lx=lx, ly=lx * aspect)),
+    st.integers(4, 40), st.integers(4, 40),
+    st.floats(0.1, 10.0), st.floats(0.1, 10.0))
+PROPS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 @pytest.fixture

@@ -9,7 +9,9 @@ from convecopt.boussinesq import (PhysicalParams, TimeGrid, SourceData,
                                   solve_state, step, energy_report,
                                   implicit_block, data_norm)
 
-from conftest import rand_scalar, rand_vec2, rand_div_free
+from hypothesis import given, strategies as st
+
+from conftest import GRIDS, PROPS, rand_scalar, rand_vec2, rand_div_free
 
 
 def test_params_validation():
@@ -34,6 +36,21 @@ def test_implicit_block_is_symmetric(grid_rect):
     assert np.isclose(g.inner(bs, r), g.inner(s, br), rtol=1e-13, atol=0.0)
     assert g.norm_lp(g.divergence(bx), np.inf) <= 1e-12
     assert g.norm_lp(g.divergence(by), np.inf) <= 1e-12
+
+
+@PROPS
+@given(GRIDS, st.floats(1e-3, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_implicit_block_is_symmetric_on_random_grids(g, dt, seed):
+    pp = PhysicalParams(0.05, 0.02)
+    rng = np.random.default_rng(seed)
+    x, y = rand_vec2(g, rng), rand_vec2(g, rng)
+    s, r = rand_scalar(g, rng), rand_scalar(g, rng)
+    bx, _, bs = implicit_block(g, pp, dt, x, s)
+    by, _, br = implicit_block(g, pp, dt, y, r)
+    tol = 1e-12 * g.norm2(x) * g.norm2(y)
+    assert abs(g.inner(bx, y) - g.inner(x, by)) <= tol
+    tol = 1e-12 * g.norm2(s) * g.norm2(r)
+    assert abs(g.inner(bs, r) - g.inner(s, br)) <= tol
 
 
 def test_zero_data_is_a_bitwise_fixed_point(grid8):

@@ -104,6 +104,7 @@ def test_config_error_exit_code(tmp_path):
     ({"control": {"q_region": [2, 3, 2, 3]}}, "control.q_region"),
     ({"control": {"h_region": [2, 3, 2, 3]}}, "control.h_region"),
     ({"seed": -1}, "seed"),
+    ({"output": {"snapshot_stride": -1}}, "output.snapshot_stride"),
 ])
 def test_ill_typed_config_exits_2_with_field_path(tmp_path, capsys, doc, field):
     p = tmp_path / "bad.json"
@@ -111,6 +112,17 @@ def test_ill_typed_config_exits_2_with_field_path(tmp_path, capsys, doc, field):
     out = tmp_path / "o"
     assert main(["stability-sweep", "--config", str(p), "--out", str(out)]) == 2
     assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--snapshot-stride"])
+def test_flag_overrides_follow_the_config_rules(tmp_path, capsys, flag):
+    # the flags override config fields and obey their rules: exit 2 naming
+    # the flag, before any run directory is made
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(write_cfg(tmp_path)),
+                 "--out", str(out), flag, "-1"]) == 2
+    assert flag in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -52,6 +52,7 @@ def test_validation_reports_all_violations_with_field_paths():
     ({"initial": {"modes": 0}}, "initial.modes"),
     ({"sources": {"modes": 0}}, "sources.modes"),
     ({"sweep": {"modes": 0}}, "sweep.modes"),
+    ({"output": {"snapshot_stride": -1}}, "output.snapshot_stride"),
 ])
 def test_count_and_level_ranges_are_checked(doc, field):
     with pytest.raises(ConfigError) as err:

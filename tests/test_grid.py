@@ -6,9 +6,9 @@ import pytest
 from convecopt.grid import (Grid, GridConfig, Vec2,
                             _dx, _dy, _ax, _ay, _dx_t, _dy_t, _ax_t, _ay_t)
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from conftest import rand_scalar, rand_vec2, rand_div_free
+from conftest import GRIDS, PROPS, rand_scalar, rand_vec2, rand_div_free
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +92,22 @@ def test_stencil_transposes_are_exact_adjoints():
             lhs = np.sum(out * c)
             rhs = np.sum(a * adj(c, h))
         assert abs(lhs - rhs) <= 1e-13 * (1 + abs(lhs))
+
+
+@PROPS
+@given(GRIDS, st.integers(0, 2 ** 32 - 1))
+def test_stencil_transposes_pair_exactly_on_random_grids(g, seed):
+    # on the cell, u-face and v-face arrays of every grid size and aspect
+    rng = np.random.default_rng(seed)
+    for shape in ((g.nx, g.ny), (g.nx + 1, g.ny), (g.nx, g.ny + 1)):
+        a = rng.standard_normal(shape)
+        for fwd, adj in ((lambda x: _dx(x, g.hx), lambda c: _dx_t(c, g.hx)),
+                         (lambda x: _dy(x, g.hy), lambda c: _dy_t(c, g.hy)),
+                         (_ax, _ax_t), (_ay, _ay_t)):
+            out = fwd(a)
+            c = rng.standard_normal(out.shape)
+            lhs, rhs = np.sum(out * c), np.sum(a * adj(c))
+            assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(out) * np.linalg.norm(c)
 
 
 def _dx_t_accumulating(c, h):
@@ -452,13 +468,6 @@ def test_advect_vector_transposes(grid_rect):
 
 # Property tests over the grid sizes and cell aspect ratios the CLI accepts.
 # Derandomised, so every run draws the same examples.
-_grids = st.builds(
-    lambda nx, ny, lx, aspect: Grid(GridConfig(nx, ny, lx=lx, ly=lx * aspect)),
-    st.integers(4, 40), st.integers(4, 40),
-    st.floats(0.1, 10.0), st.floats(0.1, 10.0))
-_props = settings(max_examples=100, deadline=None, derandomize=True, database=None)
-
-
 def _close_pairing(g, lhs_field, c, rhs):
     """<lhs_field, c> == rhs to roundoff on the Cauchy-Schwarz scale."""
     lhs = g.inner(lhs_field, c)
@@ -466,8 +475,8 @@ def _close_pairing(g, lhs_field, c, rhs):
     return abs(lhs - rhs) <= 1e-12 * scale
 
 
-@_props
-@given(_grids, st.integers(0, 2 ** 32 - 1))
+@PROPS
+@given(GRIDS, st.integers(0, 2 ** 32 - 1))
 def test_field_transposes_are_negated_forward_advection(g, seed):
     # skew symmetry: with zero boundary-normal faces on U (and on the
     # advected W, which the vector form reads) the transpose in the advected
@@ -483,8 +492,8 @@ def test_field_transposes_are_negated_forward_advection(g, seed):
     assert np.abs(ref.u + neg.u).max() <= tol and np.abs(ref.v + neg.v).max() <= tol
 
 
-@_props
-@given(_grids, st.integers(0, 2 ** 32 - 1))
+@PROPS
+@given(GRIDS, st.integers(0, 2 ** 32 - 1))
 def test_velocity_transposes_pair_exactly(g, seed):
     rng = np.random.default_rng(seed)
     U, W, C = rand_vec2(g, rng), rand_vec2(g, rng), rand_vec2(g, rng)

@@ -154,17 +154,115 @@ def test_state_cache_returns_identical_object():
     assert prob.adjoint(ctrl) is prob.adjoint(ctrl)
 
 
-def test_cache_eviction_is_thread_safe():
-    # a threaded stability sweep shares one Problem and its caches
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Counts the forward and adjoint sweeps the objective starts."""
+    from convecopt import objective, sensitivity
+    n = {"state": 0, "adjoint": 0}
+
+    def counting(fn, kind):
+        def wrapped(*args, **kwargs):
+            n[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(objective, "solve_state",
+                        counting(objective.solve_state, "state"))
+    monkeypatch.setattr(sensitivity, "solve_adjoint",
+                        counting(sensitivity.solve_adjoint, "adjoint"))
+    return n
+
+
+def test_cache_hit_refreshes_so_eviction_takes_least_recently_used(sweeps):
     prob = make_problem()
-    prob.cache_size = 2
-    cache = prob._state_cache
-    errors = []
+    assert prob.cache_size == 2
+    rng = np.random.default_rng(10)
+    a, b, c = (rand_control(prob.space, rng) for _ in range(3))
+    ta = prob.state(a)
+    prob.state(b)
+    assert prob.state(a) is ta      # a hit: a is now the most recent
+    prob.state(c)                   # evicts b, not a
+    assert sweeps["state"] == 3
+    assert prob.state(a) is ta
+    assert sweeps["state"] == 3
+    prob.state(b)
+    assert sweeps["state"] == 4
+
+
+@pytest.mark.parametrize("family", ["control-tilt", "tikhonov"])
+def test_control_space_perturbations_reuse_state_and_adjoint(sweeps, family):
+    from convecopt.stability_lab import make_perturbation
+    prob = make_problem()
+    ctrl = rand_control(prob.space, np.random.default_rng(11))
+    traj, adj = prob.state(ctrl), prob.adjoint(ctrl)
+    pert = make_perturbation(prob, family, 0.3, 12)
+    assert prob.state(ctrl, pert) is traj
+    assert prob.adjoint(ctrl, pert) is adj
+    prob.grad_J(ctrl, pert)
+    prob.eval_J(ctrl, pert)
+    assert sweeps == {"state": 1, "adjoint": 1}
+
+
+@pytest.mark.parametrize("family", ["target-shift", "objective-tilt"])
+def test_objective_perturbations_reuse_state_not_adjoint(sweeps, family):
+    from convecopt.stability_lab import make_perturbation
+    prob = make_problem()
+    ctrl = rand_control(prob.space, np.random.default_rng(13))
+    traj, adj = prob.state(ctrl), prob.adjoint(ctrl)
+    pert = make_perturbation(prob, family, 0.3, 14)
+    assert prob.state(ctrl, pert) is traj
+    assert prob.adjoint(ctrl, pert) is not adj
+    assert sweeps == {"state": 1, "adjoint": 2}
+
+
+@pytest.mark.parametrize("family", ["source", "initial"])
+def test_state_perturbations_resolve_state_and_adjoint(sweeps, family):
+    from convecopt.stability_lab import make_perturbation
+    prob = make_problem()
+    ctrl = rand_control(prob.space, np.random.default_rng(15))
+    traj, adj = prob.state(ctrl), prob.adjoint(ctrl)
+    pert = make_perturbation(prob, family, 0.3, 16)
+    assert prob.state(ctrl, pert) is not traj
+    assert prob.adjoint(ctrl, pert) is not adj
+    assert sweeps == {"state": 2, "adjoint": 2}
+
+
+def test_warm_started_tikhonov_path_repeats_no_state_solve(monkeypatch):
+    import hashlib
+    from convecopt import objective
+    from convecopt.optimizer import OptOptions
+    from convecopt.stability_lab import solve_perturbed, tikhonov_path
+    prob = make_problem()
+    opts = OptOptions(max_iters=40)
+    base = solve_perturbed(prob, Perturbation(), prob.space.zero(), opts)
+    seen = []
+    solve = objective.solve_state
+
+    def recording(grid, phys, tg, sources, u0, th0, **kwargs):
+        hsh = hashlib.sha256()
+        for a in (sources.f.u, sources.f.v, sources.h, u0.u, u0.v, th0):
+            hsh.update(a.tobytes())
+        seen.append(hsh.hexdigest())
+        return solve(grid, phys, tg, sources, u0, th0, **kwargs)
+
+    monkeypatch.setattr(objective, "solve_state", recording)
+    tikhonov_path(prob, base.control, [1e-2, 1e-3, 0.0], opts)
+    assert seen
+    assert len(set(seen)) == len(seen)
+
+
+def test_cache_eviction_is_thread_safe():
+    # the threads of a parallel stability sweep share one Problem; each
+    # keeps its own caches
+    prob = make_problem()
+    n = 20000
+    errors, caches = [], {}
 
     def insert(tid):
         try:
-            for i in range(20000):
-                prob._remember(cache, (tid, i), i)
+            for i in range(n):
+                prob._remember("state", (tid, i), i)
+            caches[tid] = list(prob._cache("state"))
         except Exception as exc:
             errors.append(exc)
 
@@ -180,9 +278,13 @@ def test_cache_eviction_is_thread_safe():
         sys.setswitchinterval(old)
     assert not any(w.is_alive() for w in workers)
     assert errors == []
-    assert len(cache) <= 2
-    # the globally newest insertion is some thread's last one
-    assert any((t, 19999) in cache for t in range(4))
+    assert sorted(caches) == [0, 1, 2, 3]
+    for tid, keys in caches.items():
+        assert len(keys) <= prob.cache_size
+        assert keys[-1] == (tid, n - 1)
+        assert all(owner == tid for owner, _ in keys)
+    # the main thread's cache is untouched
+    assert list(prob._cache("state")) == []
 
 
 def test_control_norms_and_admissibility():

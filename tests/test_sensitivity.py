@@ -7,7 +7,7 @@ from convecopt.grid import Grid, GridConfig, Vec2, NumericalFailure
 from convecopt.boussinesq import PhysicalParams, TimeGrid, SourceData, solve_state
 from convecopt.sensitivity import (solve_linearized, solve_second,
                                    solve_adjoint, duality_residual,
-                                   tangent_explicit_t)
+                                   second_rhs, tangent_explicit_t)
 
 from conftest import rand_scalar, rand_vec2, rand_div_free
 
@@ -129,6 +129,21 @@ def test_second_solver_is_symmetric(grid8):
     for k in range(tg.nt + 1):
         assert (s12.v[k] - s21.v[k]).max_abs() <= 1e-12
         assert np.max(np.abs(s12.theta[k] - s21.theta[k])) <= 1e-12
+
+
+def test_second_rhs_of_one_tangent_is_the_two_call_form_bitwise(grid_rect):
+    pp, tg, _, _, _, base, rng = base_setup(grid_rect)
+    dF, dG, dv0, dth0 = perturb_inputs(grid_rect, tg, rng)
+    lin = solve_linearized(grid_rect, pp, tg, base, dF, dG, dv0, dth0)
+    rhsF, rhsG = second_rhs(grid_rect, lin, lin, tg.nt)
+    g = grid_rect
+    for k in range(tg.nt):
+        v, th = lin.v[k], lin.theta[k]
+        refF = -(g.advect_vector(v, v) + g.advect_vector(v, v))
+        refG = -(g.advect_scalar(v, th) + g.advect_scalar(v, th))
+        assert rhsF[k].u.tobytes() == refF.u.tobytes()
+        assert rhsF[k].v.tobytes() == refF.v.tobytes()
+        assert rhsG[k].tobytes() == refG.tobytes()
 
 
 def test_adjoint_carriers_are_divergence_free(grid8):
