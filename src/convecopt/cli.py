@@ -459,9 +459,11 @@ def main(argv=None):
     parser.add_argument("--snapshot-stride", type=int, default=None)
     args = parser.parse_args(argv)
     # the config rules for the values these flags override
-    for flag, value in (("--seed", args.seed), ("--snapshot-stride", args.snapshot_stride)):
-        if value is not None and value < 0:
-            sys.stderr.write(f"{flag}: must be >= 0\n")
+    for flag, value, low in (("--seed", args.seed, 0),
+                             ("--snapshot-stride", args.snapshot_stride, 0),
+                             ("--threads", args.threads, 1)):
+        if value is not None and value < low:
+            sys.stderr.write(f"{flag}: must be >= {low}\n")
             return 2
     try:
         cfg = load_config(args.config) if args.config else default_config()

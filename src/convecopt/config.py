@@ -218,6 +218,8 @@ def validate(data) -> list:
     levels = data["mms"]["levels"]
     need(len(levels) >= 2 and min(levels) >= 4 and np.all(np.diff(levels) > 0),
          "mms.levels", "need >= 2 strictly increasing grid sizes, each >= 4")
+    for key in ("T", "dt_factor"):
+        need(data["mms"][key] > 0, f"mms.{key}", "must be > 0")
     for sec, key in (("duality", "seeds"), ("taylor", "seeds"),
                      ("growth", "n_samples"), ("second_order", "n_samples"),
                      ("targets", "modes"), ("initial", "modes"),

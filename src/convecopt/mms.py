@@ -1,62 +1,130 @@
 """Manufactured-solution convergence study for the forward solver.
 
-The velocity comes from a stream function so the exact field is divergence
-free, and the initial grid data are built by differencing the stream function
-at cell corners so the discrete divergence vanishes to roundoff as well.
-Sources are derived symbolically from the strong-form equations (pressure
-chosen identically zero) and sampled at the start of each step, matching the
-zero-order-hold convention of the solver.  Every expression is lambdified
-without simplification, with common-subexpression elimination, and sampled
-on broadcast 1-D axes, so a factor in x alone is computed on the x axis only.
+The velocity comes from the stream function psi = sin^2(pi x) sin^2(pi y)
+cos(t) / pi, so the exact field is divergence free, and the initial grid data
+are built by differencing psi at cell corners so the discrete divergence
+vanishes to roundoff as well; the temperature is sin(pi x) sin(pi y) cos(t).
+With the pressure identically zero, every field and source has the form
+
+    sin(t) a(x, y) + cos(t) b(x, y) + cos(t)^2 c(x, y):
+
+the time derivative gives the sin(t) part, diffusion (and the buoyancy
+-theta in f_y) the cos(t) part, and advection the cos(t)^2 part.  The spatial
+parts are written out in closed form (the tests check them against a
+symbolic derivation from the strong-form equations).  `run_level` samples
+them once per grid and builds each step's sources, held from the start of
+the step as the solver expects, and each level's exact field from the three
+time factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-import sympy as sym
 
 from .grid import Grid, GridConfig, Vec2
 from .boussinesq import PhysicalParams, TimeGrid, SourceData, solve_state
 
 
+@dataclass(frozen=True)
+class Field:
+    """f(x, y, t) = sin(t) a + cos(t) b + cos(t)^2 c, (a, b, c) = parts(x, y).
+
+    A zero part is the scalar 0.0.  Calls broadcast like numpy ufuncs.
+    """
+
+    parts: Callable
+
+    def __call__(self, x, y, t):
+        a, b, c = self.parts(x, y)
+        ct = np.cos(t)
+        return np.sin(t) * a + ct * b + ct * ct * c
+
+    def sample(self, xs, ys):
+        """The parts on the grid of 1-D axes xs, ys: (3, len(xs), len(ys))."""
+        shape = (len(xs), len(ys))
+        return np.stack([np.broadcast_to(p, shape)
+                         for p in self.parts(xs[:, None], ys[None, :])])
+
+
 @dataclass
 class MMSCase:
-    u_fn: object
-    v_fn: object
-    th_fn: object
-    fx_fn: object
-    fy_fn: object
-    g_fn: object
-    psi_fn: object
+    u_fn: Field
+    v_fn: Field
+    th_fn: Field
+    fx_fn: Field
+    fy_fn: Field
+    g_fn: Field
+    psi_fn: Field
+
+
+def _trig(x, y):
+    px, py = np.pi * x, np.pi * y
+    return np.sin(px), np.cos(px), np.sin(py), np.cos(py)
 
 
 def build_case(nu, kappa) -> MMSCase:
-    """Symbolic construction of the manufactured fields and sources."""
-    x, y, t = sym.symbols("x y t")
-    psi = sym.sin(sym.pi * x) ** 2 * sym.sin(sym.pi * y) ** 2 * sym.cos(t) / sym.pi
-    u = sym.diff(psi, y)
-    v = -sym.diff(psi, x)
-    th = sym.sin(sym.pi * x) * sym.sin(sym.pi * y) * sym.cos(t)
+    """Closed-form fields and sources for viscosity nu and diffusivity kappa."""
+    pi, pi2 = np.pi, np.pi ** 2
 
-    def lap(f):
-        return sym.diff(f, x, 2) + sym.diff(f, y, 2)
+    def psi(x, y):
+        sx, _, sy, _ = _trig(x, y)
+        return 0.0, sx * sx * (sy * sy) / pi, 0.0
 
-    fx = sym.diff(u, t) - nu * lap(u) + u * sym.diff(u, x) + v * sym.diff(u, y)
-    fy = sym.diff(v, t) - nu * lap(v) + u * sym.diff(v, x) + v * sym.diff(v, y) - th
-    gg = sym.diff(th, t) - kappa * lap(th) + u * sym.diff(th, x) + v * sym.diff(th, y)
+    def u(x, y):        # psi_y
+        sx, _, sy, cy = _trig(x, y)
+        return 0.0, 2 * sx * sx * (sy * cy), 0.0
 
-    def fn(e):
-        # the module, not "numpy": that runs `from numpy import *` (f2py, ...)
-        return sym.lambdify((x, y, t), e, [np], cse=True)
+    def v(x, y):        # -psi_x
+        sx, cx, sy, _ = _trig(x, y)
+        return 0.0, -2 * sx * cx * (sy * sy), 0.0
 
-    return MMSCase(fn(u), fn(v), fn(th), fn(fx), fn(fy), fn(gg), fn(psi))
+    def theta(x, y):
+        sx, _, sy, _ = _trig(x, y)
+        return 0.0, sx * sy, 0.0
+
+    def fx(x, y):       # u_t - nu lap(u) + u u_x + v u_y
+        sx, cx, sy, cy = _trig(x, y)
+        return (-2 * sx * sx * (sy * cy),
+                -4 * pi2 * nu * (1 - 4 * sx * sx) * (sy * cy),
+                4 * pi * sx * sx * sx * cx * (sy * sy))
+
+    def fy(x, y):       # v_t - nu lap(v) + u v_x + v v_y - theta
+        sx, cx, sy, cy = _trig(x, y)
+        return (2 * sx * cx * (sy * sy),
+                -4 * pi2 * nu * sx * cx * (4 * sy * sy - 1) - sx * sy,
+                4 * pi * sx * sx * (sy * sy * sy * cy))
+
+    def g(x, y):        # theta_t - kappa lap(theta); u.grad(theta) = 0,
+        sx, _, sy, _ = _trig(x, y)      # theta being a function of psi
+        th = sx * sy
+        return -th, 2 * pi2 * kappa * th, 0.0
+
+    return MMSCase(*(Field(p) for p in (u, v, theta, fx, fy, g, psi)))
 
 
 def _eval(fn, xs, ys, t):
     out = fn(xs[:, None], ys[None, :], t)
     return np.array(np.broadcast_to(out, (len(xs), len(ys))), dtype=float)
+
+
+def _time_basis(t):
+    """Rows (sin t, cos t, cos^2 t); a row times a field's parts is its value."""
+    ct = np.cos(t)
+    return np.stack([np.sin(t), ct, ct * ct], axis=-1)
+
+
+def _combine(basis, parts):
+    """basis (..., 3) times parts (3, *shape): the field at each basis row."""
+    out = basis @ parts.reshape(3, -1)
+    return out.reshape(basis.shape[:-1] + parts.shape[1:])
+
+
+def _face_parts(grid: Grid, fu: Field, fv: Field):
+    parts = Vec2(fu.sample(grid.xf, grid.yc), fv.sample(grid.xc, grid.yf))
+    return parts.zero_normal_boundary()
 
 
 def initial_data(grid: Grid, case: MMSCase, t=0.0):
@@ -73,24 +141,22 @@ def run_level(n, pp: PhysicalParams, case: MMSCase, T=0.1, dt_factor=1.0):
     h2 = grid.hx * grid.hy
     nt = max(4, int(np.ceil(T / (dt_factor * h2))))
     tg = TimeGrid(T, nt)
-    times = tg.times()
-    f = grid.vec2(nt)
-    h = grid.scalar(nt)
-    for k in range(nt):
-        f.u[k] = _eval(case.fx_fn, grid.xf, grid.yc, times[k])
-        f.v[k] = _eval(case.fy_fn, grid.xc, grid.yf, times[k])
-        h[k] = _eval(case.g_fn, grid.xc, grid.yc, times[k])
-    f.zero_normal_boundary()
+    basis = _time_basis(tg.times())
+    f = _face_parts(grid, case.fx_fn, case.fy_fn)
+    g = case.g_fn.sample(grid.xc, grid.yc)
+    sources = SourceData(Vec2(_combine(basis[:nt], f.u), _combine(basis[:nt], f.v)),
+                         _combine(basis[:nt], g))
     u0, th0 = initial_data(grid, case)
-    traj = solve_state(grid, pp, tg, SourceData(f, h), u0, th0)
+    traj = solve_state(grid, pp, tg, sources, u0, th0)
+    ue = _face_parts(grid, case.u_fn, case.v_fn)
+    pairs = ((traj.u.u, ue.u), (traj.u.v, ue.v),
+             (traj.theta, case.th_fn.sample(grid.xc, grid.yc)))
     err2 = 0.0
     for k in range(1, nt + 1):
-        ue = Vec2(_eval(case.u_fn, grid.xf, grid.yc, times[k]),
-                  _eval(case.v_fn, grid.xc, grid.yf, times[k])).zero_normal_boundary()
-        te = _eval(case.th_fn, grid.xc, grid.yc, times[k])
-        err2 += tg.dt * (grid.norm2(traj.u[k] - ue) ** 2
-                         + grid.norm2(traj.theta[k] - te) ** 2)
-    return float(np.sqrt(err2)), nt
+        for stack, parts in pairs:
+            d = (stack[k] - _combine(basis[k], parts)).ravel()
+            err2 += float(d @ d)
+    return float(np.sqrt(tg.dt * grid.vol * err2)), nt
 
 
 def convergence_study(levels=(16, 32, 64), nu=0.05, kappa=0.05,

@@ -105,6 +105,9 @@ def test_config_error_exit_code(tmp_path):
     ({"control": {"h_region": [2, 3, 2, 3]}}, "control.h_region"),
     ({"seed": -1}, "seed"),
     ({"output": {"snapshot_stride": -1}}, "output.snapshot_stride"),
+    ({"mms": {"T": -0.1}}, "mms.T"),
+    ({"mms": {"dt_factor": -1}}, "mms.dt_factor"),
+    ({"mms": {"dt_factor": 0}}, "mms.dt_factor"),
 ])
 def test_ill_typed_config_exits_2_with_field_path(tmp_path, capsys, doc, field):
     p = tmp_path / "bad.json"
@@ -115,13 +118,19 @@ def test_ill_typed_config_exits_2_with_field_path(tmp_path, capsys, doc, field):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--seed", "--snapshot-stride"])
-def test_flag_overrides_follow_the_config_rules(tmp_path, capsys, flag):
-    # the flags override config fields and obey their rules: exit 2 naming
-    # the flag, before any run directory is made
+@pytest.mark.parametrize("flag,value", [
+    pytest.param("--seed", "-1", id="--seed"),
+    pytest.param("--snapshot-stride", "-1", id="--snapshot-stride"),
+    pytest.param("--threads", "0", id="--threads-0"),
+    pytest.param("--threads", "-1", id="--threads--1"),
+])
+def test_flag_overrides_follow_the_config_rules(tmp_path, capsys, flag, value):
+    # the flags override config fields (or, for --threads, size the sweep
+    # pool) and obey their rules: exit 2 naming the flag, before any run
+    # directory is made
     out = tmp_path / "o"
     assert main(["solve", "--config", str(write_cfg(tmp_path)),
-                 "--out", str(out), flag, "-1"]) == 2
+                 "--out", str(out), flag, value]) == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()
 

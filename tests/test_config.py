@@ -53,6 +53,10 @@ def test_validation_reports_all_violations_with_field_paths():
     ({"sources": {"modes": 0}}, "sources.modes"),
     ({"sweep": {"modes": 0}}, "sweep.modes"),
     ({"output": {"snapshot_stride": -1}}, "output.snapshot_stride"),
+    ({"mms": {"T": -0.1}}, "mms.T"),
+    ({"mms": {"T": 0}}, "mms.T"),
+    ({"mms": {"dt_factor": -1}}, "mms.dt_factor"),
+    ({"mms": {"dt_factor": 0}}, "mms.dt_factor"),
 ])
 def test_count_and_level_ranges_are_checked(doc, field):
     with pytest.raises(ConfigError) as err:
