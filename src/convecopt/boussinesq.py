@@ -76,11 +76,11 @@ class SourceData:
 @dataclass
 class StateTrajectory:
     """Levels 0..nt stacked on a leading axis: u is a Vec2 of shapes
-    (nt+1, nx+1, ny) and (nt+1, nx, ny+1); p and theta are (nt+1, nx, ny)
-    arrays (p[0] is zeros by convention).  u[k] and theta[k] are views."""
+    (nt+1, nx+1, ny) and (nt+1, nx, ny+1); theta is (nt+1, nx, ny).  u[k]
+    and theta[k] are views.  No pressure is kept: `step` repeated on level
+    k-1 with the sources of step k-1 gives level k's, bitwise (level 0's is 0)."""
 
     u: Vec2
-    p: np.ndarray
     theta: np.ndarray
 
 
@@ -149,24 +149,24 @@ def solve_state(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
     """March the nonlinear system from (u0, theta0) over the full time grid.
 
     Sources must already include any control forcing (see objective module
-    for the control-to-source mapping).  Every step ends in check_step, with
-    the bound ENERGY_BOUND * D^2, D = data_norm.
+    for the control-to-source mapping); any object whose at(k) gives the
+    (f, h) held on step k will do.  Every step ends in check_step, with the
+    bound ENERGY_BOUND * D^2, D = data_norm.
     """
     grid.check_vec2(u0)
     grid.check_scalar(theta0)
     if not all(np.isfinite(a).all() for a in (u0.u, u0.v, theta0)):
         raise ValueError("initial data must be finite")
     bound = ENERGY_BOUND * data_norm(grid, tg, sources, u0, theta0) ** 2
-    traj = StateTrajectory(grid.vec2(tg.nt + 1), grid.scalar(tg.nt + 1),
-                           grid.scalar(tg.nt + 1))
+    traj = StateTrajectory(grid.vec2(tg.nt + 1), grid.scalar(tg.nt + 1))
     traj.u[0] = u0
     traj.u[0].zero_normal_boundary()
     traj.theta[0] = theta0
     for k in range(tg.nt):
-        un, pn, tn = step(grid, pp, tg.dt, traj.u[k], traj.theta[k],
-                          *sources.at(k), coupling)
+        un, _, tn = step(grid, pp, tg.dt, traj.u[k], traj.theta[k],
+                         *sources.at(k), coupling)
         check_step(grid, k + 1, un, tn, bound)
-        traj.u[k + 1], traj.p[k + 1], traj.theta[k + 1] = un, pn, tn
+        traj.u[k + 1], traj.theta[k + 1] = un, tn
     return traj
 
 
@@ -193,9 +193,16 @@ def energy_report(grid: Grid, tg: TimeGrid, traj: StateTrajectory,
 
 def data_norm(grid: Grid, tg: TimeGrid, sources: SourceData, u0: Vec2, theta0):
     """D = |f|_{L2(L2)} + |h|_{L2(L2)} + |u0| + |theta0|, the data side of the
-    energy estimate, taken one level at a time (no trajectory-sized temporary)."""
-    fnorm, gnorm = (0.0 if s[0] is None else tg.dt * float(np.sum([_sq(grid, x) for x in s]))
-                    for s in zip(*(sources.at(k) for k in range(tg.nt))))
+    energy estimate, taken one level at a time (no trajectory-sized temporary,
+    also when at(k) forms each level's sources on demand)."""
+    fsq, hsq = [], []
+    for k in range(tg.nt):
+        f, h = sources.at(k)
+        if f is not None:
+            fsq.append(_sq(grid, f))
+        if h is not None:
+            hsq.append(_sq(grid, h))
+    fnorm, gnorm = (tg.dt * float(np.sum(s)) if s else 0.0 for s in (fsq, hsq))
     return np.sqrt(fnorm) + np.sqrt(gnorm) + grid.norm2(u0) + grid.norm2(theta0)
 
 

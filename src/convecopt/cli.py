@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .grid import Vec2, fields_to_vtk
-from .boussinesq import solve_state, energy_report
+from .boussinesq import solve_state, step, energy_report
 from .objective import Perturbation
 from .optimizer import (projected_gradient, pointwise_sign_check,
                         measure_condition_estimate, adjoint_restriction_samples)
@@ -150,9 +150,9 @@ def _optimize_base(prob, cfg, run=None):
     if run is not None:
         rows = []
         for i in range(len(res.J_history)):
-            step = res.step_history[i - 1] if 0 < i <= len(res.step_history) else 0.0
+            size = res.step_history[i - 1] if 0 < i <= len(res.step_history) else 0.0
             nbt = res.backtrack_history[i - 1] if 0 < i <= len(res.backtrack_history) else 0
-            rows.append((i, res.J_history[i], res.kkt_history[i], step, nbt,
+            rows.append((i, res.J_history[i], res.kkt_history[i], size, nbt,
                          res.bang_fraction[0], res.bang_fraction[1]))
         run.write_csv("iterates.csv",
                       ["iter", "J", "kkt", "step", "backtracks",
@@ -169,17 +169,20 @@ def cmd_solve(cfg, run, seed, snapshot_stride=0):
     prob = build_problem(cfg, seed)
     ctrl = prob.space.zero()
     traj = prob.state(ctrl)
-    rep = energy_report(prob.grid, prob.tg, traj,
-                        prob._sources_for(ctrl, Perturbation()),
-                        prob.u0, prob.theta0)
+    sources = prob._sources_for(ctrl, Perturbation())
+    rep = energy_report(prob.grid, prob.tg, traj, sources, prob.u0, prob.theta0)
     run.write_csv("energy.csv",
                   ["k", "t", "ke_u", "ke_theta", "enstrophy_u", "grad_theta"],
                   [tuple(r) for r in rep.series],
                   units="t time units; energies are squared L2 norms")
     if snapshot_stride and snapshot_stride > 0:
         for k in range(0, prob.tg.nt + 1, snapshot_stride):
+            # the trajectory keeps no pressure: repeat the step that made level k
+            p = prob.grid.scalar() if k == 0 else step(
+                prob.grid, prob.phys, prob.tg.dt, traj.u[k - 1], traj.theta[k - 1],
+                *sources.at(k - 1), prob.coupling)[1]
             fields_to_vtk(prob.grid, run.path(f"state_{k:05d}.vtk"),
-                          scalars={"theta": traj.theta[k], "p": traj.p[k]},
+                          scalars={"theta": traj.theta[k], "p": p},
                           vectors={"u": traj.u[k]},
                           title=f"state level {k}")
     run.write_json("summary.json", {

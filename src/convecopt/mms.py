@@ -12,9 +12,9 @@ the time derivative gives the sin(t) part, diffusion (and the buoyancy
 -theta in f_y) the cos(t) part, and advection the cos(t)^2 part.  The spatial
 parts are written out in closed form (the tests check them against a
 symbolic derivation from the strong-form equations).  `run_level` samples
-them once per grid and builds each step's sources, held from the start of
-the step as the solver expects, and each level's exact field from the three
-time factors.
+them once per grid, and forms each step's sources (held from the start of
+the step, as the solver expects) and each level's exact field only when it
+is read, from the three time factors: the march keeps no source stack.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import Grid, GridConfig, Vec2
-from .boussinesq import PhysicalParams, TimeGrid, SourceData, solve_state
+from .boussinesq import PhysicalParams, TimeGrid, solve_state
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,28 @@ def _time_basis(t):
     return np.stack([np.sin(t), ct, ct * ct], axis=-1)
 
 
-def _combine(basis, parts):
-    """basis (..., 3) times parts (3, *shape): the field at each basis row."""
-    out = basis @ parts.reshape(3, -1)
-    return out.reshape(basis.shape[:-1] + parts.shape[1:])
+class _Levels:
+    """Fields basis[k] . parts formed one time level at a time.
+
+    Each parts array is (3, *shape), the sampled (a, b, c) of one field.
+    Level k of all of them is one product of basis[k] with the parts side
+    by side, split into views; no (nt, ...) stack is built.
+    """
+
+    def __init__(self, basis, *parts):
+        self.basis = basis
+        self.shapes = [p.shape[1:] for p in parts]
+        self.splits = np.cumsum([p[0].size for p in parts])[:-1]
+        self.parts = np.concatenate([p.reshape(3, -1) for p in parts], axis=1)
+
+    def fields(self, k):
+        flat = np.split(self.basis[k] @ self.parts, self.splits)
+        return [a.reshape(s) for a, s in zip(flat, self.shapes)]
+
+    def at(self, k):
+        """(f, h) held on step k, the parts being those of fx, fy and g."""
+        fu, fv, h = self.fields(k)
+        return Vec2(fu, fv), h
 
 
 def _face_parts(grid: Grid, fu: Field, fv: Field):
@@ -143,18 +161,15 @@ def run_level(n, pp: PhysicalParams, case: MMSCase, T=0.1, dt_factor=1.0):
     tg = TimeGrid(T, nt)
     basis = _time_basis(tg.times())
     f = _face_parts(grid, case.fx_fn, case.fy_fn)
-    g = case.g_fn.sample(grid.xc, grid.yc)
-    sources = SourceData(Vec2(_combine(basis[:nt], f.u), _combine(basis[:nt], f.v)),
-                         _combine(basis[:nt], g))
+    sources = _Levels(basis, f.u, f.v, case.g_fn.sample(grid.xc, grid.yc))
     u0, th0 = initial_data(grid, case)
     traj = solve_state(grid, pp, tg, sources, u0, th0)
     ue = _face_parts(grid, case.u_fn, case.v_fn)
-    pairs = ((traj.u.u, ue.u), (traj.u.v, ue.v),
-             (traj.theta, case.th_fn.sample(grid.xc, grid.yc)))
+    exact = _Levels(basis, ue.u, ue.v, case.th_fn.sample(grid.xc, grid.yc))
     err2 = 0.0
     for k in range(1, nt + 1):
-        for stack, parts in pairs:
-            d = (stack[k] - _combine(basis[k], parts)).ravel()
+        for got, want in zip((traj.u.u[k], traj.u.v[k], traj.theta[k]), exact.fields(k)):
+            d = (got - want).ravel()
             err2 += float(d @ d)
     return float(np.sqrt(tg.dt * grid.vol * err2)), nt
 

@@ -1,5 +1,7 @@
 """Forward solver tests: fixed points, energy behavior, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,7 +63,10 @@ def test_zero_data_is_a_bitwise_fixed_point(grid8):
     for k in range(tg.nt + 1):
         assert traj.u[k].max_abs() == 0.0
         assert np.all(traj.theta[k] == 0.0)
-        assert np.all(traj.p[k] == 0.0)
+    for k in range(tg.nt):
+        _, p, _ = step(grid8, pp, tg.dt, traj.u[k], traj.theta[k],
+                       *SourceData().at(k))
+        assert np.all(p == 0.0)
 
 
 def test_unforced_isothermal_flow_loses_energy(grid8):
@@ -211,6 +216,32 @@ def test_data_norm_is_the_energy_report_data_norm(grid8):
         ref = (np.sqrt(tg.dt * f2) + np.sqrt(tg.dt * h2)
                + grid8.norm2(u0) + grid8.norm2(th0))
         assert np.isclose(d, ref, rtol=1e-13, atol=0.0)
+
+
+def test_data_norm_holds_one_level_of_on_demand_sources():
+    # sources formed by at(k) are fresh arrays each step: data_norm must
+    # drop each before asking for the next, never stacking the nt levels
+    g = Grid(GridConfig(32, 32))
+    tg = TimeGrid(1.0, 60)
+    rng = np.random.default_rng(9)
+    f, h = rand_vec2(g, rng), rand_scalar(g, rng)
+
+    class OnDemand:
+        def at(self, k):
+            return f * (1.0 + k), h * (1.0 + k)
+
+    level_bytes = f.u.nbytes + f.v.nbytes + h.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        d = data_norm(g, tg, OnDemand(), g.vec2(), g.scalar())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * level_bytes, peak / level_bytes
+    s2 = sum((1.0 + k) ** 2 for k in range(tg.nt))
+    ref = np.sqrt(tg.dt * s2) * (g.norm2(f) + g.norm2(h))
+    assert np.isclose(d, ref, rtol=1e-13, atol=0.0)
 
 
 def test_energy_report_contents(grid8):

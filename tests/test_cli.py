@@ -175,6 +175,36 @@ def test_tracking_close_config_runs_the_paper_regime(tmp_path, monkeypatch):
     assert so["skipped"] is False and so["margin"] > 0
 
 
+def _vtk_scalar(path, name, nx, ny):
+    lines = path.read_text().splitlines()
+    start = lines.index(f"SCALARS {name} double 1") + 2
+    vals = np.array([float(x) for x in lines[start:start + nx * ny]])
+    return vals.reshape(ny, nx).T
+
+
+def test_snapshot_pressure_is_the_march_pressure(tmp_path):
+    # the trajectory keeps no pressure; snapshots must still carry the one
+    # the march produced at that level, bitwise
+    from convecopt.boussinesq import step
+    from convecopt.config import build_problem
+    from convecopt.objective import Perturbation
+    out = tmp_path / "s"
+    assert main(["solve", "--config", str(TRACKING_CLOSE), "--out", str(out),
+                 "--snapshot-stride", "3"]) == 0
+    cfg = from_dict(json.loads(TRACKING_CLOSE.read_text()))
+    prob = build_problem(cfg, cfg["seed"])
+    g = prob.grid
+    assert np.all(_vtk_scalar(out / "state_00000.vtk", "p", g.nx, g.ny) == 0.0)
+    sources = prob._sources_for(prob.space.zero(), Perturbation())
+    u, th = prob.u0.copy().zero_normal_boundary(), prob.theta0
+    for k in range(3):
+        u, p, th = step(g, prob.phys, prob.tg.dt, u, th, *sources.at(k),
+                        prob.coupling)
+    got = _vtk_scalar(out / "state_00003.vtk", "p", g.nx, g.ny)
+    assert np.abs(got).max() > 0.0
+    assert np.array_equal(got, p)
+
+
 def test_missing_config_file_exit_code(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 

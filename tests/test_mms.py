@@ -3,15 +3,17 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import sympy
 
-from convecopt.grid import Grid, GridConfig
-from convecopt.boussinesq import PhysicalParams
+from convecopt.grid import Grid, GridConfig, Vec2
+from convecopt.boussinesq import PhysicalParams, TimeGrid, SourceData, data_norm
 from convecopt.mms import (build_case, initial_data, run_level,
-                           convergence_study, _eval)
+                           convergence_study, _eval, _time_basis, _face_parts,
+                           _Levels)
 
 
 def test_manufactured_velocity_satisfies_continuity():
@@ -52,6 +54,51 @@ def test_orders_account_for_the_refinement_ratio():
     _, doubling, _ = convergence_study((8, 16, 32))
     _, (order,), _ = convergence_study((8, 32))
     assert abs(order - np.mean(doubling)) <= 0.1
+
+
+def test_run_level_memory_is_bounded_by_the_trajectory():
+    # sources are formed per step and no pressure is stored, so the march
+    # holds little beyond its own (nt+1)-level velocity and temperature
+    n = 32
+    case = build_case(0.05, 0.02)
+    pp = PhysicalParams(0.05, 0.02)
+    run_level(8, pp, case)      # first-call imports and caches stay outside the peak
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, nt = run_level(n, pp, case)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    traj_bytes = (nt + 1) * ((n + 1) * n + n * (n + 1) + n * n) * 8
+    assert peak <= 1.3 * traj_bytes, peak / traj_bytes
+
+
+def _stacked(basis, parts):
+    """All levels of a field in one matrix product, the oracle for _Levels."""
+    return (basis @ parts.reshape(3, -1)).reshape(basis.shape[:-1] + parts.shape[1:])
+
+
+def test_step_sources_match_the_stacked_sources():
+    grid = Grid(GridConfig(12, 9))
+    case = build_case(0.05, 0.02)
+    tg = TimeGrid(0.1, 17)
+    nt = tg.nt
+    basis = _time_basis(tg.times())
+    f = _face_parts(grid, case.fx_fn, case.fy_fn)
+    g = case.g_fn.sample(grid.xc, grid.yc)
+    stacked = SourceData(Vec2(_stacked(basis[:nt], f.u), _stacked(basis[:nt], f.v)),
+                         _stacked(basis[:nt], g))
+    per_step = _Levels(basis, f.u, f.v, g)
+    top = max(np.max(np.abs(p)) for p in (f.u, f.v, g))
+    for k in range(nt):
+        (fs, hs), (fp, hp) = stacked.at(k), per_step.at(k)
+        for want, got in ((fs.u, fp.u), (fs.v, fp.v), (hs, hp)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * top, k
+    u0, th0 = initial_data(grid, case)
+    want = data_norm(grid, tg, stacked, u0, th0)
+    assert abs(data_norm(grid, tg, per_step, u0, th0) - want) <= 1e-13 * want
 
 
 def test_build_case_does_not_load_numpy_extras():
