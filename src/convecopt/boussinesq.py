@@ -49,28 +49,29 @@ class TimeGrid:
 
 @dataclass
 class SourceData:
-    """Body force and heat source, constant in time or one entry per step.
+    """Body force f (a Vec2, face layout) and heat source h (a cell scalar).
 
-    f is a Vec2 (face layout), h a cell scalar; `None` means zero.  A
-    per-step source has nt entries (value held on [t_k, t_{k+1})) stacked on
-    a leading axis; a list of single-level fields is stacked here.
+    The one step-data contract of the forward, tangent and adjoint marches:
+    each reads its sources through at(k).  A field is `None` (zero), one
+    level held on every step, or a per-step sequence indexed by k, a list of
+    levels or a stack on a leading axis.  solve_state and solve_linearized
+    read at(k) on step k (the value held on [t_k, t_{k+1})); solve_adjoint
+    reads at(k + 1), the sources pairing with level k + 1, on the backward
+    step that produces level k, so it never reads level 0.  Any object whose
+    at(k) gives such an (f, h) pair will do.
     """
 
     f: object = None
     h: object = None
 
-    def __post_init__(self):
-        if isinstance(self.f, list):
-            self.f = Vec2(np.stack([f.u for f in self.f]),
-                          np.stack([f.v for f in self.f]))
-        if isinstance(self.h, list):
-            self.h = np.stack(self.h)
-
     def at(self, k):
-        """(f, h) held on step k."""
-        f, h = self.f, self.h
-        return (f if f is None or f.u.ndim == 2 else f[k],
-                h if h is None or h.ndim == 2 else h[k])
+        """(f, h) at index k."""
+        return _entry(self.f, k), _entry(self.h, k)
+
+
+def _entry(a, k):
+    """Entry k of a per-step sequence; a single level or None as it is."""
+    return a if a is None or getattr(a, "ndim", None) == 2 else a[k]
 
 
 @dataclass
@@ -149,9 +150,9 @@ def solve_state(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
     """March the nonlinear system from (u0, theta0) over the full time grid.
 
     Sources must already include any control forcing (see objective module
-    for the control-to-source mapping); any object whose at(k) gives the
-    (f, h) held on step k will do.  Every step ends in check_step, with the
-    bound ENERGY_BOUND * D^2, D = data_norm.
+    for the control-to-source mapping); step k reads sources.at(k), as
+    SourceData describes.  Every step ends in check_step, with the bound
+    ENERGY_BOUND * D^2, D = data_norm.
     """
     grid.check_vec2(u0)
     grid.check_scalar(theta0)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .grid import Vec2, fields_to_vtk
-from .boussinesq import solve_state, step, energy_report
+from .boussinesq import SourceData, solve_state, step, energy_report
 from .objective import Perturbation
 from .optimizer import (projected_gradient, pointwise_sign_check,
                         measure_condition_estimate, adjoint_restriction_samples)
@@ -258,7 +258,6 @@ def cmd_duality(cfg, run, seed, snapshot_stride=0):
         def rs():
             return 0.3 * rng.standard_normal((g.nx, g.ny))
 
-        from .boussinesq import SourceData
         base = solve_state(g, pp, tg, SourceData(rv(), rs()),
                            g.leray_project(rv()), rs())
         res = sen.duality_residual(

@@ -92,6 +92,10 @@ class Vec2:
     u: np.ndarray
     v: np.ndarray
 
+    @property
+    def ndim(self):
+        return self.u.ndim
+
     def __len__(self):
         if self.u.ndim < 3:
             raise TypeError("a single-level Vec2 has no level axis")
@@ -316,54 +320,6 @@ class Grid:
         g.v[:, 1:-1] = _dy(p, self.hy)
         return g
 
-    def laplacian_dirichlet(self, s):
-        """5-point Laplacian, homogeneous Dirichlet via ghost = -interior."""
-        self.check_scalar(s)
-        hx2, hy2 = self.hx ** 2, self.hy ** 2
-        out = -2.0 * s * (1.0 / hx2 + 1.0 / hy2)
-        out[1:, :] += s[:-1, :] / hx2
-        out[:-1, :] += s[1:, :] / hx2
-        out[:, 1:] += s[:, :-1] / hy2
-        out[:, :-1] += s[:, 1:] / hy2
-        # ghost = -interior mirror at the four walls
-        out[0, :] -= s[0, :] / hx2
-        out[-1, :] -= s[-1, :] / hx2
-        out[:, 0] -= s[:, 0] / hy2
-        out[:, -1] -= s[:, -1] / hy2
-        return out
-
-    def laplacian_dirichlet_v(self, w: Vec2):
-        """Componentwise Laplacian of a no-slip velocity field.
-
-        In the direction normal to a wall the component has honest degrees of
-        freedom on the wall (held at zero); tangentially the wall sits half a
-        cell away and is enforced by the mirror ghost.
-        """
-        self.check_vec2(w)
-        hx2, hy2 = self.hx ** 2, self.hy ** 2
-        u, v = w.u, w.v
-        ou = np.zeros_like(u)
-        ui = u[1:-1, :]
-        lap = -2.0 * ui * (1.0 / hx2 + 1.0 / hy2)
-        lap += u[:-2, :] / hx2 + u[2:, :] / hx2
-        tmp = np.zeros_like(ui)
-        tmp[:, 1:] += ui[:, :-1] / hy2
-        tmp[:, :-1] += ui[:, 1:] / hy2
-        tmp[:, 0] -= ui[:, 0] / hy2
-        tmp[:, -1] -= ui[:, -1] / hy2
-        ou[1:-1, :] = lap + tmp
-        ov = np.zeros_like(v)
-        vi = v[:, 1:-1]
-        lap = -2.0 * vi * (1.0 / hx2 + 1.0 / hy2)
-        lap += v[:, :-2] / hy2 + v[:, 2:] / hy2
-        tmp = np.zeros_like(vi)
-        tmp[1:, :] += vi[:-1, :] / hx2
-        tmp[:-1, :] += vi[1:, :] / hx2
-        tmp[0, :] -= vi[0, :] / hx2
-        tmp[-1, :] -= vi[-1, :] / hx2
-        ov[:, 1:-1] = lap + tmp
-        return Vec2(ou, ov)
-
     # -- implicit solves by fast diagonalisation ----------------------------
 
     def _diag_solve(self, kind, inv, rhs):
@@ -558,23 +514,12 @@ class Grid:
 
     # -- cell-vector <-> face injection (control forcing) -------------------
 
-    def inject_cell_vector(self, qx, qy):
-        """Cell-centered vector density interpolated onto interior faces."""
-        out = self.vec2(*qx.shape[:-2])
-        out.u[..., 1:-1, :] = _ax(qx)
-        out.v[..., 1:-1] = _ay(qy)
-        return out
-
-    def restrict_face_vector(self, C: Vec2):
-        """Transpose of inject_cell_vector; face field to cell-centered vector."""
-        return _ax_t(C.u[..., 1:-1, :]), _ay_t(C.v[..., 1:-1])
-
-    # Region versions of the pair above, for densities that vanish off a
-    # region: they touch only the region's bounding box widened by one cell
-    # along the interpolation axis, [a, b), and give the same numbers.
+    # For densities that vanish off a region: they touch only the region's
+    # bounding box widened by one cell along the interpolation axis, [a, b).
 
     def inject_region_vector(self, region: RegionMask, qx, qy):
-        """inject_cell_vector of (..., ncells) values on the region's cells."""
+        """Cell-centered vector density, (..., ncells) values per axis on the
+        region's cells and zero elsewhere, interpolated onto interior faces."""
         lead = qx.shape[:-1]
         out = self.vec2(*lead)
         (i0, i1), (j0, j1) = region.box

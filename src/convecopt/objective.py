@@ -19,8 +19,11 @@ import numpy as np
 
 from .grid import Grid, Vec2, RegionMask
 from .boussinesq import (PhysicalParams, TimeGrid, SourceData, StateTrajectory,
-                         solve_state)
+                         solve_state, _h1_semi_sq)
 from . import sensitivity as sen
+
+# Entries of each per-thread Problem cache (state, adjoint).
+CACHE_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -74,14 +77,6 @@ class ControlSpace:
                        np.zeros((nt, 2, self.mask_q.ncells)),
                        np.zeros((nt, self.mask_h.ncells)))
 
-    def from_vector(self, x):
-        nt = self.tg.nt
-        nq = self.mask_q.ncells
-        nh = self.mask_h.ncells
-        q = x[: nt * 2 * nq].reshape(nt, 2, nq)
-        th = x[nt * 2 * nq:].reshape(nt, nh)
-        return Control(self, q.copy(), th.copy())
-
     @property
     def m_u(self):
         """Largest admissible control magnitude (the paper's box bound)."""
@@ -99,14 +94,8 @@ class Control:
     def copy(self):
         return Control(self.space, self.q.copy(), self.th.copy())
 
-    def as_vector(self):
-        return np.concatenate([self.q.ravel(), self.th.ravel()])
-
     def axpy(self, a, other):
         return Control(self.space, self.q + a * other.q, self.th + a * other.th)
-
-    def scale(self, a):
-        return Control(self.space, a * self.q, a * self.th)
 
     def dot_l2(self, other):
         """L2(Q) control-space inner product (dt and cell-volume weighted)."""
@@ -114,20 +103,9 @@ class Control:
         return w * (float(np.dot(self.q.ravel(), other.q.ravel()))
                     + float(np.dot(self.th.ravel(), other.th.ravel())))
 
-    def norm_l2(self):
-        return float(np.sqrt(self.dot_l2(self)))
-
     def norm_l1(self):
         w = self.space.tg.dt * self.space.grid.vol
         return w * (float(np.abs(self.q).sum()) + float(np.abs(self.th).sum()))
-
-    def norm_linf(self):
-        m = 0.0
-        if self.q.size:
-            m = max(m, float(np.abs(self.q).max()))
-        if self.th.size:
-            m = max(m, float(np.abs(self.th).max()))
-        return m
 
     def is_admissible(self, tol=0.0):
         sp = self.space
@@ -218,7 +196,6 @@ class Perturbation:
         control tilt eps * rho when the reference control is supplied, else
         as the raw weights.
         """
-        from .boussinesq import _h1_semi_sq
         total = 0.0
         if self.f_hat is not None:
             total += grid.norm_lp(self.f_hat, s)
@@ -267,7 +244,7 @@ class Problem:
     (f_hat, h_hat, u0_hat, th0_hat); an adjoint also on its objective tilts
     and target shifts (eta_u, eta_th, u_d_hat, th_d_hat).  Control tilts
     (sigma, lam) and Tikhonov weights change neither, so they reuse both.
-    Each thread keeps its own least-recently-used caches of cache_size
+    Each thread keeps its own least-recently-used caches of CACHE_SIZE
     entries, so the threads of a parallel stability sweep share no mutable
     state and none evicts another's entries.
     """
@@ -282,7 +259,6 @@ class Problem:
     u0: Vec2 | None = None
     theta0: np.ndarray | None = None
     coupling: bool = True
-    cache_size: int = 2
 
     def __post_init__(self):
         if self.u0 is None:
@@ -304,10 +280,10 @@ class Problem:
         return None
 
     def _remember(self, kind, key, value):
-        """Insert, evicting the least recently used beyond cache_size."""
+        """Insert, evicting the least recently used beyond CACHE_SIZE."""
         cache = self._cache(kind)
         cache[key] = value
-        while len(cache) > self.cache_size:
+        while len(cache) > CACHE_SIZE:
             cache.popitem(last=False)
         return value
 
@@ -432,7 +408,8 @@ class Problem:
         wT = w.beta1 * duT if w.beta1 else None
         psiT = w.beta2 * dthT if w.beta2 else None
         adj = sen.solve_adjoint(self.grid, self.phys, self.tg, traj,
-                                rhsF, rhsG, wT, psiT, coupling=self.coupling)
+                                SourceData(rhsF, rhsG), wT, psiT,
+                                coupling=self.coupling)
         return self._remember("adjoint", key, adj)
 
     def grad_J(self, ctrl: Control, pert: Perturbation | None = None) -> Control:
@@ -463,9 +440,9 @@ class Problem:
                 pert: Perturbation | None = None) -> sen.LinTrajectory:
         pert = pert or _zero_pert()
         traj = self.state(ctrl, pert)
-        dF, dG = delta.source_fields()
         return sen.solve_linearized(self.grid, self.phys, self.tg, traj,
-                                    dF, dG, coupling=self.coupling)
+                                    SourceData(*delta.source_fields()),
+                                    coupling=self.coupling)
 
     def second_variation(self, ctrl: Control, delta: Control,
                          pert: Perturbation | None = None,

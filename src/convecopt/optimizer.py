@@ -65,11 +65,6 @@ def kkt_residual_from_grad(ctrl: Control, grad: Control) -> float:
     return diff.norm_l1() / (1.0 + grad.norm_l1())
 
 
-def kkt_residual(prob: Problem, ctrl: Control,
-                 pert: Perturbation | None = None) -> float:
-    return kkt_residual_from_grad(ctrl, prob.grad_J(ctrl, pert))
-
-
 def bang_bang_fraction(ctrl: Control, band: float | None = None):
     """Fraction of control mass within `band` of either bound, per component.
 

@@ -1,4 +1,4 @@
-"""Tangent, second-derivative, and discrete adjoint solvers.
+"""Tangent and discrete adjoint solvers.
 
 The forward step is the composition  x_{k+1} = (P D P) E_k(x_k)  where E_k is
 the explicit stage around the base state at level k, D the implicit diffusion
@@ -7,7 +7,10 @@ solve, and P the Leray projection (the heat part omits P).  The P D P block is
 solvers apply it unchanged.  The tangent solver applies the exact Frechet
 derivative of the composition; the adjoint solver applies its exact
 transpose, term by term, so the discrete duality identity holds to
-roundoff.  No automatic differentiation is involved: the transposed advection
+roundoff.  Both marches take their right-hand sides as `solve_state` does,
+one `sources` object read through at(k) (see `boussinesq.SourceData`): the
+tangent step k reads at(k), the backward step that produces level k reads
+at(k + 1).  No automatic differentiation is involved: the transposed advection
 terms are the stencil transposes from the grid module, which is where the
 (grad u)^T w and Psi grad(theta) structure of the continuous adjoint system
 comes out.
@@ -29,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, Vec2
-from .boussinesq import PhysicalParams, TimeGrid, StateTrajectory, implicit_block, check_step
+from .boussinesq import (PhysicalParams, TimeGrid, SourceData, StateTrajectory,
+                         implicit_block, check_step)
 
 
 @dataclass
@@ -64,12 +68,6 @@ def _check_compat(tg: TimeGrid, base: StateTrajectory):
     u, v = base.u.u, base.u.v
     if u[:, 0].any() or u[:, -1].any() or v[:, :, 0].any() or v[:, :, -1].any():
         raise ValueError("base trajectory has nonzero boundary-normal faces")
-
-
-def _at(seq, k):
-    if seq is None:
-        return None
-    return seq[k]
 
 
 def tangent_explicit(grid: Grid, pp: PhysicalParams, uk: Vec2, thk,
@@ -110,10 +108,11 @@ def tangent_explicit_t(grid: Grid, pp: PhysicalParams, uk: Vec2, thk,
 
 
 def solve_linearized(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
-                     base: StateTrajectory, rhsF=None, rhsG=None,
+                     base: StateTrajectory, sources: SourceData,
                      v0: Vec2 | None = None, theta0=None,
                      coupling=True) -> LinTrajectory:
-    """Tangent solve: rhsF/rhsG hold one entry per step (k = 0..nt-1)."""
+    """Tangent march from (v0, theta0), `None` meaning zero; step k reads
+    sources.at(k), k = 0..nt-1, as solve_state does."""
     _check_compat(tg, base)
     dt = tg.dt
     lin = LinTrajectory(grid.vec2(tg.nt + 1), grid.scalar(tg.nt + 1))
@@ -125,7 +124,7 @@ def solve_linearized(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
     for k in range(tg.nt):
         vs, ts = tangent_explicit(grid, pp, base.u[k], base.theta[k],
                                   lin.v[k], lin.theta[k], dt,
-                                  _at(rhsF, k), _at(rhsG, k), coupling)
+                                  *sources.at(k), coupling)
         lin.v[k + 1], _, lin.theta[k + 1] = implicit_block(grid, pp, dt, vs, ts)
         check_step(grid, k + 1, lin.v[k + 1], lin.theta[k + 1])
     return lin
@@ -134,7 +133,9 @@ def solve_linearized(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
 def second_rhs(grid: Grid, lin1: LinTrajectory, lin2: LinTrajectory, nt):
     """Symmetrized bilinear right-hand sides for the second derivative.
 
-    Returns (F, G) stacked over the steps k = 0..nt-1.  When lin1 is lin2
+    Returns (F, G) stacked over the steps k = 0..nt-1; solve_linearized
+    with SourceData(F, G) and zero initial data gives the second derivative
+    of the control-to-state map along (lin1, lin2).  When lin1 is lin2
     (every second variation) the two terms of each sum are the same call,
     so it is made once.
     """
@@ -151,32 +152,16 @@ def second_rhs(grid: Grid, lin1: LinTrajectory, lin2: LinTrajectory, nt):
     return rhsF, rhsG
 
 
-def solve_second(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
-                 base: StateTrajectory, lin1: LinTrajectory,
-                 lin2: LinTrajectory, coupling=True) -> LinTrajectory:
-    """Second derivative of the control-to-state map along (lin1, lin2).
-
-    Solves the linearized system with the bilinear advection sources built
-    from the two tangent trajectories; symmetric in its two arguments by
-    construction of the right-hand side.
-    """
-    _check_compat(tg, base)
-    if len(lin1.v) != len(base.u) or len(lin2.v) != len(base.u):
-        raise ValueError("tangent trajectories do not match the base")
-    rhsF, rhsG = second_rhs(grid, lin1, lin2, tg.nt)
-    return solve_linearized(grid, pp, tg, base, rhsF, rhsG, coupling=coupling)
-
-
 def solve_adjoint(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
-                  base: StateTrajectory, rhsF=None, rhsG=None,
+                  base: StateTrajectory, sources: SourceData,
                   wT: Vec2 | None = None, psiT=None,
                   coupling=True) -> AdjointTrajectory:
     """Backward sweep applying the exact transpose of the tangent step.
 
-    rhsF/rhsG hold one entry per time level (index k = 1..nt used; index 0
-    ignored), pairing against the tangent state at the same level.  Terminal
-    velocity data that are not discretely divergence-free are projected with
-    a warning.
+    sources.at(k) pairs against the tangent state at level k; the step that
+    produces level k reads at(k + 1), k = nt-1..0, so level 0 is never read.
+    Terminal velocity data that are not discretely divergence-free are
+    projected with a warning.
     """
     _check_compat(tg, base)
     dt = tg.dt
@@ -195,8 +180,7 @@ def solve_adjoint(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
     lu, lt = wT, psiT
     for k in range(nt - 1, -1, -1):
         # sources pairing against the tangent state at level k + 1
-        fk = _at(rhsF, k + 1)
-        gk = _at(rhsG, k + 1)
+        fk, gk = sources.at(k + 1)
         if fk is not None:
             lu = lu + dt * fk
         if gk is not None:
@@ -221,16 +205,18 @@ def duality_residual(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
 
     LHS pairs the tangent trajectory against the adjoint sources and terminal
     data; RHS pairs the tangent sources and initial data against the adjoint
-    sweep output.  Both sides are evaluated independently.
+    sweep output.  Both sides are evaluated independently.  The tangent
+    sources tanF/tanG and adjoint sources adjF/adjG are the fields of a
+    SourceData each (adjoint level 0 is never read).
     """
     dt = tg.dt
     nt = tg.nt
-    lin = solve_linearized(grid, pp, tg, base, tanF, tanG, v0, theta0, coupling)
-    adj = solve_adjoint(grid, pp, tg, base, adjF, adjG, wT, psiT, coupling)
+    tan, adj_src = SourceData(tanF, tanG), SourceData(adjF, adjG)
+    lin = solve_linearized(grid, pp, tg, base, tan, v0, theta0, coupling)
+    adj = solve_adjoint(grid, pp, tg, base, adj_src, wT, psiT, coupling)
     lhs = 0.0
     for k in range(1, nt + 1):
-        fk = _at(adjF, k)
-        gk = _at(adjG, k)
+        fk, gk = adj_src.at(k)
         if fk is not None:
             lhs += dt * grid.inner(fk, lin.v[k])
         if gk is not None:
@@ -239,8 +225,7 @@ def duality_residual(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
     lhs += grid.inner(lin.theta[nt], adj.psi[nt])
     rhs = 0.0
     for k in range(nt):
-        fk = _at(tanF, k)
-        gk = _at(tanG, k)
+        fk, gk = tan.at(k)
         if fk is not None:
             rhs += dt * grid.inner(adj.w[k], fk)
         if gk is not None:

@@ -17,7 +17,7 @@ import numpy as np
 from .grid import Grid, Vec2
 from .objective import Control, Perturbation, Problem
 from .optimizer import (OptOptions, OptResult, projected_gradient,
-                        kkt_residual_from_grad, loglog_fit,
+                        project_box, kkt_residual_from_grad, loglog_fit,
                         measure_condition_estimate, adjoint_restriction_samples)
 
 
@@ -441,7 +441,6 @@ def growth_probe(prob: Problem, ctrl_star: Control, n_samples, radius_grid,
             continue
         ratios = []
         for d, kind, _ in dirs:
-            from .optimizer import project_box
             cand = project_box(ctrl_star.axpy(r, d))
             delta = cand.axpy(-1.0, ctrl_star)
             dl1 = delta.norm_l1()
@@ -519,7 +518,6 @@ def second_order_stability_check(prob: Problem, ctrl_star: Control,
     degr = adjoint_gradient_gap(prob, adj_hat, adj_star)
     rng = np.random.default_rng(seed)
     dirs = _random_directions(prob, rho_hat, n_samples, rng)
-    from .optimizer import project_box
     ratios = []
     samples = []
     for d, kind, _ in dirs:

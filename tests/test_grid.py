@@ -72,6 +72,73 @@ def operator_matrix(apply_fn, shape_in, shape_out):
     return M
 
 
+# Vectorized oracles with no use outside the tests: the implicit solves
+# invert I - coef * laplacian_dirichlet(_v), and the region injection pair
+# must reproduce the full-grid pair inject_cell_vector/restrict_face_vector.
+
+def laplacian_dirichlet(grid, s):
+    """5-point Laplacian, homogeneous Dirichlet via ghost = -interior."""
+    grid.check_scalar(s)
+    hx2, hy2 = grid.hx ** 2, grid.hy ** 2
+    out = -2.0 * s * (1.0 / hx2 + 1.0 / hy2)
+    out[1:, :] += s[:-1, :] / hx2
+    out[:-1, :] += s[1:, :] / hx2
+    out[:, 1:] += s[:, :-1] / hy2
+    out[:, :-1] += s[:, 1:] / hy2
+    # ghost = -interior mirror at the four walls
+    out[0, :] -= s[0, :] / hx2
+    out[-1, :] -= s[-1, :] / hx2
+    out[:, 0] -= s[:, 0] / hy2
+    out[:, -1] -= s[:, -1] / hy2
+    return out
+
+
+def laplacian_dirichlet_v(grid, w):
+    """Componentwise Laplacian of a no-slip velocity field.
+
+    In the direction normal to a wall the component has honest degrees of
+    freedom on the wall (held at zero); tangentially the wall sits half a
+    cell away and is enforced by the mirror ghost.
+    """
+    grid.check_vec2(w)
+    hx2, hy2 = grid.hx ** 2, grid.hy ** 2
+    u, v = w.u, w.v
+    ou = np.zeros_like(u)
+    ui = u[1:-1, :]
+    lap = -2.0 * ui * (1.0 / hx2 + 1.0 / hy2)
+    lap += u[:-2, :] / hx2 + u[2:, :] / hx2
+    tmp = np.zeros_like(ui)
+    tmp[:, 1:] += ui[:, :-1] / hy2
+    tmp[:, :-1] += ui[:, 1:] / hy2
+    tmp[:, 0] -= ui[:, 0] / hy2
+    tmp[:, -1] -= ui[:, -1] / hy2
+    ou[1:-1, :] = lap + tmp
+    ov = np.zeros_like(v)
+    vi = v[:, 1:-1]
+    lap = -2.0 * vi * (1.0 / hx2 + 1.0 / hy2)
+    lap += v[:, :-2] / hy2 + v[:, 2:] / hy2
+    tmp = np.zeros_like(vi)
+    tmp[1:, :] += vi[:-1, :] / hx2
+    tmp[:-1, :] += vi[1:, :] / hx2
+    tmp[0, :] -= vi[0, :] / hx2
+    tmp[-1, :] -= vi[-1, :] / hx2
+    ov[:, 1:-1] = lap + tmp
+    return Vec2(ou, ov)
+
+
+def inject_cell_vector(grid, qx, qy):
+    """Cell-centered vector density interpolated onto interior faces."""
+    out = grid.vec2(*qx.shape[:-2])
+    out.u[..., 1:-1, :] = _ax(qx)
+    out.v[..., 1:-1] = _ay(qy)
+    return out
+
+
+def restrict_face_vector(C):
+    """Transpose of inject_cell_vector; face field to cell-centered vector."""
+    return _ax_t(C.u[..., 1:-1, :]), _ay_t(C.v[..., 1:-1])
+
+
 # ---------------------------------------------------------------------------
 # stencil primitives
 # ---------------------------------------------------------------------------
@@ -227,7 +294,7 @@ def test_gradient_is_negative_transpose_of_divergence(grid_rect):
 def test_laplacian_matches_dense_oracle(grid_rect):
     rng = np.random.default_rng(5)
     s = rand_scalar(grid_rect, rng)
-    assert np.allclose(grid_rect.laplacian_dirichlet(s),
+    assert np.allclose(laplacian_dirichlet(grid_rect, s),
                        laplacian_dirichlet_dense(grid_rect, s), atol=1e-12)
 
 
@@ -239,7 +306,7 @@ def test_laplacian_eigenfunction_refinement_order():
         X, Y = np.meshgrid(g.xc, g.yc, indexing="ij")
         s = np.sin(np.pi * X) * np.sin(np.pi * Y)
         exact = -2 * np.pi ** 2 * s
-        errs.append(g.norm2(g.laplacian_dirichlet(s) - exact))
+        errs.append(g.norm2(laplacian_dirichlet(g, s) - exact))
     orders = [np.log2(errs[i - 1] / errs[i]) for i in (1, 2)]
     assert min(orders) > 1.9
 
@@ -249,11 +316,11 @@ def test_helmholtz_solver_inverts_operator(grid_rect):
     coef = 0.01
     s = rand_scalar(grid_rect, rng)
     sol = grid_rect.helmholtz_solve_scalar(coef, s)
-    back = sol - coef * grid_rect.laplacian_dirichlet(sol)
+    back = sol - coef * laplacian_dirichlet(grid_rect, sol)
     assert np.allclose(back, s, atol=1e-11)
     w = rand_vec2(grid_rect, rng)
     solv = grid_rect.helmholtz_solve_vec(coef, w)
-    lap = grid_rect.laplacian_dirichlet_v(solv)
+    lap = laplacian_dirichlet_v(grid_rect, solv)
     backv = Vec2(solv.u - coef * lap.u, solv.v - coef * lap.v)
     assert np.allclose(backv.u[1:-1, :], w.u[1:-1, :], atol=1e-11)
     assert np.allclose(backv.v[:, 1:-1], w.v[:, 1:-1], atol=1e-11)
@@ -294,7 +361,7 @@ def face_operator(grid, comp):
     def apply(x):
         w = grid.vec2()
         getattr(w, comp)[inner] = x
-        return getattr(grid.laplacian_dirichlet_v(w), comp)[inner]
+        return getattr(laplacian_dirichlet_v(grid, w), comp)[inner]
 
     return operator_matrix(apply, shape, shape)
 
@@ -305,7 +372,8 @@ def test_helmholtz_solves_match_dense_oracle(cfg):
     rng = np.random.default_rng(30)
     coef = 0.03
     shape = (g.nx, g.ny)
-    A = np.eye(g.nx * g.ny) - coef * operator_matrix(g.laplacian_dirichlet, shape, shape)
+    A = np.eye(g.nx * g.ny) - coef * operator_matrix(lambda s: laplacian_dirichlet(g, s),
+                                                     shape, shape)
     s = rand_scalar(g, rng)
     ref = np.linalg.solve(A, s.ravel()).reshape(shape)
     assert rel_err(g.helmholtz_solve_scalar(coef, s), ref) <= 1e-12
@@ -520,12 +588,13 @@ def test_buoyancy_transpose(grid_rect):
 
 def test_inject_restrict_transpose(grid_rect):
     rng = np.random.default_rng(22)
-    qx = rand_scalar(grid_rect, rng)
-    qy = rand_scalar(grid_rect, rng)
+    region = grid_rect.rect_mask(0.1, 0.6, 0.1, 0.3)
+    qx = rng.standard_normal(region.ncells)
+    qy = rng.standard_normal(region.ncells)
     C = rand_vec2(grid_rect, rng)
-    lhs = grid_rect.inner(grid_rect.inject_cell_vector(qx, qy), C)
-    rx, ry = grid_rect.restrict_face_vector(C)
-    rhs = grid_rect.inner(qx, rx) + grid_rect.inner(qy, ry)
+    lhs = grid_rect.inner(grid_rect.inject_region_vector(region, qx, qy), C)
+    rx, ry = grid_rect.restrict_region_vector(region, C)
+    rhs = grid_rect.vol * (np.dot(qx, rx) + np.dot(qy, ry))
     assert np.isclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
 
@@ -545,21 +614,22 @@ def test_region_injection_matches_full_grid_oracle(grid_rect, rect):
         full_x, full_y = np.zeros(lead + (g.nx, g.ny)), np.zeros(lead + (g.nx, g.ny))
         full_x[..., region.ii, region.jj] = qx
         full_y[..., region.ii, region.jj] = qy
-        f, ref = g.inject_region_vector(region, qx, qy), g.inject_cell_vector(full_x, full_y)
+        f, ref = g.inject_region_vector(region, qx, qy), inject_cell_vector(g, full_x, full_y)
         assert f.u.tobytes() == ref.u.tobytes() and f.v.tobytes() == ref.v.tobytes()
         # nonzero wall faces: restriction must ignore them, as the oracle does
         C = Vec2(rng.standard_normal(lead + (g.nx + 1, g.ny)),
                  rng.standard_normal(lead + (g.nx, g.ny + 1)))
         rx, ry = g.restrict_region_vector(region, C)
-        ox, oy = g.restrict_face_vector(C)
+        ox, oy = restrict_face_vector(C)
         assert rx.tobytes() == ox[..., region.ii, region.jj].tobytes()
         assert ry.tobytes() == oy[..., region.ii, region.jj].tobytes()
 
 
 def test_injection_keeps_boundary_faces_zero(grid_rect):
     rng = np.random.default_rng(23)
-    f = grid_rect.inject_cell_vector(rand_scalar(grid_rect, rng),
-                                     rand_scalar(grid_rect, rng))
+    region = grid_rect.rect_mask(0.0, 1.0, 0.0, 0.5)    # every cell
+    f = grid_rect.inject_region_vector(region, rng.standard_normal(region.ncells),
+                                       rng.standard_normal(region.ncells))
     assert np.all(f.u[0, :] == 0) and np.all(f.u[-1, :] == 0)
     assert np.all(f.v[:, 0] == 0) and np.all(f.v[:, -1] == 0)
 

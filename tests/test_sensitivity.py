@@ -5,9 +5,9 @@ import pytest
 
 from convecopt.grid import Grid, GridConfig, Vec2, NumericalFailure
 from convecopt.boussinesq import PhysicalParams, TimeGrid, SourceData, solve_state
-from convecopt.sensitivity import (solve_linearized, solve_second,
-                                   solve_adjoint, duality_residual,
-                                   second_rhs, tangent_explicit_t)
+from convecopt.sensitivity import (solve_linearized, solve_adjoint,
+                                   duality_residual, second_rhs,
+                                   tangent_explicit_t)
 
 from conftest import rand_scalar, rand_vec2, rand_div_free
 
@@ -38,13 +38,13 @@ def test_tangent_is_linear(grid8):
     a, b = 2.0, -0.7
     comb = solve_linearized(
         grid8, pp, tg, base,
-        [Vec2(a * f1.u + b * f2.u, a * f1.v + b * f2.v)
-         for f1, f2 in zip(dF1, dF2)],
-        [a * g1 + b * g2 for g1, g2 in zip(dG1, dG2)],
+        SourceData([Vec2(a * f1.u + b * f2.u, a * f1.v + b * f2.v)
+                    for f1, f2 in zip(dF1, dF2)],
+                   [a * g1 + b * g2 for g1, g2 in zip(dG1, dG2)]),
         Vec2(a * v01.u + b * v02.u, a * v01.v + b * v02.v),
         a * t01 + b * t02)
-    l1 = solve_linearized(grid8, pp, tg, base, dF1, dG1, v01, t01)
-    l2 = solve_linearized(grid8, pp, tg, base, dF2, dG2, v02, t02)
+    l1 = solve_linearized(grid8, pp, tg, base, SourceData(dF1, dG1), v01, t01)
+    l2 = solve_linearized(grid8, pp, tg, base, SourceData(dF2, dG2), v02, t02)
     for k in range(tg.nt + 1):
         ref_v = Vec2(a * l1.v[k].u + b * l2.v[k].u,
                      a * l1.v[k].v + b * l2.v[k].v)
@@ -55,7 +55,7 @@ def test_tangent_is_linear(grid8):
 
 def test_tangent_zero_input_gives_zero(grid8):
     pp, tg, _, _, _, base, _ = base_setup(grid8)
-    lin = solve_linearized(grid8, pp, tg, base)
+    lin = solve_linearized(grid8, pp, tg, base, SourceData())
     for k in range(tg.nt + 1):
         assert lin.v[k].max_abs() == 0.0
         assert np.all(lin.theta[k] == 0.0)
@@ -66,7 +66,7 @@ def test_temperature_tangent_couples_into_velocity(grid8):
     # the buoyancy term of the linearization
     pp, tg, _, _, _, base, rng = base_setup(grid8)
     dG = [rand_scalar(grid8, rng) for _ in range(tg.nt)]
-    lin = solve_linearized(grid8, pp, tg, base, None, dG)
+    lin = solve_linearized(grid8, pp, tg, base, SourceData(None, dG))
     assert lin.v[-1].max_abs() > 0
 
 
@@ -74,7 +74,7 @@ def test_tangent_taylor_rate(grid8):
     # |S(m + t d) - S(m) - t S'(m) d| = O(t^2) in the combined state norm
     pp, tg, src, u0, th0, base, rng = base_setup(grid8)
     dF, dG, dv0, dth0 = perturb_inputs(grid8, tg, rng, 0.5)
-    lin = solve_linearized(grid8, pp, tg, base, dF, dG, dv0, dth0)
+    lin = solve_linearized(grid8, pp, tg, base, SourceData(dF, dG), dv0, dth0)
     rems = []
     ts = [1e-1, 1e-2, 1e-3]
     for t in ts:
@@ -96,8 +96,11 @@ def test_tangent_taylor_rate(grid8):
 def test_second_derivative_taylor_rate(grid8):
     pp, tg, src, u0, th0, base, rng = base_setup(grid8)
     dF, dG, dv0, dth0 = perturb_inputs(grid8, tg, rng, 0.5)
-    lin = solve_linearized(grid8, pp, tg, base, dF, dG, dv0, dth0)
-    sec = solve_second(grid8, pp, tg, base, lin, lin)
+    lin = solve_linearized(grid8, pp, tg, base, SourceData(dF, dG), dv0, dth0)
+    # the second derivative solves the tangent system with the bilinear
+    # advection sources of the first-order tangent
+    sec = solve_linearized(grid8, pp, tg, base,
+                           SourceData(*second_rhs(grid8, lin, lin, tg.nt)))
     rems = []
     ts = [1e-1, 3e-2, 1e-2]
     for t in ts:
@@ -122,10 +125,12 @@ def test_second_solver_is_symmetric(grid8):
     pp, tg, _, _, _, base, rng = base_setup(grid8)
     dF1, dG1, v01, t01 = perturb_inputs(grid8, tg, rng)
     dF2, dG2, v02, t02 = perturb_inputs(grid8, tg, rng)
-    l1 = solve_linearized(grid8, pp, tg, base, dF1, dG1, v01, t01)
-    l2 = solve_linearized(grid8, pp, tg, base, dF2, dG2, v02, t02)
-    s12 = solve_second(grid8, pp, tg, base, l1, l2)
-    s21 = solve_second(grid8, pp, tg, base, l2, l1)
+    l1 = solve_linearized(grid8, pp, tg, base, SourceData(dF1, dG1), v01, t01)
+    l2 = solve_linearized(grid8, pp, tg, base, SourceData(dF2, dG2), v02, t02)
+    s12 = solve_linearized(grid8, pp, tg, base,
+                           SourceData(*second_rhs(grid8, l1, l2, tg.nt)))
+    s21 = solve_linearized(grid8, pp, tg, base,
+                           SourceData(*second_rhs(grid8, l2, l1, tg.nt)))
     for k in range(tg.nt + 1):
         assert (s12.v[k] - s21.v[k]).max_abs() <= 1e-12
         assert np.max(np.abs(s12.theta[k] - s21.theta[k])) <= 1e-12
@@ -134,7 +139,7 @@ def test_second_solver_is_symmetric(grid8):
 def test_second_rhs_of_one_tangent_is_the_two_call_form_bitwise(grid_rect):
     pp, tg, _, _, _, base, rng = base_setup(grid_rect)
     dF, dG, dv0, dth0 = perturb_inputs(grid_rect, tg, rng)
-    lin = solve_linearized(grid_rect, pp, tg, base, dF, dG, dv0, dth0)
+    lin = solve_linearized(grid_rect, pp, tg, base, SourceData(dF, dG), dv0, dth0)
     rhsF, rhsG = second_rhs(grid_rect, lin, lin, tg.nt)
     g = grid_rect
     for k in range(tg.nt):
@@ -146,12 +151,64 @@ def test_second_rhs_of_one_tangent_is_the_two_call_form_bitwise(grid_rect):
         assert rhsG[k].tobytes() == refG.tobytes()
 
 
+class OnDemandSources:
+    """Only at(k): forms level k's fields when asked, from a seed per level,
+    and fails on any level outside `levels`."""
+
+    def __init__(self, grid, seed, levels):
+        self.grid, self.seed, self.levels = grid, seed, levels
+
+    def at(self, k):
+        if k not in self.levels:
+            raise IndexError(f"level {k} read")
+        rng = np.random.default_rng(self.seed + k)
+        return rand_vec2(self.grid, rng), rand_scalar(self.grid, rng)
+
+
+def three_kinds_of_sources(grid, seed, levels):
+    """The same sources as SourceData over lists, over stacked arrays, and as
+    an OnDemandSources; levels the march must not read are None or zero."""
+    lazy = OnDemandSources(grid, seed, levels)
+    n = max(levels) + 1
+    f = [lazy.at(k)[0] if k in levels else None for k in range(n)]
+    h = [lazy.at(k)[1] if k in levels else None for k in range(n)]
+    stacked = SourceData(grid.vec2(n), grid.scalar(n))
+    for k in levels:
+        stacked.f[k], stacked.h[k] = f[k], h[k]
+    return SourceData(f, h), stacked, lazy
+
+
+def bits(*fields):
+    """The bytes of every array of the given Vec2 and array fields."""
+    return [a.tobytes() for f in fields
+            for a in ((f.u, f.v) if isinstance(f, Vec2) else (f,))]
+
+
+def test_tangent_and_adjoint_read_lists_stacks_and_on_demand_sources_alike(grid_rect):
+    # one contract: the tangent reads at(0..nt-1), the adjoint at(1..nt),
+    # and neither cares how the levels are held
+    pp, tg, _, _, _, base, rng = base_setup(grid_rect)
+    v0, th0 = rand_div_free(grid_rect, rng), rand_scalar(grid_rect, rng)
+    lins = [solve_linearized(grid_rect, pp, tg, base, src, v0, th0)
+            for src in three_kinds_of_sources(grid_rect, 50, range(tg.nt))]
+    wT, psiT = rand_div_free(grid_rect, rng), rand_scalar(grid_rect, rng)
+    adjs = [solve_adjoint(grid_rect, pp, tg, base, src, wT, psiT)
+            for src in three_kinds_of_sources(grid_rect, 60, range(1, tg.nt + 1))]
+    assert lins[0].v.max_abs() > 0 and adjs[0].w.max_abs() > 0
+    for lin in lins[1:]:
+        assert bits(lin.v, lin.theta) == bits(lins[0].v, lins[0].theta)
+    ref = adjs[0]
+    for adj in adjs[1:]:
+        assert (bits(adj.w, adj.psi, adj.lam0_u, adj.lam0_t)
+                == bits(ref.w, ref.psi, ref.lam0_u, ref.lam0_t))
+
+
 def test_adjoint_carriers_are_divergence_free(grid8):
     pp, tg, _, _, _, base, rng = base_setup(grid8)
     adjF = [None] + [rand_vec2(grid8, rng) for _ in range(tg.nt)]
     adjG = [None] + [rand_scalar(grid8, rng) for _ in range(tg.nt)]
     wT = rand_div_free(grid8, rng)
-    adj = solve_adjoint(grid8, pp, tg, base, adjF, adjG, wT,
+    adj = solve_adjoint(grid8, pp, tg, base, SourceData(adjF, adjG), wT,
                         rand_scalar(grid8, rng))
     for k in range(tg.nt + 1):
         assert grid8.norm_lp(grid8.divergence(adj.w[k]), np.inf) <= 1e-10
@@ -161,7 +218,7 @@ def test_adjoint_projects_divergent_terminal_data_with_warning(grid8):
     pp, tg, _, _, _, base, rng = base_setup(grid8)
     wT = rand_vec2(grid8, rng)     # generically divergent
     with pytest.warns(UserWarning, match="divergence-free"):
-        adj = solve_adjoint(grid8, pp, tg, base, wT=wT)
+        adj = solve_adjoint(grid8, pp, tg, base, SourceData(), wT=wT)
     assert grid8.norm_lp(grid8.divergence(adj.w[-1]), np.inf) <= 1e-10
 
 
@@ -206,7 +263,7 @@ def test_adjoint_rejects_mismatched_base(grid8):
     pp, tg, _, _, _, base, _ = base_setup(grid8)
     bad_tg = TimeGrid(tg.T, tg.nt + 1)
     with pytest.raises(ValueError):
-        solve_adjoint(grid8, pp, bad_tg, base)
+        solve_adjoint(grid8, pp, bad_tg, base, SourceData())
 
 
 def explicit_t_four_transposes(grid, pp, uk, thk, w, psi, dt):
@@ -245,7 +302,7 @@ def test_adjoint_rejects_base_with_nonzero_normal_faces(grid8, face):
     {"west": u[3, 0], "east": u[3, -1],
      "south": v[3, :, 0], "north": v[3, :, -1]}[face][2] = 1e-3
     with pytest.raises(ValueError, match="boundary-normal"):
-        solve_adjoint(grid8, pp, tg, base)
+        solve_adjoint(grid8, pp, tg, base, SourceData())
 
 
 @pytest.mark.parametrize("k", [1, 5])
@@ -255,7 +312,7 @@ def test_nan_in_a_tangent_source_names_its_step(grid8, k):
     dF, dG, dv0, dth0 = perturb_inputs(grid8, tg, rng)
     dG[k - 1][2, 3] = np.nan
     with pytest.raises(NumericalFailure, match=f"^step {k}: energy"):
-        solve_linearized(grid8, pp, tg, base, dF, dG, dv0, dth0)
+        solve_linearized(grid8, pp, tg, base, SourceData(dF, dG), dv0, dth0)
 
 
 @pytest.mark.parametrize("k", [0, 4])
@@ -265,4 +322,4 @@ def test_nan_in_an_adjoint_source_names_its_step(grid8, k):
     adjF = [None] + [rand_vec2(grid8, rng) for _ in range(tg.nt)]
     adjF[k + 1].u[3, 2] = np.nan
     with pytest.raises(NumericalFailure, match=f"^step {k}: energy"):
-        solve_adjoint(grid8, pp, tg, base, adjF)
+        solve_adjoint(grid8, pp, tg, base, SourceData(adjF))
