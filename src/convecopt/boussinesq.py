@@ -21,6 +21,7 @@ class PhysicalParams:
     nu: float
     kappa: float
     buoyancy_dir: tuple = (0.0, 1.0)
+    coupling: bool = True   # advection on; the three marches all read it here
 
     def __post_init__(self):
         if self.nu <= 0 or self.kappa <= 0:
@@ -108,11 +109,11 @@ def check_step(grid: Grid, k, u: Vec2, theta, bound=np.inf):
 
 
 def step_explicit(grid: Grid, pp: PhysicalParams, u: Vec2, theta, dt,
-                  f: Vec2 | None, h, coupling=True):
+                  f: Vec2 | None, h):
     """Explicit stage of one IMEX step; returns tentative (u*, theta*)."""
     us = u + dt * grid.buoyancy(theta, pp.buoyancy_dir)
     ts = theta.copy()
-    if coupling:
+    if pp.coupling:
         us = us - dt * grid.advect_vector(u, u)
         ts = ts - dt * grid.advect_scalar(u, theta)
     if f is not None:
@@ -137,16 +138,15 @@ def implicit_block(grid: Grid, pp: PhysicalParams, dt, u: Vec2, theta):
 
 
 def step(grid: Grid, pp: PhysicalParams, dt, u: Vec2, theta,
-         f: Vec2 | None, h, coupling=True):
+         f: Vec2 | None, h):
     """One full IMEX step; returns (u_next, p_next, theta_next)."""
-    us, ts = step_explicit(grid, pp, u, theta, dt, f, h, coupling)
+    us, ts = step_explicit(grid, pp, u, theta, dt, f, h)
     un, phi, tn = implicit_block(grid, pp, dt, us, ts)
     return un, phi / dt, tn
 
 
 def solve_state(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
-                sources: SourceData, u0: Vec2, theta0,
-                coupling=True) -> StateTrajectory:
+                sources: SourceData, u0: Vec2, theta0) -> StateTrajectory:
     """March the nonlinear system from (u0, theta0) over the full time grid.
 
     Sources must already include any control forcing (see objective module
@@ -165,7 +165,7 @@ def solve_state(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
     traj.theta[0] = theta0
     for k in range(tg.nt):
         un, _, tn = step(grid, pp, tg.dt, traj.u[k], traj.theta[k],
-                         *sources.at(k), coupling)
+                         *sources.at(k))
         check_step(grid, k + 1, un, tn, bound)
         traj.u[k + 1], traj.theta[k + 1] = un, tn
     return traj

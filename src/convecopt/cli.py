@@ -24,16 +24,11 @@ from . import __version__
 from .grid import Vec2, fields_to_vtk
 from .boussinesq import SourceData, solve_state, step, energy_report
 from .objective import Perturbation
-from .optimizer import (projected_gradient, pointwise_sign_check,
-                        measure_condition_estimate, adjoint_restriction_samples)
+from .optimizer import projected_gradient, pointwise_sign_check, adjoint_measure_fits
 from . import sensitivity as sen
 from . import stability_lab as lab
 from .config import (ConfigError, ExperimentConfig, load_config, default_config,
                      build_problem, opt_options)
-
-COMMANDS = ("solve", "optimize", "taylor-test", "duality-check", "mms",
-            "tikhonov-path", "stability-sweep", "growth-probe",
-            "second-order-check", "measure-condition")
 
 
 # ---------------------------------------------------------------------------
@@ -53,9 +48,10 @@ class Run:
 
     def __init__(self, out_dir, cfg: ExperimentConfig, cmd, seed):
         self.out_dir = out_dir
-        self.cfg = cfg
-        self.cmd = cmd
-        self.seed = seed
+        # heads the CSV files, summary.json and the manifest
+        self.provenance = {"config_hash": cfg.hash(),
+                           "build": f"convecopt-{__version__}",
+                           "command": cmd, "seed": seed}
         self.files = []
         self.started = datetime.datetime.now(datetime.timezone.utc).isoformat()
         os.makedirs(out_dir, exist_ok=True)
@@ -65,17 +61,11 @@ class Run:
         self.files.append(p)
         return p
 
-    def header_lines(self):
-        return [f"config_hash={self.cfg.hash()}",
-                f"build=convecopt-{__version__}",
-                f"command={self.cmd}",
-                f"seed={self.seed}"]
-
     def write_csv(self, name, columns, rows, units=None):
         p = self.path(name)
         with open(p, "w") as fh:
-            for line in self.header_lines():
-                fh.write(f"# {line}\n")
+            for key, value in self.provenance.items():
+                fh.write(f"# {key}={value}\n")
             if units:
                 fh.write(f"# units: {units}\n")
             fh.write(",".join(columns) + "\n")
@@ -85,11 +75,7 @@ class Run:
 
     def write_json(self, name, obj):
         p = self.path(name)
-        payload = {"provenance": {"config_hash": self.cfg.hash(),
-                                  "build": f"convecopt-{__version__}",
-                                  "command": self.cmd,
-                                  "seed": self.seed},
-                   **obj}
+        payload = {"provenance": self.provenance, **obj}
         with open(p, "w") as fh:
             json.dump(payload, fh, indent=2, default=_json_default)
             fh.write("\n")
@@ -97,10 +83,7 @@ class Run:
 
     def finish(self):
         manifest = {
-            "config_hash": self.cfg.hash(),
-            "build": f"convecopt-{__version__}",
-            "command": self.cmd,
-            "seed": self.seed,
+            **self.provenance,
             "started": self.started,
             "ended": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "files": [{"path": os.path.basename(p), "sha256": _sha256(p)}
@@ -165,7 +148,7 @@ def _optimize_base(prob, cfg, run=None):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_solve(cfg, run, seed, snapshot_stride=0):
+def cmd_solve(cfg, run, seed, snapshot_stride):
     prob = build_problem(cfg, seed)
     ctrl = prob.space.zero()
     traj = prob.state(ctrl)
@@ -175,12 +158,12 @@ def cmd_solve(cfg, run, seed, snapshot_stride=0):
                   ["k", "t", "ke_u", "ke_theta", "enstrophy_u", "grad_theta"],
                   [tuple(r) for r in rep.series],
                   units="t time units; energies are squared L2 norms")
-    if snapshot_stride and snapshot_stride > 0:
+    if snapshot_stride > 0:
         for k in range(0, prob.tg.nt + 1, snapshot_stride):
             # the trajectory keeps no pressure: repeat the step that made level k
             p = prob.grid.scalar() if k == 0 else step(
                 prob.grid, prob.phys, prob.tg.dt, traj.u[k - 1], traj.theta[k - 1],
-                *sources.at(k - 1), prob.coupling)[1]
+                *sources.at(k - 1))[1]
             fields_to_vtk(prob.grid, run.path(f"state_{k:05d}.vtk"),
                           scalars={"theta": traj.theta[k], "p": p},
                           vectors={"u": traj.u[k]},
@@ -193,7 +176,7 @@ def cmd_solve(cfg, run, seed, snapshot_stride=0):
     return 0
 
 
-def cmd_optimize(cfg, run, seed, snapshot_stride=0):
+def cmd_optimize(cfg, run, seed):
     prob = build_problem(cfg, seed)
     res, _ = _optimize_base(prob, cfg, run)
     vio = pointwise_sign_check(prob, res.control)
@@ -209,7 +192,7 @@ def cmd_optimize(cfg, run, seed, snapshot_stride=0):
     return 0
 
 
-def cmd_taylor(cfg, run, seed, snapshot_stride=0):
+def cmd_taylor(cfg, run, seed):
     prob = build_problem(cfg, seed)
     tcfg = cfg["taylor"]
     order = int(tcfg.get("order", 1))
@@ -243,7 +226,7 @@ def cmd_taylor(cfg, run, seed, snapshot_stride=0):
     return 0
 
 
-def cmd_duality(cfg, run, seed, snapshot_stride=0):
+def cmd_duality(cfg, run, seed):
     prob = build_problem(cfg, seed)
     g, pp, tg = prob.grid, prob.phys, prob.tg
     residuals = []
@@ -276,7 +259,7 @@ def cmd_duality(cfg, run, seed, snapshot_stride=0):
     return 0
 
 
-def cmd_mms(cfg, run, seed, snapshot_stride=0):
+def cmd_mms(cfg, run, seed):
     from .mms import convergence_study
     m = cfg["mms"]
     errs, orders, nts = convergence_study(tuple(m["levels"]),
@@ -290,7 +273,7 @@ def cmd_mms(cfg, run, seed, snapshot_stride=0):
     return 0
 
 
-def cmd_tikhonov(cfg, run, seed, snapshot_stride=0):
+def cmd_tikhonov(cfg, run, seed):
     prob = build_problem(cfg, seed)
     res, opts = _optimize_base(prob, cfg)
     rep = lab.tikhonov_path(prob, res.control, cfg["tikhonov"]["eps_grid"],
@@ -306,7 +289,7 @@ def cmd_tikhonov(cfg, run, seed, snapshot_stride=0):
     return 0
 
 
-def cmd_sweep(cfg, run, seed, snapshot_stride=0, threads=1):
+def cmd_sweep(cfg, run, seed, threads):
     prob = build_problem(cfg, seed)
     res, opts = _optimize_base(prob, cfg)
     sw = cfg["sweep"]
@@ -336,7 +319,7 @@ def cmd_sweep(cfg, run, seed, snapshot_stride=0, threads=1):
     return 0
 
 
-def cmd_growth(cfg, run, seed, snapshot_stride=0):
+def cmd_growth(cfg, run, seed):
     prob = build_problem(cfg, seed)
     res, _ = _optimize_base(prob, cfg)
     gcfg = cfg["growth"]
@@ -361,7 +344,7 @@ def cmd_growth(cfg, run, seed, snapshot_stride=0):
     return 0
 
 
-def cmd_second_order(cfg, run, seed, snapshot_stride=0):
+def cmd_second_order(cfg, run, seed):
     prob = build_problem(cfg, seed)
     res, opts = _optimize_base(prob, cfg)
     so = cfg["second_order"]
@@ -382,16 +365,13 @@ def cmd_second_order(cfg, run, seed, snapshot_stride=0):
     return 0
 
 
-def cmd_measure(cfg, run, seed, snapshot_stride=0):
+def cmd_measure(cfg, run, seed):
     prob = build_problem(cfg, seed)
     res, _ = _optimize_base(prob, cfg)
     eps = np.asarray(cfg["measure"]["eps_grid"])
-    weight = prob.tg.dt * prob.grid.vol
-    w1, w2, ps = adjoint_restriction_samples(prob, res.control)
     out = {}
     rows = []
-    for name, vals in (("w1", w1), ("w2", w2), ("psi", ps)):
-        fit = measure_condition_estimate(vals, eps, weight)
+    for name, fit in adjoint_measure_fits(prob, res.control, eps).items():
         out[name] = {
             "mu_hat": (_clean(fit.mu_hat) if fit.reliable or not np.isfinite(fit.mu_hat)
                        else "no reliable fit"),
@@ -416,6 +396,7 @@ DISPATCH = {
     "second-order-check": cmd_second_order,
     "measure-condition": cmd_measure,
 }
+COMMANDS = tuple(DISPATCH)
 
 
 def run_command(cmd, cfg: ExperimentConfig, out_dir=None, seed=None,
@@ -427,13 +408,12 @@ def run_command(cmd, cfg: ExperimentConfig, out_dir=None, seed=None,
         return 2
     out_dir = out_dir or cfg["output"]["dir"]
     seed = cfg["seed"] if seed is None else seed
-    stride = cfg["output"]["snapshot_stride"] if snapshot_stride is None else snapshot_stride
+    if snapshot_stride is None:
+        snapshot_stride = cfg["output"]["snapshot_stride"]
     run = Run(out_dir, cfg, cmd, seed)
+    extra = {"solve": (snapshot_stride,), "stability-sweep": (threads,)}.get(cmd, ())
     try:
-        if cmd == "stability-sweep":
-            status = DISPATCH[cmd](cfg, run, seed, stride, threads)
-        else:
-            status = DISPATCH[cmd](cfg, run, seed, stride)
+        status = DISPATCH[cmd](cfg, run, seed, *extra)
     except ConfigError as exc:
         sys.stderr.write(str(exc) + "\n")
         return 2

@@ -277,7 +277,7 @@ def build_problem(cfg: ExperimentConfig, seed=None) -> Problem:
     grid = Grid(GridConfig(**data["grid"]))
     tg = TimeGrid(**data["time"])
     pp = PhysicalParams(data["physics"]["nu"], data["physics"]["kappa"],
-                        tuple(data["physics"]["buoyancy_dir"]))
+                        tuple(data["physics"]["buoyancy_dir"]), bool(data["coupling"]))
     weights = ObjectiveWeights(**data["weights"])
     c = data["control"]
     space = ControlSpace(grid, tg,
@@ -296,8 +296,7 @@ def build_problem(cfg: ExperimentConfig, seed=None) -> Problem:
     su, ss = _synth_pair(grid, data["sources"], rng)
     return Problem(grid, pp, tg, weights, targets, space,
                    base_sources=SourceData(su, ss),
-                   u0=iu, theta0=is_,
-                   coupling=bool(data["coupling"]))
+                   u0=iu, theta0=is_)
 
 
 def opt_options(cfg: ExperimentConfig) -> OptOptions:

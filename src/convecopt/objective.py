@@ -91,9 +91,6 @@ class Control:
     q: np.ndarray
     th: np.ndarray
 
-    def copy(self):
-        return Control(self.space, self.q.copy(), self.th.copy())
-
     def axpy(self, a, other):
         return Control(self.space, self.q + a * other.q, self.th + a * other.th)
 
@@ -187,14 +184,13 @@ class Perturbation:
         """Digest of what the adjoint adds: objective tilts, target shifts."""
         return _digest(self.eta_u, self.eta_th, self.u_d_hat, self.th_d_hat)
 
-    def norm_P(self, grid: Grid, tg: TimeGrid, s=4, control: "Control" = None):
+    def norm_P(self, grid: Grid, tg: TimeGrid, control: Control, s=4):
         """Size of the perturbation: sum of per-component norms.
 
         Sources, tilts and target shifts in L^s; initial data by the L2
         value-plus-gradient proxy for the trace space; control-space tilts
         in the sup norm.  Tikhonov weights enter through the equivalent
-        control tilt eps * rho when the reference control is supplied, else
-        as the raw weights.
+        control tilt eps * rho at `control`.
         """
         total = 0.0
         if self.f_hat is not None:
@@ -220,13 +216,10 @@ class Perturbation:
         if self.th_d_hat is not None:
             total += grid.norm_lp(self.th_d_hat, s)
         if self.eps1 or self.eps2:
-            if control is not None:
-                total += self.eps1 * (float(np.abs(control.q).max())
-                                      if control.q.size else 0.0)
-                total += self.eps2 * (float(np.abs(control.th).max())
-                                      if control.th.size else 0.0)
-            else:
-                total += self.eps1 + self.eps2
+            total += self.eps1 * (float(np.abs(control.q).max())
+                                  if control.q.size else 0.0)
+            total += self.eps2 * (float(np.abs(control.th).max())
+                                  if control.th.size else 0.0)
         return float(total)
 
 
@@ -258,7 +251,6 @@ class Problem:
     base_sources: SourceData = field(default_factory=SourceData)
     u0: Vec2 | None = None
     theta0: np.ndarray | None = None
-    coupling: bool = True
 
     def __post_init__(self):
         if self.u0 is None:
@@ -266,6 +258,11 @@ class Problem:
         if self.theta0 is None:
             self.theta0 = self.grid.scalar()
         self._local = threading.local()
+
+    @property
+    def coupling(self):
+        """phys.coupling, read-only; kept for callers written against the old field."""
+        return self.phys.coupling
 
     def _cache(self, kind):
         """This thread's cache of one kind, least recently used first."""
@@ -318,8 +315,7 @@ class Problem:
             return hit
         sources = self._sources_for(ctrl, pert)
         u0, th0 = self._initial_for(pert)
-        traj = solve_state(self.grid, self.phys, self.tg, sources, u0, th0,
-                           coupling=self.coupling)
+        traj = solve_state(self.grid, self.phys, self.tg, sources, u0, th0)
         return self._remember("state", key, traj)
 
     # -- objective -----------------------------------------------------------
@@ -408,8 +404,7 @@ class Problem:
         wT = w.beta1 * duT if w.beta1 else None
         psiT = w.beta2 * dthT if w.beta2 else None
         adj = sen.solve_adjoint(self.grid, self.phys, self.tg, traj,
-                                SourceData(rhsF, rhsG), wT, psiT,
-                                coupling=self.coupling)
+                                SourceData(rhsF, rhsG), wT, psiT)
         return self._remember("adjoint", key, adj)
 
     def grad_J(self, ctrl: Control, pert: Perturbation | None = None) -> Control:
@@ -441,8 +436,7 @@ class Problem:
         pert = pert or _zero_pert()
         traj = self.state(ctrl, pert)
         return sen.solve_linearized(self.grid, self.phys, self.tg, traj,
-                                    SourceData(*delta.source_fields()),
-                                    coupling=self.coupling)
+                                    SourceData(*delta.source_fields()))
 
     def second_variation(self, ctrl: Control, delta: Control,
                          pert: Perturbation | None = None,
@@ -478,7 +472,7 @@ class Problem:
             val += w.beta1 * g.inner(lin1.v[nt], lin2.v[nt])
         if w.beta2:
             val += w.beta2 * g.inner(lin1.theta[nt], lin2.theta[nt])
-        if self.coupling:
+        if self.phys.coupling:
             adj = self.adjoint(ctrl, pert)
             rhsF, rhsG = sen.second_rhs(g, lin1, lin2, nt)
             val += dt * (g.inner(adj.w[:nt], rhsF) + g.inner(adj.psi[:nt], rhsG))

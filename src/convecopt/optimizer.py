@@ -15,6 +15,11 @@ import numpy as np
 
 from .objective import Control, Problem, Perturbation, restrict_adjoint
 
+# Clamp of every trial step length, and the step after a non-positive curvature
+STEP_MIN, STEP_MAX = 1e-10, 1e6
+# |gradient| up to which the pointwise sign conditions count as met
+SIGN_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class OptOptions:
@@ -24,8 +29,6 @@ class OptOptions:
     armijo: float = 1e-4
     backtrack: float = 0.5
     max_backtracks: int = 30
-    step_min: float = 1e-10
-    step_max: float = 1e6
     nonmonotone_window: int = 10
     stagnation_window: int = 20
     stagnation_rtol: float = 1e-14
@@ -65,19 +68,15 @@ def kkt_residual_from_grad(ctrl: Control, grad: Control) -> float:
     return diff.norm_l1() / (1.0 + grad.norm_l1())
 
 
-def bang_bang_fraction(ctrl: Control, band: float | None = None):
-    """Fraction of control mass within `band` of either bound, per component.
+def bang_bang_fraction(ctrl: Control):
+    """Fraction of control mass within 1e-6 of the box gap of either bound.
 
-    Default band is 1e-6 of the box gap per component.  Returns a pair
-    (force fraction, heat fraction); components with an empty region return 0.
+    Returns a pair (force fraction, heat fraction), one per component;
+    components with an empty region return 0.
     """
-    if band is not None and band < 0:
-        raise ValueError("band must be nonnegative")
     sp = ctrl.space
-    gap_q = sp.q_hi - sp.q_lo
-    gap_t = sp.th_hi - sp.th_lo
-    bq = 1e-6 * gap_q if band is None else band
-    bt = 1e-6 * gap_t if band is None else band
+    bq = 1e-6 * (sp.q_hi - sp.q_lo)
+    bt = 1e-6 * (sp.th_hi - sp.th_lo)
     fq = 0.0
     if ctrl.q.size:
         at = (ctrl.q <= sp.q_lo + bq) | (ctrl.q >= sp.q_hi - bq)
@@ -90,8 +89,7 @@ def bang_bang_fraction(ctrl: Control, band: float | None = None):
 
 
 def projected_gradient(prob: Problem, ctrl0: Control, opts: OptOptions,
-                       pert: Perturbation | None = None,
-                       callback=None) -> OptResult:
+                       pert: Perturbation | None = None) -> OptResult:
     """Spectral projected gradient with nonmonotone Armijo backtracking.
 
     Deterministic given its inputs.  A failed line search returns the best
@@ -115,7 +113,7 @@ def projected_gradient(prob: Problem, ctrl0: Control, opts: OptOptions,
         ref = max(J_hist[-opts.nonmonotone_window:])
         cand = None
         n_bt = 0
-        s = min(max(step, opts.step_min), opts.step_max)
+        s = min(max(step, STEP_MIN), STEP_MAX)
         while n_bt <= opts.max_backtracks:
             trial = project_box(x.axpy(-s, g))
             d = trial.axpy(-1.0, x)
@@ -137,7 +135,7 @@ def projected_gradient(prob: Problem, ctrl0: Control, opts: OptOptions,
         y = g_new.axpy(-1.0, g)
         sy = d.dot_l2(y)
         ss = d.dot_l2(d)
-        step = ss / sy if sy > 0 else opts.step_max
+        step = ss / sy if sy > 0 else STEP_MAX
         x, J, g = trial, Jt, g_new
         kkt = kkt_residual_from_grad(x, g)
         J_hist.append(J)
@@ -145,8 +143,6 @@ def projected_gradient(prob: Problem, ctrl0: Control, opts: OptOptions,
         step_hist.append(s_used)
         bt_hist.append(n_bt)
         it += 1
-        if callback is not None:
-            callback(it, x, J, kkt)
         if it >= opts.stagnation_window:
             recent = J_hist[-opts.stagnation_window:]
             if max(recent) - min(recent) <= opts.stagnation_rtol * (1.0 + abs(J)):
@@ -170,17 +166,17 @@ class ViolationReport:
     tol: float
 
 
-def pointwise_sign_check(prob: Problem, ctrl: Control,
-                         pert: Perturbation | None = None,
-                         tol: float = 1e-6) -> ViolationReport:
+def pointwise_sign_check(prob: Problem, ctrl: Control) -> ViolationReport:
     """Check the a.e. sign conditions of the first-order theorem.
 
     At the lower bound the gradient must be >= -tol, at the upper bound
-    <= tol, and in the interior |gradient| <= tol.  Returns the dt*volume
-    mass of violations for the force and heat components.
+    <= tol, and in the interior |gradient| <= tol, with tol = SIGN_TOL.
+    Returns the dt*volume mass of violations for the force and heat
+    components.
     """
+    tol = SIGN_TOL
     sp = ctrl.space
-    g = prob.grad_J(ctrl, pert)
+    g = prob.grad_J(ctrl)
     w = sp.tg.dt * sp.grid.vol
     gap_q = max(sp.q_hi - sp.q_lo, 1.0)
     gap_t = max(sp.th_hi - sp.th_lo, 1.0)
@@ -261,8 +257,7 @@ def measure_condition_estimate(values, eps_grid, weight) -> MeasureFit:
                       int(np.count_nonzero(use)))
 
 
-def adjoint_restriction_samples(prob: Problem, ctrl: Control,
-                                pert: Perturbation | None = None):
+def adjoint_restriction_samples(prob: Problem, ctrl: Control):
     """Adjoint gradient densities on the control regions, per component.
 
     Returns (w1, w2, psi) arrays of shape (nt, ncells); these are the fields
@@ -270,6 +265,15 @@ def adjoint_restriction_samples(prob: Problem, ctrl: Control,
     Tikhonov and tilt contributions are excluded: the condition is about the
     adjoint state itself.
     """
-    adj = prob.adjoint(ctrl, pert)
+    adj = prob.adjoint(ctrl)
     q, ps = restrict_adjoint(prob.space, adj.w[:-1], adj.psi[:-1])
     return q[:, 0], q[:, 1], ps
+
+
+def adjoint_measure_fits(prob: Problem, ctrl: Control, eps_grid):
+    """measure_condition_estimate of each adjoint density on eps_grid, as
+    {"w1": fit, "w2": fit, "psi": fit}."""
+    weight = prob.tg.dt * prob.grid.vol
+    return {name: measure_condition_estimate(vals, eps_grid, weight)
+            for name, vals in zip(("w1", "w2", "psi"),
+                                  adjoint_restriction_samples(prob, ctrl))}

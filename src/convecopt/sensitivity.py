@@ -71,11 +71,11 @@ def _check_compat(tg: TimeGrid, base: StateTrajectory):
 
 
 def tangent_explicit(grid: Grid, pp: PhysicalParams, uk: Vec2, thk,
-                     v: Vec2, vth, dt, F: Vec2 | None, G, coupling=True):
+                     v: Vec2, vth, dt, F: Vec2 | None, G):
     """Exact linearization of the explicit stage around (uk, thk)."""
     vs = v + dt * grid.buoyancy(vth, pp.buoyancy_dir)
     ts = vth.copy()
-    if coupling:
+    if pp.coupling:
         vs = vs - dt * (grid.advect_vector(uk, v) + grid.advect_vector(v, uk))
         ts = ts - dt * (grid.advect_scalar(uk, vth) + grid.advect_scalar(v, thk))
     if F is not None:
@@ -86,7 +86,7 @@ def tangent_explicit(grid: Grid, pp: PhysicalParams, uk: Vec2, thk,
 
 
 def tangent_explicit_t(grid: Grid, pp: PhysicalParams, uk: Vec2, thk,
-                       w: Vec2, psi, dt, coupling=True):
+                       w: Vec2, psi, dt):
     """Transpose of tangent_explicit in its (v, vth) argument.
 
     The transposes in the advected field are the forward operators negated:
@@ -99,7 +99,7 @@ def tangent_explicit_t(grid: Grid, pp: PhysicalParams, uk: Vec2, thk,
     """
     lu = w.copy()
     lt = psi + dt * grid.buoyancy_t(w, pp.buoyancy_dir)
-    if coupling:
+    if pp.coupling:
         lu = lu - dt * (grid.advect_vector_t_vel(uk, w)
                         - grid.advect_vector(uk, w)
                         + grid.advect_scalar_t_vel(thk, psi))
@@ -109,8 +109,7 @@ def tangent_explicit_t(grid: Grid, pp: PhysicalParams, uk: Vec2, thk,
 
 def solve_linearized(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
                      base: StateTrajectory, sources: SourceData,
-                     v0: Vec2 | None = None, theta0=None,
-                     coupling=True) -> LinTrajectory:
+                     v0: Vec2 | None = None, theta0=None) -> LinTrajectory:
     """Tangent march from (v0, theta0), `None` meaning zero; step k reads
     sources.at(k), k = 0..nt-1, as solve_state does."""
     _check_compat(tg, base)
@@ -124,7 +123,7 @@ def solve_linearized(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
     for k in range(tg.nt):
         vs, ts = tangent_explicit(grid, pp, base.u[k], base.theta[k],
                                   lin.v[k], lin.theta[k], dt,
-                                  *sources.at(k), coupling)
+                                  *sources.at(k))
         lin.v[k + 1], _, lin.theta[k + 1] = implicit_block(grid, pp, dt, vs, ts)
         check_step(grid, k + 1, lin.v[k + 1], lin.theta[k + 1])
     return lin
@@ -154,8 +153,7 @@ def second_rhs(grid: Grid, lin1: LinTrajectory, lin2: LinTrajectory, nt):
 
 def solve_adjoint(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
                   base: StateTrajectory, sources: SourceData,
-                  wT: Vec2 | None = None, psiT=None,
-                  coupling=True) -> AdjointTrajectory:
+                  wT: Vec2 | None = None, psiT=None) -> AdjointTrajectory:
     """Backward sweep applying the exact transpose of the tangent step.
 
     sources.at(k) pairs against the tangent state at level k; the step that
@@ -191,7 +189,7 @@ def solve_adjoint(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
         check_step(grid, k, wk, pk)
         adj.w[k], adj.psi[k] = wk, pk
         lu, lt = tangent_explicit_t(grid, pp, base.u[k], base.theta[k],
-                                    wk, pk, dt, coupling)
+                                    wk, pk, dt)
     adj.lam0_u, adj.lam0_t = lu, lt
     return adj
 
@@ -200,20 +198,23 @@ def duality_residual(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
                      base: StateTrajectory,
                      tanF=None, tanG=None, v0=None, theta0=None,
                      adjF=None, adjG=None, wT=None, psiT=None,
-                     coupling=True) -> float:
+                     coupling=None) -> float:
     """Relative mismatch of the discrete duality identity.
 
     LHS pairs the tangent trajectory against the adjoint sources and terminal
     data; RHS pairs the tangent sources and initial data against the adjoint
     sweep output.  Both sides are evaluated independently.  The tangent
     sources tanF/tanG and adjoint sources adjF/adjG are the fields of a
-    SourceData each (adjoint level 0 is never read).
+    SourceData each (adjoint level 0 is never read).  `coupling`, if given,
+    must equal pp.coupling, which is what both marches read.
     """
+    if coupling is not None and coupling != pp.coupling:
+        raise ValueError(f"coupling={coupling} but pp.coupling={pp.coupling}")
     dt = tg.dt
     nt = tg.nt
     tan, adj_src = SourceData(tanF, tanG), SourceData(adjF, adjG)
-    lin = solve_linearized(grid, pp, tg, base, tan, v0, theta0, coupling)
-    adj = solve_adjoint(grid, pp, tg, base, adj_src, wT, psiT, coupling)
+    lin = solve_linearized(grid, pp, tg, base, tan, v0, theta0)
+    adj = solve_adjoint(grid, pp, tg, base, adj_src, wT, psiT)
     lhs = 0.0
     for k in range(1, nt + 1):
         fk, gk = adj_src.at(k)

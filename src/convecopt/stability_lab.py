@@ -18,7 +18,7 @@ from .grid import Grid, Vec2
 from .objective import Control, Perturbation, Problem
 from .optimizer import (OptOptions, OptResult, projected_gradient,
                         project_box, kkt_residual_from_grad, loglog_fit,
-                        measure_condition_estimate, adjoint_restriction_samples)
+                        adjoint_measure_fits)
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +326,7 @@ def tikhonov_path(prob: Problem, ctrl_star: Control, eps_grid,
                        [p.control_dist_l1 for p in points])
     if measure_eps_grid is None:
         measure_eps_grid = np.geomspace(1e-4, 1e-1, 8)
-    w1, w2, ps = adjoint_restriction_samples(prob, ctrl_star)
-    weight = prob.tg.dt * prob.grid.vol
-    fits = [measure_condition_estimate(a, measure_eps_grid, weight)
-            for a in (w1, w2, ps)]
+    fits = adjoint_measure_fits(prob, ctrl_star, measure_eps_grid).values()
     finite = [f for f in fits if np.isfinite(f.mu_hat)]
     if finite:
         best = max(finite, key=lambda f: f.r2)
@@ -465,19 +462,10 @@ def growth_probe(prob: Problem, ctrl_star: Control, n_samples, radius_grid,
             samples.append(GrowthSample(float(r), dl1, lhs, rhs, ratio, kind))
         if ratios:
             per_radius[float(r)] = min(ratios)
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
-    mu_hat = np.nan
-    c_hat = np.nan
-    r2 = 0.0
-    use = (xs > 0) & (ys > 0)
-    if variant == "control" and np.count_nonzero(use) >= 2:
-        slope, b, r2 = loglog_fit(xs[use], ys[use])
-        mu_hat = slope - 1.0
-        c_hat = float(np.exp(b))
+    fit = _fit_records(xs, ys)      # no points in the state variant: NaN
     mis, sup, delta_hat, margin = tracking_margin(prob, ctrl_star, s_norm)
-    return GrowthReport(variant, tau, samples, per_radius, c_hat, mu_hat, r2,
-                        mis, sup, delta_hat, margin)
+    return GrowthReport(variant, tau, samples, per_radius, float(np.exp(fit.intercept)),
+                        fit.slope - 1.0, fit.r2, mis, sup, delta_hat, margin)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def make_problem(nx=8, ny=8, T=0.2, nt=8, nu=0.05, kappa=0.02,
     """Small tracking problem with a smooth synthetic target."""
     grid = Grid(GridConfig(nx, ny))
     tg = TimeGrid(T, nt)
-    pp = PhysicalParams(nu, kappa)
+    pp = PhysicalParams(nu, kappa, coupling=coupling)
     w = ObjectiveWeights(1.0, 1.0, beta1, beta2, eps1, eps2)
     rng = np.random.default_rng(seed)
     from convecopt.stability_lab import fourier_scalar, fourier_vec2
@@ -60,7 +60,7 @@ def make_problem(nx=8, ny=8, T=0.2, nt=8, nu=0.05, kappa=0.02,
     space = ControlSpace(grid, tg,
                          grid.rect_mask(0.1, 0.6, 0.1, 0.5),
                          grid.rect_mask(0.4, 0.9, 0.5, 0.9))
-    return Problem(grid, pp, tg, w, targets, space, coupling=coupling)
+    return Problem(grid, pp, tg, w, targets, space)
 
 
 def rand_control(space, rng, scale=0.5):

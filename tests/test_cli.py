@@ -63,6 +63,21 @@ def test_summary_json_carries_provenance(tmp_path):
     assert s["pass_1e-11"] is True
 
 
+def test_uncoupled_duality_check_checks_the_uncoupled_pair(tmp_path):
+    # the tangent and adjoint marches read the advection switch from the
+    # model, so an uncoupled config checks the uncoupled pair: its residuals
+    # pass and are not the coupled (default) config's
+    nc = tmp_path / "nocoupling.json"
+    nc.write_text(json.dumps({"coupling": False}))
+    got = {}
+    for name, argv in (("coupled", []), ("uncoupled", ["--config", str(nc)])):
+        out = tmp_path / name
+        assert main(["duality-check", "--out", str(out)] + argv) == 0
+        got[name] = json.loads((out / "summary.json").read_text())["residuals"]
+    assert max(got["uncoupled"]) <= 1e-11
+    assert got["uncoupled"] != got["coupled"]
+
+
 def test_optimize_command(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
@@ -198,8 +213,7 @@ def test_snapshot_pressure_is_the_march_pressure(tmp_path):
     sources = prob._sources_for(prob.space.zero(), Perturbation())
     u, th = prob.u0.copy().zero_normal_boundary(), prob.theta0
     for k in range(3):
-        u, p, th = step(g, prob.phys, prob.tg.dt, u, th, *sources.at(k),
-                        prob.coupling)
+        u, p, th = step(g, prob.phys, prob.tg.dt, u, th, *sources.at(k))
     got = _vtk_scalar(out / "state_00003.vtk", "p", g.nx, g.ny)
     assert np.abs(got).max() > 0.0
     assert np.array_equal(got, p)

@@ -314,12 +314,14 @@ def test_perturbation_norm_components():
     prob = make_problem()
     g = prob.grid
     tg = prob.tg
-    # pure Tikhonov perturbation without a control reports the raw weights
-    assert Perturbation(eps1=0.3, eps2=0.2).norm_P(g, tg) == pytest.approx(0.5)
+    ctrl = rand_control(prob.space, np.random.default_rng(0))
+    # pure Tikhonov perturbation: the equivalent control tilt eps * rho
+    ref = 0.3 * np.abs(ctrl.q).max() + 0.2 * np.abs(ctrl.th).max()
+    assert Perturbation(eps1=0.3, eps2=0.2).norm_P(g, tg, ctrl) == pytest.approx(ref)
     # control-tilt perturbation measured in the sup norm
     sigma = np.zeros((2, prob.space.mask_q.ncells))
     sigma[0, 0] = -0.7
-    assert Perturbation(sigma=sigma).norm_P(g, tg) == pytest.approx(0.7)
+    assert Perturbation(sigma=sigma).norm_P(g, tg, ctrl) == pytest.approx(0.7)
 
 
 def test_perturbed_state_differs_from_base():

@@ -110,22 +110,18 @@ def test_bang_bang_fraction_trivial_cases():
     ctrl.q[:] = sp.q_hi
     ctrl.th[:] = sp.th_lo
     assert bang_bang_fraction(ctrl) == (1.0, 1.0)
-    # band wide enough to absorb everything
-    assert bang_bang_fraction(sp.zero(), band=2.0) == (1.0, 1.0)
-    with pytest.raises(ValueError):
-        bang_bang_fraction(ctrl, band=-1.0)
 
 
 def test_sign_check_flags_planted_violation():
     prob = make_problem(coupling=False, eps1=1e-2, eps2=1e-2)
     opts = OptOptions(max_iters=300, kkt_tol=1e-9)
     res = projected_gradient(prob, prob.space.zero(), opts)
-    clean = pointwise_sign_check(prob, res.control, tol=1e-6)
+    clean = pointwise_sign_check(prob, res.control)
     assert clean.mass_q <= 1e-12 and clean.mass_th <= 1e-12
     # move one interior entry: its gradient is no longer ~0 there
-    bad = res.control.copy()
+    bad = Control(prob.space, res.control.q.copy(), res.control.th.copy())
     bad.q[0, 0, 0] = 0.5 * (prob.space.q_lo + prob.space.q_hi)
-    rep = pointwise_sign_check(prob, bad, tol=1e-6)
+    rep = pointwise_sign_check(prob, bad)
     assert rep.mass_q > 0
 
 

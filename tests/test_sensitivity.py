@@ -12,9 +12,9 @@ from convecopt.sensitivity import (solve_linearized, solve_adjoint,
 from conftest import rand_scalar, rand_vec2, rand_div_free
 
 
-def base_setup(grid, seed=0, nt=8, T=0.2):
+def base_setup(grid, seed=0, nt=8, T=0.2, coupling=True):
     rng = np.random.default_rng(seed)
-    pp = PhysicalParams(0.05, 0.02)
+    pp = PhysicalParams(0.05, 0.02, coupling=coupling)
     tg = TimeGrid(T, nt)
     src = SourceData(rand_vec2(grid, rng, 0.3), rand_scalar(grid, rng, 0.3))
     u0 = rand_div_free(grid, rng, 0.3)
@@ -235,15 +235,23 @@ def test_duality_identity_holds_to_roundoff(grid8):
 
 
 def test_duality_holds_with_coupling_disabled(grid8):
-    pp, tg, src, u0, th0s, _, rng = base_setup(grid8)
-    base = solve_state(grid8, pp, tg, src, u0, th0s, coupling=False)
+    pp, tg, _, _, _, base, rng = base_setup(grid8, coupling=False)
     tanF, tanG, v0, th0 = perturb_inputs(grid8, tg, rng)
     adjF = [None] + [rand_vec2(grid8, rng) for _ in range(tg.nt)]
     adjG = [None] + [rand_scalar(grid8, rng) for _ in range(tg.nt)]
     res = duality_residual(grid8, pp, tg, base, tanF, tanG, v0, th0,
                            adjF, adjG, rand_div_free(grid8, rng),
-                           rand_scalar(grid8, rng), coupling=False)
+                           rand_scalar(grid8, rng))
     assert res <= 1e-12
+
+
+def test_duality_residual_rejects_a_mismatched_coupling(grid8):
+    # the marches read pp.coupling; a different explicit value is an error
+    for coupling in (True, False):
+        pp, tg, _, _, _, base, _ = base_setup(grid8, nt=2, coupling=coupling)
+        assert duality_residual(grid8, pp, tg, base, coupling=coupling) == 0.0
+        with pytest.raises(ValueError, match="coupling"):
+            duality_residual(grid8, pp, tg, base, coupling=not coupling)
 
 
 def test_duality_holds_on_large_anisotropic_grid():

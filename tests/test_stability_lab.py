@@ -37,9 +37,10 @@ def test_fourier_fields_are_seeded_and_normalized(grid8):
 
 def test_all_perturbation_families_construct():
     prob = make_problem()
+    ctrl = rand_control(prob.space, np.random.default_rng(0))
     for fam in KNOWN_FAMILIES:
         pert = make_perturbation(prob, fam, 0.1, 0)
-        assert pert.norm_P(prob.grid, prob.tg) > 0
+        assert pert.norm_P(prob.grid, prob.tg, ctrl) > 0
     with pytest.raises(ValueError, match="unknown perturbation family"):
         make_perturbation(prob, "volcano", 0.1, 0)
 
