@@ -79,11 +79,21 @@ def _entry(a, k):
 class StateTrajectory:
     """Levels 0..nt stacked on a leading axis: u is a Vec2 of shapes
     (nt+1, nx+1, ny) and (nt+1, nx, ny+1); theta is (nt+1, nx, ny).  u[k]
-    and theta[k] are views.  No pressure is kept: `step` repeated on level
-    k-1 with the sources of step k-1 gives level k's, bitwise (level 0's is 0)."""
+    and theta[k] are views.
+
+    The default level sink of solve_state.  A level sink is any object with
+    put(k, u, theta, p): the march hands it level k, k = 0..nt in order,
+    with p the pressure `step` returned for that level (None at level 0).
+    The arrays are the march's own: a sink must not modify them and must
+    copy what it keeps.  This one copies u and theta into the stacks and
+    drops p, so no pressure is kept.
+    """
 
     u: Vec2
     theta: np.ndarray
+
+    def put(self, k, u, theta, p):
+        self.u[k], self.theta[k] = u, theta
 
 
 @dataclass
@@ -146,50 +156,75 @@ def step(grid: Grid, pp: PhysicalParams, dt, u: Vec2, theta,
 
 
 def solve_state(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
-                sources: SourceData, u0: Vec2, theta0) -> StateTrajectory:
+                sources: SourceData, u0: Vec2, theta0, out=None):
     """March the nonlinear system from (u0, theta0) over the full time grid.
 
     Sources must already include any control forcing (see objective module
     for the control-to-source mapping); step k reads sources.at(k), as
     SourceData describes.  Every step ends in check_step, with the bound
-    ENERGY_BOUND * D^2, D = data_norm.
+    ENERGY_BOUND * D^2, D = data_norm.  The march holds only the current
+    level and hands each one to out.put(k, u, theta, p) (the level-sink
+    contract, see StateTrajectory), level k only once it has passed its
+    check.  Returns out, by default a fresh StateTrajectory.
     """
     grid.check_vec2(u0)
     grid.check_scalar(theta0)
     if not all(np.isfinite(a).all() for a in (u0.u, u0.v, theta0)):
         raise ValueError("initial data must be finite")
     bound = ENERGY_BOUND * data_norm(grid, tg, sources, u0, theta0) ** 2
-    traj = StateTrajectory(grid.vec2(tg.nt + 1), grid.scalar(tg.nt + 1))
-    traj.u[0] = u0
-    traj.u[0].zero_normal_boundary()
-    traj.theta[0] = theta0
+    if out is None:
+        out = StateTrajectory(grid.vec2(tg.nt + 1), grid.scalar(tg.nt + 1))
+    u = u0.copy().zero_normal_boundary()
+    theta = np.ascontiguousarray(theta0, dtype=float)
+    out.put(0, u, theta, None)
     for k in range(tg.nt):
-        un, _, tn = step(grid, pp, tg.dt, traj.u[k], traj.theta[k],
-                         *sources.at(k))
-        check_step(grid, k + 1, un, tn, bound)
-        traj.u[k + 1], traj.theta[k + 1] = un, tn
-    return traj
+        u, p, theta = step(grid, pp, tg.dt, u, theta, *sources.at(k))
+        check_step(grid, k + 1, u, theta, bound)
+        out.put(k + 1, u, theta, p)
+    return out
+
+
+class EnergySeries:
+    """Level sink reducing each level to its row of the energy series.
+
+    Columns: k, t, ke_u, ke_theta, enstrophy_u, grad_theta (squared L2 norms
+    and H1 seminorms, from _sq and _h1_semi_sq of the one level); no level
+    is kept.  report() is the final reduction.
+    """
+
+    def __init__(self, grid: Grid, tg: TimeGrid):
+        self.grid, self.tg = grid, tg
+        self.series = np.zeros((tg.nt + 1, 6))
+        self.series[:, 0] = np.arange(tg.nt + 1)
+        self.series[:, 1] = tg.times()
+
+    def put(self, k, u, theta, p):
+        g = self.grid
+        self.series[k, 2:] = (_sq(g, u), _sq(g, theta),
+                              _h1_semi_sq(g, u), _h1_semi_sq(g, theta))
+
+    def report(self, sources: SourceData, u0: Vec2, theta0) -> EnergyReport:
+        """Discrete analog of the weak-solution energy estimate, for regression.
+
+        Reports max_k(|u_k|^2 + |theta_k|^2), the accumulated gradient
+        dissipation, the data functional, and their ratio.
+        """
+        _, _, keu, ket, eu, et = self.series.T
+        max_e = float(np.max(keu + ket))
+        diss = self.tg.dt * float(np.sum(eu[1:] + et[1:]))
+        data = data_norm(self.grid, self.tg, sources, u0, theta0)
+        num = max_e + diss
+        ratio = 0.0 if data == 0.0 else num / data ** 2
+        return EnergyReport(max_e, diss, data, ratio, self.series)
 
 
 def energy_report(grid: Grid, tg: TimeGrid, traj: StateTrajectory,
                   sources: SourceData, u0: Vec2, theta0) -> EnergyReport:
-    """Discrete analog of the weak-solution energy estimate, for regression.
-
-    Reports max_k(|u_k|^2 + |theta_k|^2), the accumulated gradient
-    dissipation, the data functional, and their ratio.
-    """
-    dt = tg.dt
-    nt = tg.nt
-    keu, ket = _sq(grid, traj.u), _sq(grid, traj.theta)
-    # H1 seminorms via interior differences (enstrophy-like diagnostics)
-    eu, et = _h1_semi_sq(grid, traj.u), _h1_semi_sq(grid, traj.theta)
-    rows = np.column_stack([np.arange(nt + 1), tg.times(), keu, ket, eu, et])
-    max_e = float(np.max(keu + ket))
-    diss = dt * float(np.sum(eu[1:] + et[1:]))
-    data = data_norm(grid, tg, sources, u0, theta0)
-    num = max_e + diss
-    ratio = 0.0 if data == 0.0 else num / data ** 2
-    return EnergyReport(max_e, diss, data, ratio, rows)
+    """EnergySeries.report of a stored trajectory, fed one level at a time."""
+    acc = EnergySeries(grid, tg)
+    for k in range(tg.nt + 1):
+        acc.put(k, traj.u[k], traj.theta[k], None)
+    return acc.report(sources, u0, theta0)
 
 
 def data_norm(grid: Grid, tg: TimeGrid, sources: SourceData, u0: Vec2, theta0):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .grid import Vec2, fields_to_vtk
-from .boussinesq import SourceData, solve_state, step, energy_report
+from .boussinesq import EnergySeries, solve_state
 from .objective import Perturbation
 from .optimizer import projected_gradient, pointwise_sign_check, adjoint_measure_fits
 from . import sensitivity as sen
@@ -148,31 +148,48 @@ def _optimize_base(prob, cfg, run=None):
 # commands
 # ---------------------------------------------------------------------------
 
+class _SolveLevels(EnergySeries):
+    """Level sink of `solve`: the energy rows, the largest divergence, and a
+    VTK snapshot of every stride-th level with the pressure the march made."""
+
+    def __init__(self, grid, tg, out_dir, stride):
+        super().__init__(grid, tg)
+        self.out_dir, self.stride = out_dir, stride
+        self.max_div = 0.0
+        self.snapshots = []     # paths written, to join the run's files
+
+    def put(self, k, u, theta, p):
+        super().put(k, u, theta, p)
+        g = self.grid
+        self.max_div = max(self.max_div, g.norm_lp(g.divergence(u), np.inf))
+        if self.stride > 0 and k % self.stride == 0:
+            path = os.path.join(self.out_dir, f"state_{k:05d}.vtk")
+            fields_to_vtk(g, path, title=f"state level {k}",
+                          scalars={"theta": theta, "p": g.scalar() if p is None else p},
+                          vectors={"u": u})
+            self.snapshots.append(path)
+
+
 def cmd_solve(cfg, run, seed, snapshot_stride):
     prob = build_problem(cfg, seed)
-    ctrl = prob.space.zero()
-    traj = prob.state(ctrl)
-    sources = prob._sources_for(ctrl, Perturbation())
-    rep = energy_report(prob.grid, prob.tg, traj, sources, prob.u0, prob.theta0)
-    run.write_csv("energy.csv",
-                  ["k", "t", "ke_u", "ke_theta", "enstrophy_u", "grad_theta"],
-                  [tuple(r) for r in rep.series],
-                  units="t time units; energies are squared L2 norms")
-    if snapshot_stride > 0:
-        for k in range(0, prob.tg.nt + 1, snapshot_stride):
-            # the trajectory keeps no pressure: repeat the step that made level k
-            p = prob.grid.scalar() if k == 0 else step(
-                prob.grid, prob.phys, prob.tg.dt, traj.u[k - 1], traj.theta[k - 1],
-                *sources.at(k - 1))[1]
-            fields_to_vtk(prob.grid, run.path(f"state_{k:05d}.vtk"),
-                          scalars={"theta": traj.theta[k], "p": p},
-                          vectors={"u": traj.u[k]},
-                          title=f"state level {k}")
+    sources = prob._sources_for(prob.space.zero(), Perturbation())
+    levels = _SolveLevels(prob.grid, prob.tg, run.out_dir, snapshot_stride)
+    try:
+        solve_state(prob.grid, prob.phys, prob.tg, sources, prob.u0, prob.theta0,
+                    out=levels)
+        rep = levels.report(sources, prob.u0, prob.theta0)
+        run.write_csv("energy.csv",
+                      ["k", "t", "ke_u", "ke_theta", "enstrophy_u", "grad_theta"],
+                      [tuple(r) for r in rep.series],
+                      units="t time units; energies are squared L2 norms")
+    finally:
+        # the manifest lists the snapshots after energy.csv; a failed run's
+        # lists those it wrote
+        run.files += levels.snapshots
     run.write_json("summary.json", {
         "max_energy": rep.max_energy, "dissipation": rep.dissipation,
         "data_norm": rep.data_norm, "energy_ratio": rep.ratio,
-        "max_div": max(prob.grid.norm_lp(prob.grid.divergence(u), np.inf)
-                       for u in traj.u)})
+        "max_div": levels.max_div})
     return 0
 
 
@@ -241,8 +258,8 @@ def cmd_duality(cfg, run, seed):
         def rs():
             return 0.3 * rng.standard_normal((g.nx, g.ny))
 
-        base = solve_state(g, pp, tg, SourceData(rv(), rs()),
-                           g.leray_project(rv()), rs())
+        # around the configured problem's state at a random admissible control
+        base = prob.state(prob.space.uniform(rng))
         res = sen.duality_residual(
             g, pp, tg, base,
             tanF=[rv() for _ in range(tg.nt)], tanG=[rs() for _ in range(tg.nt)],

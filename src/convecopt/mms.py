@@ -14,7 +14,8 @@ parts are written out in closed form (the tests check them against a
 symbolic derivation from the strong-form equations).  `run_level` samples
 them once per grid, and forms each step's sources (held from the start of
 the step, as the solver expects) and each level's exact field only when it
-is read, from the three time factors: the march keeps no source stack.
+is read, from the three time factors.  The march hands each level to a sink
+that adds its squared error and drops it: the study keeps no trajectory.
 """
 
 from __future__ import annotations
@@ -153,6 +154,22 @@ def initial_data(grid: Grid, case: MMSCase, t=0.0):
     return u0.zero_normal_boundary(), th0
 
 
+class _SquaredError:
+    """Level sink: sum over k = 1..nt of |level k - exact level k|^2 (u, v,
+    theta in turn), added as the march hands each level over."""
+
+    def __init__(self, exact: _Levels):
+        self.exact = exact
+        self.err2 = 0.0
+
+    def put(self, k, u, theta, p):
+        if k == 0:
+            return
+        for got, want in zip((u.u, u.v, theta), self.exact.fields(k)):
+            d = (got - want).ravel()
+            self.err2 += float(d @ d)
+
+
 def run_level(n, pp: PhysicalParams, case: MMSCase, T=0.1, dt_factor=1.0):
     """Solve on an n x n grid with dt ~ h^2; returns the L2(Q) error."""
     grid = Grid(GridConfig(n, n))
@@ -163,15 +180,10 @@ def run_level(n, pp: PhysicalParams, case: MMSCase, T=0.1, dt_factor=1.0):
     f = _face_parts(grid, case.fx_fn, case.fy_fn)
     sources = _Levels(basis, f.u, f.v, case.g_fn.sample(grid.xc, grid.yc))
     u0, th0 = initial_data(grid, case)
-    traj = solve_state(grid, pp, tg, sources, u0, th0)
     ue = _face_parts(grid, case.u_fn, case.v_fn)
     exact = _Levels(basis, ue.u, ue.v, case.th_fn.sample(grid.xc, grid.yc))
-    err2 = 0.0
-    for k in range(1, nt + 1):
-        for got, want in zip((traj.u.u[k], traj.u.v[k], traj.theta[k]), exact.fields(k)):
-            d = (got - want).ravel()
-            err2 += float(d @ d)
-    return float(np.sqrt(tg.dt * grid.vol * err2)), nt
+    err = solve_state(grid, pp, tg, sources, u0, th0, out=_SquaredError(exact))
+    return float(np.sqrt(tg.dt * grid.vol * err.err2)), nt
 
 
 def convergence_study(levels=(16, 32, 64), nu=0.05, kappa=0.05,

@@ -77,6 +77,13 @@ class ControlSpace:
                        np.zeros((nt, 2, self.mask_q.ncells)),
                        np.zeros((nt, self.mask_h.ncells)))
 
+    def uniform(self, rng):
+        """A control drawn uniformly from the box."""
+        nt = self.tg.nt
+        return Control(self,
+                       rng.uniform(self.q_lo, self.q_hi, (nt, 2, self.mask_q.ncells)),
+                       rng.uniform(self.th_lo, self.th_hi, (nt, self.mask_h.ncells)))
+
     @property
     def m_u(self):
         """Largest admissible control magnitude (the paper's box bound)."""

@@ -163,7 +163,6 @@ class ViolationReport:
     mass_th: float
     total_mass_q: float
     total_mass_th: float
-    tol: float
 
 
 def pointwise_sign_check(prob: Problem, ctrl: Control) -> ViolationReport:
@@ -192,7 +191,7 @@ def pointwise_sign_check(prob: Problem, ctrl: Control) -> ViolationReport:
     bad_t = (lower & (g.th < -tol)) | (upper & (g.th > tol)) | (inner & (np.abs(g.th) > tol))
     return ViolationReport(w * float(np.count_nonzero(bad_q)),
                            w * float(np.count_nonzero(bad_t)),
-                           w * bad_q.size, w * bad_t.size, tol)
+                           w * bad_q.size, w * bad_t.size)
 
 
 @dataclass

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from convecopt.grid import Grid, GridConfig, Vec2
-from convecopt.boussinesq import PhysicalParams, TimeGrid, SourceData
+from convecopt.boussinesq import PhysicalParams, TimeGrid
 from convecopt.objective import (ObjectiveWeights, Targets, ControlSpace,
                                  Problem)
 

@@ -6,21 +6,19 @@ are stated inline; seeded instances make every run reproducible.
 """
 
 import numpy as np
-import pytest
 
-from convecopt.grid import Grid, GridConfig, Vec2
+from convecopt.grid import Grid, GridConfig
 from convecopt.boussinesq import (PhysicalParams, TimeGrid, SourceData,
                                   solve_state)
 from convecopt.sensitivity import duality_residual
 from convecopt.objective import (ObjectiveWeights, Targets, ControlSpace,
-                                 Problem, Control, Perturbation)
+                                 Problem)
 from convecopt.optimizer import (OptOptions, projected_gradient,
-                                 pointwise_sign_check, bang_bang_fraction,
+                                 pointwise_sign_check,
                                  measure_condition_estimate,
                                  adjoint_restriction_samples, loglog_fit,
                                  smallness_mass)
-from convecopt.stability_lab import (fourier_scalar, fourier_vec2,
-                                     make_perturbation, SweepPlan,
+from convecopt.stability_lab import (make_perturbation, SweepPlan,
                                      stability_sweep, tikhonov_path,
                                      growth_probe,
                                      second_order_stability_check)

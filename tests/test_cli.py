@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convecopt.cli import main, run_command, COMMANDS
+from convecopt.cli import main, run_command
 from convecopt.config import from_dict
 
 SMALL = {"grid": {"nx": 8, "ny": 8}, "time": {"T": 0.2, "nt": 6},
@@ -217,6 +217,79 @@ def test_snapshot_pressure_is_the_march_pressure(tmp_path):
     got = _vtk_scalar(out / "state_00003.vtk", "p", g.nx, g.ny)
     assert np.abs(got).max() > 0.0
     assert np.array_equal(got, p)
+
+
+def test_solve_reduces_as_it_marches(tmp_path):
+    # energy.csv and summary.json are the stored-trajectory energy_report and
+    # divergence, bitwise, and the rows are the reductions over the whole
+    # stack, while the run holds no trajectory: its peak is the control's
+    # source stacks (nt levels) and a few levels more: 1.26 trajectories at
+    # 32^2, nt = 100, where a march into a stored trajectory peaks at 3.25.
+    import tracemalloc
+    from convecopt.boussinesq import energy_report, _sq, _h1_semi_sq
+    from convecopt.config import build_problem
+    from convecopt.objective import Perturbation
+    cfg = from_dict({"grid": {"nx": 32, "ny": 32}, "time": {"T": 0.5, "nt": 100},
+                     "initial": {"kind": "fourier"}})
+    assert run_command("solve", cfg, str(tmp_path / "warm")) == 0
+    out = tmp_path / "s"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert run_command("solve", cfg, str(out)) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    n, nt = 32, 100
+    traj_bytes = (nt + 1) * ((n + 1) * n + n * (n + 1) + n * n) * 8
+    assert peak <= 1.3 * traj_bytes, peak / traj_bytes
+
+    prob = build_problem(cfg, cfg["seed"])
+    traj = prob.state(prob.space.zero())
+    rep = energy_report(prob.grid, prob.tg, traj,
+                        prob._sources_for(prob.space.zero(), Perturbation()),
+                        prob.u0, prob.theta0)
+    assert rep.max_energy > 0.0
+    lines = [ln for ln in (out / "energy.csv").read_text().splitlines()
+             if not ln.startswith("#")][1:]
+    rows = np.array([[float(x) for x in ln.split(",")] for ln in lines])
+    assert np.array_equal(rows, rep.series)
+    g = prob.grid
+    stacked = [_sq(g, traj.u), _sq(g, traj.theta),
+               _h1_semi_sq(g, traj.u), _h1_semi_sq(g, traj.theta)]
+    assert np.array_equal(rows[:, 2:], np.column_stack(stacked))
+    s = json.loads((out / "summary.json").read_text())
+    assert (s["max_energy"], s["dissipation"], s["data_norm"], s["energy_ratio"]) \
+        == (rep.max_energy, rep.dissipation, rep.data_norm, rep.ratio)
+    assert s["max_div"] == max(g.norm_lp(g.divergence(u), np.inf) for u in traj.u)
+
+
+def test_failed_solve_lists_the_snapshots_it_wrote(tmp_path):
+    # snapshots are written as the march goes; a run that fails at step 2
+    # has written levels 0 and 1, and its manifest lists them
+    p = tmp_path / "blow.json"
+    p.write_text(json.dumps({"time": {"T": 50, "nt": 5},
+                             "initial": {"kind": "fourier", "amplitude": 30},
+                             "sources": {"kind": "fourier", "amplitude": 30}}))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(p), "--out", str(out),
+                 "--snapshot-stride", "1"]) == 1
+    names = [f["path"] for f in read_manifest(out)["files"]]
+    assert names == ["state_00000.vtk", "state_00001.vtk", "failure.json"]
+    assert sorted(q.name for q in out.iterdir()) == sorted(names + ["manifest.json"])
+
+
+def test_duality_check_linearizes_around_the_configured_problem(tmp_path):
+    # the base state is the config's state at a random admissible control,
+    # so a config with other sources, initial data and targets checks
+    # another base: its residuals pass and differ from the default's
+    got = {}
+    for name, argv in (("default", []), ("close", ["--config", str(TRACKING_CLOSE)])):
+        out = tmp_path / name
+        assert main(["duality-check", "--out", str(out)] + argv) == 0
+        got[name] = json.loads((out / "summary.json").read_text())["residuals"]
+    assert max(got["close"]) <= 1e-11 and max(got["default"]) <= 1e-11
+    assert got["close"] != got["default"]
 
 
 def test_missing_config_file_exit_code(tmp_path):

@@ -8,7 +8,7 @@ from convecopt.grid import (Grid, GridConfig, Vec2,
 
 from hypothesis import given, strategies as st
 
-from conftest import GRIDS, PROPS, rand_scalar, rand_vec2, rand_div_free
+from conftest import GRIDS, PROPS, rand_scalar, rand_vec2
 
 
 # ---------------------------------------------------------------------------

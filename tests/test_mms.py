@@ -10,7 +10,8 @@ import pytest
 import sympy
 
 from convecopt.grid import Grid, GridConfig, Vec2
-from convecopt.boussinesq import PhysicalParams, TimeGrid, SourceData, data_norm
+from convecopt.boussinesq import (PhysicalParams, TimeGrid, SourceData, data_norm,
+                                  solve_state)
 from convecopt.mms import (build_case, initial_data, run_level,
                            convergence_study, _eval, _time_basis, _face_parts,
                            _Levels)
@@ -56,22 +57,54 @@ def test_orders_account_for_the_refinement_ratio():
     assert abs(order - np.mean(doubling)) <= 0.1
 
 
-def test_run_level_memory_is_bounded_by_the_trajectory():
-    # sources are formed per step and no pressure is stored, so the march
-    # holds little beyond its own (nt+1)-level velocity and temperature
+def _peak_levels(fn, *args, **kw):
+    """tracemalloc peak of fn(*args, **kw) above the memory held before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kw)
+        return tracemalloc.get_traced_memory()[1] - base, out
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_level_memory_does_not_grow_with_nt():
+    # each level is reduced to its squared error as the march hands it over,
+    # so quadrupling the steps leaves the peak where it was, a few dozen
+    # levels (grid operators and the sampled parts) whatever nt is
     n = 32
     case = build_case(0.05, 0.02)
     pp = PhysicalParams(0.05, 0.02)
     run_level(8, pp, case)      # first-call imports and caches stay outside the peak
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        _, nt = run_level(n, pp, case)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    traj_bytes = (nt + 1) * ((n + 1) * n + n * (n + 1) + n * n) * 8
-    assert peak <= 1.3 * traj_bytes, peak / traj_bytes
+    level = ((n + 1) * n + n * (n + 1) + n * n) * 8
+    peak, (_, nt) = _peak_levels(run_level, n, pp, case, T=0.1)
+    peak4, (_, nt4) = _peak_levels(run_level, n, pp, case, T=0.4)
+    assert nt4 >= 4 * nt - 4
+    assert max(peak, peak4) <= 32 * level, (peak / level, peak4 / level)
+    assert peak4 <= peak + level, (peak / level, peak4 / level)
+
+
+def test_run_level_error_equals_the_stored_trajectory_error():
+    # oracle: march into the default StateTrajectory, then sum the squared
+    # errors over the stored levels in the same order (u, v, theta; k = 1..nt)
+    n, T = 12, 0.05
+    pp = PhysicalParams(0.05, 0.02)
+    case = build_case(0.05, 0.02)
+    got, nt = run_level(n, pp, case, T=T)
+    grid = Grid(GridConfig(n, n))
+    tg = TimeGrid(T, nt)
+    basis = _time_basis(tg.times())
+    f = _face_parts(grid, case.fx_fn, case.fy_fn)
+    sources = _Levels(basis, f.u, f.v, case.g_fn.sample(grid.xc, grid.yc))
+    traj = solve_state(grid, pp, tg, sources, *initial_data(grid, case))
+    ue = _face_parts(grid, case.u_fn, case.v_fn)
+    exact = _Levels(basis, ue.u, ue.v, case.th_fn.sample(grid.xc, grid.yc))
+    err2 = 0.0
+    for k in range(1, nt + 1):
+        for have, want in zip((traj.u.u[k], traj.u.v[k], traj.theta[k]), exact.fields(k)):
+            d = (have - want).ravel()
+            err2 += float(d @ d)
+    assert got == float(np.sqrt(tg.dt * grid.vol * err2))
 
 
 def _stacked(basis, parts):

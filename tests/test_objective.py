@@ -6,7 +6,6 @@ import threading
 import numpy as np
 import pytest
 
-from convecopt.grid import Vec2
 from convecopt.objective import ObjectiveWeights, Control, Perturbation, CACHE_SIZE
 
 from conftest import make_problem, rand_control
