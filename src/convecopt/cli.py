@@ -10,6 +10,7 @@ failure.json next to the manifest), 2 config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -73,9 +74,14 @@ class Run:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
         return p
 
+    def write_records(self, name, cls, records):
+        """A table of dataclass records: one column per field of cls, in order."""
+        return self.write_csv(name, [f.name for f in dataclasses.fields(cls)],
+                              map(dataclasses.astuple, records))
+
     def write_json(self, name, obj):
         p = self.path(name)
-        payload = {"provenance": self.provenance, **obj}
+        payload = _finite({"provenance": self.provenance, **obj})
         with open(p, "w") as fh:
             json.dump(payload, fh, indent=2, default=_json_default)
             fh.write("\n")
@@ -99,6 +105,8 @@ class Run:
 
 
 def _fmt(v):
+    if isinstance(v, (bool, np.bool_)):
+        return str(int(v))
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)
@@ -116,9 +124,14 @@ def _json_default(o):
     raise TypeError(f"not serializable: {type(o)}")
 
 
-def _clean(x):
-    """Replace non-finite floats for JSON."""
-    if isinstance(x, float) and not np.isfinite(x):
+def _finite(x):
+    """x with every non-finite float, however deep, replaced by its name
+    ("nan", "inf", "-inf"), so that summaries are strict JSON."""
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(v) for v in x]
+    if isinstance(x, (float, np.floating)) and not np.isfinite(x):
         return str(x)
     return x
 
@@ -127,21 +140,9 @@ def _clean(x):
 # shared steps
 # ---------------------------------------------------------------------------
 
-def _optimize_base(prob, cfg, run=None):
+def _optimize_base(prob, cfg):
     opts = opt_options(cfg)
-    res = projected_gradient(prob, prob.space.zero(), opts)
-    if run is not None:
-        rows = []
-        for i in range(len(res.J_history)):
-            size = res.step_history[i - 1] if 0 < i <= len(res.step_history) else 0.0
-            nbt = res.backtrack_history[i - 1] if 0 < i <= len(res.backtrack_history) else 0
-            rows.append((i, res.J_history[i], res.kkt_history[i], size, nbt,
-                         res.bang_fraction[0], res.bang_fraction[1]))
-        run.write_csv("iterates.csv",
-                      ["iter", "J", "kkt", "step", "backtracks",
-                       "bang_fraction_q", "bang_fraction_th"], rows,
-                      units="J dimensionless, kkt L1-normalized")
-    return res, opts
+    return projected_gradient(prob, prob.space.zero(), opts), opts
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +191,19 @@ def cmd_solve(cfg, run, seed, snapshot_stride):
         "max_energy": rep.max_energy, "dissipation": rep.dissipation,
         "data_norm": rep.data_norm, "energy_ratio": rep.ratio,
         "max_div": levels.max_div})
-    return 0
 
 
 def cmd_optimize(cfg, run, seed):
     prob = build_problem(cfg, seed)
-    res, _ = _optimize_base(prob, cfg, run)
+    res, _ = _optimize_base(prob, cfg)
+    # iterate 0 is the start, reached by no step
+    rows = zip(res.J_history, res.kkt_history,
+               [0.0] + res.step_history, [0] + res.backtrack_history)
+    run.write_csv("iterates.csv",
+                  ["iter", "J", "kkt", "step", "backtracks",
+                   "bang_fraction_q", "bang_fraction_th"],
+                  [(i, *row, *res.bang_fraction) for i, row in enumerate(rows)],
+                  units="J dimensionless, kkt L1-normalized")
     vio = pointwise_sign_check(prob, res.control)
     run.write_json("summary.json", {
         "J": res.J_history[-1], "kkt": res.kkt_history[-1],
@@ -206,7 +214,6 @@ def cmd_optimize(cfg, run, seed):
         "sign_violation_mass_th": vio.mass_th,
         "admissible": res.control.is_admissible()})
     np.savez(run.path("control.npz"), q=res.control.q, th=res.control.th)
-    return 0
 
 
 def cmd_taylor(cfg, run, seed):
@@ -240,7 +247,6 @@ def cmd_taylor(cfg, run, seed):
             slopes.append({"seed": s, "slope": sl, "r2": r2})
     run.write_csv("taylor.csv", ["seed", "t", "remainder"], rows)
     run.write_json("summary.json", {"order": order, "fits": slopes})
-    return 0
 
 
 def cmd_duality(cfg, run, seed):
@@ -273,7 +279,6 @@ def cmd_duality(cfg, run, seed):
     run.write_json("summary.json", {"max_residual": max(residuals),
                                     "residuals": residuals,
                                     "pass_1e-11": max(residuals) <= 1e-11})
-    return 0
 
 
 def cmd_mms(cfg, run, seed):
@@ -287,7 +292,6 @@ def cmd_mms(cfg, run, seed):
                   list(zip(m["levels"], nts, errs)))
     run.write_json("summary.json", {"errors": errs, "orders": orders,
                                     "min_order": min(orders)})
-    return 0
 
 
 def cmd_tikhonov(cfg, run, seed):
@@ -295,15 +299,12 @@ def cmd_tikhonov(cfg, run, seed):
     res, opts = _optimize_base(prob, cfg)
     rep = lab.tikhonov_path(prob, res.control, cfg["tikhonov"]["eps_grid"],
                             opts, np.asarray(cfg["measure"]["eps_grid"]))
-    run.write_csv("path.csv", ["eps", "control_dist_l1", "J", "kkt", "iterations"],
-                  [(p.eps, p.control_dist_l1, p.J, p.kkt, p.iterations)
-                   for p in rep.points])
+    run.write_records("path.csv", lab.PathPoint, rep.points)
     run.write_json("summary.json", {
-        "slope": rep.fit.describe(), "slope_value": _clean(rep.fit.slope),
-        "r2": rep.fit.r2, "mu_hat": _clean(rep.mu_hat), "mu_r2": rep.mu_r2,
-        "slope_minus_inv_mu": _clean(rep.slope_vs_inv_mu),
+        "slope": rep.fit.describe(), "slope_value": rep.fit.slope,
+        "r2": rep.fit.r2, "mu_hat": rep.mu_hat, "mu_r2": rep.mu_r2,
+        "slope_minus_inv_mu": rep.slope_vs_inv_mu,
         "base_kkt": res.kkt_history[-1]})
-    return 0
 
 
 def cmd_sweep(cfg, run, seed, threads):
@@ -316,24 +317,16 @@ def cmd_sweep(cfg, run, seed, threads):
                          trust_radius=sw["trust_radius"])
     rep = lab.stability_sweep(prob, res.control, plan, opts,
                               s_norm=cfg["s_norm"])
-    run.write_csv("sweep.csv",
-                  ["magnitude", "zeta_norm", "control_dist_l1", "state_dist_l2",
-                   "state_dist_linf", "adjoint_grad_gap", "kkt", "iterations",
-                   "termination", "seed", "in_trust_region", "flags"],
-                  [(r.magnitude, r.zeta_norm, r.control_dist_l1, r.state_dist_l2,
-                    r.state_dist_linf, r.adjoint_grad_gap, r.kkt, r.iterations,
-                    r.termination, r.seed, int(r.in_trust_region), r.flags)
-                   for r in rep.records])
+    run.write_records("sweep.csv", lab.StabilityRecord, rep.records)
     run.write_json("summary.json", {
         "control_fit": rep.control_fit.describe(),
-        "control_slope": _clean(rep.control_fit.slope),
+        "control_slope": rep.control_fit.slope,
         "control_r2": rep.control_fit.r2,
         "state_fit": rep.state_fit.describe(),
-        "state_slope": _clean(rep.state_fit.slope),
+        "state_slope": rep.state_fit.slope,
         "state_r2": rep.state_fit.r2,
         "linf_constant": rep.linf_constant,
         "exponent_consistency": rep.exponent_consistency})
-    return 0
 
 
 def cmd_growth(cfg, run, seed):
@@ -343,22 +336,18 @@ def cmd_growth(cfg, run, seed):
     rep = lab.growth_probe(prob, res.control, gcfg["n_samples"],
                            gcfg["radius_grid"], seed, gcfg["variant"],
                            gcfg["tau"], cfg["s_norm"])
-    run.write_csv("growth_samples.csv",
-                  ["radius", "delta_l1", "lhs", "rhs", "ratio", "kind"],
-                  [(s.radius, s.delta_l1, s.lhs, s.rhs, _clean(s.ratio), s.kind)
-                   for s in rep.samples])
+    run.write_records("growth_samples.csv", lab.GrowthSample, rep.samples)
     run.write_json("summary.json", {
         "variant": rep.variant, "tau": rep.tau,
         "min_ratio_per_radius": {str(k): v for k, v in rep.min_ratio_per_radius.items()},
-        "c_hat": _clean(rep.c_hat),
-        "mu_hat": (_clean(rep.mu_hat) if rep.fit_r2 >= 0.8 else "no reliable fit"),
+        "c_hat": rep.c_hat,
+        "mu_hat": rep.mu_hat if rep.fit_r2 >= 0.8 else "no reliable fit",
         "fit_r2": rep.fit_r2,
         "tracking_misfit": rep.tracking_misfit,
         "adjoint_grad_sup": rep.adjoint_grad_sup,
-        "delta_hat": _clean(rep.delta_hat),
+        "delta_hat": rep.delta_hat,
         "margin": rep.margin,
         "margin_positive": rep.margin_positive})
-    return 0
 
 
 def cmd_second_order(cfg, run, seed):
@@ -375,11 +364,10 @@ def cmd_second_order(cfg, run, seed):
                                            cfg["s_norm"])
     run.write_json("summary.json", {
         "skipped": rep.skipped, "reason": rep.reason,
-        "margin": _clean(rep.margin), "perturbation_magnitude": mag,
-        "zeta_norm": _clean(rep.zeta_norm), "smallness": _clean(rep.smallness),
-        "min_ratio": _clean(rep.min_ratio),
-        "adjoint_margin_degradation": _clean(rep.adjoint_margin_degradation)})
-    return 0
+        "margin": rep.margin, "perturbation_magnitude": mag,
+        "zeta_norm": rep.zeta_norm, "smallness": rep.smallness,
+        "min_ratio": rep.min_ratio,
+        "adjoint_margin_degradation": rep.adjoint_margin_degradation})
 
 
 def cmd_measure(cfg, run, seed):
@@ -390,7 +378,7 @@ def cmd_measure(cfg, run, seed):
     rows = []
     for name, fit in adjoint_measure_fits(prob, res.control, eps).items():
         out[name] = {
-            "mu_hat": (_clean(fit.mu_hat) if fit.reliable or not np.isfinite(fit.mu_hat)
+            "mu_hat": (fit.mu_hat if fit.reliable or not np.isfinite(fit.mu_hat)
                        else "no reliable fit"),
             "r2": fit.r2, "n_used": fit.n_used}
         for e, m in zip(fit.eps, fit.mass):
@@ -398,7 +386,6 @@ def cmd_measure(cfg, run, seed):
     run.write_csv("measure.csv", ["component", "eps", "mass"], rows)
     run.write_json("summary.json", {"fits": out,
                                     "bang_fraction": res.bang_fraction})
-    return 0
 
 
 DISPATCH = {
@@ -430,7 +417,7 @@ def run_command(cmd, cfg: ExperimentConfig, out_dir=None, seed=None,
     run = Run(out_dir, cfg, cmd, seed)
     extra = {"solve": (snapshot_stride,), "stability-sweep": (threads,)}.get(cmd, ())
     try:
-        status = DISPATCH[cmd](cfg, run, seed, *extra)
+        DISPATCH[cmd](cfg, run, seed, *extra)
     except ConfigError as exc:
         sys.stderr.write(str(exc) + "\n")
         return 2
@@ -442,7 +429,7 @@ def run_command(cmd, cfg: ExperimentConfig, out_dir=None, seed=None,
         sys.stderr.write(f"{kind}: {exc}\n")
         return 1
     run.finish()
-    return status
+    return 0
 
 
 def main(argv=None):

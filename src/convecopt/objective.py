@@ -128,7 +128,8 @@ class Control:
 
     def source_fields(self):
         """Force and heat source of every step: a Vec2 stack of shapes
-        (nt, nx+1, ny) and (nt, nx, ny+1), and an (nt, nx, ny) array."""
+        (nt, nx+1, ny) and (nt, nx, ny+1), and an (nt, nx, ny) array,
+        freshly allocated (Problem._sources_for adds to them in place)."""
         sp = self.space
         g = sp.grid
         f = g.inject_region_vector(sp.mask_q, self.q[:, 0], self.q[:, 1])
@@ -294,15 +295,16 @@ class Problem:
     # -- state solves --------------------------------------------------------
 
     def _sources_for(self, ctrl: Control, pert: Perturbation):
+        # added in place on the fresh stacks, component by component, so no
+        # second stack is live
         f, h = ctrl.source_fields()
-        if self.base_sources.f is not None:
-            f = f + self.base_sources.f
-        if self.base_sources.h is not None:
-            h = h + self.base_sources.h
-        if pert.f_hat is not None:
-            f = f + pert.f_hat
-        if pert.h_hat is not None:
-            h = h + pert.h_hat
+        for df, dh in ((self.base_sources.f, self.base_sources.h),
+                       (pert.f_hat, pert.h_hat)):
+            if df is not None:
+                f.u += df.u
+                f.v += df.v
+            if dh is not None:
+                h += dh
         return SourceData(f, h)
 
     def _initial_for(self, pert: Perturbation):
@@ -439,7 +441,7 @@ class Problem:
     # -- tangent along a control direction ------------------------------------
 
     def tangent(self, ctrl: Control, delta: Control,
-                pert: Perturbation | None = None) -> sen.LinTrajectory:
+                pert: Perturbation | None = None) -> StateTrajectory:
         pert = pert or _zero_pert()
         traj = self.state(ctrl, pert)
         return sen.solve_linearized(self.grid, self.phys, self.tg, traj,
@@ -447,14 +449,14 @@ class Problem:
 
     def second_variation(self, ctrl: Control, delta: Control,
                          pert: Perturbation | None = None,
-                         lin: sen.LinTrajectory | None = None) -> float:
+                         lin: StateTrajectory | None = None) -> float:
         """Quadratic form J''(ctrl)[delta, delta] via one tangent + one adjoint."""
         return self.second_bilinear(ctrl, delta, delta, pert, lin, lin)
 
     def second_bilinear(self, ctrl: Control, d1: Control, d2: Control,
                         pert: Perturbation | None = None,
-                        lin1: sen.LinTrajectory | None = None,
-                        lin2: sen.LinTrajectory | None = None) -> float:
+                        lin1: StateTrajectory | None = None,
+                        lin2: StateTrajectory | None = None) -> float:
         """Assembled bilinear form behind the second variation.
 
         Tracking curvature of the two tangents, plus the pairing of the
@@ -472,11 +474,11 @@ class Problem:
             lin2 = self.tangent(ctrl, d2, pert) if d2 is not d1 else lin1
         val = 0.0
         if w.alpha1:
-            val += w.alpha1 * dt * g.inner(lin1.v[1:], lin2.v[1:])
+            val += w.alpha1 * dt * g.inner(lin1.u[1:], lin2.u[1:])
         if w.alpha2:
             val += w.alpha2 * dt * g.inner(lin1.theta[1:], lin2.theta[1:])
         if w.beta1:
-            val += w.beta1 * g.inner(lin1.v[nt], lin2.v[nt])
+            val += w.beta1 * g.inner(lin1.u[nt], lin2.u[nt])
         if w.beta2:
             val += w.beta2 * g.inner(lin1.theta[nt], lin2.theta[nt])
         if self.phys.coupling:

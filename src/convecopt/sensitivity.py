@@ -37,14 +37,6 @@ from .boussinesq import (PhysicalParams, TimeGrid, SourceData, StateTrajectory,
 
 
 @dataclass
-class LinTrajectory:
-    """Tangent levels 0..nt on a leading axis, shaped as StateTrajectory."""
-
-    v: Vec2
-    theta: np.ndarray
-
-
-@dataclass
 class AdjointTrajectory:
     """Backward-sweep output.
 
@@ -109,27 +101,28 @@ def tangent_explicit_t(grid: Grid, pp: PhysicalParams, uk: Vec2, thk,
 
 def solve_linearized(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
                      base: StateTrajectory, sources: SourceData,
-                     v0: Vec2 | None = None, theta0=None) -> LinTrajectory:
+                     v0: Vec2 | None = None, theta0=None) -> StateTrajectory:
     """Tangent march from (v0, theta0), `None` meaning zero; step k reads
-    sources.at(k), k = 0..nt-1, as solve_state does."""
+    sources.at(k), k = 0..nt-1, as solve_state does.  Returns the tangent
+    levels 0..nt as a StateTrajectory (velocity in u)."""
     _check_compat(tg, base)
     dt = tg.dt
-    lin = LinTrajectory(grid.vec2(tg.nt + 1), grid.scalar(tg.nt + 1))
+    lin = StateTrajectory(grid.vec2(tg.nt + 1), grid.scalar(tg.nt + 1))
     if v0 is not None:
-        lin.v[0] = v0
-        lin.v[0].zero_normal_boundary()
+        lin.u[0] = v0
+        lin.u[0].zero_normal_boundary()
     if theta0 is not None:
         lin.theta[0] = theta0
     for k in range(tg.nt):
         vs, ts = tangent_explicit(grid, pp, base.u[k], base.theta[k],
-                                  lin.v[k], lin.theta[k], dt,
+                                  lin.u[k], lin.theta[k], dt,
                                   *sources.at(k))
-        lin.v[k + 1], _, lin.theta[k + 1] = implicit_block(grid, pp, dt, vs, ts)
-        check_step(grid, k + 1, lin.v[k + 1], lin.theta[k + 1])
+        lin.u[k + 1], _, lin.theta[k + 1] = implicit_block(grid, pp, dt, vs, ts)
+        check_step(grid, k + 1, lin.u[k + 1], lin.theta[k + 1])
     return lin
 
 
-def second_rhs(grid: Grid, lin1: LinTrajectory, lin2: LinTrajectory, nt):
+def second_rhs(grid: Grid, lin1: StateTrajectory, lin2: StateTrajectory, nt):
     """Symmetrized bilinear right-hand sides for the second derivative.
 
     Returns (F, G) stacked over the steps k = 0..nt-1; solve_linearized
@@ -142,11 +135,11 @@ def second_rhs(grid: Grid, lin1: LinTrajectory, lin2: LinTrajectory, nt):
     rhsF = grid.vec2(nt)
     rhsG = grid.scalar(nt)
     for k in range(nt):
-        a = grid.advect_vector(lin1.v[k], lin2.v[k])
-        b = a if same else grid.advect_vector(lin2.v[k], lin1.v[k])
+        a = grid.advect_vector(lin1.u[k], lin2.u[k])
+        b = a if same else grid.advect_vector(lin2.u[k], lin1.u[k])
         rhsF[k] = -(a + b)
-        c = grid.advect_scalar(lin1.v[k], lin2.theta[k])
-        d = c if same else grid.advect_scalar(lin2.v[k], lin1.theta[k])
+        c = grid.advect_scalar(lin1.u[k], lin2.theta[k])
+        d = c if same else grid.advect_scalar(lin2.u[k], lin1.theta[k])
         rhsG[k] = -(c + d)
     return rhsF, rhsG
 
@@ -219,10 +212,10 @@ def duality_residual(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
     for k in range(1, nt + 1):
         fk, gk = adj_src.at(k)
         if fk is not None:
-            lhs += dt * grid.inner(fk, lin.v[k])
+            lhs += dt * grid.inner(fk, lin.u[k])
         if gk is not None:
             lhs += dt * grid.inner(gk, lin.theta[k])
-    lhs += grid.inner(lin.v[nt], adj.w[nt])
+    lhs += grid.inner(lin.u[nt], adj.w[nt])
     lhs += grid.inner(lin.theta[nt], adj.psi[nt])
     rhs = 0.0
     for k in range(nt):

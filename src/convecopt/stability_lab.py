@@ -224,6 +224,10 @@ def stability_sweep(prob: Problem, ctrl_star: Control, plan: SweepPlan,
     """
     base_state = prob.state(ctrl_star)
     base_adj = prob.adjoint(ctrl_star)
+    # before the points, which may evict ctrl_star from this thread's cache
+    records = [StabilityRecord(0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                               kkt_residual_from_grad(ctrl_star, prob.grad_J(ctrl_star)),
+                               0, "reference", plan.seed, True)]
     trust = plan.trust_radius if plan.trust_radius is not None \
         else default_trust_radius(prob)
 
@@ -260,9 +264,6 @@ def stability_sweep(prob: Problem, ctrl_star: Control, plan: SweepPlan,
     else:
         done = [run_point(it) for it in items]
     done.sort(key=lambda t: t[0])
-    records = [StabilityRecord(0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                               kkt_residual_from_grad(ctrl_star, prob.grad_J(ctrl_star)),
-                               0, "reference", plan.seed, True)]
     records.extend(r for _, r in done)
     zn = [r.zeta_norm for r in records]
     cfit = _fit_records(zn, [r.control_dist_l1 for r in records])
@@ -449,7 +450,7 @@ def growth_probe(prob: Problem, ctrl_star: Control, n_samples, radius_grid,
             if variant == "control":
                 w = prob.weights
                 g = prob.grid
-                term = w.beta1 * g.norm2(lin.v[-1]) ** 2 \
+                term = w.beta1 * g.norm2(lin.u[-1]) ** 2 \
                     + w.beta2 * g.norm2(lin.theta[-1]) ** 2
                 rhs = dl1 ** 2 + term     # quadratic reference; mu fitted below
                 xs.append(dl1)

@@ -32,6 +32,24 @@ GRIDS = st.builds(
     st.floats(0.1, 10.0), st.floats(0.1, 10.0))
 PROPS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
+# arbitrary JSON, with numbers that a float cannot hold
+NUMBERS = (st.floats() | st.integers()
+           | st.sampled_from([10 ** 400, -(10 ** 400), 2 ** 1024]))
+JSON = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=8)
+
+
+def leaf_paths(d, prefix=()):
+    """Key paths of the non-object values of a nested dict."""
+    for key, val in d.items():
+        if isinstance(val, dict):
+            yield from leaf_paths(val, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
 
 @pytest.fixture
 def grid8():

@@ -1,13 +1,22 @@
 """Command-line layer tests: exit codes, artifacts, manifest determinism."""
 
+import contextlib
+import dataclasses
+import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from convecopt.cli import main, run_command
-from convecopt.config import from_dict
+from convecopt import stability_lab as lab
+from convecopt.cli import COMMANDS, main, run_command
+from convecopt.config import DEFAULTS, from_dict
+
+from conftest import JSON, NUMBERS, leaf_paths
 
 SMALL = {"grid": {"nx": 8, "ny": 8}, "time": {"T": 0.2, "nt": 6},
          "duality": {"seeds": 2},
@@ -219,18 +228,12 @@ def test_snapshot_pressure_is_the_march_pressure(tmp_path):
     assert np.array_equal(got, p)
 
 
-def test_solve_reduces_as_it_marches(tmp_path):
-    # energy.csv and summary.json are the stored-trajectory energy_report and
-    # divergence, bitwise, and the rows are the reductions over the whole
-    # stack, while the run holds no trajectory: its peak is the control's
-    # source stacks (nt levels) and a few levels more: 1.26 trajectories at
-    # 32^2, nt = 100, where a march into a stored trajectory peaks at 3.25.
+def _solve_peak(tmp_path, doc):
+    """Config of doc at 32^2, nt = 100, the directory `solve` wrote it to,
+    and the run's tracemalloc peak in state trajectories (after a warm-up)."""
     import tracemalloc
-    from convecopt.boussinesq import energy_report, _sq, _h1_semi_sq
-    from convecopt.config import build_problem
-    from convecopt.objective import Perturbation
-    cfg = from_dict({"grid": {"nx": 32, "ny": 32}, "time": {"T": 0.5, "nt": 100},
-                     "initial": {"kind": "fourier"}})
+    n, nt = 32, 100
+    cfg = from_dict({"grid": {"nx": n, "ny": n}, "time": {"T": 0.5, "nt": nt}, **doc})
     assert run_command("solve", cfg, str(tmp_path / "warm")) == 0
     out = tmp_path / "s"
     tracemalloc.start()
@@ -240,9 +243,21 @@ def test_solve_reduces_as_it_marches(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    n, nt = 32, 100
     traj_bytes = (nt + 1) * ((n + 1) * n + n * (n + 1) + n * n) * 8
-    assert peak <= 1.3 * traj_bytes, peak / traj_bytes
+    return cfg, out, peak / traj_bytes
+
+
+def test_solve_reduces_as_it_marches(tmp_path):
+    # energy.csv and summary.json are the stored-trajectory energy_report and
+    # divergence, bitwise, and the rows are the reductions over the whole
+    # stack, while the run holds no trajectory: its peak is the control's
+    # source stacks (nt levels) and a few levels more: 1.26 trajectories at
+    # 32^2, nt = 100, where a march into a stored trajectory peaks at 3.25.
+    from convecopt.boussinesq import energy_report, _sq, _h1_semi_sq
+    from convecopt.config import build_problem
+    from convecopt.objective import Perturbation
+    cfg, out, peak = _solve_peak(tmp_path, {"initial": {"kind": "fourier"}})
+    assert peak <= 1.3, peak
 
     prob = build_problem(cfg, cfg["seed"])
     traj = prob.state(prob.space.zero())
@@ -262,6 +277,15 @@ def test_solve_reduces_as_it_marches(tmp_path):
     assert (s["max_energy"], s["dissipation"], s["data_norm"], s["energy_ratio"]) \
         == (rep.max_energy, rep.dissipation, rep.data_norm, rep.ratio)
     assert s["max_div"] == max(g.norm_lp(g.divergence(u), np.inf) for u in traj.u)
+
+
+def test_solve_with_base_sources_holds_one_source_stack(tmp_path):
+    # the config's sources are added in place on the control's source
+    # stacks: 1.30 trajectories, where adding them into a second force
+    # stack peaked at 1.96
+    _, _, peak = _solve_peak(tmp_path, {"initial": {"kind": "fourier"},
+                                        "sources": {"kind": "fourier"}})
+    assert peak <= 1.35, peak
 
 
 def test_failed_solve_lists_the_snapshots_it_wrote(tmp_path):
@@ -368,16 +392,6 @@ def test_seed_override_changes_outputs(tmp_path):
     assert mans[0]["control.npz"] != mans[1]["control.npz"]
 
 
-def test_remaining_commands_run_clean(tmp_path):
-    cfg = write_cfg(tmp_path)
-    for cmd in ("taylor-test", "tikhonov-path", "stability-sweep",
-                "growth-probe", "second-order-check", "measure-condition"):
-        out = tmp_path / cmd
-        assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0
-        assert (out / "summary.json").exists()
-        assert (out / "manifest.json").exists()
-
-
 def test_mms_command(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "mms"
@@ -397,3 +411,108 @@ def test_sweep_threads_flag_bitwise_identical(tmp_path):
                      for f in read_manifest(out)["files"]})
     assert sums[0]["sweep.csv"] == sums[1]["sweep.csv"]
     assert sums[0]["summary.json"] == sums[1]["summary.json"]
+
+
+# header row of every table and the key order of summary.json, per command
+SCHEMAS = {
+    "solve": ({"energy.csv": "k,t,ke_u,ke_theta,enstrophy_u,grad_theta"},
+              ["max_energy", "dissipation", "data_norm", "energy_ratio", "max_div"]),
+    "optimize": ({"iterates.csv":
+                  "iter,J,kkt,step,backtracks,bang_fraction_q,bang_fraction_th"},
+                 ["J", "kkt", "iterations", "termination", "bang_fraction_q",
+                  "bang_fraction_th", "sign_violation_mass_q",
+                  "sign_violation_mass_th", "admissible"]),
+    "taylor-test": ({"taylor.csv": "seed,t,remainder"}, ["order", "fits"]),
+    "duality-check": ({"duality.csv": "seed,residual"},
+                      ["max_residual", "residuals", "pass_1e-11"]),
+    "mms": ({"mms.csv": "n,nt,error_l2q"}, ["errors", "orders", "min_order"]),
+    "tikhonov-path": ({"path.csv": "eps,control_dist_l1,J,kkt,iterations"},
+                      ["slope", "slope_value", "r2", "mu_hat", "mu_r2",
+                       "slope_minus_inv_mu", "base_kkt"]),
+    "stability-sweep": ({"sweep.csv": "magnitude,zeta_norm,control_dist_l1,"
+                         "state_dist_l2,state_dist_linf,adjoint_grad_gap,kkt,"
+                         "iterations,termination,seed,in_trust_region,flags"},
+                        ["control_fit", "control_slope", "control_r2", "state_fit",
+                         "state_slope", "state_r2", "linf_constant",
+                         "exponent_consistency"]),
+    "growth-probe": ({"growth_samples.csv": "radius,delta_l1,lhs,rhs,ratio,kind"},
+                     ["variant", "tau", "min_ratio_per_radius", "c_hat", "mu_hat",
+                      "fit_r2", "tracking_misfit", "adjoint_grad_sup", "delta_hat",
+                      "margin", "margin_positive"]),
+    "second-order-check": ({}, ["skipped", "reason", "margin",
+                                "perturbation_magnitude", "zeta_norm", "smallness",
+                                "min_ratio", "adjoint_margin_degradation"]),
+    "measure-condition": ({"measure.csv": "component,eps,mass"},
+                          ["fits", "bang_fraction"]),
+}
+RECORDS = {"sweep.csv": lab.StabilityRecord, "path.csv": lab.PathPoint,
+           "growth_samples.csv": lab.GrowthSample}
+
+
+def _not_strict_json(name):
+    raise ValueError(f"summary.json holds {name}")
+
+
+@pytest.mark.parametrize("cmd", COMMANDS)
+def test_every_command_runs_clean_and_keeps_its_schema(tmp_path, cmd):
+    # the record tables' columns are their records' fields; summaries are
+    # strict JSON (non-finite values are written as "nan" or "inf")
+    tables, keys = SCHEMAS[cmd]
+    out = tmp_path / "o"
+    assert main([cmd, "--config", str(write_cfg(tmp_path)), "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists()
+    heads = {p.name: next(ln for ln in p.read_text().splitlines()
+                          if not ln.startswith("#"))
+             for p in out.glob("*.csv")}
+    assert heads == tables
+    for name, cls in RECORDS.items():
+        if name in heads:
+            assert heads[name] == ",".join(f.name for f in dataclasses.fields(cls))
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_not_strict_json)
+    assert list(summary) == ["provenance"] + keys
+
+
+def _solve_exits_cleanly(doc):
+    """main runs `solve` on doc as its config file: exit 0, 1 or 2, and no
+    traceback on stderr."""
+    with tempfile.TemporaryDirectory() as d:
+        cfg = os.path.join(d, "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh)      # nan and inf are written as NaN, Infinity
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["solve", "--config", cfg, "--out", os.path.join(d, "o")])
+    assert rc in (0, 1, 2), rc
+    assert "Traceback" not in err.getvalue(), err.getvalue()
+
+
+_fuzz_main = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+# every leaf but those that size the run: grid, steps and Fourier modes stay tiny
+_FREE_LEAVES = [p for p in leaf_paths(DEFAULTS)
+                if p not in (("grid", "nx"), ("grid", "ny"), ("time", "nt"))
+                and p[-1] != "modes"]
+
+
+@_fuzz_main
+@given(JSON)
+def test_main_on_arbitrary_json(doc):
+    _solve_exits_cleanly(doc)
+
+
+@_fuzz_main
+@given(st.integers(4, 6), st.integers(4, 6), st.integers(1, 2),
+       st.sampled_from(["zero", "fourier"]), st.sampled_from(["zero", "fourier"]),
+       st.lists(st.tuples(st.sampled_from(_FREE_LEAVES),
+                          NUMBERS | JSON | st.lists(NUMBERS, max_size=5)),
+                min_size=1, max_size=2))
+def test_main_on_a_tiny_config_with_random_leaves(nx, ny, nt, initial, sources,
+                                                  edits):
+    doc = {"grid": {"nx": nx, "ny": ny}, "time": {"nt": nt},
+           "initial": {"kind": initial}, "sources": {"kind": sources}}
+    for path, val in edits:
+        node = doc
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = val
+    _solve_exits_cleanly(doc)

@@ -12,6 +12,8 @@ from convecopt.config import (ConfigError, DEFAULTS, default_config,
                               opt_options)
 from convecopt.grid import Grid, GridConfig
 
+from conftest import JSON, NUMBERS, leaf_paths
+
 
 def test_default_config_is_valid_and_hashable():
     cfg = default_config()
@@ -198,24 +200,6 @@ def test_region_check_agrees_with_rect_mask(x0, w, y0, h):
     assert valid == covered
 
 
-# arbitrary JSON, with numbers that a float cannot hold
-_numbers = (st.floats() | st.integers()
-            | st.sampled_from([10 ** 400, -(10 ** 400), 2 ** 1024]))
-_json = st.recursive(
-    st.none() | st.booleans() | _numbers | st.text(max_size=4),
-    lambda inner: (st.lists(inner, max_size=4)
-                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
-    max_leaves=8)
-
-
-def _leaf_paths(d, prefix=()):
-    for key, val in d.items():
-        if isinstance(val, dict):
-            yield from _leaf_paths(val, prefix + (key,))
-        else:
-            yield prefix + (key,)
-
-
 _fuzz = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
@@ -227,14 +211,14 @@ def _returns_or_raises_config_error(doc):
 
 
 @_fuzz
-@given(_json)
+@given(JSON)
 def test_from_dict_on_arbitrary_json(doc):
     _returns_or_raises_config_error(doc)
 
 
 @_fuzz
-@given(st.lists(st.tuples(st.sampled_from(list(_leaf_paths(DEFAULTS))),
-                          _json | st.lists(_numbers, max_size=5)),
+@given(st.lists(st.tuples(st.sampled_from(list(leaf_paths(DEFAULTS))),
+                          JSON | st.lists(NUMBERS, max_size=5)),
                 min_size=1, max_size=3))
 def test_from_dict_on_defaults_with_random_leaves(edits):
     doc = copy.deepcopy(DEFAULTS)

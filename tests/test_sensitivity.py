@@ -46,9 +46,9 @@ def test_tangent_is_linear(grid8):
     l1 = solve_linearized(grid8, pp, tg, base, SourceData(dF1, dG1), v01, t01)
     l2 = solve_linearized(grid8, pp, tg, base, SourceData(dF2, dG2), v02, t02)
     for k in range(tg.nt + 1):
-        ref_v = Vec2(a * l1.v[k].u + b * l2.v[k].u,
-                     a * l1.v[k].v + b * l2.v[k].v)
-        assert (comb.v[k] - ref_v).max_abs() <= 1e-12
+        ref_v = Vec2(a * l1.u[k].u + b * l2.u[k].u,
+                     a * l1.u[k].v + b * l2.u[k].v)
+        assert (comb.u[k] - ref_v).max_abs() <= 1e-12
         assert np.max(np.abs(comb.theta[k] - a * l1.theta[k]
                              - b * l2.theta[k])) <= 1e-12
 
@@ -57,7 +57,7 @@ def test_tangent_zero_input_gives_zero(grid8):
     pp, tg, _, _, _, base, _ = base_setup(grid8)
     lin = solve_linearized(grid8, pp, tg, base, SourceData())
     for k in range(tg.nt + 1):
-        assert lin.v[k].max_abs() == 0.0
+        assert lin.u[k].max_abs() == 0.0
         assert np.all(lin.theta[k] == 0.0)
 
 
@@ -67,7 +67,7 @@ def test_temperature_tangent_couples_into_velocity(grid8):
     pp, tg, _, _, _, base, rng = base_setup(grid8)
     dG = [rand_scalar(grid8, rng) for _ in range(tg.nt)]
     lin = solve_linearized(grid8, pp, tg, base, SourceData(None, dG))
-    assert lin.v[-1].max_abs() > 0
+    assert lin.u[-1].max_abs() > 0
 
 
 def test_tangent_taylor_rate(grid8):
@@ -85,7 +85,7 @@ def test_tangent_taylor_rate(grid8):
         pert = solve_state(grid8, pp, tg, SourceData(fs, hs), pu0, pth0)
         err = 0.0
         for k in range(tg.nt + 1):
-            du = pert.u[k] - base.u[k] - t * lin.v[k]
+            du = pert.u[k] - base.u[k] - t * lin.u[k]
             dth = pert.theta[k] - base.theta[k] - t * lin.theta[k]
             err += tg.dt * (grid8.norm2(du) ** 2 + grid8.norm2(dth) ** 2)
         rems.append(np.sqrt(err))
@@ -111,8 +111,8 @@ def test_second_derivative_taylor_rate(grid8):
         pert = solve_state(grid8, pp, tg, SourceData(fs, hs), pu0, pth0)
         err = 0.0
         for k in range(tg.nt + 1):
-            du = pert.u[k] - base.u[k] - t * lin.v[k] \
-                - Vec2(0.5 * t * t * sec.v[k].u, 0.5 * t * t * sec.v[k].v)
+            du = pert.u[k] - base.u[k] - t * lin.u[k] \
+                - Vec2(0.5 * t * t * sec.u[k].u, 0.5 * t * t * sec.u[k].v)
             dth = pert.theta[k] - base.theta[k] - t * lin.theta[k] \
                 - 0.5 * t * t * sec.theta[k]
             err += tg.dt * (grid8.norm2(du) ** 2 + grid8.norm2(dth) ** 2)
@@ -132,7 +132,7 @@ def test_second_solver_is_symmetric(grid8):
     s21 = solve_linearized(grid8, pp, tg, base,
                            SourceData(*second_rhs(grid8, l2, l1, tg.nt)))
     for k in range(tg.nt + 1):
-        assert (s12.v[k] - s21.v[k]).max_abs() <= 1e-12
+        assert (s12.u[k] - s21.u[k]).max_abs() <= 1e-12
         assert np.max(np.abs(s12.theta[k] - s21.theta[k])) <= 1e-12
 
 
@@ -143,7 +143,7 @@ def test_second_rhs_of_one_tangent_is_the_two_call_form_bitwise(grid_rect):
     rhsF, rhsG = second_rhs(grid_rect, lin, lin, tg.nt)
     g = grid_rect
     for k in range(tg.nt):
-        v, th = lin.v[k], lin.theta[k]
+        v, th = lin.u[k], lin.theta[k]
         refF = -(g.advect_vector(v, v) + g.advect_vector(v, v))
         refG = -(g.advect_scalar(v, th) + g.advect_scalar(v, th))
         assert rhsF[k].u.tobytes() == refF.u.tobytes()
@@ -194,9 +194,9 @@ def test_tangent_and_adjoint_read_lists_stacks_and_on_demand_sources_alike(grid_
     wT, psiT = rand_div_free(grid_rect, rng), rand_scalar(grid_rect, rng)
     adjs = [solve_adjoint(grid_rect, pp, tg, base, src, wT, psiT)
             for src in three_kinds_of_sources(grid_rect, 60, range(1, tg.nt + 1))]
-    assert lins[0].v.max_abs() > 0 and adjs[0].w.max_abs() > 0
+    assert lins[0].u.max_abs() > 0 and adjs[0].w.max_abs() > 0
     for lin in lins[1:]:
-        assert bits(lin.v, lin.theta) == bits(lins[0].v, lins[0].theta)
+        assert bits(lin.u, lin.theta) == bits(lins[0].u, lins[0].theta)
     ref = adjs[0]
     for adj in adjs[1:]:
         assert (bits(adj.w, adj.psi, adj.lam0_u, adj.lam0_t)

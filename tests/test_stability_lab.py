@@ -92,6 +92,39 @@ def test_sweep_thread_count_does_not_change_output():
     assert rep1.control_fit == rep4.control_fit
 
 
+def test_serial_sweep_reference_reuses_the_base_adjoint(monkeypatch):
+    # the reference record's gradient is taken before the points evict the
+    # reference control from this thread's caches, so it costs no sweep;
+    # taken after them, it cost a serial sweep one forward and one adjoint
+    from convecopt import objective, sensitivity
+    prob, ctrl, opts = solved_problem()
+    calls = {"forward": 0, "adjoint": 0}
+
+    def counted(kind, fn):
+        def wrapped(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(objective, "solve_state", counted("forward", objective.solve_state))
+    monkeypatch.setattr(sensitivity, "solve_adjoint",
+                        counted("adjoint", sensitivity.solve_adjoint))
+    grad_J, reference_cost = prob.grad_J, []
+
+    def spy(c, pert=None):
+        before = dict(calls)
+        g = grad_J(c, pert)
+        if pert is None:        # the points' solves all pass a perturbation
+            reference_cost.append({k: calls[k] - before[k] for k in calls})
+        return g
+
+    monkeypatch.setattr(prob, "grad_J", spy)
+    plan = SweepPlan("source", np.array([1e-2, 3e-2, 1e-1]), seed=2)
+    stability_sweep(prob, ctrl, plan, opts)
+    assert reference_cost == [{"forward": 0, "adjoint": 0}]
+    assert calls["forward"] > 3 and calls["adjoint"] > 3
+
+
 def test_sweep_plan_validates_magnitudes():
     with pytest.raises(ValueError):
         SweepPlan("source", np.array([0.1, 0.05]))

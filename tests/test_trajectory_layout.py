@@ -77,15 +77,15 @@ def test_stacked_reductions_match_per_level_loops(grid_rect):
 
     d1, d2 = rand_control(sp, rng), rand_control(sp, rng)
     lin1, lin2 = prob.tangent(ctrl, d1, pert), prob.tangent(ctrl, d2, pert)
-    ref = w.beta1 * g.inner(lin1.v[nt], lin2.v[nt]) \
+    ref = w.beta1 * g.inner(lin1.u[nt], lin2.u[nt]) \
         + w.beta2 * g.inner(lin1.theta[nt], lin2.theta[nt])
     for k in range(1, nt + 1):
-        ref += dt * (w.alpha1 * g.inner(lin1.v[k], lin2.v[k])
+        ref += dt * (w.alpha1 * g.inner(lin1.u[k], lin2.u[k])
                      + w.alpha2 * g.inner(lin1.theta[k], lin2.theta[k]))
     for k in range(nt):
-        F = g.advect_vector(lin1.v[k], lin2.v[k]) + g.advect_vector(lin2.v[k], lin1.v[k])
-        G = g.advect_scalar(lin1.v[k], lin2.theta[k]) \
-            + g.advect_scalar(lin2.v[k], lin1.theta[k])
+        F = g.advect_vector(lin1.u[k], lin2.u[k]) + g.advect_vector(lin2.u[k], lin1.u[k])
+        G = g.advect_scalar(lin1.u[k], lin2.theta[k]) \
+            + g.advect_scalar(lin2.u[k], lin1.theta[k])
         ref -= dt * (g.inner(adj.w[k], F) + g.inner(adj.psi[k], G))
     ref += wq * (w.eps1 * np.sum(d1.q * d2.q) + w.eps2 * np.sum(d1.th * d2.th))
     got = prob.second_bilinear(ctrl, d1, d2, pert, lin1, lin2)
