@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from .grid import Vec2, fields_to_vtk
 from .boussinesq import EnergySeries, solve_state
-from .objective import Perturbation
 from .optimizer import projected_gradient, pointwise_sign_check, adjoint_measure_fits
 from . import sensitivity as sen
 from . import stability_lab as lab
@@ -83,7 +82,7 @@ class Run:
         p = self.path(name)
         payload = _finite({"provenance": self.provenance, **obj})
         with open(p, "w") as fh:
-            json.dump(payload, fh, indent=2, default=_json_default)
+            json.dump(payload, fh, indent=2, allow_nan=False)
             fh.write("\n")
         return p
 
@@ -112,26 +111,17 @@ def _fmt(v):
     return str(v)
 
 
-def _json_default(o):
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, (np.bool_,)):
-        return bool(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not serializable: {type(o)}")
-
-
 def _finite(x):
-    """x with every non-finite float, however deep, replaced by its name
-    ("nan", "inf", "-inf"), so that summaries are strict JSON."""
+    """x as plain JSON values: numpy scalars as Python numbers, arrays as
+    lists, and every non-finite float, however deep, as its name ("nan",
+    "inf", "-inf"), so that summaries are strict JSON."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        x = x.tolist()
     if isinstance(x, dict):
         return {k: _finite(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_finite(v) for v in x]
-    if isinstance(x, (float, np.floating)) and not np.isfinite(x):
+    if isinstance(x, float) and not np.isfinite(x):
         return str(x)
     return x
 
@@ -173,7 +163,7 @@ class _SolveLevels(EnergySeries):
 
 def cmd_solve(cfg, run, seed, snapshot_stride):
     prob = build_problem(cfg, seed)
-    sources = prob._sources_for(prob.space.zero(), Perturbation())
+    sources = prob._sources_for(prob.space.zero())
     levels = _SolveLevels(prob.grid, prob.tg, run.out_dir, snapshot_stride)
     try:
         solve_state(prob.grid, prob.phys, prob.tg, sources, prob.u0, prob.theta0,

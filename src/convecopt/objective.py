@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -192,7 +192,7 @@ class Perturbation:
         """Digest of what the adjoint adds: objective tilts, target shifts."""
         return _digest(self.eta_u, self.eta_th, self.u_d_hat, self.th_d_hat)
 
-    def norm_P(self, grid: Grid, tg: TimeGrid, control: Control, s=4):
+    def norm_P(self, grid: Grid, control: Control, s=4):
         """Size of the perturbation: sum of per-component norms.
 
         Sources, tilts and target shifts in L^s; initial data by the L2
@@ -231,23 +231,24 @@ class Perturbation:
         return float(total)
 
 
-def _zero_pert():
-    return Perturbation()
-
-
 @dataclass
 class Problem:
     """Bundles everything needed to evaluate the objective at a control.
+
+    `pert` makes this the perturbed problem P(zeta); the empty default is the
+    unperturbed one.  `perturbed(zeta)` returns a copy with zeta in place of
+    `pert` that shares this problem's caches.
 
     Forward and adjoint solves are cached, so the optimizer's repeated
     J/grad evaluations at one point cost one solve of each.  A state is
     keyed on the control and the perturbation's sources and initial data
     (f_hat, h_hat, u0_hat, th0_hat); an adjoint also on its objective tilts
     and target shifts (eta_u, eta_th, u_d_hat, th_d_hat).  Control tilts
-    (sigma, lam) and Tikhonov weights change neither, so they reuse both.
-    Each thread keeps its own least-recently-used caches of CACHE_SIZE
-    entries, so the threads of a parallel stability sweep share no mutable
-    state and none evicts another's entries.
+    (sigma, lam) and Tikhonov weights change neither, so the perturbed
+    copies of a problem reuse both.  Each thread keeps its own
+    least-recently-used caches of CACHE_SIZE entries, so the threads of a
+    parallel stability sweep share no mutable state and none evicts
+    another's entries.
     """
 
     grid: Grid
@@ -259,6 +260,7 @@ class Problem:
     base_sources: SourceData = field(default_factory=SourceData)
     u0: Vec2 | None = None
     theta0: np.ndarray | None = None
+    pert: Perturbation = field(default_factory=Perturbation)
 
     def __post_init__(self):
         if self.u0 is None:
@@ -266,6 +268,13 @@ class Problem:
         if self.theta0 is None:
             self.theta0 = self.grid.scalar()
         self._local = threading.local()
+
+    def perturbed(self, pert: Perturbation) -> Problem:
+        """This problem with pert in place of its perturbation, sharing
+        its caches (their keys tell perturbations apart)."""
+        out = replace(self, pert=pert)
+        out._local = self._local
+        return out
 
     @property
     def coupling(self):
@@ -294,12 +303,12 @@ class Problem:
 
     # -- state solves --------------------------------------------------------
 
-    def _sources_for(self, ctrl: Control, pert: Perturbation):
+    def _sources_for(self, ctrl: Control):
         # added in place on the fresh stacks, component by component, so no
         # second stack is live
         f, h = ctrl.source_fields()
         for df, dh in ((self.base_sources.f, self.base_sources.h),
-                       (pert.f_hat, pert.h_hat)):
+                       (self.pert.f_hat, self.pert.h_hat)):
             if df is not None:
                 f.u += df.u
                 f.v += df.v
@@ -307,7 +316,8 @@ class Problem:
                 h += dh
         return SourceData(f, h)
 
-    def _initial_for(self, pert: Perturbation):
+    def _initial_for(self):
+        pert = self.pert
         u0 = self.u0
         th0 = self.theta0
         if pert.u0_hat is not None:
@@ -316,25 +326,25 @@ class Problem:
             th0 = th0 + pert.th0_hat
         return u0, th0
 
-    def state(self, ctrl: Control, pert: Perturbation | None = None) -> StateTrajectory:
-        pert = pert or _zero_pert()
-        key = (ctrl.hash(), pert.state_hash())
+    def state(self, ctrl: Control) -> StateTrajectory:
+        key = (ctrl.hash(), self.pert.state_hash())
         hit = self._recall("state", key)
         if hit is not None:
             return hit
-        sources = self._sources_for(ctrl, pert)
-        u0, th0 = self._initial_for(pert)
+        sources = self._sources_for(ctrl)
+        u0, th0 = self._initial_for()
         traj = solve_state(self.grid, self.phys, self.tg, sources, u0, th0)
         return self._remember("state", key, traj)
 
     # -- objective -----------------------------------------------------------
 
-    def _misfits(self, traj, pert):
+    def _misfits(self, traj):
         """(u - u_d - u_d_hat, theta - theta_d - theta_d_hat) at every level.
 
         Without targets or shifts these are the trajectory's own fields, so
         callers must not modify them in place.
         """
+        pert = self.pert
         du = traj.u
         if self.targets.u_d is not None:
             du = du - self.targets.u_d
@@ -356,14 +366,14 @@ class Problem:
             dth = dth - self.targets.theta_T
         return du, dth
 
-    def eval_J(self, ctrl: Control, pert: Perturbation | None = None) -> float:
-        """Objective value; perturbed variant when a perturbation is given."""
-        pert = pert or _zero_pert()
+    def eval_J(self, ctrl: Control) -> float:
+        """Objective value, with the terms of this problem's perturbation."""
+        pert = self.pert
         w = self.weights
         g = self.grid
         dt = self.tg.dt
-        traj = self.state(ctrl, pert)
-        du, dth = self._misfits(traj, pert)
+        traj = self.state(ctrl)
+        du, dth = self._misfits(traj)
         val = 0.0
         if w.alpha1:
             val += 0.5 * w.alpha1 * dt * g.inner(du[1:], du[1:])
@@ -392,17 +402,18 @@ class Problem:
 
     # -- adjoint and gradient ------------------------------------------------
 
-    def adjoint(self, ctrl: Control, pert: Perturbation | None = None) -> sen.AdjointTrajectory:
-        """Adjoint sweep with the tracking right-hand sides and terminal data."""
-        pert = pert or _zero_pert()
+    def adjoint(self, ctrl: Control) -> StateTrajectory:
+        """Adjoint sweep with the tracking right-hand sides and terminal
+        data: w in u, Psi in theta (see sensitivity.solve_adjoint)."""
+        pert = self.pert
         key = (ctrl.hash(), pert.state_hash(), pert.adjoint_hash())
         hit = self._recall("adjoint", key)
         if hit is not None:
             return hit
         w = self.weights
-        traj = self.state(ctrl, pert)
+        traj = self.state(ctrl)
         # level 0 of the right-hand sides is not read by the sweep
-        du, dth = self._misfits(traj, pert)
+        du, dth = self._misfits(traj)
         rhsF, rhsG = w.alpha1 * du, w.alpha2 * dth
         del du, dth     # not held through the sweep
         if pert.eta_u is not None:
@@ -416,16 +427,16 @@ class Problem:
                                 SourceData(rhsF, rhsG), wT, psiT)
         return self._remember("adjoint", key, adj)
 
-    def grad_J(self, ctrl: Control, pert: Perturbation | None = None) -> Control:
+    def grad_J(self, ctrl: Control) -> Control:
         """Pointwise gradient density on the control regions.
 
         The directional derivative is the control-space L2 product of this
         object with the direction.
         """
-        pert = pert or _zero_pert()
-        adj = self.adjoint(ctrl, pert)
+        pert = self.pert
+        adj = self.adjoint(ctrl)
         # levels 0..nt-1 carry the gradient; level nt is terminal data
-        gq, gt = restrict_adjoint(self.space, adj.w[:-1], adj.psi[:-1])
+        gq, gt = restrict_adjoint(self.space, adj.u[:-1], adj.theta[:-1])
         eps1 = self.weights.eps1 + pert.eps1
         eps2 = self.weights.eps2 + pert.eps2
         if eps1:
@@ -440,21 +451,17 @@ class Problem:
 
     # -- tangent along a control direction ------------------------------------
 
-    def tangent(self, ctrl: Control, delta: Control,
-                pert: Perturbation | None = None) -> StateTrajectory:
-        pert = pert or _zero_pert()
-        traj = self.state(ctrl, pert)
+    def tangent(self, ctrl: Control, delta: Control) -> StateTrajectory:
+        traj = self.state(ctrl)
         return sen.solve_linearized(self.grid, self.phys, self.tg, traj,
                                     SourceData(*delta.source_fields()))
 
     def second_variation(self, ctrl: Control, delta: Control,
-                         pert: Perturbation | None = None,
                          lin: StateTrajectory | None = None) -> float:
         """Quadratic form J''(ctrl)[delta, delta] via one tangent + one adjoint."""
-        return self.second_bilinear(ctrl, delta, delta, pert, lin, lin)
+        return self.second_bilinear(ctrl, delta, delta, lin, lin)
 
     def second_bilinear(self, ctrl: Control, d1: Control, d2: Control,
-                        pert: Perturbation | None = None,
                         lin1: StateTrajectory | None = None,
                         lin2: StateTrajectory | None = None) -> float:
         """Assembled bilinear form behind the second variation.
@@ -463,15 +470,14 @@ class Problem:
         bilinear advection sources with the adjoint (the discrete version of
         the -2((v.grad)v, w) and -2(v.grad theta, Psi) terms), plus Tikhonov.
         """
-        pert = pert or _zero_pert()
         w = self.weights
         g = self.grid
         dt = self.tg.dt
         nt = self.tg.nt
         if lin1 is None:
-            lin1 = self.tangent(ctrl, d1, pert)
+            lin1 = self.tangent(ctrl, d1)
         if lin2 is None:
-            lin2 = self.tangent(ctrl, d2, pert) if d2 is not d1 else lin1
+            lin2 = self.tangent(ctrl, d2) if d2 is not d1 else lin1
         val = 0.0
         if w.alpha1:
             val += w.alpha1 * dt * g.inner(lin1.u[1:], lin2.u[1:])
@@ -482,11 +488,11 @@ class Problem:
         if w.beta2:
             val += w.beta2 * g.inner(lin1.theta[nt], lin2.theta[nt])
         if self.phys.coupling:
-            adj = self.adjoint(ctrl, pert)
+            adj = self.adjoint(ctrl)
             rhsF, rhsG = sen.second_rhs(g, lin1, lin2, nt)
-            val += dt * (g.inner(adj.w[:nt], rhsF) + g.inner(adj.psi[:nt], rhsG))
-        eps1 = w.eps1 + pert.eps1
-        eps2 = w.eps2 + pert.eps2
+            val += dt * (g.inner(adj.u[:nt], rhsF) + g.inner(adj.theta[:nt], rhsG))
+        eps1 = w.eps1 + self.pert.eps1
+        eps2 = w.eps2 + self.pert.eps2
         wq = dt * g.vol
         if eps1:
             val += eps1 * wq * float(np.dot(d1.q.ravel(), d2.q.ravel()))

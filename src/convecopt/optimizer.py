@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objective import Control, Problem, Perturbation, restrict_adjoint
+from .objective import Control, Problem, restrict_adjoint
 
 # Clamp of every trial step length, and the step after a non-positive curvature
 STEP_MIN, STEP_MAX = 1e-10, 1e6
@@ -88,16 +88,16 @@ def bang_bang_fraction(ctrl: Control):
     return fq, ft
 
 
-def projected_gradient(prob: Problem, ctrl0: Control, opts: OptOptions,
-                       pert: Perturbation | None = None) -> OptResult:
+def projected_gradient(prob: Problem, ctrl0: Control, opts: OptOptions) -> OptResult:
     """Spectral projected gradient with nonmonotone Armijo backtracking.
 
+    Minimizes prob's objective, perturbed if prob is (Problem.perturbed).
     Deterministic given its inputs.  A failed line search returns the best
     iterate found with the termination reason recorded rather than raising.
     """
     x = project_box(ctrl0)
-    J = prob.eval_J(x, pert)
-    g = prob.grad_J(x, pert)
+    J = prob.eval_J(x)
+    g = prob.grad_J(x)
     kkt = kkt_residual_from_grad(x, g)
     J_hist = [J]
     kkt_hist = [kkt]
@@ -120,7 +120,7 @@ def projected_gradient(prob: Problem, ctrl0: Control, opts: OptOptions,
             dn2 = d.dot_l2(d)
             if dn2 == 0.0:
                 break
-            Jt = prob.eval_J(trial, pert)
+            Jt = prob.eval_J(trial)
             if Jt <= ref + opts.armijo * g.dot_l2(d):
                 cand = (trial, Jt, d, s)
                 break
@@ -130,7 +130,7 @@ def projected_gradient(prob: Problem, ctrl0: Control, opts: OptOptions,
             term = "line_search_failure"
             break
         trial, Jt, d, s_used = cand
-        g_new = prob.grad_J(trial, pert)
+        g_new = prob.grad_J(trial)
         # Barzilai-Borwein step from the accepted displacement
         y = g_new.axpy(-1.0, g)
         sy = d.dot_l2(y)
@@ -265,7 +265,7 @@ def adjoint_restriction_samples(prob: Problem, ctrl: Control):
     adjoint state itself.
     """
     adj = prob.adjoint(ctrl)
-    q, ps = restrict_adjoint(prob.space, adj.w[:-1], adj.psi[:-1])
+    q, ps = restrict_adjoint(prob.space, adj.u[:-1], adj.theta[:-1])
     return q[:, 0], q[:, 1], ps
 
 

@@ -10,10 +10,12 @@ transpose, term by term, so the discrete duality identity holds to
 roundoff.  Both marches take their right-hand sides as `solve_state` does,
 one `sources` object read through at(k) (see `boussinesq.SourceData`): the
 tangent step k reads at(k), the backward step that produces level k reads
-at(k + 1).  No automatic differentiation is involved: the transposed advection
-terms are the stencil transposes from the grid module, which is where the
-(grad u)^T w and Psi grad(theta) structure of the continuous adjoint system
-comes out.
+at(k + 1).  Both return their levels as `solve_state` does, as a
+`StateTrajectory`: the tangent's (v, vartheta) and the adjoint's (w, Psi)
+in its u and theta.  No automatic differentiation is involved: the
+transposed advection terms are the stencil transposes from the grid module,
+which is where the (grad u)^T w and Psi grad(theta) structure of the
+continuous adjoint system comes out.
 
 The transpose of advection in the advected field needs no stencil of its
 own.  The skew form keeps b(u; w, w) = 0 discretely, which for a transporting
@@ -27,31 +29,12 @@ trajectory from `solve_state` has, and `_check_compat` rejects any other.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Grid, Vec2
 from .boussinesq import (PhysicalParams, TimeGrid, SourceData, StateTrajectory,
                          implicit_block, check_step)
-
-
-@dataclass
-class AdjointTrajectory:
-    """Backward-sweep output.
-
-    Levels 0..nt on a leading axis, shaped as StateTrajectory.  w[k],
-    psi[k] for k < nt are the gradient-carrier fields: the pairing
-    sum_k dt*<w[k], F_k> + dt*<psi[k], G_k> equals the tangent/terminal
-    pairing exactly.  Level nt holds the supplied terminal data (velocity
-    projected if it was not divergence-free).  lam0_* is the costate at
-    level 0, which pairs against tangent initial data.
-    """
-
-    w: Vec2
-    psi: np.ndarray
-    lam0_u: Vec2
-    lam0_t: np.ndarray
 
 
 def _check_compat(tg: TimeGrid, base: StateTrajectory):
@@ -146,13 +129,19 @@ def second_rhs(grid: Grid, lin1: StateTrajectory, lin2: StateTrajectory, nt):
 
 def solve_adjoint(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
                   base: StateTrajectory, sources: SourceData,
-                  wT: Vec2 | None = None, psiT=None) -> AdjointTrajectory:
+                  wT: Vec2 | None = None, psiT=None) -> StateTrajectory:
     """Backward sweep applying the exact transpose of the tangent step.
 
-    sources.at(k) pairs against the tangent state at level k; the step that
-    produces level k reads at(k + 1), k = nt-1..0, so level 0 is never read.
-    Terminal velocity data that are not discretely divergence-free are
-    projected with a warning.
+    Returns levels 0..nt as a StateTrajectory, with the velocity carrier w
+    in u and the temperature carrier Psi in theta.  w[k], Psi[k] for k < nt
+    carry the gradient: the pairing sum_k dt*<w[k], F_k> + dt*<Psi[k], G_k>
+    equals the tangent/terminal pairing exactly.  Level nt holds the
+    terminal data (velocity projected if it was not divergence-free, with a
+    warning).  sources.at(k) pairs against the tangent state at level k; the
+    step that produces level k reads at(k + 1), k = nt-1..0, so level 0 is
+    never read.  The costate that pairs against tangent initial data is
+    tangent_explicit_t around base level 0 applied to level 0; the sweep
+    does not form it (duality_residual does).
     """
     _check_compat(tg, base)
     dt = tg.dt
@@ -166,8 +155,8 @@ def solve_adjoint(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
             wT = grid.leray_project(wT)
     if psiT is None:
         psiT = grid.scalar()
-    adj = AdjointTrajectory(grid.vec2(nt + 1), grid.scalar(nt + 1), None, None)
-    adj.w[nt], adj.psi[nt] = wT, psiT
+    adj = StateTrajectory(grid.vec2(nt + 1), grid.scalar(nt + 1))
+    adj.u[nt], adj.theta[nt] = wT, psiT
     lu, lt = wT, psiT
     for k in range(nt - 1, -1, -1):
         # sources pairing against the tangent state at level k + 1
@@ -176,14 +165,14 @@ def solve_adjoint(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
             lu = lu + dt * fk
         if gk is not None:
             lt = lt + dt * gk
-        # transpose of step k: the symmetric implicit block, then the
-        # explicit stage around base level k
+        # transpose of step k: the symmetric implicit block, then (but for
+        # the costate at level 0) the explicit stage around base level k
         wk, _, pk = implicit_block(grid, pp, dt, lu, lt)
         check_step(grid, k, wk, pk)
-        adj.w[k], adj.psi[k] = wk, pk
-        lu, lt = tangent_explicit_t(grid, pp, base.u[k], base.theta[k],
-                                    wk, pk, dt)
-    adj.lam0_u, adj.lam0_t = lu, lt
+        adj.u[k], adj.theta[k] = wk, pk
+        if k:
+            lu, lt = tangent_explicit_t(grid, pp, base.u[k], base.theta[k],
+                                        wk, pk, dt)
     return adj
 
 
@@ -195,8 +184,9 @@ def duality_residual(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
     """Relative mismatch of the discrete duality identity.
 
     LHS pairs the tangent trajectory against the adjoint sources and terminal
-    data; RHS pairs the tangent sources and initial data against the adjoint
-    sweep output.  Both sides are evaluated independently.  The tangent
+    data; RHS pairs the tangent sources against the adjoint sweep output and
+    the initial data against the level-0 costate, formed here from the
+    sweep's level 0.  Both sides are evaluated independently.  The tangent
     sources tanF/tanG and adjoint sources adjF/adjG are the fields of a
     SourceData each (adjoint level 0 is never read).  `coupling`, if given,
     must equal pp.coupling, which is what both marches read.
@@ -215,17 +205,20 @@ def duality_residual(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
             lhs += dt * grid.inner(fk, lin.u[k])
         if gk is not None:
             lhs += dt * grid.inner(gk, lin.theta[k])
-    lhs += grid.inner(lin.u[nt], adj.w[nt])
-    lhs += grid.inner(lin.theta[nt], adj.psi[nt])
+    lhs += grid.inner(lin.u[nt], adj.u[nt])
+    lhs += grid.inner(lin.theta[nt], adj.theta[nt])
     rhs = 0.0
     for k in range(nt):
         fk, gk = tan.at(k)
         if fk is not None:
-            rhs += dt * grid.inner(adj.w[k], fk)
+            rhs += dt * grid.inner(adj.u[k], fk)
         if gk is not None:
-            rhs += dt * grid.inner(adj.psi[k], gk)
+            rhs += dt * grid.inner(adj.theta[k], gk)
+    # the costate at level 0, which pairs against the tangent initial data
+    cu, ct = tangent_explicit_t(grid, pp, base.u[0], base.theta[0],
+                                adj.u[0], adj.theta[0], dt)
     if v0 is not None:
-        rhs += grid.inner(adj.lam0_u, v0)
+        rhs += grid.inner(cu, v0)
     if theta0 is not None:
-        rhs += grid.inner(adj.lam0_t, theta0)
+        rhs += grid.inner(ct, theta0)
     return abs(lhs - rhs) / (1.0 + abs(lhs))

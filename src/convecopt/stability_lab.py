@@ -63,6 +63,11 @@ def fourier_vec2(grid: Grid, rng, modes=4, decay=2.0, div_free=False):
 
 KNOWN_FAMILIES = ("control-tilt", "source", "initial", "objective-tilt",
                   "target-shift", "tikhonov")
+# The Fourier families: the Perturbation fields of their (vector, scalar) pair
+FOURIER_FIELDS = {"source": ("f_hat", "h_hat"),
+                  "initial": ("u0_hat", "th0_hat"),
+                  "objective-tilt": ("eta_u", "eta_th"),
+                  "target-shift": ("u_d_hat", "th_d_hat")}
 
 
 def make_perturbation(prob: Problem, family: str, magnitude: float,
@@ -70,7 +75,8 @@ def make_perturbation(prob: Problem, family: str, magnitude: float,
     """A perturbation of the given family with shapes drawn from `seed`.
 
     Shapes are unit-normalized so the magnitude parameter sets the scale;
-    the reported size should still be the computed perturbation norm.
+    the reported size should still be the computed perturbation norm.  Of
+    the Fourier families only `initial` makes its velocity divergence-free.
     """
     rng = np.random.default_rng(seed)
     g = prob.grid
@@ -81,18 +87,12 @@ def make_perturbation(prob: Problem, family: str, magnitude: float,
         lam = rng.standard_normal(sp.mask_h.ncells)
         lam *= magnitude / max(np.abs(lam).max(), 1e-300)
         return Perturbation(sigma=sigma, lam=lam)
-    if family == "source":
-        return Perturbation(f_hat=fourier_vec2(g, rng, modes, decay) * magnitude,
-                            h_hat=magnitude * fourier_scalar(g, rng, modes, decay))
-    if family == "initial":
-        return Perturbation(u0_hat=fourier_vec2(g, rng, modes, decay, div_free=True) * magnitude,
-                            th0_hat=magnitude * fourier_scalar(g, rng, modes, decay))
-    if family == "objective-tilt":
-        return Perturbation(eta_u=fourier_vec2(g, rng, modes, decay) * magnitude,
-                            eta_th=magnitude * fourier_scalar(g, rng, modes, decay))
-    if family == "target-shift":
-        return Perturbation(u_d_hat=fourier_vec2(g, rng, modes, decay) * magnitude,
-                            th_d_hat=magnitude * fourier_scalar(g, rng, modes, decay))
+    if family in FOURIER_FIELDS:
+        vec, scalar = FOURIER_FIELDS[family]
+        # the vector field draws first
+        v = fourier_vec2(g, rng, modes, decay, div_free=family == "initial")
+        return Perturbation(**{vec: v * magnitude,
+                               scalar: magnitude * fourier_scalar(g, rng, modes, decay)})
     if family == "tikhonov":
         return Perturbation(eps1=magnitude, eps2=magnitude)
     raise ValueError(f"unknown perturbation family {family!r}; "
@@ -116,15 +116,15 @@ def state_distance_l2(prob: Problem, ta, tb) -> float:
     return float(np.sqrt(su) + np.sqrt(st))
 
 
-def state_distance_linf(prob: Problem, ta, tb) -> float:
+def state_distance_linf(ta, tb) -> float:
     return (ta.u - tb.u).max_abs()
 
 
 def adjoint_gradient_gap(prob: Problem, adj_a, adj_b) -> float:
     """sup-norm of the discrete gradients of (w - w*) and (Psi - Psi*)."""
     g = prob.grid
-    return max(g.grad_inf_vec(adj_a.w - adj_b.w),
-               g.grad_inf_scalar_any(adj_a.psi - adj_b.psi))
+    return max(g.grad_inf_vec(adj_a.u - adj_b.u),
+               g.grad_inf_scalar_any(adj_a.theta - adj_b.theta))
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +133,8 @@ def adjoint_gradient_gap(prob: Problem, adj_a, adj_b) -> float:
 
 def solve_perturbed(prob: Problem, pert: Perturbation, ctrl0: Control,
                     opts: OptOptions) -> OptResult:
-    """Minimize the perturbed objective starting from ctrl0."""
-    return projected_gradient(prob, ctrl0, opts, pert)
+    """Minimize the objective of prob.perturbed(pert) starting from ctrl0."""
+    return projected_gradient(prob.perturbed(pert), ctrl0, opts)
 
 
 @dataclass
@@ -238,14 +238,15 @@ def stability_sweep(prob: Problem, ctrl_star: Control, plan: SweepPlan,
         start = ctrl_star if plan.warm_start else prob.space.zero()
         res = solve_perturbed(prob, pert, start, opts)
         dl1 = control_distance_l1(res.control, ctrl_star)
-        pstate = prob.state(res.control, pert)
-        padj = prob.adjoint(res.control, pert)
+        pprob = prob.perturbed(pert)
+        pstate = pprob.state(res.control)
+        padj = pprob.adjoint(res.control)
         rec = StabilityRecord(
             magnitude=mag,
-            zeta_norm=pert.norm_P(prob.grid, prob.tg, s=s_norm, control=res.control),
+            zeta_norm=pert.norm_P(prob.grid, res.control, s=s_norm),
             control_dist_l1=dl1,
             state_dist_l2=state_distance_l2(prob, pstate, base_state),
-            state_dist_linf=state_distance_linf(prob, pstate, base_state),
+            state_dist_linf=state_distance_linf(pstate, base_state),
             adjoint_grad_gap=adjoint_gradient_gap(prob, padj, base_adj),
             kkt=res.kkt_history[-1],
             iterations=res.iterations,
@@ -389,9 +390,8 @@ def _random_directions(prob: Problem, ctrl_star: Control, n, rng):
                          sp.th_lo, sp.th_hi)
             kind = "smooth"
         d = Control(sp, vq - ctrl_star.q, vt - ctrl_star.th)
-        nrm = d.norm_l1()
-        if nrm > 0:
-            out.append((d, kind, nrm))
+        if d.norm_l1() > 0:
+            out.append((d, kind))
     return out
 
 
@@ -405,12 +405,12 @@ def tracking_margin(prob: Problem, ctrl_star: Control, s_norm: int = 4):
     dt = prob.tg.dt
     traj = prob.state(ctrl_star)
     adj = prob.adjoint(ctrl_star)
-    du, dth = prob._misfits(traj, Perturbation())
+    du, dth = prob._misfits(traj)
     mis = (dt * g.norm_lp(du[1:], s_norm) ** s_norm) ** (1.0 / s_norm) \
         + (dt * g.norm_lp(dth[1:], s_norm) ** s_norm) ** (1.0 / s_norm)
     sup = 0.0
     for k in range(prob.tg.nt + 1):
-        sup = max(sup, g.grad_inf_vec(adj.w[k]) + g.grad_inf_scalar_any(adj.psi[k]))
+        sup = max(sup, g.grad_inf_vec(adj.u[k]) + g.grad_inf_scalar_any(adj.theta[k]))
     delta_hat = 2.0 * sup / mis if mis > 0 else np.inf
     margin = min(prob.weights.alpha1, prob.weights.alpha2) - 2.0 * sup
     return mis, sup, delta_hat, margin
@@ -438,7 +438,7 @@ def growth_probe(prob: Problem, ctrl_star: Control, n_samples, radius_grid,
         if r <= 0:
             continue
         ratios = []
-        for d, kind, _ in dirs:
+        for d, kind in dirs:
             cand = project_box(ctrl_star.axpy(r, d))
             delta = cand.axpy(-1.0, ctrl_star)
             dl1 = delta.norm_l1()
@@ -499,23 +499,24 @@ def second_order_stability_check(prob: Problem, ctrl_star: Control,
                                  margin, np.nan, np.nan, np.nan, np.nan, [])
     res = solve_perturbed(prob, pert, ctrl_star, opts)
     rho_hat = res.control
-    zn = pert.norm_P(prob.grid, prob.tg, s=s_norm, control=rho_hat)
+    zn = pert.norm_P(prob.grid, rho_hat, s=s_norm)
     small = zn + zn ** 0.2
-    pstate_hat = prob.state(rho_hat, pert)
-    adj_hat = prob.adjoint(rho_hat, pert)
+    pprob = prob.perturbed(pert)
+    pstate_hat = pprob.state(rho_hat)
+    adj_hat = pprob.adjoint(rho_hat)
     adj_star = prob.adjoint(ctrl_star)
     degr = adjoint_gradient_gap(prob, adj_hat, adj_star)
     rng = np.random.default_rng(seed)
     dirs = _random_directions(prob, rho_hat, n_samples, rng)
     ratios = []
     samples = []
-    for d, kind, _ in dirs:
+    for d, kind in dirs:
         cand = project_box(rho_hat.axpy(1.0, d))
         delta = cand.axpy(-1.0, rho_hat)
         if delta.norm_l1() == 0.0:
             continue
-        j2 = prob.second_variation(rho_hat, delta, pert)
-        cstate = prob.state(cand, pert)
+        j2 = pprob.second_variation(rho_hat, delta)
+        cstate = pprob.state(cand)
         dist2 = state_distance_l2(prob, cstate, pstate_hat) ** 2
         if dist2 > 0:
             ratios.append(j2 / dist2)

@@ -211,7 +211,6 @@ def test_snapshot_pressure_is_the_march_pressure(tmp_path):
     # the march produced at that level, bitwise
     from convecopt.boussinesq import step
     from convecopt.config import build_problem
-    from convecopt.objective import Perturbation
     out = tmp_path / "s"
     assert main(["solve", "--config", str(TRACKING_CLOSE), "--out", str(out),
                  "--snapshot-stride", "3"]) == 0
@@ -219,7 +218,7 @@ def test_snapshot_pressure_is_the_march_pressure(tmp_path):
     prob = build_problem(cfg, cfg["seed"])
     g = prob.grid
     assert np.all(_vtk_scalar(out / "state_00000.vtk", "p", g.nx, g.ny) == 0.0)
-    sources = prob._sources_for(prob.space.zero(), Perturbation())
+    sources = prob._sources_for(prob.space.zero())
     u, th = prob.u0.copy().zero_normal_boundary(), prob.theta0
     for k in range(3):
         u, p, th = step(g, prob.phys, prob.tg.dt, u, th, *sources.at(k))
@@ -255,14 +254,13 @@ def test_solve_reduces_as_it_marches(tmp_path):
     # 32^2, nt = 100, where a march into a stored trajectory peaks at 3.25.
     from convecopt.boussinesq import energy_report, _sq, _h1_semi_sq
     from convecopt.config import build_problem
-    from convecopt.objective import Perturbation
     cfg, out, peak = _solve_peak(tmp_path, {"initial": {"kind": "fourier"}})
     assert peak <= 1.3, peak
 
     prob = build_problem(cfg, cfg["seed"])
     traj = prob.state(prob.space.zero())
     rep = energy_report(prob.grid, prob.tg, traj,
-                        prob._sources_for(prob.space.zero(), Perturbation()),
+                        prob._sources_for(prob.space.zero()),
                         prob.u0, prob.theta0)
     assert rep.max_energy > 0.0
     lines = [ln for ln in (out / "energy.csv").read_text().splitlines()
@@ -471,6 +469,19 @@ def test_every_command_runs_clean_and_keeps_its_schema(tmp_path, cmd):
     summary = json.loads((out / "summary.json").read_text(),
                          parse_constant=_not_strict_json)
     assert list(summary) == ["provenance"] + keys
+
+
+def test_summaries_write_arrays_and_numpy_scalars_as_strict_json(tmp_path):
+    from convecopt.cli import Run
+    run = Run(str(tmp_path), from_dict({}), "solve", 0)
+    path = run.write_json("s.json", {"a": np.array([np.nan, 1.0]),
+                                     "b": np.array([[np.inf], [2.0]]),
+                                     "c": np.float64(-np.inf), "d": np.int64(3),
+                                     "e": np.bool_(True), "f": (np.float32(0.5),)})
+    s = json.loads(Path(path).read_text(), parse_constant=_not_strict_json)
+    assert {k: s[k] for k in "abcdef"} == {
+        "a": ["nan", 1.0], "b": [["inf"], [2.0]], "c": "-inf", "d": 3,
+        "e": True, "f": [0.5]}
 
 
 def _solve_exits_cleanly(doc):

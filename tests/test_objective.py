@@ -72,12 +72,13 @@ def test_gradient_matches_central_differences_with_perturbation():
     pert = make_perturbation(prob, "source", 0.3, 11)
     pert.eps1 = 0.05
     pert.sigma = 0.1 * rng.standard_normal((2, prob.space.mask_q.ncells))
+    pprob = prob.perturbed(pert)
     ctrl = rand_control(prob.space, rng, 0.3)
-    g = prob.grad_J(ctrl, pert)
+    g = pprob.grad_J(ctrl)
     d = rand_control(prob.space, rng, 1.0)
     t = 1e-5
-    fd = (prob.eval_J(ctrl.axpy(t, d), pert)
-          - prob.eval_J(ctrl.axpy(-t, d), pert)) / (2 * t)
+    fd = (pprob.eval_J(ctrl.axpy(t, d))
+          - pprob.eval_J(ctrl.axpy(-t, d))) / (2 * t)
     assert np.isclose(g.dot_l2(d), fd, rtol=1e-6)
 
 
@@ -194,11 +195,11 @@ def test_control_space_perturbations_reuse_state_and_adjoint(sweeps, family):
     prob = make_problem()
     ctrl = rand_control(prob.space, np.random.default_rng(11))
     traj, adj = prob.state(ctrl), prob.adjoint(ctrl)
-    pert = make_perturbation(prob, family, 0.3, 12)
-    assert prob.state(ctrl, pert) is traj
-    assert prob.adjoint(ctrl, pert) is adj
-    prob.grad_J(ctrl, pert)
-    prob.eval_J(ctrl, pert)
+    pprob = prob.perturbed(make_perturbation(prob, family, 0.3, 12))
+    assert pprob.state(ctrl) is traj
+    assert pprob.adjoint(ctrl) is adj
+    pprob.grad_J(ctrl)
+    pprob.eval_J(ctrl)
     assert sweeps == {"state": 1, "adjoint": 1}
 
 
@@ -208,9 +209,9 @@ def test_objective_perturbations_reuse_state_not_adjoint(sweeps, family):
     prob = make_problem()
     ctrl = rand_control(prob.space, np.random.default_rng(13))
     traj, adj = prob.state(ctrl), prob.adjoint(ctrl)
-    pert = make_perturbation(prob, family, 0.3, 14)
-    assert prob.state(ctrl, pert) is traj
-    assert prob.adjoint(ctrl, pert) is not adj
+    pprob = prob.perturbed(make_perturbation(prob, family, 0.3, 14))
+    assert pprob.state(ctrl) is traj
+    assert pprob.adjoint(ctrl) is not adj
     assert sweeps == {"state": 1, "adjoint": 2}
 
 
@@ -220,9 +221,9 @@ def test_state_perturbations_resolve_state_and_adjoint(sweeps, family):
     prob = make_problem()
     ctrl = rand_control(prob.space, np.random.default_rng(15))
     traj, adj = prob.state(ctrl), prob.adjoint(ctrl)
-    pert = make_perturbation(prob, family, 0.3, 16)
-    assert prob.state(ctrl, pert) is not traj
-    assert prob.adjoint(ctrl, pert) is not adj
+    pprob = prob.perturbed(make_perturbation(prob, family, 0.3, 16))
+    assert pprob.state(ctrl) is not traj
+    assert pprob.adjoint(ctrl) is not adj
     assert sweeps == {"state": 2, "adjoint": 2}
 
 
@@ -312,15 +313,25 @@ def test_control_source_fields_live_on_region():
 def test_perturbation_norm_components():
     prob = make_problem()
     g = prob.grid
-    tg = prob.tg
     ctrl = rand_control(prob.space, np.random.default_rng(0))
     # pure Tikhonov perturbation: the equivalent control tilt eps * rho
     ref = 0.3 * np.abs(ctrl.q).max() + 0.2 * np.abs(ctrl.th).max()
-    assert Perturbation(eps1=0.3, eps2=0.2).norm_P(g, tg, ctrl) == pytest.approx(ref)
+    assert Perturbation(eps1=0.3, eps2=0.2).norm_P(g, ctrl) == pytest.approx(ref)
     # control-tilt perturbation measured in the sup norm
     sigma = np.zeros((2, prob.space.mask_q.ncells))
     sigma[0, 0] = -0.7
-    assert Perturbation(sigma=sigma).norm_P(g, tg, ctrl) == pytest.approx(0.7)
+    assert Perturbation(sigma=sigma).norm_P(g, ctrl) == pytest.approx(0.7)
+
+
+def test_perturbed_replaces_the_perturbation_and_leaves_the_problem_alone():
+    from convecopt.stability_lab import make_perturbation
+    prob = make_problem()
+    p = make_perturbation(prob, "source", 0.3, 1)
+    q = make_perturbation(prob, "control-tilt", 0.3, 2)
+    pprob = prob.perturbed(p)
+    assert pprob.pert is p
+    assert prob.pert == Perturbation()
+    assert pprob.perturbed(q).pert is q
 
 
 def test_perturbed_state_differs_from_base():
@@ -329,5 +340,5 @@ def test_perturbed_state_differs_from_base():
     ctrl = prob.space.zero()
     pert = make_perturbation(prob, "source", 0.5, 3)
     a = prob.state(ctrl)
-    b = prob.state(ctrl, pert)
+    b = prob.perturbed(pert).state(ctrl)
     assert (a.u[-1] - b.u[-1]).max_abs() > 0

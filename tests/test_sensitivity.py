@@ -194,13 +194,12 @@ def test_tangent_and_adjoint_read_lists_stacks_and_on_demand_sources_alike(grid_
     wT, psiT = rand_div_free(grid_rect, rng), rand_scalar(grid_rect, rng)
     adjs = [solve_adjoint(grid_rect, pp, tg, base, src, wT, psiT)
             for src in three_kinds_of_sources(grid_rect, 60, range(1, tg.nt + 1))]
-    assert lins[0].u.max_abs() > 0 and adjs[0].w.max_abs() > 0
+    assert lins[0].u.max_abs() > 0 and adjs[0].u.max_abs() > 0
     for lin in lins[1:]:
         assert bits(lin.u, lin.theta) == bits(lins[0].u, lins[0].theta)
     ref = adjs[0]
     for adj in adjs[1:]:
-        assert (bits(adj.w, adj.psi, adj.lam0_u, adj.lam0_t)
-                == bits(ref.w, ref.psi, ref.lam0_u, ref.lam0_t))
+        assert bits(adj.u, adj.theta) == bits(ref.u, ref.theta)
 
 
 def test_adjoint_carriers_are_divergence_free(grid8):
@@ -211,7 +210,23 @@ def test_adjoint_carriers_are_divergence_free(grid8):
     adj = solve_adjoint(grid8, pp, tg, base, SourceData(adjF, adjG), wT,
                         rand_scalar(grid8, rng))
     for k in range(tg.nt + 1):
-        assert grid8.norm_lp(grid8.divergence(adj.w[k]), np.inf) <= 1e-10
+        assert grid8.norm_lp(grid8.divergence(adj.u[k]), np.inf) <= 1e-10
+
+
+def test_adjoint_sweep_forms_no_costate_at_level_0(grid8, monkeypatch):
+    # the explicit-stage transpose runs around base levels nt-1..1; the
+    # costate at level 0 is read only by duality_residual, which forms it
+    from convecopt import sensitivity
+    pp, tg, _, _, _, base, rng = base_setup(grid8)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tangent_explicit_t(*args)
+
+    monkeypatch.setattr(sensitivity, "tangent_explicit_t", counted)
+    solve_adjoint(grid8, pp, tg, base, SourceData(), rand_div_free(grid8, rng))
+    assert len(calls) == tg.nt - 1
 
 
 def test_adjoint_projects_divergent_terminal_data_with_warning(grid8):
@@ -219,7 +234,7 @@ def test_adjoint_projects_divergent_terminal_data_with_warning(grid8):
     wT = rand_vec2(grid8, rng)     # generically divergent
     with pytest.warns(UserWarning, match="divergence-free"):
         adj = solve_adjoint(grid8, pp, tg, base, SourceData(), wT=wT)
-    assert grid8.norm_lp(grid8.divergence(adj.w[-1]), np.inf) <= 1e-10
+    assert grid8.norm_lp(grid8.divergence(adj.u[-1]), np.inf) <= 1e-10
 
 
 def test_duality_identity_holds_to_roundoff(grid8):

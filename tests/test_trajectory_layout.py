@@ -52,7 +52,8 @@ def test_stacked_reductions_match_per_level_loops(grid_rect):
                         lam=rng.standard_normal(sp.mask_h.ncells),
                         u_d_hat=rand_vec2(g, rng, 0.1),
                         th_d_hat=rand_scalar(g, rng, 0.1))
-    traj = prob.state(ctrl, pert)
+    pprob = prob.perturbed(pert)
+    traj = pprob.state(ctrl)
 
     ref = 0.0
     for k in range(1, nt + 1):
@@ -65,18 +66,18 @@ def test_stacked_reductions_match_per_level_loops(grid_rect):
     ref += 0.5 * wq * (w.eps1 * np.sum(ctrl.q ** 2) + w.eps2 * np.sum(ctrl.th ** 2))
     for k in range(nt):
         ref += wq * (np.sum(pert.sigma[k] * ctrl.q[k]) + np.sum(pert.lam * ctrl.th[k]))
-    assert math.isclose(prob.eval_J(ctrl, pert), ref, rel_tol=1e-13)
+    assert math.isclose(pprob.eval_J(ctrl), ref, rel_tol=1e-13)
 
     # the gradient is restricted in one call; per step it is the same numbers
-    grad = prob.grad_J(ctrl, pert)
-    adj = prob.adjoint(ctrl, pert)
+    grad = pprob.grad_J(ctrl)
+    adj = pprob.adjoint(ctrl)
     for k in range(nt):
-        q, th = restrict_adjoint(sp, adj.w[k], adj.psi[k])
+        q, th = restrict_adjoint(sp, adj.u[k], adj.theta[k])
         assert np.array_equal(grad.q[k], q + w.eps1 * ctrl.q[k] + pert.sigma[k])
         assert np.array_equal(grad.th[k], th + w.eps2 * ctrl.th[k] + pert.lam)
 
     d1, d2 = rand_control(sp, rng), rand_control(sp, rng)
-    lin1, lin2 = prob.tangent(ctrl, d1, pert), prob.tangent(ctrl, d2, pert)
+    lin1, lin2 = pprob.tangent(ctrl, d1), pprob.tangent(ctrl, d2)
     ref = w.beta1 * g.inner(lin1.u[nt], lin2.u[nt]) \
         + w.beta2 * g.inner(lin1.theta[nt], lin2.theta[nt])
     for k in range(1, nt + 1):
@@ -86,9 +87,9 @@ def test_stacked_reductions_match_per_level_loops(grid_rect):
         F = g.advect_vector(lin1.u[k], lin2.u[k]) + g.advect_vector(lin2.u[k], lin1.u[k])
         G = g.advect_scalar(lin1.u[k], lin2.theta[k]) \
             + g.advect_scalar(lin2.u[k], lin1.theta[k])
-        ref -= dt * (g.inner(adj.w[k], F) + g.inner(adj.psi[k], G))
+        ref -= dt * (g.inner(adj.u[k], F) + g.inner(adj.theta[k], G))
     ref += wq * (w.eps1 * np.sum(d1.q * d2.q) + w.eps2 * np.sum(d1.th * d2.th))
-    got = prob.second_bilinear(ctrl, d1, d2, pert, lin1, lin2)
+    got = pprob.second_bilinear(ctrl, d1, d2, lin1, lin2)
     assert math.isclose(got, ref, rel_tol=1e-13)
 
     base = prob.state(ctrl)
@@ -97,7 +98,7 @@ def test_stacked_reductions_match_per_level_loops(grid_rect):
     assert math.isclose(state_distance_l2(prob, traj, base),
                         np.sqrt(su) + np.sqrt(st), rel_tol=1e-13)
 
-    src = prob._sources_for(ctrl, pert)
+    src = pprob._sources_for(ctrl)
     rep = energy_report(g, tg, traj, src, prob.u0, prob.theta0)
     for k in range(nt + 1):
         row = (k, tg.times()[k], g.norm2(traj.u[k]) ** 2, g.norm2(traj.theta[k]) ** 2,
@@ -114,7 +115,7 @@ def test_stacked_reductions_match_per_level_loops(grid_rect):
     mis_u = sum(dt * g.norm_lp(base.u[k] - tgt.u_d, s) ** s for k in range(1, nt + 1))
     mis_t = sum(dt * g.norm_lp(base.theta[k] - tgt.theta_d, s) ** s for k in range(1, nt + 1))
     adj0 = prob.adjoint(ctrl)
-    sup = max(g.grad_inf_vec(adj0.w[k]) + g.grad_inf_scalar_any(adj0.psi[k])
+    sup = max(g.grad_inf_vec(adj0.u[k]) + g.grad_inf_scalar_any(adj0.theta[k])
               for k in range(nt + 1))
     mis, got_sup, _, margin = tracking_margin(prob, ctrl, s)
     assert math.isclose(mis, mis_u ** (1 / s) + mis_t ** (1 / s), rel_tol=1e-13)
