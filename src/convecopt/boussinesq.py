@@ -81,12 +81,8 @@ class StateTrajectory:
     (nt+1, nx+1, ny) and (nt+1, nx, ny+1); theta is (nt+1, nx, ny).  u[k]
     and theta[k] are views.
 
-    The default level sink of solve_state.  A level sink is any object with
-    put(k, u, theta, p): the march hands it level k, k = 0..nt in order,
-    with p the pressure `step` returned for that level (None at level 0).
-    The arrays are the march's own: a sink must not modify them and must
-    copy what it keeps.  This one copies u and theta into the stacks and
-    drops p, so no pressure is kept.
+    The default level sink of `march`: it copies u and theta into the stacks
+    and drops p, so no pressure or potential is kept.
     """
 
     u: Vec2
@@ -126,11 +122,17 @@ def step_explicit(grid: Grid, pp: PhysicalParams, u: Vec2, theta, dt,
     if pp.coupling:
         us = us - dt * grid.advect_vector(u, u)
         ts = ts - dt * grid.advect_scalar(u, theta)
-    if f is not None:
-        us = us + dt * f
-    if h is not None:
-        ts = ts + dt * h
+    us, ts = add_sources(dt, us, ts, f, h)
     return us.zero_normal_boundary(), ts
+
+
+def add_sources(dt, u: Vec2, theta, f: Vec2 | None, h):
+    """(u + dt f, theta + dt h), a `None` source adding nothing."""
+    if f is not None:
+        u = u + dt * f
+    if h is not None:
+        theta = theta + dt * h
+    return u, theta
 
 
 def implicit_block(grid: Grid, pp: PhysicalParams, dt, u: Vec2, theta):
@@ -155,33 +157,50 @@ def step(grid: Grid, pp: PhysicalParams, dt, u: Vec2, theta,
     return un, phi / dt, tn
 
 
+def march(grid: Grid, levels, advance, u: Vec2, theta, out=None, bound=np.inf):
+    """The one time loop of the forward, tangent and adjoint marches.
+
+    Hands (u, theta) to out as level levels[0]; each later level k is
+    (u, p, theta) = advance(k, u, theta), which must pass check_step with
+    this bound before out receives it.  p is the pressure in the forward
+    march, the potential implicit_block removed in the tangent and adjoint.
+    out is a level sink: any object with put(k, u, theta, p), called once
+    per level in the order of levels, with p None at levels[0].  The arrays
+    are the march's own: a sink must not modify them and copies what it
+    keeps.  Returns out, by default a fresh StateTrajectory indexed by k.
+    """
+    if out is None:
+        out = StateTrajectory(grid.vec2(len(levels)), grid.scalar(len(levels)))
+    ks = iter(levels)
+    out.put(next(ks), u, theta, None)
+    for k in ks:
+        u, p, theta = advance(k, u, theta)
+        check_step(grid, k, u, theta, bound)
+        out.put(k, u, theta, p)
+    return out
+
+
 def solve_state(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
                 sources: SourceData, u0: Vec2, theta0, out=None):
     """March the nonlinear system from (u0, theta0) over the full time grid.
 
     Sources must already include any control forcing (see objective module
-    for the control-to-source mapping); step k reads sources.at(k), as
-    SourceData describes.  Every step ends in check_step, with the bound
-    ENERGY_BOUND * D^2, D = data_norm.  The march holds only the current
-    level and hands each one to out.put(k, u, theta, p) (the level-sink
-    contract, see StateTrajectory), level k only once it has passed its
-    check.  Returns out, by default a fresh StateTrajectory.
+    for the control-to-source mapping), read as SourceData describes.  Every
+    step ends in check_step, with the bound ENERGY_BOUND * D^2, D = data_norm.
+    Each level goes to the level sink out (see `march`).  Returns out, by
+    default a fresh StateTrajectory.
     """
     grid.check_vec2(u0)
     grid.check_scalar(theta0)
     if not all(np.isfinite(a).all() for a in (u0.u, u0.v, theta0)):
         raise ValueError("initial data must be finite")
     bound = ENERGY_BOUND * data_norm(grid, tg, sources, u0, theta0) ** 2
-    if out is None:
-        out = StateTrajectory(grid.vec2(tg.nt + 1), grid.scalar(tg.nt + 1))
-    u = u0.copy().zero_normal_boundary()
-    theta = np.ascontiguousarray(theta0, dtype=float)
-    out.put(0, u, theta, None)
-    for k in range(tg.nt):
-        u, p, theta = step(grid, pp, tg.dt, u, theta, *sources.at(k))
-        check_step(grid, k + 1, u, theta, bound)
-        out.put(k + 1, u, theta, p)
-    return out
+
+    def advance(k, u, theta):
+        return step(grid, pp, tg.dt, u, theta, *sources.at(k - 1))
+
+    return march(grid, range(tg.nt + 1), advance, u0.copy().zero_normal_boundary(),
+                 np.ascontiguousarray(theta0, dtype=float), out, bound)
 
 
 class EnergySeries:
@@ -216,15 +235,6 @@ class EnergySeries:
         num = max_e + diss
         ratio = 0.0 if data == 0.0 else num / data ** 2
         return EnergyReport(max_e, diss, data, ratio, self.series)
-
-
-def energy_report(grid: Grid, tg: TimeGrid, traj: StateTrajectory,
-                  sources: SourceData, u0: Vec2, theta0) -> EnergyReport:
-    """EnergySeries.report of a stored trajectory, fed one level at a time."""
-    acc = EnergySeries(grid, tg)
-    for k in range(tg.nt + 1):
-        acc.put(k, traj.u[k], traj.theta[k], None)
-    return acc.report(sources, u0, theta0)
 
 
 def data_norm(grid: Grid, tg: TimeGrid, sources: SourceData, u0: Vec2, theta0):

@@ -197,6 +197,7 @@ def validate(data) -> list:
         need(kind in ("zero", "fourier"), f"{sec}.kind", "must be 'zero' or 'fourier'")
     opt = data["optimizer"]
     need(opt["kkt_tol"] > 0, "optimizer.kkt_tol", "must be > 0")
+    need(opt["initial_step"] > 0, "optimizer.initial_step", "must be > 0")
     need(0 < opt["backtrack"] < 1, "optimizer.backtrack", "must lie in (0, 1)")
     need(opt["max_iters"] >= 0, "optimizer.max_iters", "must be >= 0")
     sw = data["sweep"]
@@ -209,6 +210,8 @@ def validate(data) -> list:
     eg = np.asarray(data["tikhonov"]["eps_grid"], dtype=float)
     need(eg.size >= 2 and np.all(np.diff(eg) < 0) and np.all(eg >= 0),
          "tikhonov.eps_grid", "need strictly decreasing nonnegative values")
+    need(all(t > 0 for t in data["taylor"]["t_values"]), "taylor.t_values",
+         "every entry must be > 0")
     me = np.asarray(data["measure"]["eps_grid"], dtype=float)
     need(me.size >= 2 and np.all(me > 0) and np.all(np.diff(me) > 0),
          "measure.eps_grid", "need strictly increasing positive values")

@@ -119,10 +119,7 @@ class Control:
                 and self.th.max(initial=sp.th_hi) <= sp.th_hi + tol)
 
     def hash(self):
-        hsh = hashlib.sha256()
-        hsh.update(self.q.tobytes())
-        hsh.update(self.th.tobytes())
-        return hsh.hexdigest()
+        return _digest(self.q, self.th)
 
     # -- mapping into the PDE source space ----------------------------------
 

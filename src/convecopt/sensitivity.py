@@ -7,12 +7,10 @@ solve, and P the Leray projection (the heat part omits P).  The P D P block is
 solvers apply it unchanged.  The tangent solver applies the exact Frechet
 derivative of the composition; the adjoint solver applies its exact
 transpose, term by term, so the discrete duality identity holds to
-roundoff.  Both marches take their right-hand sides as `solve_state` does,
-one `sources` object read through at(k) (see `boussinesq.SourceData`): the
-tangent step k reads at(k), the backward step that produces level k reads
-at(k + 1).  Both return their levels as `solve_state` does, as a
-`StateTrajectory`: the tangent's (v, vartheta) and the adjoint's (w, Psi)
-in its u and theta.  No automatic differentiation is involved: the
+roundoff.  All three marches run `boussinesq.march`, each with its own
+step, and read their sources as `boussinesq.SourceData` describes.  Each
+returns a `StateTrajectory`: the tangent's (v, vartheta) and the adjoint's
+(w, Psi) in its u and theta.  No automatic differentiation is involved: the
 transposed advection terms are the stencil transposes from the grid module,
 which is where the (grad u)^T w and Psi grad(theta) structure of the
 continuous adjoint system comes out.
@@ -34,7 +32,7 @@ import numpy as np
 
 from .grid import Grid, Vec2
 from .boussinesq import (PhysicalParams, TimeGrid, SourceData, StateTrajectory,
-                         implicit_block, check_step)
+                         add_sources, implicit_block, march)
 
 
 def _check_compat(tg: TimeGrid, base: StateTrajectory):
@@ -53,10 +51,7 @@ def tangent_explicit(grid: Grid, pp: PhysicalParams, uk: Vec2, thk,
     if pp.coupling:
         vs = vs - dt * (grid.advect_vector(uk, v) + grid.advect_vector(v, uk))
         ts = ts - dt * (grid.advect_scalar(uk, vth) + grid.advect_scalar(v, thk))
-    if F is not None:
-        vs = vs + dt * F
-    if G is not None:
-        ts = ts + dt * G
+    vs, ts = add_sources(dt, vs, ts, F, G)
     return vs.zero_normal_boundary(), ts
 
 
@@ -85,24 +80,20 @@ def tangent_explicit_t(grid: Grid, pp: PhysicalParams, uk: Vec2, thk,
 def solve_linearized(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
                      base: StateTrajectory, sources: SourceData,
                      v0: Vec2 | None = None, theta0=None) -> StateTrajectory:
-    """Tangent march from (v0, theta0), `None` meaning zero; step k reads
-    sources.at(k), k = 0..nt-1, as solve_state does.  Returns the tangent
-    levels 0..nt as a StateTrajectory (velocity in u)."""
+    """Tangent march from (v0, theta0), `None` meaning zero; the step that
+    produces level k reads sources.at(k - 1), as solve_state does.  Returns
+    the tangent levels 0..nt as a StateTrajectory (velocity in u)."""
     _check_compat(tg, base)
     dt = tg.dt
-    lin = StateTrajectory(grid.vec2(tg.nt + 1), grid.scalar(tg.nt + 1))
-    if v0 is not None:
-        lin.u[0] = v0
-        lin.u[0].zero_normal_boundary()
-    if theta0 is not None:
-        lin.theta[0] = theta0
-    for k in range(tg.nt):
-        vs, ts = tangent_explicit(grid, pp, base.u[k], base.theta[k],
-                                  lin.u[k], lin.theta[k], dt,
-                                  *sources.at(k))
-        lin.u[k + 1], _, lin.theta[k + 1] = implicit_block(grid, pp, dt, vs, ts)
-        check_step(grid, k + 1, lin.u[k + 1], lin.theta[k + 1])
-    return lin
+
+    def advance(k, v, vth):
+        vs, ts = tangent_explicit(grid, pp, base.u[k - 1], base.theta[k - 1],
+                                  v, vth, dt, *sources.at(k - 1))
+        return implicit_block(grid, pp, dt, vs, ts)
+
+    v = grid.vec2() if v0 is None else v0.copy().zero_normal_boundary()
+    vth = grid.scalar() if theta0 is None else np.ascontiguousarray(theta0, dtype=float)
+    return march(grid, range(tg.nt + 1), advance, v, vth)
 
 
 def second_rhs(grid: Grid, lin1: StateTrajectory, lin2: StateTrajectory, nt):
@@ -137,43 +128,30 @@ def solve_adjoint(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
     carry the gradient: the pairing sum_k dt*<w[k], F_k> + dt*<Psi[k], G_k>
     equals the tangent/terminal pairing exactly.  Level nt holds the
     terminal data (velocity projected if it was not divergence-free, with a
-    warning).  sources.at(k) pairs against the tangent state at level k; the
-    step that produces level k reads at(k + 1), k = nt-1..0, so level 0 is
-    never read.  The costate that pairs against tangent initial data is
-    tangent_explicit_t around base level 0 applied to level 0; the sweep
-    does not form it (duality_residual does).
+    warning).  sources.at(k) pairs against the tangent state at level k, so
+    level 0 is never read (see SourceData).  The costate that pairs against
+    tangent initial data is tangent_explicit_t around base level 0 applied
+    to level 0; the sweep does not form it (duality_residual does).
     """
     _check_compat(tg, base)
     dt = tg.dt
     nt = tg.nt
-    if wT is None:
-        wT = grid.vec2()
-    else:
-        wT = wT.copy().zero_normal_boundary()
-        if grid.norm_lp(grid.divergence(wT), np.inf) > 1e-10 * (1.0 + wT.max_abs()):
-            warnings.warn("adjoint terminal velocity was not divergence-free; projecting")
-            wT = grid.leray_project(wT)
-    if psiT is None:
-        psiT = grid.scalar()
-    adj = StateTrajectory(grid.vec2(nt + 1), grid.scalar(nt + 1))
-    adj.u[nt], adj.theta[nt] = wT, psiT
-    lu, lt = wT, psiT
-    for k in range(nt - 1, -1, -1):
-        # sources pairing against the tangent state at level k + 1
-        fk, gk = sources.at(k + 1)
-        if fk is not None:
-            lu = lu + dt * fk
-        if gk is not None:
-            lt = lt + dt * gk
-        # transpose of step k: the symmetric implicit block, then (but for
-        # the costate at level 0) the explicit stage around base level k
-        wk, _, pk = implicit_block(grid, pp, dt, lu, lt)
-        check_step(grid, k, wk, pk)
-        adj.u[k], adj.theta[k] = wk, pk
-        if k:
-            lu, lt = tangent_explicit_t(grid, pp, base.u[k], base.theta[k],
-                                        wk, pk, dt)
-    return adj
+    wT = grid.vec2() if wT is None else wT.copy().zero_normal_boundary()
+    if grid.norm_lp(grid.divergence(wT), np.inf) > 1e-10 * (1.0 + wT.max_abs()):
+        warnings.warn("adjoint terminal velocity was not divergence-free; projecting")
+        wT = grid.leray_project(wT)
+    psiT = grid.scalar() if psiT is None else psiT
+
+    def advance(k, w, psi):
+        # transpose of the step producing level k + 1: the explicit stage around
+        # base level k + 1 (not on the terminal data), sources, implicit block
+        if k + 1 < nt:
+            w, psi = tangent_explicit_t(grid, pp, base.u[k + 1], base.theta[k + 1],
+                                        w, psi, dt)
+        w, psi = add_sources(dt, w, psi, *sources.at(k + 1))
+        return implicit_block(grid, pp, dt, w, psi)
+
+    return march(grid, range(nt, -1, -1), advance, wT, psiT)
 
 
 def duality_residual(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
@@ -198,22 +176,10 @@ def duality_residual(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
     tan, adj_src = SourceData(tanF, tanG), SourceData(adjF, adjG)
     lin = solve_linearized(grid, pp, tg, base, tan, v0, theta0)
     adj = solve_adjoint(grid, pp, tg, base, adj_src, wT, psiT)
-    lhs = 0.0
-    for k in range(1, nt + 1):
-        fk, gk = adj_src.at(k)
-        if fk is not None:
-            lhs += dt * grid.inner(fk, lin.u[k])
-        if gk is not None:
-            lhs += dt * grid.inner(gk, lin.theta[k])
+    lhs = _pairing(grid, dt, adj_src, lin, range(1, nt + 1))
     lhs += grid.inner(lin.u[nt], adj.u[nt])
     lhs += grid.inner(lin.theta[nt], adj.theta[nt])
-    rhs = 0.0
-    for k in range(nt):
-        fk, gk = tan.at(k)
-        if fk is not None:
-            rhs += dt * grid.inner(adj.u[k], fk)
-        if gk is not None:
-            rhs += dt * grid.inner(adj.theta[k], gk)
+    rhs = _pairing(grid, dt, tan, adj, range(nt))
     # the costate at level 0, which pairs against the tangent initial data
     cu, ct = tangent_explicit_t(grid, pp, base.u[0], base.theta[0],
                                 adj.u[0], adj.theta[0], dt)
@@ -222,3 +188,15 @@ def duality_residual(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
     if theta0 is not None:
         rhs += grid.inner(ct, theta0)
     return abs(lhs - rhs) / (1.0 + abs(lhs))
+
+
+def _pairing(grid: Grid, dt, sources: SourceData, traj: StateTrajectory, ks):
+    """Sum over k in ks of dt <f, u_k> + dt <h, theta_k>, (f, h) = sources.at(k)."""
+    s = 0.0
+    for k in ks:
+        f, h = sources.at(k)
+        if f is not None:
+            s += dt * grid.inner(f, traj.u[k])
+        if h is not None:
+            s += dt * grid.inner(h, traj.theta[k])
+    return s

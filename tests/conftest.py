@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from convecopt.grid import Grid, GridConfig, Vec2
-from convecopt.boussinesq import PhysicalParams, TimeGrid
+from convecopt.boussinesq import PhysicalParams, TimeGrid, EnergySeries
 from convecopt.objective import (ObjectiveWeights, Targets, ControlSpace,
                                  Problem)
 
@@ -49,6 +49,15 @@ def leaf_paths(d, prefix=()):
             yield from leaf_paths(val, prefix + (key,))
         else:
             yield prefix + (key,)
+
+
+def energy_report(grid, tg, traj, sources, u0, theta0):
+    """EnergySeries.report of a stored trajectory, fed one level at a time:
+    the stored-trajectory oracle of the reductions made while marching."""
+    acc = EnergySeries(grid, tg)
+    for k in range(tg.nt + 1):
+        acc.put(k, traj.u[k], traj.theta[k], None)
+    return acc.report(sources, u0, theta0)
 
 
 @pytest.fixture

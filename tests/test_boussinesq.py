@@ -8,12 +8,13 @@ import pytest
 from convecopt.grid import Grid, GridConfig, Vec2, NumericalFailure
 from convecopt import boussinesq
 from convecopt.boussinesq import (PhysicalParams, TimeGrid, SourceData,
-                                  solve_state, step, energy_report,
-                                  implicit_block, data_norm)
+                                  solve_state, step, implicit_block,
+                                  data_norm)
 
 from hypothesis import given, strategies as st
 
-from conftest import GRIDS, PROPS, rand_scalar, rand_vec2, rand_div_free
+from conftest import (GRIDS, PROPS, energy_report, rand_scalar, rand_vec2,
+                      rand_div_free)
 
 
 def test_params_validation():
@@ -180,6 +181,43 @@ def test_nan_in_a_source_names_its_step(grid8, k):
     with pytest.raises(NumericalFailure, match=f"^step {k}: energy"):
         solve_state(grid8, pp, tg, SourceData(None, h), grid8.vec2(),
                     grid8.scalar())
+
+
+class _Recorder:
+    """Level sink recording what march hands it, as (k, theta[0, 0], p)."""
+
+    def __init__(self):
+        self.seen = []
+
+    def put(self, k, u, theta, p):
+        self.seen.append((k, theta[0, 0], p))
+
+
+@pytest.mark.parametrize("levels", [range(6), range(5, -1, -1)],
+                         ids=["forward", "backward"])
+@pytest.mark.parametrize("i", [1, 3, 5])
+def test_march_hands_the_sink_each_level_before_the_failed_step(grid8, levels, i):
+    # advance adds k to theta and returns p = -k; the step producing
+    # levels[i] returns NaN, so the sink sees levels[:i] and no more
+    bad = levels[i]
+
+    def advance(k, u, theta):
+        return u, -k, theta + (np.nan if k == bad else k)
+
+    rec = _Recorder()
+    with pytest.raises(NumericalFailure, match=f"^step {bad}: energy"):
+        boussinesq.march(grid8, levels, advance, grid8.vec2(), grid8.scalar(), rec)
+    theta = np.cumsum([0] + list(levels[1:i]))
+    assert rec.seen == [(k, t, None if j == 0 else -k)
+                        for j, (k, t) in enumerate(zip(levels[:i], theta))]
+
+
+def test_march_fills_a_default_trajectory_indexed_by_level(grid8):
+    levels = range(4, -1, -1)
+    traj = boussinesq.march(grid8, levels, lambda k, u, th: (u, None, th + k),
+                            grid8.vec2(), grid8.scalar())
+    assert len(traj.u) == len(traj.theta) == len(levels)
+    assert list(traj.theta[:, 0, 0]) == [6, 6, 5, 3, 0]
 
 
 def test_first_step_beyond_the_energy_bound_fails(grid8, monkeypatch):

@@ -16,7 +16,7 @@ from convecopt import stability_lab as lab
 from convecopt.cli import COMMANDS, main, run_command
 from convecopt.config import DEFAULTS, from_dict
 
-from conftest import JSON, NUMBERS, leaf_paths
+from conftest import JSON, NUMBERS, energy_report, leaf_paths
 
 SMALL = {"grid": {"nx": 8, "ny": 8}, "time": {"T": 0.2, "nt": 6},
          "duality": {"seeds": 2},
@@ -132,6 +132,8 @@ def test_config_error_exit_code(tmp_path):
     ({"mms": {"T": -0.1}}, "mms.T"),
     ({"mms": {"dt_factor": -1}}, "mms.dt_factor"),
     ({"mms": {"dt_factor": 0}}, "mms.dt_factor"),
+    ({"optimizer": {"initial_step": 0}}, "optimizer.initial_step"),
+    ({"taylor": {"t_values": [0.1, -0.01]}}, "taylor.t_values"),
 ])
 def test_ill_typed_config_exits_2_with_field_path(tmp_path, capsys, doc, field):
     p = tmp_path / "bad.json"
@@ -252,7 +254,7 @@ def test_solve_reduces_as_it_marches(tmp_path):
     # stack, while the run holds no trajectory: its peak is the control's
     # source stacks (nt levels) and a few levels more: 1.26 trajectories at
     # 32^2, nt = 100, where a march into a stored trajectory peaks at 3.25.
-    from convecopt.boussinesq import energy_report, _sq, _h1_semi_sq
+    from convecopt.boussinesq import _sq, _h1_semi_sq
     from convecopt.config import build_problem
     cfg, out, peak = _solve_peak(tmp_path, {"initial": {"kind": "fourier"}})
     assert peak <= 1.3, peak

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from convecopt.boussinesq import (PhysicalParams, TimeGrid, SourceData,
-                                  solve_state, energy_report)
+                                  solve_state)
 from convecopt.objective import (ObjectiveWeights, Targets, ControlSpace,
                                  Problem, Perturbation, restrict_adjoint)
 from convecopt.stability_lab import state_distance_l2, tracking_margin
 
-from conftest import rand_scalar, rand_vec2, rand_div_free, rand_control
+from conftest import (energy_report, rand_scalar, rand_vec2, rand_div_free,
+                      rand_control)
 
 
 def _problem(grid, rng):
