@@ -210,8 +210,9 @@ def validate(data) -> list:
     eg = np.asarray(data["tikhonov"]["eps_grid"], dtype=float)
     need(eg.size >= 2 and np.all(np.diff(eg) < 0) and np.all(eg >= 0),
          "tikhonov.eps_grid", "need strictly decreasing nonnegative values")
-    need(all(t > 0 for t in data["taylor"]["t_values"]), "taylor.t_values",
-         "every entry must be > 0")
+    tv = data["taylor"]["t_values"]
+    need(len(set(tv)) >= 2 and all(t > 0 for t in tv), "taylor.t_values",
+         "need >= 2 distinct positive values")
     me = np.asarray(data["measure"]["eps_grid"], dtype=float)
     need(me.size >= 2 and np.all(me > 0) and np.all(np.diff(me) > 0),
          "measure.eps_grid", "need strictly increasing positive values")

@@ -22,8 +22,11 @@ from .boussinesq import (PhysicalParams, TimeGrid, SourceData, StateTrajectory,
                          solve_state, _h1_semi_sq)
 from . import sensitivity as sen
 
-# Entries of each per-thread Problem cache (state, adjoint).
+# Entries of each per-thread Problem cache.  Two states: a line search
+# evaluates trials away from its current point.  One adjoint: a gradient is
+# taken only at accepted points, and callers re-read the last one.
 CACHE_SIZE = 2
+_CACHE_SIZES = {"state": CACHE_SIZE, "adjoint": 1}
 
 
 @dataclass(frozen=True)
@@ -243,9 +246,11 @@ class Problem:
     and target shifts (eta_u, eta_th, u_d_hat, th_d_hat).  Control tilts
     (sigma, lam) and Tikhonov weights change neither, so the perturbed
     copies of a problem reuse both.  Each thread keeps its own
-    least-recently-used caches of CACHE_SIZE entries, so the threads of a
-    parallel stability sweep share no mutable state and none evicts
-    another's entries.
+    least-recently-used caches, of CACHE_SIZE states and one adjoint, so
+    the threads of a parallel stability sweep share no mutable state and
+    none evicts another's entries.  A miss evicts down to one entry below
+    the size before it solves, so no evicted trajectory is live while the
+    new one is formed, and a solve that fails leaves no entry.
     """
 
     grid: Grid
@@ -290,12 +295,17 @@ class Problem:
             return cache[key]
         return None
 
-    def _remember(self, kind, key, value):
-        """Insert, evicting the least recently used beyond CACHE_SIZE."""
+    def _make_room(self, kind):
+        """Evict the least recently used entries down to one below the size;
+        a miss calls this before it solves."""
         cache = self._cache(kind)
-        cache[key] = value
-        while len(cache) > CACHE_SIZE:
+        while len(cache) >= _CACHE_SIZES[kind]:
             cache.popitem(last=False)
+
+    def _remember(self, kind, key, value):
+        """Insert as the most recently used, making room first."""
+        self._make_room(kind)
+        self._cache(kind)[key] = value
         return value
 
     # -- state solves --------------------------------------------------------
@@ -328,6 +338,7 @@ class Problem:
         hit = self._recall("state", key)
         if hit is not None:
             return hit
+        self._make_room("state")
         sources = self._sources_for(ctrl)
         u0, th0 = self._initial_for()
         traj = solve_state(self.grid, self.phys, self.tg, sources, u0, th0)
@@ -335,19 +346,20 @@ class Problem:
 
     # -- objective -----------------------------------------------------------
 
-    def _misfits(self, traj):
-        """(u - u_d - u_d_hat, theta - theta_d - theta_d_hat) at every level.
+    def _misfits(self, u, theta):
+        """(u - u_d - u_d_hat, theta - theta_d - theta_d_hat), on one level
+        or a stack of them.
 
-        Without targets or shifts these are the trajectory's own fields, so
+        Without targets or shifts these are the arguments themselves, so
         callers must not modify them in place.
         """
         pert = self.pert
-        du = traj.u
+        du = u
         if self.targets.u_d is not None:
             du = du - self.targets.u_d
         if pert.u_d_hat is not None:
             du = du - pert.u_d_hat
-        dth = traj.theta
+        dth = theta
         if self.targets.theta_d is not None:
             dth = dth - self.targets.theta_d
         if pert.th_d_hat is not None:
@@ -370,7 +382,7 @@ class Problem:
         g = self.grid
         dt = self.tg.dt
         traj = self.state(ctrl)
-        du, dth = self._misfits(traj)
+        du, dth = self._misfits(traj.u, traj.theta)
         val = 0.0
         if w.alpha1:
             val += 0.5 * w.alpha1 * dt * g.inner(du[1:], du[1:])
@@ -407,21 +419,14 @@ class Problem:
         hit = self._recall("adjoint", key)
         if hit is not None:
             return hit
+        self._make_room("adjoint")
         w = self.weights
         traj = self.state(ctrl)
-        # level 0 of the right-hand sides is not read by the sweep
-        du, dth = self._misfits(traj)
-        rhsF, rhsG = w.alpha1 * du, w.alpha2 * dth
-        del du, dth     # not held through the sweep
-        if pert.eta_u is not None:
-            rhsF = rhsF + pert.eta_u
-        if pert.eta_th is not None:
-            rhsG = rhsG + pert.eta_th
         duT, dthT = self._terminal_misfits(traj)
         wT = w.beta1 * duT if w.beta1 else None
         psiT = w.beta2 * dthT if w.beta2 else None
         adj = sen.solve_adjoint(self.grid, self.phys, self.tg, traj,
-                                SourceData(rhsF, rhsG), wT, psiT)
+                                _AdjointSources(self, traj), wT, psiT)
         return self._remember("adjoint", key, adj)
 
     def grad_J(self, ctrl: Control) -> Control:
@@ -496,3 +501,22 @@ class Problem:
         if eps2:
             val += eps2 * wq * float(np.dot(d1.th.ravel(), d2.th.ravel()))
         return val
+
+
+class _AdjointSources:
+    """The adjoint sweep's sources, formed per level as the sweep reads them:
+    at(k) = (alpha1 (u_k - u_d - u_d_hat) + eta_u,
+             alpha2 (theta_k - theta_d - theta_d_hat) + eta_th)."""
+
+    def __init__(self, prob: Problem, traj: StateTrajectory):
+        self.prob, self.traj = prob, traj
+
+    def at(self, k):
+        prob, pert, w = self.prob, self.prob.pert, self.prob.weights
+        du, dth = prob._misfits(self.traj.u[k], self.traj.theta[k])
+        f, h = w.alpha1 * du, w.alpha2 * dth
+        if pert.eta_u is not None:
+            f = f + pert.eta_u
+        if pert.eta_th is not None:
+            h = h + pert.eta_th
+        return f, h

@@ -79,10 +79,11 @@ def tangent_explicit_t(grid: Grid, pp: PhysicalParams, uk: Vec2, thk,
 
 def solve_linearized(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
                      base: StateTrajectory, sources: SourceData,
-                     v0: Vec2 | None = None, theta0=None) -> StateTrajectory:
+                     v0: Vec2 | None = None, theta0=None, out=None):
     """Tangent march from (v0, theta0), `None` meaning zero; the step that
-    produces level k reads sources.at(k - 1), as solve_state does.  Returns
-    the tangent levels 0..nt as a StateTrajectory (velocity in u)."""
+    produces level k reads sources.at(k - 1), as solve_state does.  Each
+    level k = 0..nt goes to the level sink out (see `march`); returns out,
+    by default the tangent levels as a StateTrajectory (velocity in u)."""
     _check_compat(tg, base)
     dt = tg.dt
 
@@ -93,7 +94,7 @@ def solve_linearized(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
 
     v = grid.vec2() if v0 is None else v0.copy().zero_normal_boundary()
     vth = grid.scalar() if theta0 is None else np.ascontiguousarray(theta0, dtype=float)
-    return march(grid, range(tg.nt + 1), advance, v, vth)
+    return march(grid, range(tg.nt + 1), advance, v, vth, out)
 
 
 def second_rhs(grid: Grid, lin1: StateTrajectory, lin2: StateTrajectory, nt):
@@ -120,18 +121,20 @@ def second_rhs(grid: Grid, lin1: StateTrajectory, lin2: StateTrajectory, nt):
 
 def solve_adjoint(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
                   base: StateTrajectory, sources: SourceData,
-                  wT: Vec2 | None = None, psiT=None) -> StateTrajectory:
+                  wT: Vec2 | None = None, psiT=None, out=None):
     """Backward sweep applying the exact transpose of the tangent step.
 
-    Returns levels 0..nt as a StateTrajectory, with the velocity carrier w
-    in u and the temperature carrier Psi in theta.  w[k], Psi[k] for k < nt
-    carry the gradient: the pairing sum_k dt*<w[k], F_k> + dt*<Psi[k], G_k>
-    equals the tangent/terminal pairing exactly.  Level nt holds the
-    terminal data (velocity projected if it was not divergence-free, with a
-    warning).  sources.at(k) pairs against the tangent state at level k, so
-    level 0 is never read (see SourceData).  The costate that pairs against
-    tangent initial data is tangent_explicit_t around base level 0 applied
-    to level 0; the sweep does not form it (duality_residual does).
+    Hands levels nt, nt-1, ..., 0 to the level sink out (see `march`) and
+    returns out, by default a StateTrajectory indexed by level, with the
+    velocity carrier w in u and the temperature carrier Psi in theta.
+    w[k], Psi[k] for k < nt carry the gradient: the pairing
+    sum_k dt*<w[k], F_k> + dt*<Psi[k], G_k> equals the tangent/terminal
+    pairing exactly.  Level nt holds the terminal data (velocity projected
+    if it was not divergence-free, with a warning).  sources.at(k) pairs
+    against the tangent state at level k, so level 0 is never read (see
+    SourceData).  The costate that pairs against tangent initial data is
+    tangent_explicit_t around base level 0 applied to level 0; the sweep
+    does not form it (duality_residual does).
     """
     _check_compat(tg, base)
     dt = tg.dt
@@ -151,7 +154,7 @@ def solve_adjoint(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
         w, psi = add_sources(dt, w, psi, *sources.at(k + 1))
         return implicit_block(grid, pp, dt, w, psi)
 
-    return march(grid, range(nt, -1, -1), advance, wT, psiT)
+    return march(grid, range(nt, -1, -1), advance, wT, psiT, out)
 
 
 def duality_residual(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
@@ -167,22 +170,25 @@ def duality_residual(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
     sweep's level 0.  Both sides are evaluated independently.  The tangent
     sources tanF/tanG and adjoint sources adjF/adjG are the fields of a
     SourceData each (adjoint level 0 is never read).  `coupling`, if given,
-    must equal pp.coupling, which is what both marches read.
+    must equal pp.coupling, which is what both marches read.  The marches
+    pair each level as they produce it, so no trajectory is stored.
     """
     if coupling is not None and coupling != pp.coupling:
         raise ValueError(f"coupling={coupling} but pp.coupling={pp.coupling}")
     dt = tg.dt
     nt = tg.nt
     tan, adj_src = SourceData(tanF, tanG), SourceData(adjF, adjG)
-    lin = solve_linearized(grid, pp, tg, base, tan, v0, theta0)
-    adj = solve_adjoint(grid, pp, tg, base, adj_src, wT, psiT)
-    lhs = _pairing(grid, dt, adj_src, lin, range(1, nt + 1))
-    lhs += grid.inner(lin.u[nt], adj.u[nt])
-    lhs += grid.inner(lin.theta[nt], adj.theta[nt])
-    rhs = _pairing(grid, dt, tan, adj, range(nt))
+    lin = solve_linearized(grid, pp, tg, base, tan, v0, theta0,
+                           out=_Pairing(grid, tg, adj_src, range(1, nt + 1)))
+    adj = solve_adjoint(grid, pp, tg, base, adj_src, wT, psiT,
+                        out=_Pairing(grid, tg, tan, range(nt)))
+    lhs = lin.total()
+    lhs += grid.inner(lin.ends[nt][0], adj.ends[nt][0])
+    lhs += grid.inner(lin.ends[nt][1], adj.ends[nt][1])
+    rhs = adj.total()
     # the costate at level 0, which pairs against the tangent initial data
     cu, ct = tangent_explicit_t(grid, pp, base.u[0], base.theta[0],
-                                adj.u[0], adj.theta[0], dt)
+                                *adj.ends[0], dt)
     if v0 is not None:
         rhs += grid.inner(cu, v0)
     if theta0 is not None:
@@ -190,13 +196,30 @@ def duality_residual(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
-def _pairing(grid: Grid, dt, sources: SourceData, traj: StateTrajectory, ks):
-    """Sum over k in ks of dt <f, u_k> + dt <h, theta_k>, (f, h) = sources.at(k)."""
-    s = 0.0
-    for k in ks:
-        f, h = sources.at(k)
-        if f is not None:
-            s += dt * grid.inner(f, traj.u[k])
-        if h is not None:
-            s += dt * grid.inner(h, traj.theta[k])
-    return s
+class _Pairing:
+    """Level sink pairing each level k in ks with sources.at(k).
+
+    put records dt <f, u_k> and dt <h, theta_k>, (f, h) = sources.at(k), a
+    `None` source adding no term, and keeps copies of the first and last
+    levels of the time grid, 0 and nt, in ends.  total() sums the terms in
+    ascending k, f before h.
+    """
+
+    def __init__(self, grid: Grid, tg: TimeGrid, sources: SourceData, ks):
+        self.grid, self.tg, self.sources, self.ks = grid, tg, sources, ks
+        self.ends, self.terms = {}, {}
+
+    def put(self, k, u, theta, p):
+        if k in (0, self.tg.nt):
+            self.ends[k] = (u.copy(), theta.copy())
+        if k in self.ks:
+            f, h = self.sources.at(k)
+            self.terms[k] = [self.tg.dt * self.grid.inner(a, b)
+                             for a, b in ((f, u), (h, theta)) if a is not None]
+
+    def total(self):
+        s = 0.0
+        for k in sorted(self.terms):
+            for term in self.terms[k]:
+                s += term
+        return s

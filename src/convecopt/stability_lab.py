@@ -405,7 +405,7 @@ def tracking_margin(prob: Problem, ctrl_star: Control, s_norm: int = 4):
     dt = prob.tg.dt
     traj = prob.state(ctrl_star)
     adj = prob.adjoint(ctrl_star)
-    du, dth = prob._misfits(traj)
+    du, dth = prob._misfits(traj.u, traj.theta)
     mis = (dt * g.norm_lp(du[1:], s_norm) ** s_norm) ** (1.0 / s_norm) \
         + (dt * g.norm_lp(dth[1:], s_norm) ** s_norm) ** (1.0 / s_norm)
     sup = 0.0
@@ -497,6 +497,8 @@ def second_order_stability_check(prob: Problem, ctrl_star: Control,
     if margin <= 0:
         return SecondOrderReport(True, "tracking-closeness margin not positive",
                                  margin, np.nan, np.nan, np.nan, np.nan, [])
+    # taken while tracking_margin's adjoint is still the one cached
+    adj_star = prob.adjoint(ctrl_star)
     res = solve_perturbed(prob, pert, ctrl_star, opts)
     rho_hat = res.control
     zn = pert.norm_P(prob.grid, rho_hat, s=s_norm)
@@ -504,7 +506,6 @@ def second_order_stability_check(prob: Problem, ctrl_star: Control,
     pprob = prob.perturbed(pert)
     pstate_hat = pprob.state(rho_hat)
     adj_hat = pprob.adjoint(rho_hat)
-    adj_star = prob.adjoint(ctrl_star)
     degr = adjoint_gradient_gap(prob, adj_hat, adj_star)
     rng = np.random.default_rng(seed)
     dirs = _random_directions(prob, rho_hat, n_samples, rng)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from convecopt.grid import Grid, GridConfig, Vec2
-from convecopt.boussinesq import PhysicalParams, TimeGrid, EnergySeries
+from convecopt.boussinesq import PhysicalParams, TimeGrid, SourceData, EnergySeries
 from convecopt.objective import (ObjectiveWeights, Targets, ControlSpace,
                                  Problem)
 
@@ -58,6 +58,76 @@ def energy_report(grid, tg, traj, sources, u0, theta0):
     for k in range(tg.nt + 1):
         acc.put(k, traj.u[k], traj.theta[k], None)
     return acc.report(sources, u0, theta0)
+
+
+def duality_residual_stored(grid, pp, tg, base, tanF=None, tanG=None,
+                            v0=None, theta0=None, adjF=None, adjG=None,
+                            wT=None, psiT=None):
+    """sensitivity.duality_residual over stored tangent and adjoint
+    trajectories, each pairing summed in ascending k: the stored-trajectory
+    oracle of the pairings made while marching."""
+    from convecopt.sensitivity import (solve_linearized, solve_adjoint,
+                                       tangent_explicit_t)
+    dt, nt = tg.dt, tg.nt
+    tan, adj_src = SourceData(tanF, tanG), SourceData(adjF, adjG)
+    lin = solve_linearized(grid, pp, tg, base, tan, v0, theta0)
+    adj = solve_adjoint(grid, pp, tg, base, adj_src, wT, psiT)
+
+    def pairing(sources, traj, ks):
+        s = 0.0
+        for k in ks:
+            f, h = sources.at(k)
+            if f is not None:
+                s += dt * grid.inner(f, traj.u[k])
+            if h is not None:
+                s += dt * grid.inner(h, traj.theta[k])
+        return s
+
+    lhs = pairing(adj_src, lin, range(1, nt + 1))
+    lhs += grid.inner(lin.u[nt], adj.u[nt])
+    lhs += grid.inner(lin.theta[nt], adj.theta[nt])
+    rhs = pairing(tan, adj, range(nt))
+    cu, ct = tangent_explicit_t(grid, pp, base.u[0], base.theta[0],
+                                adj.u[0], adj.theta[0], dt)
+    if v0 is not None:
+        rhs += grid.inner(cu, v0)
+    if theta0 is not None:
+        rhs += grid.inner(ct, theta0)
+    return abs(lhs - rhs) / (1.0 + abs(lhs))
+
+
+def traced_peak(fn, grid, nt):
+    """tracemalloc peak of fn() above what was allocated when it started,
+    in trajectories of nt + 1 velocity and temperature levels on grid."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    n, m = grid.nx, grid.ny
+    return peak / ((nt + 1) * ((n + 1) * m + n * (m + 1) + n * m) * 8)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Counts the forward and adjoint sweeps the objective starts."""
+    from convecopt import objective, sensitivity
+    n = {"state": 0, "adjoint": 0}
+
+    def counting(fn, kind):
+        def wrapped(*args, **kwargs):
+            n[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(objective, "solve_state",
+                        counting(objective.solve_state, "state"))
+    monkeypatch.setattr(sensitivity, "solve_adjoint",
+                        counting(sensitivity.solve_adjoint, "adjoint"))
+    return n
 
 
 @pytest.fixture

@@ -134,6 +134,8 @@ def test_config_error_exit_code(tmp_path):
     ({"mms": {"dt_factor": 0}}, "mms.dt_factor"),
     ({"optimizer": {"initial_step": 0}}, "optimizer.initial_step"),
     ({"taylor": {"t_values": [0.1, -0.01]}}, "taylor.t_values"),
+    ({"taylor": {"t_values": []}}, "taylor.t_values"),
+    ({"taylor": {"t_values": [0.1, 0.1, 0.1]}}, "taylor.t_values"),
 ])
 def test_ill_typed_config_exits_2_with_field_path(tmp_path, capsys, doc, field):
     p = tmp_path / "bad.json"

@@ -61,6 +61,8 @@ def test_validation_reports_all_violations_with_field_paths():
     ({"mms": {"dt_factor": 0}}, "mms.dt_factor"),
     ({"optimizer": {"initial_step": 0}}, "optimizer.initial_step"),
     ({"taylor": {"t_values": [0.1, -0.01]}}, "taylor.t_values"),
+    ({"taylor": {"t_values": []}}, "taylor.t_values"),
+    ({"taylor": {"t_values": [0.1, 0.1, 0.1]}}, "taylor.t_values"),
 ])
 def test_count_and_level_ranges_are_checked(doc, field):
     with pytest.raises(ConfigError) as err:

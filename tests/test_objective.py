@@ -8,7 +8,7 @@ import pytest
 
 from convecopt.objective import ObjectiveWeights, Control, Perturbation, CACHE_SIZE
 
-from conftest import make_problem, rand_control
+from conftest import make_problem, rand_control, traced_peak
 
 
 def test_weights_validation():
@@ -154,25 +154,6 @@ def test_state_cache_returns_identical_object():
     assert prob.adjoint(ctrl) is prob.adjoint(ctrl)
 
 
-@pytest.fixture
-def sweeps(monkeypatch):
-    """Counts the forward and adjoint sweeps the objective starts."""
-    from convecopt import objective, sensitivity
-    n = {"state": 0, "adjoint": 0}
-
-    def counting(fn, kind):
-        def wrapped(*args, **kwargs):
-            n[kind] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(objective, "solve_state",
-                        counting(objective.solve_state, "state"))
-    monkeypatch.setattr(sensitivity, "solve_adjoint",
-                        counting(sensitivity.solve_adjoint, "adjoint"))
-    return n
-
-
 def test_cache_hit_refreshes_so_eviction_takes_least_recently_used(sweeps):
     prob = make_problem()
     assert CACHE_SIZE == 2
@@ -285,6 +266,105 @@ def test_cache_eviction_is_thread_safe():
         assert all(owner == tid for owner, _ in keys)
     # the main thread's cache is untouched
     assert list(prob._cache("state")) == []
+
+
+def test_adjoint_cache_holds_one_entry(sweeps):
+    prob = make_problem()
+    rng = np.random.default_rng(17)
+    a, b = rand_control(prob.space, rng), rand_control(prob.space, rng)
+    prob.adjoint(a)
+    prob.adjoint(b)
+    prob.adjoint(a)     # b's adjoint evicted a's; both states are cached
+    assert sweeps == {"state": 2, "adjoint": 3}
+
+
+def test_a_miss_evicts_before_it_solves(monkeypatch):
+    # no evicted trajectory is live while the new one is formed
+    from convecopt import objective, sensitivity
+    prob = make_problem()
+    seen = []
+
+    def watching(kind, fn):
+        def wrapped(*args, **kwargs):
+            seen.append((kind, len(prob._cache(kind))))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(objective, "solve_state",
+                        watching("state", objective.solve_state))
+    monkeypatch.setattr(sensitivity, "solve_adjoint",
+                        watching("adjoint", sensitivity.solve_adjoint))
+    rng = np.random.default_rng(18)
+    for _ in range(3):
+        prob.adjoint(rand_control(prob.space, rng))
+    assert seen == [("state", 0), ("adjoint", 0)] + [("state", 1), ("adjoint", 0)] * 2
+    assert len(prob._cache("state")) == CACHE_SIZE
+    assert len(prob._cache("adjoint")) == 1
+
+
+def test_a_failing_solve_leaves_no_entry():
+    from convecopt.grid import NumericalFailure
+    prob = make_problem()
+    rng = np.random.default_rng(19)
+    good = rand_control(prob.space, rng)
+    adj = prob.adjoint(good)
+    bad = rand_control(prob.space, rng)
+    bad.th[3, 0] = np.nan
+    with pytest.raises(NumericalFailure):
+        prob.adjoint(bad)           # the state sweep fails
+    assert list(prob._cache("state")) == [(good.hash(), prob.pert.state_hash())]
+    assert list(prob._cache("adjoint")) == []      # evicted for the failed solve
+    nan_tilt = Perturbation(eta_th=np.full((prob.grid.nx, prob.grid.ny), np.nan))
+    with pytest.raises(NumericalFailure):
+        prob.perturbed(nan_tilt).adjoint(good)      # the adjoint sweep fails
+    assert list(prob._cache("adjoint")) == []
+    assert prob.adjoint(good) is not adj
+
+
+@pytest.mark.parametrize("family", [None, "target-shift", "objective-tilt"])
+@pytest.mark.parametrize("targets", [True, False])
+def test_adjoint_sources_are_the_stacked_right_hand_sides_bitwise(family, targets):
+    # each level of the per-step sources is alpha * misfit (+ tilt) formed
+    # on the whole stack with the same operations, bit for bit
+    from dataclasses import replace
+    from convecopt.objective import Targets, _AdjointSources
+    from convecopt.stability_lab import make_perturbation
+    prob = make_problem()
+    prob = replace(prob, weights=ObjectiveWeights(0.7, 1.3),
+                   targets=prob.targets if targets else Targets())
+    if family is not None:
+        prob = prob.perturbed(make_perturbation(prob, family, 0.3, 20))
+    pert, tgt, w = prob.pert, prob.targets, prob.weights
+    traj = prob.state(rand_control(prob.space, np.random.default_rng(21)))
+    du, dth = traj.u, traj.theta
+    for shift in (tgt.u_d, pert.u_d_hat):
+        if shift is not None:
+            du = du - shift
+    for shift in (tgt.theta_d, pert.th_d_hat):
+        if shift is not None:
+            dth = dth - shift
+    F, G = w.alpha1 * du, w.alpha2 * dth
+    if pert.eta_u is not None:
+        F = F + pert.eta_u
+    if pert.eta_th is not None:
+        G = G + pert.eta_th
+    src = _AdjointSources(prob, traj)
+    for k in range(prob.tg.nt + 1):
+        f, h = src.at(k)
+        assert (f.u.tobytes(), f.v.tobytes(), h.tobytes()) \
+            == (F.u[k].tobytes(), F.v[k].tobytes(), G[k].tobytes())
+
+
+def test_adjoint_holds_no_right_hand_side_stack():
+    # the sweep forms each level's right-hand side as it reads it: 1.09
+    # trajectories at 32^2, nt = 100 (the returned adjoint and a few
+    # levels), where alpha * misfit stacks over every level peaked at 2.09
+    prob = make_problem(nx=32, ny=32, T=0.5, nt=100)
+    ctrl = rand_control(prob.space, np.random.default_rng(22))
+    prob.adjoint(ctrl)              # warm-up; the state stays cached
+    prob._cache("adjoint").clear()
+    peak = traced_peak(lambda: prob.adjoint(ctrl), prob.grid, prob.tg.nt)
+    assert peak <= 1.2, peak
 
 
 def test_control_norms_and_admissibility():

@@ -11,7 +11,7 @@ from convecopt.optimizer import (OptOptions, project_box,
                                  smallness_mass, measure_condition_estimate,
                                  adjoint_restriction_samples)
 
-from conftest import make_problem, rand_control
+from conftest import make_problem, rand_control, traced_peak
 
 
 def test_project_box_elementwise_oracle():
@@ -188,3 +188,23 @@ def test_options_validation():
         OptOptions(kkt_tol=0.0)
     with pytest.raises(ValueError):
         OptOptions(backtrack=1.5)
+
+
+def test_projected_gradient_peak_holds_one_cached_adjoint():
+    # six iterations with their caches (two states, one adjoint) and no
+    # right-hand side stacks peak at 5.33 trajectories at 32^2, nt = 100;
+    # with two cached adjoints and stacked right-hand sides it was 7.35
+    from dataclasses import replace
+    warm = make_problem(nx=32, ny=32, T=0.5, nt=100)
+    opts = OptOptions(max_iters=6, kkt_tol=1e-12)
+    projected_gradient(warm, warm.space.zero(), opts)
+    prob = replace(warm)        # empty caches, the warmed-up grid
+    del warm
+    res = []
+
+    def solve():
+        res.append(projected_gradient(prob, prob.space.zero(), opts))
+
+    peak = traced_peak(solve, prob.grid, prob.tg.nt)
+    assert res[0].iterations == 6
+    assert peak <= 5.6, peak

@@ -9,7 +9,8 @@ from convecopt.sensitivity import (solve_linearized, solve_adjoint,
                                    duality_residual, second_rhs,
                                    tangent_explicit_t)
 
-from conftest import rand_scalar, rand_vec2, rand_div_free
+from conftest import (rand_scalar, rand_vec2, rand_div_free,
+                      duality_residual_stored, traced_peak)
 
 
 def base_setup(grid, seed=0, nt=8, T=0.2, coupling=True):
@@ -280,6 +281,55 @@ def test_duality_holds_on_large_anisotropic_grid():
                            adjF, adjG, rand_div_free(grid, rng),
                            rand_scalar(grid, rng))
     assert res <= 1e-11
+
+
+class OnDemandField:
+    """Field i of an OnDemandSources' at(k), indexed as a per-step sequence."""
+
+    def __init__(self, sources, i):
+        self.sources, self.i = sources, i
+
+    def __getitem__(self, k):
+        return self.sources.at(k)[self.i]
+
+
+@pytest.mark.parametrize("case", ["coupled", "uncoupled", "anisotropic"])
+def test_duality_residual_pairs_as_it_marches_bitwise(grid8, grid_rect, case):
+    # the residual is the stored-trajectory oracle's float, whether the
+    # sources are lists, stacks or formed on demand (which fail on any level
+    # a pairing must not read)
+    grid = grid_rect if case == "anisotropic" else grid8
+    pp, tg, _, _, _, base, rng = base_setup(grid, coupling=case != "uncoupled")
+    v0, th0 = rand_div_free(grid, rng), rand_scalar(grid, rng)
+    wT, psiT = rand_div_free(grid, rng), rand_scalar(grid, rng)
+    tans = three_kinds_of_sources(grid, 70, range(tg.nt))
+    adjs = three_kinds_of_sources(grid, 80, range(1, tg.nt + 1))
+    got = []
+    for tan, adj in zip(tans, adjs):
+        fields = [(OnDemandField(src, 0), OnDemandField(src, 1))
+                  if isinstance(src, OnDemandSources) else (src.f, src.h)
+                  for src in (tan, adj)]
+        args = (grid, pp, tg, base, *fields[0], v0, th0, *fields[1], wT, psiT)
+        got.append(duality_residual(*args))
+        assert got[-1] == duality_residual_stored(*args)
+    assert got[0] == got[1] == got[2]
+    assert 0.0 < got[0] <= 1e-12
+
+
+def test_duality_residual_stores_no_trajectory():
+    # both marches pair each level as they produce it: 0.13 trajectories at
+    # 32^2, nt = 100 (the levels in flight and four kept), where pairing
+    # stored tangent and adjoint trajectories peaked at 2.09
+    grid = Grid(GridConfig(32, 32))
+    pp, tg, _, _, _, base, rng = base_setup(grid, nt=100, T=0.5)
+    tanF, tanG, v0, th0 = perturb_inputs(grid, tg, rng)
+    adjF = [None] + [rand_vec2(grid, rng) for _ in range(tg.nt)]
+    adjG = [None] + [rand_scalar(grid, rng) for _ in range(tg.nt)]
+    args = (grid, pp, tg, base, tanF, tanG, v0, th0, adjF, adjG,
+            rand_div_free(grid, rng), rand_scalar(grid, rng))
+    duality_residual(*args)     # warm-up
+    peak = traced_peak(lambda: duality_residual(*args), grid, tg.nt)
+    assert peak <= 0.25, peak
 
 
 def test_adjoint_rejects_mismatched_base(grid8):

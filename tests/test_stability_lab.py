@@ -228,3 +228,18 @@ def test_second_order_check_runs_when_margin_positive():
     assert rep.zeta_norm > 0
     assert rep.smallness > rep.zeta_norm
     assert rep.min_ratio > 0     # convex surrogate: curvature is positive
+
+
+def test_second_order_check_takes_the_reference_adjoint_from_the_cache(sweeps):
+    # tracking_margin leaves ctrl_star's adjoint cached; taken before the
+    # perturbed solve evicts it, the reference adjoint costs no sweep.
+    # Taken after, it cost one forward and one adjoint sweep more (23, 20)
+    prob = make_problem(target_scale=0.01)
+    opts = OptOptions(max_iters=300, kkt_tol=1e-8)
+    res = solve_perturbed(prob, Perturbation(), prob.space.zero(), opts)
+    _, _, _, margin = tracking_margin(prob, res.control)
+    pert = make_perturbation(prob, "control-tilt", 0.5 * margin, 6)
+    sweeps.update(state=0, adjoint=0)
+    rep = second_order_stability_check(prob, res.control, pert, 3, 0, opts)
+    assert not rep.skipped
+    assert sweeps["state"] <= 22 and sweeps["adjoint"] <= 19, sweeps
