@@ -14,6 +14,14 @@ y-velocity (nx, ny+1).  Boundary-normal faces (i = 0, nx for u; j = 0, ny
 for v) are not degrees of freedom and are kept at exactly zero.  A trajectory
 stacks its levels on a leading axis, (nlevels, nx, ny) and so on; the stencil
 primitives index with `...`, so leading axes pass through them.
+
+Advection is the skew form 0.5[(u.grad)s + div(u s)].  For transport with
+zero boundary-normal faces its self terms cancel, leaving the centered flux
+form (u_{i+1} s_{i+1} - u_i s_{i-1}) / 2h per axis (Morinishi et al. 1998;
+Verstappen & Veldman 2003), which is how the `advect_*` stencils are written;
+they assume such transport, as every caller's is (sensitivity._check_compat).
+The matrix in the advected field is then exactly antisymmetric in floating
+point: each entry is one rounded transport value, negated across the diagonal.
 """
 
 from __future__ import annotations
@@ -75,6 +83,27 @@ def _ay_t(c):
     p = np.zeros(c.shape[:-1] + (c.shape[-1] + 2,))
     np.multiply(c, 0.5, out=p[..., 1:-1])
     return p[..., :-1] + p[..., 1:]
+
+
+def _cross(c, s):
+    # transpose of the centered flux form in its transport (along axis 0)
+    return c[:-1] * s[1:] - c[1:] * s[:-1]
+
+
+def _face_advect(a, b, w, qa, qb):
+    """advect_vector's component w, on faces along axis 0, transported by
+    (a, b) averaged to cell centers and interior corners, times qa and qb."""
+    ta = a[1:] + a[:-1]
+    ta *= qa
+    tb = b[1:, 1:-1] + b[:-1, 1:-1]
+    tb *= qb
+    out = np.zeros_like(w)
+    x = out[1:-1]
+    np.multiply(ta[1:], w[2:], out=x)
+    x -= ta[:-1] * w[:-2]
+    x[:, :-1] += tb * w[1:-1, 1:]
+    x[:, 1:] -= tb * w[1:-1, :-1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -368,17 +397,19 @@ class Grid:
     # -- advection (skew-symmetric) and transposes --------------------------
 
     def advect_scalar(self, U: Vec2, s):
-        """Skew form 0.5[(u.grad)s + div(u s)] with centered interpolation."""
+        """Skew form 0.5[(u.grad)s + div(u s)] as the centered flux form
+        (u_{i+1} s_{i+1} - u_i s_{i-1}) / 2hx plus the same in y, for U with
+        zero boundary-normal faces; its matrix in s is exactly antisymmetric."""
         self.check_vec2(U)
         self.check_scalar(s)
-        hx, hy = self.hx, self.hy
-        u, v = U.u, U.v
-        Fx = np.zeros_like(u)
-        Fx[1:-1, :] = u[1:-1, :] * _ax(s)
-        Fy = np.zeros_like(v)
-        Fy[:, 1:-1] = v[:, 1:-1] * _ay(s)
-        divu = _dx(u, hx) + _dy(v, hy)
-        return _dx(Fx, hx) + _dy(Fy, hy) - 0.5 * s * divu
+        ux = U.u[1:-1, :] * (0.5 / self.hx)
+        vy = U.v[:, 1:-1] * (0.5 / self.hy)
+        out = np.zeros_like(s)
+        np.multiply(ux, s[1:, :], out=out[:-1, :])
+        out[1:, :] -= ux * s[:-1, :]
+        out[:, :-1] += vy * s[:, 1:]
+        out[:, 1:] -= vy * s[:, :-1]
+        return out
 
     def advect_scalar_t_field(self, U: Vec2, c):
         """Transpose of s -> advect_scalar(U, s), stencil by stencil.
@@ -397,43 +428,23 @@ class Grid:
         return out
 
     def advect_scalar_t_vel(self, s, c):
-        """Transpose of U -> advect_scalar(U, s); returns a Vec2."""
-        hx, hy = self.hx, self.hy
-        e = 0.5 * s * c
+        """Transpose of U -> advect_scalar(U, s) over zero-normal U; a Vec2
+        holding (c_{f-1} s_f - c_f s_{f-1}) / 2h on each interior face f."""
         g = self.vec2()
-        # differences of quotients, the rounding of _dx_t/_dy_t
-        r, q = e / hx, c / hx
-        g.u[1:-1, :] = (r[1:, :] - r[:-1, :]) - _ax(s) * (q[1:, :] - q[:-1, :])
-        r, q = e / hy, c / hy
-        g.v[:, 1:-1] = (r[:, 1:] - r[:, :-1]) - _ay(s) * (q[:, 1:] - q[:, :-1])
+        g.u[1:-1, :] = _cross(c, s) * (0.5 / self.hx)
+        g.v[:, 1:-1] = _cross(c.T, s.T).T * (0.5 / self.hy)
         return g
 
     def advect_vector(self, U: Vec2, W: Vec2):
-        """Skew-symmetric advection of W by U, componentwise on shifted grids."""
+        """Skew-symmetric advection of W by U, componentwise on shifted grids:
+        advect_scalar's centered flux form on the cells centered at each
+        component's faces, for U and W with zero boundary-normal faces; the
+        matrix in W's interior faces is exactly antisymmetric."""
         self.check_vec2(U)
         self.check_vec2(W)
-        hx, hy = self.hx, self.hy
-        u, v = U.u, U.v
-        wu, wv = W.u, W.v
-        # x-component: lives on vertical faces, shifted cells centered there
-        a = _ax(u)                          # (nx, ny)   transport u at centers
-        b = _ax(v)                          # (nx-1, ny+1) transport v at corners
-        Fx = a * _ax(wu)                    # (nx, ny)
-        Fy = np.zeros((self.nx - 1, self.ny + 1))
-        Fy[:, 1:-1] = b[:, 1:-1] * _ay(wu[1:-1, :])
-        divs = _dx(a, hx) + _dy(b, hy)      # (nx-1, ny)
-        ou = np.zeros_like(wu)
-        ou[1:-1, :] = _dx(Fx, hx) + _dy(Fy, hy) - 0.5 * wu[1:-1, :] * divs
-        # y-component: mirror image
-        c2 = _ay(v)                         # (nx, ny)
-        d2 = _ay(u)                         # (nx+1, ny-1)
-        Fy2 = c2 * _ay(wv)                  # (nx, ny)
-        Fx2 = np.zeros((self.nx + 1, self.ny - 1))
-        Fx2[1:-1, :] = d2[1:-1, :] * _ax(wv[:, 1:-1])
-        divs2 = _dy(c2, hy) + _dx(d2, hx)   # (nx, ny-1)
-        ov = np.zeros_like(wv)
-        ov[:, 1:-1] = _dx(Fx2, hx) + _dy(Fy2, hy) - 0.5 * wv[:, 1:-1] * divs2
-        return Vec2(ou, ov)
+        qx, qy = 0.25 / self.hx, 0.25 / self.hy
+        return Vec2(_face_advect(U.u, U.v, W.u, qx, qy),
+                    _face_advect(U.v.T, U.u.T, W.v.T, qy, qx).T)
 
     def advect_vector_t_field(self, U: Vec2, C: Vec2):
         """Transpose of W -> advect_vector(U, W), stencil by stencil.
@@ -466,28 +477,16 @@ class Grid:
         return Vec2(gu, gv).zero_normal_boundary()
 
     def advect_vector_t_vel(self, W: Vec2, C: Vec2):
-        """Transpose of U -> advect_vector(U, W); returns a Vec2.
-
-        The cotangents of the transporting fields a = _ax(u), b = _ax(v),
-        c2 = _ay(v) and d2 = _ay(u) are built only where they reach
-        interior faces.
-        """
-        hx, hy = self.hx, self.hy
-        wu, wv = W.u, W.v
-        cu = C.u[1:-1, :]
-        cv = C.v[:, 1:-1]
-        e = 0.5 * wu[1:-1, :] * cu          # (nx-1, ny)
-        e2 = 0.5 * wv[:, 1:-1] * cv         # (nx, ny-1)
-        a_cot = _ax(wu) * _dx_t(cu, hx) - _dx_t(e, hx)      # (nx, ny)
-        c2_cot = _ay(wv) * _dy_t(cv, hy) - _dy_t(e2, hy)    # (nx, ny)
-        # the corner cotangents' end rows reach only boundary-normal faces
-        r, q = e / hy, cu / hy
-        b_cot = (r[:, 1:] - r[:, :-1]) - _ay(wu[1:-1, :]) * (q[:, 1:] - q[:, :-1])
-        r, q = e2 / hx, cv / hx
-        d2_cot = (r[1:, :] - r[:-1, :]) - _ax(wv[:, 1:-1]) * (q[1:, :] - q[:-1, :])
+        """Transpose of U -> advect_vector(U, W) over zero-normal U, for W
+        and C with zero boundary-normal faces: each transport's cotangent is
+        a cross difference, averaged back to the faces it came from."""
+        wu, wv, cu, cv = W.u, W.v, C.u, C.v
+        qx, qy = 0.5 / self.hx, 0.5 / self.hy
         g = self.vec2()
-        g.u[1:-1, :] = _ax(a_cot) + _ay_t(d2_cot)
-        g.v[:, 1:-1] = _ay(c2_cot) + _ax_t(b_cot)
+        g.u[1:-1, :] = (_ax(_cross(cu, wu) * qx)
+                        + _ay_t(_cross(cv[:, 1:-1], wv[:, 1:-1]) * qx))
+        g.v[:, 1:-1] = (_ay(_cross(cv.T, wv.T).T * qy)
+                        + _ax_t(_cross(cu[1:-1, :].T, wu[1:-1, :].T).T * qy))
         return g
 
     # -- buoyancy -----------------------------------------------------------

@@ -127,13 +127,13 @@ class _Levels:
 
     def __init__(self, basis, *parts):
         self.basis = basis
-        self.shapes = [p.shape[1:] for p in parts]
-        self.splits = np.cumsum([p[0].size for p in parts])[:-1]
+        ends = np.cumsum([0] + [p[0].size for p in parts]).tolist()
+        self.views = [(a, b, p.shape[1:]) for a, b, p in zip(ends, ends[1:], parts)]
         self.parts = np.concatenate([p.reshape(3, -1) for p in parts], axis=1)
 
     def fields(self, k):
-        flat = np.split(self.basis[k] @ self.parts, self.splits)
-        return [a.reshape(s) for a, s in zip(flat, self.shapes)]
+        flat = self.basis[k] @ self.parts
+        return [flat[a:b].reshape(shape) for a, b, shape in self.views]
 
     def at(self, k):
         """(f, h) held on step k, the parts being those of fx, fy and g."""

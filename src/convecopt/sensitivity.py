@@ -17,10 +17,10 @@ continuous adjoint system comes out.
 
 The transpose of advection in the advected field needs no stencil of its
 own.  The skew form keeps b(u; w, w) = 0 discretely, which for a transporting
-velocity with zero boundary-normal faces makes its matrix skew-symmetric, so
-that transpose is the forward advection operator negated.  The adjoint
-explicit stage therefore costs about what the forward one does.  Base
-trajectories must have zero boundary-normal faces on every level; every
+velocity with zero boundary-normal faces makes its matrix skew-symmetric,
+exactly in floating point too, so that transpose is the forward operator
+negated, and the adjoint explicit stage costs what the forward one does.
+Base trajectories must have zero boundary-normal faces on every level; every
 trajectory from `solve_state` has, and `_check_compat` rejects any other.
 """
 
@@ -62,7 +62,8 @@ def tangent_explicit_t(grid: Grid, pp: PhysicalParams, uk: Vec2, thk,
     The transposes in the advected field are the forward operators negated:
     advect_*_t_field(uk, .) = -advect_*(uk, .), because the skew form is a
     skew-symmetric matrix once uk has zero boundary-normal faces
-    (symmetry-preserving discretisation, Verstappen & Veldman 2003).  Every
+    (symmetry-preserving discretisation, Verstappen & Veldman 2003), exactly
+    so in floating point: the negated forward operator is its transpose.  Every
     base level from solve_state satisfies that (_check_compat enforces it),
     and w, a carrier from implicit_block, has zero normal faces too, which
     the vector form needs because it reads w's boundary entries.

@@ -534,6 +534,53 @@ def test_advect_vector_transposes(grid_rect):
                       rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("name", ["grid8", "grid_rect"])
+def test_advection_matrices_are_exactly_antisymmetric(request, name):
+    # with zero boundary-normal transport (and advected W) every entry of the
+    # matrix in the advected field is met by its negative across the
+    # diagonal, bit for bit, and the diagonal is zero
+    g = request.getfixturevalue(name)
+    rng = np.random.default_rng(20)
+    U = rand_vec2(g, rng)
+    M = operator_matrix(lambda s: g.advect_scalar(U, s), (g.nx, g.ny), (g.nx, g.ny))
+    assert np.any(M) and np.array_equal(M + M.T, np.zeros_like(M))
+    # W's degrees of freedom: the interior faces of both components
+    nu, nv = (g.nx - 1) * g.ny, g.nx * (g.ny - 1)
+
+    def apply(x):
+        W = g.vec2()
+        W.u[1:-1, :] = x[:nu].reshape(g.nx - 1, g.ny)
+        W.v[:, 1:-1] = x[nu:].reshape(g.nx, g.ny - 1)
+        out = g.advect_vector(U, W)
+        return np.concatenate([out.u[1:-1, :].ravel(), out.v[:, 1:-1].ravel()])
+
+    M = operator_matrix(apply, (nu + nv,), (nu + nv,))
+    assert np.any(M) and np.array_equal(M + M.T, np.zeros_like(M))
+
+
+@pytest.mark.parametrize("name", ["grid8", "grid_rect"])
+def test_advection_reads_no_self_term(request, name):
+    # the centered flux form reads only the four neighbours of an entry, so
+    # changing the advected field on one colour of a checkerboard leaves the
+    # result on that colour bit for bit: no self term is formed, so none is
+    # left over from roundoff
+    g = request.getfixturevalue(name)
+    rng = np.random.default_rng(21)
+    U, W, dW = rand_vec2(g, rng), rand_vec2(g, rng), rand_vec2(g, rng)
+    s, ds = rand_scalar(g, rng), rand_scalar(g, rng)
+
+    def even(a):
+        i, j = np.indices(a.shape)
+        return (i + j) % 2 == 0
+
+    got, ref = g.advect_scalar(U, s + ds * even(s)), g.advect_scalar(U, s)
+    assert np.array_equal(got[even(s)], ref[even(s)])
+    dW = Vec2(dW.u * even(dW.u), dW.v * even(dW.v))
+    got, ref = g.advect_vector(U, W + dW), g.advect_vector(U, W)
+    for a, b in ((got.u, ref.u), (got.v, ref.v)):
+        assert np.array_equal(a[even(a)], b[even(b)])
+
+
 # Property tests over the grid sizes and cell aspect ratios the CLI accepts.
 # Derandomised, so every run draws the same examples.
 def _close_pairing(g, lhs_field, c, rhs):
