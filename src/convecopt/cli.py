@@ -297,13 +297,13 @@ def cmd_tikhonov(cfg, run, seed):
         "base_kkt": res.kkt_history[-1]})
 
 
-def cmd_sweep(cfg, run, seed, threads):
+def cmd_sweep(cfg, run, seed):
     prob = build_problem(cfg, seed)
     res, opts = _optimize_base(prob, cfg)
     sw = cfg["sweep"]
     plan = lab.SweepPlan(sw["family"], np.asarray(sw["magnitudes"]),
                          seed=seed, modes=sw["modes"], decay=sw["decay"],
-                         warm_start=sw["warm_start"], threads=threads,
+                         warm_start=sw["warm_start"],
                          trust_radius=sw["trust_radius"])
     rep = lab.stability_sweep(prob, res.control, plan, opts,
                               s_norm=cfg["s_norm"])
@@ -396,6 +396,7 @@ COMMANDS = tuple(DISPATCH)
 def run_command(cmd, cfg: ExperimentConfig, out_dir=None, seed=None,
                 threads=1, snapshot_stride=None):
     """Dispatch one command; returns the exit status (0/1/2)."""
+    # threads is ignored; perfbench/workloads.py passes threads=2
     if cmd not in DISPATCH:
         sys.stderr.write(f"unknown command {cmd!r}; choose from: "
                          + ", ".join(COMMANDS) + "\n")
@@ -405,7 +406,7 @@ def run_command(cmd, cfg: ExperimentConfig, out_dir=None, seed=None,
     if snapshot_stride is None:
         snapshot_stride = cfg["output"]["snapshot_stride"]
     run = Run(out_dir, cfg, cmd, seed)
-    extra = {"solve": (snapshot_stride,), "stability-sweep": (threads,)}.get(cmd, ())
+    extra = (snapshot_stride,) if cmd == "solve" else ()
     try:
         DISPATCH[cmd](cfg, run, seed, *extra)
     except ConfigError as exc:
@@ -431,13 +432,11 @@ def main(argv=None):
     parser.add_argument("--config", help="JSON config file (defaults used if omitted)")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--snapshot-stride", type=int, default=None)
     args = parser.parse_args(argv)
     # the config rules for the values these flags override
     for flag, value, low in (("--seed", args.seed, 0),
-                             ("--snapshot-stride", args.snapshot_stride, 0),
-                             ("--threads", args.threads, 1)):
+                             ("--snapshot-stride", args.snapshot_stride, 0)):
         if value is not None and value < low:
             sys.stderr.write(f"{flag}: must be >= {low}\n")
             return 2
@@ -450,7 +449,7 @@ def main(argv=None):
         sys.stderr.write(f"cannot read config: {exc}\n")
         return 2
     return run_command(args.command, cfg, args.out, args.seed,
-                       args.threads, args.snapshot_stride)
+                       snapshot_stride=args.snapshot_stride)
 
 
 if __name__ == "__main__":

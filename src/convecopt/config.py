@@ -198,12 +198,19 @@ def validate(data) -> list:
     opt = data["optimizer"]
     need(opt["kkt_tol"] > 0, "optimizer.kkt_tol", "must be > 0")
     need(opt["initial_step"] > 0, "optimizer.initial_step", "must be > 0")
-    need(0 < opt["backtrack"] < 1, "optimizer.backtrack", "must lie in (0, 1)")
-    need(opt["max_iters"] >= 0, "optimizer.max_iters", "must be >= 0")
+    for key in ("backtrack", "armijo"):
+        need(0 < opt[key] < 1, f"optimizer.{key}", "must lie in (0, 1)")
+    for key in ("max_iters", "max_backtracks", "stagnation_rtol"):
+        need(opt[key] >= 0, f"optimizer.{key}", "must be >= 0")
     sw = data["sweep"]
     mags = np.asarray(sw["magnitudes"], dtype=float)
     need(mags.size >= 2 and np.all(mags > 0) and np.all(np.diff(mags) > 0),
          "sweep.magnitudes", "need >= 2 strictly increasing positive values")
+    need(sw["trust_radius"] is None or sw["trust_radius"] > 0,
+         "sweep.trust_radius", "must be null or > 0")
+    rg = data["growth"]["radius_grid"]
+    need(len(rg) >= 1 and all(r > 0 for r in rg), "growth.radius_grid",
+         "need >= 1 value, each > 0")
     for sec in ("sweep", "second_order"):
         need(data[sec]["family"] in KNOWN_FAMILIES, f"{sec}.family",
              "must be one of " + ", ".join(KNOWN_FAMILIES))
@@ -227,7 +234,9 @@ def validate(data) -> list:
     for sec, key in (("duality", "seeds"), ("taylor", "seeds"),
                      ("growth", "n_samples"), ("second_order", "n_samples"),
                      ("targets", "modes"), ("initial", "modes"),
-                     ("sources", "modes"), ("sweep", "modes")):
+                     ("sources", "modes"), ("sweep", "modes"),
+                     ("optimizer", "nonmonotone_window"),
+                     ("optimizer", "stagnation_window")):
         need(data[sec][key] >= 1, f"{sec}.{key}", "must be >= 1")
     need(data["growth"]["variant"] in ("control", "state"),
          "growth.variant", "must be 'control' or 'state'")

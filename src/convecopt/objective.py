@@ -11,7 +11,6 @@ problem family.
 from __future__ import annotations
 
 import hashlib
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
@@ -22,7 +21,7 @@ from .boussinesq import (PhysicalParams, TimeGrid, SourceData, StateTrajectory,
                          solve_state, _h1_semi_sq)
 from . import sensitivity as sen
 
-# Entries of each per-thread Problem cache.  Two states: a line search
+# Entries of each Problem cache.  Two states: a line search
 # evaluates trials away from its current point.  One adjoint: a gradient is
 # taken only at accepted points, and callers re-read the last one.
 CACHE_SIZE = 2
@@ -245,12 +244,11 @@ class Problem:
     (f_hat, h_hat, u0_hat, th0_hat); an adjoint also on its objective tilts
     and target shifts (eta_u, eta_th, u_d_hat, th_d_hat).  Control tilts
     (sigma, lam) and Tikhonov weights change neither, so the perturbed
-    copies of a problem reuse both.  Each thread keeps its own
-    least-recently-used caches, of CACHE_SIZE states and one adjoint, so
-    the threads of a parallel stability sweep share no mutable state and
-    none evicts another's entries.  A miss evicts down to one entry below
-    the size before it solves, so no evicted trajectory is live while the
-    new one is formed, and a solve that fails leaves no entry.
+    copies of a problem reuse both.  The least-recently-used caches, of
+    CACHE_SIZE states and one adjoint, are one dict per problem that its
+    perturbed copies share.  A miss evicts down to one entry below the size
+    before it solves, so no evicted trajectory is live while the new one is
+    formed, and a solve that fails leaves no entry.
     """
 
     grid: Grid
@@ -269,13 +267,14 @@ class Problem:
             self.u0 = self.grid.vec2()
         if self.theta0 is None:
             self.theta0 = self.grid.scalar()
-        self._local = threading.local()
+        # least recently used first
+        self._caches = {kind: OrderedDict() for kind in _CACHE_SIZES}
 
     def perturbed(self, pert: Perturbation) -> Problem:
         """This problem with pert in place of its perturbation, sharing
         its caches (their keys tell perturbations apart)."""
         out = replace(self, pert=pert)
-        out._local = self._local
+        out._caches = self._caches
         return out
 
     @property
@@ -283,13 +282,9 @@ class Problem:
         """phys.coupling, read-only; kept for callers written against the old field."""
         return self.phys.coupling
 
-    def _cache(self, kind):
-        """This thread's cache of one kind, least recently used first."""
-        return self._local.__dict__.setdefault(kind, OrderedDict())
-
     def _recall(self, kind, key):
         """The cached value under key, now the most recently used, or None."""
-        cache = self._cache(kind)
+        cache = self._caches[kind]
         if key in cache:
             cache.move_to_end(key)
             return cache[key]
@@ -298,14 +293,14 @@ class Problem:
     def _make_room(self, kind):
         """Evict the least recently used entries down to one below the size;
         a miss calls this before it solves."""
-        cache = self._cache(kind)
+        cache = self._caches[kind]
         while len(cache) >= _CACHE_SIZES[kind]:
             cache.popitem(last=False)
 
     def _remember(self, kind, key, value):
         """Insert as the most recently used, making room first."""
         self._make_room(kind)
-        self._cache(kind)[key] = value
+        self._caches[kind][key] = value
         return value
 
     # -- state solves --------------------------------------------------------

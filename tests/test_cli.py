@@ -136,6 +136,16 @@ def test_config_error_exit_code(tmp_path):
     ({"taylor": {"t_values": [0.1, -0.01]}}, "taylor.t_values"),
     ({"taylor": {"t_values": []}}, "taylor.t_values"),
     ({"taylor": {"t_values": [0.1, 0.1, 0.1]}}, "taylor.t_values"),
+    ({"optimizer": {"armijo": 2.0}}, "optimizer.armijo"),
+    ({"optimizer": {"armijo": 0}}, "optimizer.armijo"),
+    ({"optimizer": {"max_backtracks": -1}}, "optimizer.max_backtracks"),
+    ({"optimizer": {"nonmonotone_window": 0}}, "optimizer.nonmonotone_window"),
+    ({"optimizer": {"stagnation_window": 0}}, "optimizer.stagnation_window"),
+    ({"optimizer": {"stagnation_rtol": -1e-3}}, "optimizer.stagnation_rtol"),
+    ({"growth": {"radius_grid": []}}, "growth.radius_grid"),
+    ({"growth": {"radius_grid": [0.0]}}, "growth.radius_grid"),
+    ({"sweep": {"trust_radius": -1.0}}, "sweep.trust_radius"),
+    ({"sweep": {"trust_radius": 0}}, "sweep.trust_radius"),
 ])
 def test_ill_typed_config_exits_2_with_field_path(tmp_path, capsys, doc, field):
     p = tmp_path / "bad.json"
@@ -149,13 +159,10 @@ def test_ill_typed_config_exits_2_with_field_path(tmp_path, capsys, doc, field):
 @pytest.mark.parametrize("flag,value", [
     pytest.param("--seed", "-1", id="--seed"),
     pytest.param("--snapshot-stride", "-1", id="--snapshot-stride"),
-    pytest.param("--threads", "0", id="--threads-0"),
-    pytest.param("--threads", "-1", id="--threads--1"),
 ])
 def test_flag_overrides_follow_the_config_rules(tmp_path, capsys, flag, value):
-    # the flags override config fields (or, for --threads, size the sweep
-    # pool) and obey their rules: exit 2 naming the flag, before any run
-    # directory is made
+    # the flags override config fields and obey their rules: exit 2 naming
+    # the flag, before any run directory is made
     out = tmp_path / "o"
     assert main(["solve", "--config", str(write_cfg(tmp_path)),
                  "--out", str(out), flag, value]) == 2
@@ -400,19 +407,6 @@ def test_mms_command(tmp_path):
     assert main(["mms", "--config", str(cfg), "--out", str(out)]) == 0
     s = json.loads((out / "summary.json").read_text())
     assert s["min_order"] >= 1.8
-
-
-def test_sweep_threads_flag_bitwise_identical(tmp_path):
-    cfg = write_cfg(tmp_path)
-    sums = []
-    for t, name in (("1", "t1"), ("4", "t4")):
-        out = tmp_path / name
-        assert main(["stability-sweep", "--config", str(cfg),
-                     "--out", str(out), "--threads", t]) == 0
-        sums.append({f["path"]: f["sha256"]
-                     for f in read_manifest(out)["files"]})
-    assert sums[0]["sweep.csv"] == sums[1]["sweep.csv"]
-    assert sums[0]["summary.json"] == sums[1]["summary.json"]
 
 
 # header row of every table and the key order of summary.json, per command

@@ -63,6 +63,16 @@ def test_validation_reports_all_violations_with_field_paths():
     ({"taylor": {"t_values": [0.1, -0.01]}}, "taylor.t_values"),
     ({"taylor": {"t_values": []}}, "taylor.t_values"),
     ({"taylor": {"t_values": [0.1, 0.1, 0.1]}}, "taylor.t_values"),
+    ({"optimizer": {"armijo": 2.0}}, "optimizer.armijo"),
+    ({"optimizer": {"armijo": 0}}, "optimizer.armijo"),
+    ({"optimizer": {"max_backtracks": -1}}, "optimizer.max_backtracks"),
+    ({"optimizer": {"nonmonotone_window": 0}}, "optimizer.nonmonotone_window"),
+    ({"optimizer": {"stagnation_window": 0}}, "optimizer.stagnation_window"),
+    ({"optimizer": {"stagnation_rtol": -1e-3}}, "optimizer.stagnation_rtol"),
+    ({"growth": {"radius_grid": []}}, "growth.radius_grid"),
+    ({"growth": {"radius_grid": [0.0]}}, "growth.radius_grid"),
+    ({"sweep": {"trust_radius": -1.0}}, "sweep.trust_radius"),
+    ({"sweep": {"trust_radius": 0}}, "sweep.trust_radius"),
 ])
 def test_count_and_level_ranges_are_checked(doc, field):
     with pytest.raises(ConfigError) as err:

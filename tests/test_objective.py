@@ -1,8 +1,5 @@
 """Objective, gradient, and second-variation tests."""
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 
@@ -232,42 +229,6 @@ def test_warm_started_tikhonov_path_repeats_no_state_solve(monkeypatch):
     assert len(set(seen)) == len(seen)
 
 
-def test_cache_eviction_is_thread_safe():
-    # the threads of a parallel stability sweep share one Problem; each
-    # keeps its own caches
-    prob = make_problem()
-    n = 20000
-    errors, caches = [], {}
-
-    def insert(tid):
-        try:
-            for i in range(n):
-                prob._remember("state", (tid, i), i)
-            caches[tid] = list(prob._cache("state"))
-        except Exception as exc:
-            errors.append(exc)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=insert, args=(t,)) for t in range(4)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(w.is_alive() for w in workers)
-    assert errors == []
-    assert sorted(caches) == [0, 1, 2, 3]
-    for tid, keys in caches.items():
-        assert len(keys) <= CACHE_SIZE
-        assert keys[-1] == (tid, n - 1)
-        assert all(owner == tid for owner, _ in keys)
-    # the main thread's cache is untouched
-    assert list(prob._cache("state")) == []
-
-
 def test_adjoint_cache_holds_one_entry(sweeps):
     prob = make_problem()
     rng = np.random.default_rng(17)
@@ -286,7 +247,7 @@ def test_a_miss_evicts_before_it_solves(monkeypatch):
 
     def watching(kind, fn):
         def wrapped(*args, **kwargs):
-            seen.append((kind, len(prob._cache(kind))))
+            seen.append((kind, len(prob._caches[kind])))
             return fn(*args, **kwargs)
         return wrapped
 
@@ -298,8 +259,8 @@ def test_a_miss_evicts_before_it_solves(monkeypatch):
     for _ in range(3):
         prob.adjoint(rand_control(prob.space, rng))
     assert seen == [("state", 0), ("adjoint", 0)] + [("state", 1), ("adjoint", 0)] * 2
-    assert len(prob._cache("state")) == CACHE_SIZE
-    assert len(prob._cache("adjoint")) == 1
+    assert len(prob._caches["state"]) == CACHE_SIZE
+    assert len(prob._caches["adjoint"]) == 1
 
 
 def test_a_failing_solve_leaves_no_entry():
@@ -312,12 +273,12 @@ def test_a_failing_solve_leaves_no_entry():
     bad.th[3, 0] = np.nan
     with pytest.raises(NumericalFailure):
         prob.adjoint(bad)           # the state sweep fails
-    assert list(prob._cache("state")) == [(good.hash(), prob.pert.state_hash())]
-    assert list(prob._cache("adjoint")) == []      # evicted for the failed solve
+    assert list(prob._caches["state"]) == [(good.hash(), prob.pert.state_hash())]
+    assert list(prob._caches["adjoint"]) == []      # evicted for the failed solve
     nan_tilt = Perturbation(eta_th=np.full((prob.grid.nx, prob.grid.ny), np.nan))
     with pytest.raises(NumericalFailure):
         prob.perturbed(nan_tilt).adjoint(good)      # the adjoint sweep fails
-    assert list(prob._cache("adjoint")) == []
+    assert list(prob._caches["adjoint"]) == []
     assert prob.adjoint(good) is not adj
 
 
@@ -362,7 +323,7 @@ def test_adjoint_holds_no_right_hand_side_stack():
     prob = make_problem(nx=32, ny=32, T=0.5, nt=100)
     ctrl = rand_control(prob.space, np.random.default_rng(22))
     prob.adjoint(ctrl)              # warm-up; the state stays cached
-    prob._cache("adjoint").clear()
+    prob._caches["adjoint"].clear()
     peak = traced_peak(lambda: prob.adjoint(ctrl), prob.grid, prob.tg.nt)
     assert peak <= 1.2, peak
 

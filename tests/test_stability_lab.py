@@ -79,22 +79,30 @@ def test_sweep_report_structure_and_zero_record():
     assert rep.records[2].control_dist_l1 >= rep.records[1].control_dist_l1
 
 
-def test_sweep_thread_count_does_not_change_output():
-    prob1, ctrl1, opts = solved_problem()
-    prob4, ctrl4, _ = solved_problem()
+def test_sweep_thread_count_does_not_change_output(sweeps):
+    # SweepPlan.threads is accepted and ignored: the points run in one loop
+    # on the problem's caches, so neither the records nor the number of
+    # forward and adjoint sweeps depend on it.  A control tilt leaves the
+    # state key unchanged, so its points start from the cached reference.
     mags = np.array([1e-2, 3e-2, 1e-1])
-    rep1 = stability_sweep(prob1, ctrl1,
-                           SweepPlan("source", mags, seed=2, threads=1), opts)
-    rep4 = stability_sweep(prob4, ctrl4,
-                           SweepPlan("source", mags, seed=2, threads=4), opts)
-    for a, b in zip(rep1.records, rep4.records):
-        assert a == b
-    assert rep1.control_fit == rep4.control_fit
+    for family in ("source", "control-tilt"):
+        reps, counts = [], []
+        for threads in (1, 4):
+            prob, ctrl, opts = solved_problem()
+            before = dict(sweeps)
+            reps.append(stability_sweep(
+                prob, ctrl, SweepPlan(family, mags, seed=2, threads=threads), opts))
+            counts.append({k: sweeps[k] - before[k] for k in sweeps})
+        rep1, rep4 = reps
+        for a, b in zip(rep1.records, rep4.records):
+            assert a == b
+        assert rep1.control_fit == rep4.control_fit
+        assert counts[0] == counts[1], family
 
 
 def test_serial_sweep_reference_reuses_the_base_adjoint(monkeypatch):
     # the reference record's gradient is taken before the points evict the
-    # reference control from this thread's caches, so it costs no sweep;
+    # reference control from the caches, so it costs no sweep;
     # taken after them, it cost a serial sweep one forward and one adjoint
     from convecopt import objective, sensitivity
     prob, ctrl, opts = solved_problem()
