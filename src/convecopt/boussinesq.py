@@ -59,7 +59,10 @@ class SourceData:
     read at(k) on step k (the value held on [t_k, t_{k+1})); solve_adjoint
     reads at(k + 1), the sources pairing with level k + 1, on the backward
     step that produces level k, so it never reads level 0.  Any object whose
-    at(k) gives such an (f, h) pair will do.
+    at(k) gives such an (f, h) pair will do; a march reads each pair once,
+    on its step, and keeps none, so such an object may form every pair when
+    it is read (objective.ControlSources, objective._AdjointSources and
+    mms._Levels do, and hold no (nt, ...) stack).
     """
 
     f: object = None

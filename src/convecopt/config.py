@@ -208,6 +208,8 @@ def validate(data) -> list:
          "sweep.magnitudes", "need >= 2 strictly increasing positive values")
     need(sw["trust_radius"] is None or sw["trust_radius"] > 0,
          "sweep.trust_radius", "must be null or > 0")
+    mag = data["second_order"]["magnitude"]
+    need(mag is None or mag > 0, "second_order.magnitude", "must be null or > 0")
     rg = data["growth"]["radius_grid"]
     need(len(rg) >= 1 and all(r > 0 for r in rg), "growth.radius_grid",
          "need >= 1 value, each > 0")
@@ -217,9 +219,11 @@ def validate(data) -> list:
     eg = np.asarray(data["tikhonov"]["eps_grid"], dtype=float)
     need(eg.size >= 2 and np.all(np.diff(eg) < 0) and np.all(eg >= 0),
          "tikhonov.eps_grid", "need strictly decreasing nonnegative values")
-    tv = data["taylor"]["t_values"]
-    need(len(set(tv)) >= 2 and all(t > 0 for t in tv), "taylor.t_values",
-         "need >= 2 distinct positive values")
+    ta = data["taylor"]
+    need(len(set(ta["t_values"])) >= 2 and all(t > 0 for t in ta["t_values"]),
+         "taylor.t_values", "need >= 2 distinct positive values")
+    need(ta["amplitude"] > 0, "taylor.amplitude", "must be > 0")
+    need(ta["order"] in (1, 2), "taylor.order", "must be 1 or 2")
     me = np.asarray(data["measure"]["eps_grid"], dtype=float)
     need(me.size >= 2 and np.all(me > 0) and np.all(np.diff(me) > 0),
          "measure.eps_grid", "need strictly increasing positive values")

@@ -519,18 +519,26 @@ class Grid:
     def inject_region_vector(self, region: RegionMask, qx, qy):
         """Cell-centered vector density, (..., ncells) values per axis on the
         region's cells and zero elsewhere, interpolated onto interior faces."""
+        out = self.vec2(*qx.shape[:-1])
+        box, (su, sv) = self.inject_region_box(region, qx, qy)
+        out.u[su], out.v[sv] = box.u, box.v
+        return out
+
+    def inject_region_box(self, region: RegionMask, qx, qy):
+        """inject_region_vector on the faces it can make nonzero: returns
+        (box, (su, sv)), where box is a Vec2 of the values of u[su] and
+        v[sv], and every other face of the injected field is zero."""
         lead = qx.shape[:-1]
-        out = self.vec2(*lead)
         (i0, i1), (j0, j1) = region.box
         a, b = max(i0 - 1, 0), min(i1 + 1, self.nx)
         cx = np.zeros(lead + (b - a, j1 - j0))
         cx[..., region.ii - a, region.jj - j0] = qx
-        out.u[..., a + 1:b, j0:j1] = _ax(cx)
+        su = (..., slice(a + 1, b), slice(j0, j1))
         a, b = max(j0 - 1, 0), min(j1 + 1, self.ny)
         cy = np.zeros(lead + (i1 - i0, b - a))
         cy[..., region.ii - i0, region.jj - a] = qy
-        out.v[..., i0:i1, a + 1:b] = _ay(cy)
-        return out
+        sv = (..., slice(i0, i1), slice(a + 1, b))
+        return Vec2(_ax(cx), _ay(cy)), (su, sv)
 
     def restrict_region_vector(self, region: RegionMask, C: Vec2):
         """Transpose of inject_region_vector: (..., ncells) values per axis."""

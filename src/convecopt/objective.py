@@ -11,21 +11,15 @@ problem family.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Grid, Vec2, RegionMask
+from .grid import Grid, Vec2, RegionMask, _dot
 from .boussinesq import (PhysicalParams, TimeGrid, SourceData, StateTrajectory,
                          solve_state, _h1_semi_sq)
 from . import sensitivity as sen
-
-# Entries of each Problem cache.  Two states: a line search
-# evaluates trials away from its current point.  One adjoint: a gradient is
-# taken only at accepted points, and callers re-read the last one.
-CACHE_SIZE = 2
-_CACHE_SIZES = {"state": CACHE_SIZE, "adjoint": 1}
 
 
 @dataclass(frozen=True)
@@ -123,17 +117,44 @@ class Control:
     def hash(self):
         return _digest(self.q, self.th)
 
-    # -- mapping into the PDE source space ----------------------------------
 
-    def source_fields(self):
-        """Force and heat source of every step: a Vec2 stack of shapes
-        (nt, nx+1, ny) and (nt, nx, ny+1), and an (nt, nx, ny) array,
-        freshly allocated (Problem._sources_for adds to them in place)."""
-        sp = self.space
+class ControlSources:
+    """The control-to-source mapping, formed per step: the sources of ctrl
+    plus the (f, h) pairs in held, one level each (or None) held on every
+    step.
+
+    at(k) = (inject(q_k) + f_1 + f_2 + ..., theta_k on the heat region
+    + h_1 + h_2 + ...), added in that order, so each step is bit for bit the
+    step of the (nt, ...) stacks summed in place; it is a fresh pair, read
+    as boussinesq.SourceData describes.  Only the region boxes change with
+    k: their (nt, box) stacks, and the rest of both fields, where the control
+    adds zero, are formed once.
+    """
+
+    def __init__(self, ctrl: Control, *held):
+        sp = ctrl.space
         g = sp.grid
-        f = g.inject_region_vector(sp.mask_q, self.q[:, 0], self.q[:, 1])
-        h = g.scalar(len(self.q))
-        h[:, sp.mask_h.ii, sp.mask_h.jj] = self.th
+        self.f_box, (su, sv) = g.inject_region_box(sp.mask_q, ctrl.q[:, 0], ctrl.q[:, 1])
+        (i0, i1), (j0, j1) = sp.mask_h.box
+        sh = (..., slice(i0, i1), slice(j0, j1))
+        self.h_box = np.zeros((len(ctrl.th), i1 - i0, j1 - j0))
+        self.h_box[:, sp.mask_h.ii - i0, sp.mask_h.jj - j0] = ctrl.th
+        self.f_rest, self.h_rest = g.vec2(), g.scalar()
+        self.slices = su, sv, sh
+        for df, dh in held:
+            if df is not None:
+                self.f_rest.u += df.u
+                self.f_rest.v += df.v
+                self.f_box.u += df.u[su]
+                self.f_box.v += df.v[sv]
+            if dh is not None:
+                self.h_rest += dh
+                self.h_box += dh[sh]
+
+    def at(self, k):
+        f, h = self.f_rest.copy(), self.h_rest.copy()
+        su, sv, sh = self.slices
+        f.u[su], f.v[sv], h[sh] = self.f_box.u[k], self.f_box.v[k], self.h_box[k]
         return f, h
 
 
@@ -244,11 +265,23 @@ class Problem:
     (f_hat, h_hat, u0_hat, th0_hat); an adjoint also on its objective tilts
     and target shifts (eta_u, eta_th, u_d_hat, th_d_hat).  Control tilts
     (sigma, lam) and Tikhonov weights change neither, so the perturbed
-    copies of a problem reuse both.  The least-recently-used caches, of
-    CACHE_SIZE states and one adjoint, are one dict per problem that its
-    perturbed copies share.  A miss evicts down to one entry below the size
-    before it solves, so no evicted trajectory is live while the new one is
-    formed, and a solve that fails leaves no entry.
+    copies of a problem reuse both.
+
+    The cache rule: each kind keeps one strong entry, the trajectory last
+    solved or looked up.  A lookup also finds any trajectory of the kind
+    that a caller still holds, through a weak view of every entry, and makes
+    it the strong entry; so a held trajectory is never solved again, and one
+    that nobody holds is freed once a newer one of its kind is cached.  A
+    miss evicts the strong entry before it solves, so no evicted trajectory
+    is live while the new one is formed (unless a caller holds it), and a
+    solve that fails leaves no entry.  Both caches are shared with the
+    perturbed copies.  The optimizer holds no trajectory: when a line
+    search fails, its start point's state was evicted by the trials, and
+    it is solved again unless a caller holds it.
+
+    Base sources and the perturbation's f_hat and h_hat are one level each
+    (or None), held on every step; the state sweep forms each step's sources
+    as it reads them (ControlSources).
     """
 
     grid: Grid
@@ -267,14 +300,15 @@ class Problem:
             self.u0 = self.grid.vec2()
         if self.theta0 is None:
             self.theta0 = self.grid.scalar()
-        # least recently used first
-        self._caches = {kind: OrderedDict() for kind in _CACHE_SIZES}
+        # per kind: the one strong entry, and the weak view of all entries
+        self._caches = {kind: {} for kind in ("state", "adjoint")}
+        self._held = {kind: weakref.WeakValueDictionary() for kind in self._caches}
 
     def perturbed(self, pert: Perturbation) -> Problem:
         """This problem with pert in place of its perturbation, sharing
         its caches (their keys tell perturbations apart)."""
         out = replace(self, pert=pert)
-        out._caches = self._caches
+        out._caches, out._held = self._caches, self._held
         return out
 
     @property
@@ -283,40 +317,26 @@ class Problem:
         return self.phys.coupling
 
     def _recall(self, kind, key):
-        """The cached value under key, now the most recently used, or None."""
+        """The trajectory under key, cached or held by a caller, now the
+        kind's strong entry; on a miss None, with the strong entry evicted
+        before the caller solves."""
+        hit = self._held[kind].get(key)
         cache = self._caches[kind]
-        if key in cache:
-            cache.move_to_end(key)
-            return cache[key]
-        return None
-
-    def _make_room(self, kind):
-        """Evict the least recently used entries down to one below the size;
-        a miss calls this before it solves."""
-        cache = self._caches[kind]
-        while len(cache) >= _CACHE_SIZES[kind]:
-            cache.popitem(last=False)
+        cache.clear()
+        if hit is not None:
+            cache[key] = hit
+        return hit
 
     def _remember(self, kind, key, value):
-        """Insert as the most recently used, making room first."""
-        self._make_room(kind)
-        self._caches[kind][key] = value
+        """Cache value under key as the kind's strong entry."""
+        self._caches[kind][key] = self._held[kind][key] = value
         return value
 
     # -- state solves --------------------------------------------------------
 
     def _sources_for(self, ctrl: Control):
-        # added in place on the fresh stacks, component by component, so no
-        # second stack is live
-        f, h = ctrl.source_fields()
-        for df, dh in ((self.base_sources.f, self.base_sources.h),
-                       (self.pert.f_hat, self.pert.h_hat)):
-            if df is not None:
-                f.u += df.u
-                f.v += df.v
-            if dh is not None:
-                h += dh
-        return SourceData(f, h)
+        return ControlSources(ctrl, (self.base_sources.f, self.base_sources.h),
+                              (self.pert.f_hat, self.pert.h_hat))
 
     def _initial_for(self):
         pert = self.pert
@@ -333,7 +353,6 @@ class Problem:
         hit = self._recall("state", key)
         if hit is not None:
             return hit
-        self._make_room("state")
         sources = self._sources_for(ctrl)
         u0, th0 = self._initial_for()
         traj = solve_state(self.grid, self.phys, self.tg, sources, u0, th0)
@@ -377,12 +396,16 @@ class Problem:
         g = self.grid
         dt = self.tg.dt
         traj = self.state(ctrl)
-        du, dth = self._misfits(traj.u, traj.theta)
         val = 0.0
+        # the misfits one component at a time, each reduced by inner's np.dot
         if w.alpha1:
-            val += 0.5 * w.alpha1 * dt * g.inner(du[1:], du[1:])
+            shifts = [a for a in (self.targets.u_d, pert.u_d_hat) if a is not None]
+            val += 0.5 * w.alpha1 * dt * (g.vol * (
+                _sq_misfit(traj.u.u[1:], *(a.u for a in shifts))
+                + _sq_misfit(traj.u.v[1:], *(a.v for a in shifts))))
         if w.alpha2:
-            val += 0.5 * w.alpha2 * dt * g.inner(dth[1:], dth[1:])
+            val += 0.5 * w.alpha2 * dt * (g.vol * _sq_misfit(
+                traj.theta[1:], self.targets.theta_d, pert.th_d_hat))
         if pert.eta_u is not None:
             val += dt * g.inner(pert.eta_u, traj.u[1:])
         if pert.eta_th is not None:
@@ -414,7 +437,6 @@ class Problem:
         hit = self._recall("adjoint", key)
         if hit is not None:
             return hit
-        self._make_room("adjoint")
         w = self.weights
         traj = self.state(ctrl)
         duT, dthT = self._terminal_misfits(traj)
@@ -451,7 +473,7 @@ class Problem:
     def tangent(self, ctrl: Control, delta: Control) -> StateTrajectory:
         traj = self.state(ctrl)
         return sen.solve_linearized(self.grid, self.phys, self.tg, traj,
-                                    SourceData(*delta.source_fields()))
+                                    ControlSources(delta))
 
     def second_variation(self, ctrl: Control, delta: Control,
                          lin: StateTrajectory | None = None) -> float:
@@ -496,6 +518,19 @@ class Problem:
         if eps2:
             val += eps2 * wq * float(np.dot(d1.th.ravel(), d2.th.ravel()))
         return val
+
+
+def _sq_misfit(a, *shifts):
+    """_dot(d, d), d = a minus each shift that is not None, formed in one
+    fresh array (a itself when no shift is given)."""
+    d = a
+    for s in shifts:
+        if s is not None:
+            if d is a:
+                d = a - s
+            else:
+                d -= s
+    return _dot(d, d)
 
 
 class _AdjointSources:

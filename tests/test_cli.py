@@ -146,6 +146,10 @@ def test_config_error_exit_code(tmp_path):
     ({"growth": {"radius_grid": [0.0]}}, "growth.radius_grid"),
     ({"sweep": {"trust_radius": -1.0}}, "sweep.trust_radius"),
     ({"sweep": {"trust_radius": 0}}, "sweep.trust_radius"),
+    ({"taylor": {"amplitude": 0}}, "taylor.amplitude"),
+    ({"taylor": {"order": 3}}, "taylor.order"),
+    ({"taylor": {"order": 0}}, "taylor.order"),
+    ({"second_order": {"magnitude": -1.0}}, "second_order.magnitude"),
 ])
 def test_ill_typed_config_exits_2_with_field_path(tmp_path, capsys, doc, field):
     p = tmp_path / "bad.json"
@@ -260,9 +264,10 @@ def _solve_peak(tmp_path, doc):
 def test_solve_reduces_as_it_marches(tmp_path):
     # energy.csv and summary.json are the stored-trajectory energy_report and
     # divergence, bitwise, and the rows are the reductions over the whole
-    # stack, while the run holds no trajectory: its peak is the control's
-    # source stacks (nt levels) and a few levels more: 1.26 trajectories at
-    # 32^2, nt = 100, where a march into a stored trajectory peaks at 3.25.
+    # stack, while the run holds no trajectory: its peak is the control, the
+    # region-box stacks of its per-step sources and a few levels more: 0.66
+    # trajectories at 32^2, nt = 100 (1.26 with the control's full source
+    # stacks), where a march into a stored trajectory peaks at 3.25.
     from convecopt.boussinesq import _sq, _h1_semi_sq
     from convecopt.config import build_problem
     cfg, out, peak = _solve_peak(tmp_path, {"initial": {"kind": "fourier"}})

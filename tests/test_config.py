@@ -73,6 +73,12 @@ def test_validation_reports_all_violations_with_field_paths():
     ({"growth": {"radius_grid": [0.0]}}, "growth.radius_grid"),
     ({"sweep": {"trust_radius": -1.0}}, "sweep.trust_radius"),
     ({"sweep": {"trust_radius": 0}}, "sweep.trust_radius"),
+    ({"taylor": {"amplitude": 0}}, "taylor.amplitude"),
+    ({"taylor": {"amplitude": -1.0}}, "taylor.amplitude"),
+    ({"taylor": {"order": 3}}, "taylor.order"),
+    ({"taylor": {"order": 0}}, "taylor.order"),
+    ({"second_order": {"magnitude": -1.0}}, "second_order.magnitude"),
+    ({"second_order": {"magnitude": 0}}, "second_order.magnitude"),
 ])
 def test_count_and_level_ranges_are_checked(doc, field):
     with pytest.raises(ConfigError) as err:

@@ -191,9 +191,11 @@ def test_options_validation():
 
 
 def test_projected_gradient_peak_holds_one_cached_adjoint():
-    # six iterations with their caches (two states, one adjoint) and no
-    # right-hand side stacks peak at 5.33 trajectories at 32^2, nt = 100;
-    # with two cached adjoints and stacked right-hand sides it was 7.35
+    # six iterations with their caches (one state, one adjoint), per-step
+    # sources and no misfit or right-hand side stacks peak at 3.75
+    # trajectories at 32^2, nt = 100; with two cached states, source and
+    # misfit stacks it was 5.30, with two cached adjoints and stacked
+    # right-hand sides too 7.35
     from dataclasses import replace
     warm = make_problem(nx=32, ny=32, T=0.5, nt=100)
     opts = OptOptions(max_iters=6, kkt_tol=1e-12)
@@ -208,3 +210,4 @@ def test_projected_gradient_peak_holds_one_cached_adjoint():
     peak = traced_peak(solve, prob.grid, prob.tg.nt)
     assert res[0].iterations == 6
     assert peak <= 5.6, peak
+    assert peak <= 3.9, peak

@@ -100,6 +100,18 @@ def test_sweep_thread_count_does_not_change_output(sweeps):
         assert counts[0] == counts[1], family
 
 
+def test_default_sweep_points_start_from_the_held_reference(sweeps, tmp_path):
+    # a control tilt leaves the state and adjoint keys of the reference
+    # unchanged, and the sweep holds both, so every point after the first
+    # starts without a sweep: 88 forward and 85 adjoint sweeps, where a
+    # cache of two states and one adjoint with no view of held ones made
+    # 93 and 90
+    from convecopt.cli import run_command
+    from convecopt.config import from_dict
+    assert run_command("stability-sweep", from_dict({}), str(tmp_path / "s")) == 0
+    assert sweeps == {"state": 88, "adjoint": 85}
+
+
 def test_serial_sweep_reference_reuses_the_base_adjoint(monkeypatch):
     # the reference record's gradient is taken before the points evict the
     # reference control from the caches, so it costs no sweep;

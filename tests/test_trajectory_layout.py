@@ -13,7 +13,8 @@ import pytest
 from convecopt.boussinesq import (PhysicalParams, TimeGrid, SourceData,
                                   solve_state)
 from convecopt.objective import (ObjectiveWeights, Targets, ControlSpace,
-                                 Problem, Perturbation, restrict_adjoint)
+                                 ControlSources, Problem, Perturbation,
+                                 restrict_adjoint)
 from convecopt.stability_lab import state_distance_l2, tracking_margin
 
 from conftest import (energy_report, rand_scalar, rand_vec2, rand_div_free,
@@ -106,8 +107,8 @@ def test_stacked_reductions_match_per_level_loops(grid_rect):
                _h1_sq(g, traj.u[k].u) + _h1_sq(g, traj.u[k].v), _h1_sq(g, traj.theta[k]))
         np.testing.assert_allclose(rep.series[k], row, rtol=1e-13, atol=0)
     diss = sum(dt * (rep.series[k, 4] + rep.series[k, 5]) for k in range(1, nt + 1))
-    fsq = sum(dt * g.norm2(src.f[k]) ** 2 for k in range(nt))
-    hsq = sum(dt * g.norm2(src.h[k]) ** 2 for k in range(nt))
+    fsq = sum(dt * g.norm2(src.at(k)[0]) ** 2 for k in range(nt))
+    hsq = sum(dt * g.norm2(src.at(k)[1]) ** 2 for k in range(nt))
     data = np.sqrt(fsq) + np.sqrt(hsq) + g.norm2(prob.u0) + g.norm2(prob.theta0)
     assert math.isclose(rep.dissipation, diss, rel_tol=1e-13)
     assert math.isclose(rep.data_norm, data, rel_tol=1e-13)
@@ -135,7 +136,10 @@ def test_source_fields_and_restrict_adjoint_are_transposes(grid_rect):
     W.v[:] = rng.standard_normal(W.v.shape)
     W.zero_normal_boundary()
     Psi = rng.standard_normal((nt, g.nx, g.ny))
-    f, h = ctrl.source_fields()
+    src = ControlSources(ctrl)
+    f, h = g.vec2(nt), g.scalar(nt)
+    for k in range(nt):
+        f[k], h[k] = src.at(k)
     assert f.u.shape == (nt, g.nx + 1, g.ny) and h.shape == (nt, g.nx, g.ny)
     q, th = restrict_adjoint(prob.space, W, Psi)
     lhs = g.inner(f, W) + g.inner(h, Psi)
