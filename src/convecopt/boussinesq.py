@@ -1,15 +1,19 @@
 """Forward-in-time solver for the buoyancy-coupled incompressible flow system.
 
-One IMEX Euler step per time level: explicit advection, buoyancy and forcing,
-then `implicit_block`, the shared P D P block (project, diffuse, project the
-velocity; diffuse the temperature).  The step is deliberately a composition
-of linear solves and bilinear terms so that its linearization and transpose
-can be written down exactly (see the sensitivity module).
+One IMEX Euler step per time level: `explicit_stage` (advection, buoyancy and
+forcing; the tangent step's too), then `implicit_block`, the shared P D P
+block (project, diffuse, project the velocity; diffuse the temperature).
+Every march is `march` from the level `first_level` prepares.  The step is
+deliberately a composition of linear solves and bilinear terms so that its
+linearization and transpose can be written down exactly (see the
+sensitivity module).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -117,14 +121,17 @@ def check_step(grid: Grid, k, u: Vec2, theta, bound=np.inf):
         raise NumericalFailure(f"step {k}: energy |u|^2 + |theta|^2 = {e:.3g}, bound {bound:.3g}")
 
 
-def step_explicit(grid: Grid, pp: PhysicalParams, u: Vec2, theta, dt,
-                  f: Vec2 | None, h):
-    """Explicit stage of one IMEX step; returns tentative (u*, theta*)."""
+def explicit_stage(grid: Grid, pp: PhysicalParams, dt, u: Vec2, theta,
+                   transports, f: Vec2 | None, h):
+    """Explicit stage of the forward and the tangent step: the tentative
+    (u + dt (buoyancy(theta) - A + f), theta + dt (h - a)), normal faces
+    zeroed, where A and a sum advect_vector(U, W) and advect_scalar(U, s)
+    over the (U, W, s) in transports, if pp.coupling is on."""
     us = u + dt * grid.buoyancy(theta, pp.buoyancy_dir)
     ts = theta.copy()
     if pp.coupling:
-        us = us - dt * grid.advect_vector(u, u)
-        ts = ts - dt * grid.advect_scalar(u, theta)
+        us = us - dt * reduce(add, (grid.advect_vector(U, W) for U, W, _ in transports))
+        ts = ts - dt * reduce(add, (grid.advect_scalar(U, s) for U, _, s in transports))
     us, ts = add_sources(dt, us, ts, f, h)
     return us.zero_normal_boundary(), ts
 
@@ -155,9 +162,16 @@ def implicit_block(grid: Grid, pp: PhysicalParams, dt, u: Vec2, theta):
 def step(grid: Grid, pp: PhysicalParams, dt, u: Vec2, theta,
          f: Vec2 | None, h):
     """One full IMEX step; returns (u_next, p_next, theta_next)."""
-    us, ts = step_explicit(grid, pp, u, theta, dt, f, h)
+    us, ts = explicit_stage(grid, pp, dt, u, theta, ((u, u, theta),), f, h)
     un, phi, tn = implicit_block(grid, pp, dt, us, ts)
     return un, phi / dt, tn
+
+
+def first_level(grid: Grid, u: Vec2 | None, theta):
+    """A march's first level from the caller's data: a copy of u with zero
+    normal faces and theta as a contiguous float array, `None` meaning zero."""
+    return (grid.vec2() if u is None else u.copy().zero_normal_boundary(),
+            grid.scalar() if theta is None else np.ascontiguousarray(theta, dtype=float))
 
 
 def march(grid: Grid, levels, advance, u: Vec2, theta, out=None, bound=np.inf):
@@ -202,8 +216,8 @@ def solve_state(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
     def advance(k, u, theta):
         return step(grid, pp, tg.dt, u, theta, *sources.at(k - 1))
 
-    return march(grid, range(tg.nt + 1), advance, u0.copy().zero_normal_boundary(),
-                 np.ascontiguousarray(theta0, dtype=float), out, bound)
+    return march(grid, range(tg.nt + 1), advance, *first_level(grid, u0, theta0),
+                 out, bound)
 
 
 class EnergySeries:

@@ -239,30 +239,40 @@ def cmd_taylor(cfg, run, seed):
     run.write_json("summary.json", {"order": order, "fits": slopes})
 
 
+class _Drawn:
+    """Per-step sources whose level k is draw(default_rng((*key, k))), drawn
+    on each read, so repeated reads agree and no level is kept; `None` below
+    level start."""
+
+    def __init__(self, draw, key, start=0):
+        self.draw, self.key, self.start = draw, key, start
+
+    def __getitem__(self, k):
+        return None if k < self.start else self.draw(np.random.default_rng((*self.key, k)))
+
+
 def cmd_duality(cfg, run, seed):
     prob = build_problem(cfg, seed)
     g, pp, tg = prob.grid, prob.phys, prob.tg
+
+    def rv(rng):
+        return Vec2(0.3 * rng.standard_normal((g.nx + 1, g.ny)),
+                    0.3 * rng.standard_normal((g.nx, g.ny + 1))).zero_normal_boundary()
+
+    def rs(rng):
+        return 0.3 * rng.standard_normal((g.nx, g.ny))
+
     residuals = []
     for s in range(int(cfg["duality"]["seeds"])):
-        rng = np.random.default_rng(seed + 2000 + s)
-
-        def rv():
-            w = Vec2(0.3 * rng.standard_normal((g.nx + 1, g.ny)),
-                     0.3 * rng.standard_normal((g.nx, g.ny + 1)))
-            return w.zero_normal_boundary()
-
-        def rs():
-            return 0.3 * rng.standard_normal((g.nx, g.ny))
-
+        key = seed + 2000 + s
+        rng = np.random.default_rng(key)
         # around the configured problem's state at a random admissible control
         base = prob.state(prob.space.uniform(rng))
         res = sen.duality_residual(
-            g, pp, tg, base,
-            tanF=[rv() for _ in range(tg.nt)], tanG=[rs() for _ in range(tg.nt)],
-            v0=g.leray_project(rv()), theta0=rs(),
-            adjF=[None] + [rv() for _ in range(tg.nt)],
-            adjG=[None] + [rs() for _ in range(tg.nt)],
-            wT=g.leray_project(rv()), psiT=rs())
+            g, pp, tg, base, tanF=_Drawn(rv, (key, 0)), tanG=_Drawn(rs, (key, 1)),
+            v0=g.leray_project(rv(rng)), theta0=rs(rng),
+            adjF=_Drawn(rv, (key, 2), 1), adjG=_Drawn(rs, (key, 3), 1),
+            wT=g.leray_project(rv(rng)), psiT=rs(rng))
         residuals.append(res)
     run.write_csv("duality.csv", ["seed", "residual"],
                   list(enumerate(residuals)))

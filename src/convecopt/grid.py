@@ -147,6 +147,11 @@ class Vec2:
     def __sub__(self, o):
         return Vec2(self.u - o.u, self.v - o.v)
 
+    def __isub__(self, o):
+        self.u -= o.u
+        self.v -= o.v
+        return self
+
     def __mul__(self, a):
         return Vec2(self.u * a, self.v * a)
 
@@ -516,18 +521,11 @@ class Grid:
     # For densities that vanish off a region: they touch only the region's
     # bounding box widened by one cell along the interpolation axis, [a, b).
 
-    def inject_region_vector(self, region: RegionMask, qx, qy):
-        """Cell-centered vector density, (..., ncells) values per axis on the
-        region's cells and zero elsewhere, interpolated onto interior faces."""
-        out = self.vec2(*qx.shape[:-1])
-        box, (su, sv) = self.inject_region_box(region, qx, qy)
-        out.u[su], out.v[sv] = box.u, box.v
-        return out
-
     def inject_region_box(self, region: RegionMask, qx, qy):
-        """inject_region_vector on the faces it can make nonzero: returns
-        (box, (su, sv)), where box is a Vec2 of the values of u[su] and
-        v[sv], and every other face of the injected field is zero."""
+        """A cell-centered vector density, (..., ncells) values per axis on
+        the region's cells and zero elsewhere, interpolated onto the interior
+        faces it can make nonzero: returns (box, (su, sv)), box a Vec2 of the
+        values of u[su] and v[sv]; every other face of the field is zero."""
         lead = qx.shape[:-1]
         (i0, i1), (j0, j1) = region.box
         a, b = max(i0 - 1, 0), min(i1 + 1, self.nx)
@@ -541,7 +539,7 @@ class Grid:
         return Vec2(_ax(cx), _ay(cy)), (su, sv)
 
     def restrict_region_vector(self, region: RegionMask, C: Vec2):
-        """Transpose of inject_region_vector: (..., ncells) values per axis."""
+        """Transpose of inject_region_box's injection: (..., ncells) values per axis."""
         (i0, i1), (j0, j1) = region.box
         a, b = max(i0 - 1, 0), min(i1 + 1, self.nx)
         rx = _ax_t(C.u[..., a + 1:b, j0:j1])[..., region.ii - a, region.jj - j0]

@@ -362,32 +362,13 @@ class Problem:
 
     def _misfits(self, u, theta):
         """(u - u_d - u_d_hat, theta - theta_d - theta_d_hat), on one level
-        or a stack of them.
-
-        Without targets or shifts these are the arguments themselves, so
-        callers must not modify them in place.
-        """
-        pert = self.pert
-        du = u
-        if self.targets.u_d is not None:
-            du = du - self.targets.u_d
-        if pert.u_d_hat is not None:
-            du = du - pert.u_d_hat
-        dth = theta
-        if self.targets.theta_d is not None:
-            dth = dth - self.targets.theta_d
-        if pert.th_d_hat is not None:
-            dth = dth - pert.th_d_hat
-        return du, dth
+        or a stack of them (see _minus)."""
+        return (_minus(u, self.targets.u_d, self.pert.u_d_hat),
+                _minus(theta, self.targets.theta_d, self.pert.th_d_hat))
 
     def _terminal_misfits(self, traj):
-        du = traj.u[-1]
-        if self.targets.u_T is not None:
-            du = du - self.targets.u_T
-        dth = traj.theta[-1]
-        if self.targets.theta_T is not None:
-            dth = dth - self.targets.theta_T
-        return du, dth
+        return (_minus(traj.u[-1], self.targets.u_T),
+                _minus(traj.theta[-1], self.targets.theta_T))
 
     def eval_J(self, ctrl: Control) -> float:
         """Objective value, with the terms of this problem's perturbation."""
@@ -520,9 +501,10 @@ class Problem:
         return val
 
 
-def _sq_misfit(a, *shifts):
-    """_dot(d, d), d = a minus each shift that is not None, formed in one
-    fresh array (a itself when no shift is given)."""
+def _minus(a, *shifts):
+    """a minus each shift that is not None, formed in one fresh array and
+    then in place; a itself when every shift is None, so callers must not
+    modify the result in place."""
     d = a
     for s in shifts:
         if s is not None:
@@ -530,6 +512,11 @@ def _sq_misfit(a, *shifts):
                 d = a - s
             else:
                 d -= s
+    return d
+
+
+def _sq_misfit(a, *shifts):
+    d = _minus(a, *shifts)
     return _dot(d, d)
 
 

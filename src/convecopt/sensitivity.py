@@ -5,15 +5,16 @@ the explicit stage around the base state at level k, D the implicit diffusion
 solve, and P the Leray projection (the heat part omits P).  The P D P block is
 `boussinesq.implicit_block`; it is symmetric, so the tangent and adjoint
 solvers apply it unchanged.  The tangent solver applies the exact Frechet
-derivative of the composition; the adjoint solver applies its exact
+derivative of the composition, through the forward `explicit_stage` with the
+product-rule advection terms; the adjoint solver applies its exact
 transpose, term by term, so the discrete duality identity holds to
-roundoff.  All three marches run `boussinesq.march`, each with its own
-step, and read their sources as `boussinesq.SourceData` describes.  Each
-returns a `StateTrajectory`: the tangent's (v, vartheta) and the adjoint's
-(w, Psi) in its u and theta.  No automatic differentiation is involved: the
-transposed advection terms are the stencil transposes from the grid module,
-which is where the (grad u)^T w and Psi grad(theta) structure of the
-continuous adjoint system comes out.
+roundoff.  All three marches run `boussinesq.march` from `first_level`, each
+with its own step, and read their sources as `boussinesq.SourceData`
+describes.  Each returns a `StateTrajectory`: the tangent's (v, vartheta)
+and the adjoint's (w, Psi) in its u and theta.  No automatic differentiation
+is involved: the transposed advection terms are the stencil transposes from
+the grid module, which is where the (grad u)^T w and Psi grad(theta)
+structure of the continuous adjoint system comes out.
 
 The transpose of advection in the advected field needs no stencil of its
 own.  The skew form keeps b(u; w, w) = 0 discretely, which for a transporting
@@ -32,7 +33,8 @@ import numpy as np
 
 from .grid import Grid, Vec2
 from .boussinesq import (PhysicalParams, TimeGrid, SourceData, StateTrajectory,
-                         add_sources, implicit_block, march)
+                         add_sources, explicit_stage, first_level, implicit_block,
+                         march)
 
 
 def _check_compat(tg: TimeGrid, base: StateTrajectory):
@@ -43,21 +45,9 @@ def _check_compat(tg: TimeGrid, base: StateTrajectory):
         raise ValueError("base trajectory has nonzero boundary-normal faces")
 
 
-def tangent_explicit(grid: Grid, pp: PhysicalParams, uk: Vec2, thk,
-                     v: Vec2, vth, dt, F: Vec2 | None, G):
-    """Exact linearization of the explicit stage around (uk, thk)."""
-    vs = v + dt * grid.buoyancy(vth, pp.buoyancy_dir)
-    ts = vth.copy()
-    if pp.coupling:
-        vs = vs - dt * (grid.advect_vector(uk, v) + grid.advect_vector(v, uk))
-        ts = ts - dt * (grid.advect_scalar(uk, vth) + grid.advect_scalar(v, thk))
-    vs, ts = add_sources(dt, vs, ts, F, G)
-    return vs.zero_normal_boundary(), ts
-
-
 def tangent_explicit_t(grid: Grid, pp: PhysicalParams, uk: Vec2, thk,
                        w: Vec2, psi, dt):
-    """Transpose of tangent_explicit in its (v, vth) argument.
+    """Transpose of the tangent's explicit stage around (uk, thk) in (v, vth).
 
     The transposes in the advected field are the forward operators negated:
     advect_*_t_field(uk, .) = -advect_*(uk, .), because the skew form is a
@@ -89,13 +79,12 @@ def solve_linearized(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
     dt = tg.dt
 
     def advance(k, v, vth):
-        vs, ts = tangent_explicit(grid, pp, base.u[k - 1], base.theta[k - 1],
-                                  v, vth, dt, *sources.at(k - 1))
+        uk, thk = base.u[k - 1], base.theta[k - 1]
+        vs, ts = explicit_stage(grid, pp, dt, v, vth, ((uk, v, vth), (v, uk, thk)),
+                                *sources.at(k - 1))
         return implicit_block(grid, pp, dt, vs, ts)
 
-    v = grid.vec2() if v0 is None else v0.copy().zero_normal_boundary()
-    vth = grid.scalar() if theta0 is None else np.ascontiguousarray(theta0, dtype=float)
-    return march(grid, range(tg.nt + 1), advance, v, vth, out)
+    return march(grid, range(tg.nt + 1), advance, *first_level(grid, v0, theta0), out)
 
 
 def second_rhs(grid: Grid, lin1: StateTrajectory, lin2: StateTrajectory, nt):
@@ -140,11 +129,10 @@ def solve_adjoint(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
     _check_compat(tg, base)
     dt = tg.dt
     nt = tg.nt
-    wT = grid.vec2() if wT is None else wT.copy().zero_normal_boundary()
+    wT, psiT = first_level(grid, wT, psiT)
     if grid.norm_lp(grid.divergence(wT), np.inf) > 1e-10 * (1.0 + wT.max_abs()):
         warnings.warn("adjoint terminal velocity was not divergence-free; projecting")
         wT = grid.leray_project(wT)
-    psiT = grid.scalar() if psiT is None else psiT
 
     def advance(k, w, psi):
         # transpose of the step producing level k + 1: the explicit stage around

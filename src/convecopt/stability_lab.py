@@ -99,7 +99,7 @@ def make_perturbation(prob: Problem, family: str, magnitude: float,
 
 
 # ---------------------------------------------------------------------------
-# distances
+# distances (the sup-norm ones reduce level by level)
 # ---------------------------------------------------------------------------
 
 def control_distance_l1(a: Control, b: Control) -> float:
@@ -116,14 +116,15 @@ def state_distance_l2(prob: Problem, ta, tb) -> float:
 
 
 def state_distance_linf(ta, tb) -> float:
-    return (ta.u - tb.u).max_abs()
+    return max((ta.u[k] - tb.u[k]).max_abs() for k in range(len(ta.u)))
 
 
 def adjoint_gradient_gap(prob: Problem, adj_a, adj_b) -> float:
     """sup-norm of the discrete gradients of (w - w*) and (Psi - Psi*)."""
     g = prob.grid
-    return max(g.grad_inf_vec(adj_a.u - adj_b.u),
-               g.grad_inf_scalar_any(adj_a.theta - adj_b.theta))
+    return max(max(g.grad_inf_vec(adj_a.u[k] - adj_b.u[k]),
+                   g.grad_inf_scalar_any(adj_a.theta[k] - adj_b.theta[k]))
+               for k in range(len(adj_a.u)))
 
 
 # ---------------------------------------------------------------------------

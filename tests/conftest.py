@@ -51,6 +51,16 @@ def leaf_paths(d, prefix=()):
             yield prefix + (key,)
 
 
+def inject_region_vector(grid, region, qx, qy):
+    """Cell-centered vector density, (..., ncells) values per axis on the
+    region's cells and zero elsewhere, interpolated onto interior faces:
+    the whole field whose nonzero faces Grid.inject_region_box gives."""
+    out = grid.vec2(*qx.shape[:-1])
+    box, (su, sv) = grid.inject_region_box(region, qx, qy)
+    out.u[su], out.v[sv] = box.u, box.v
+    return out
+
+
 def energy_report(grid, tg, traj, sources, u0, theta0):
     """EnergySeries.report of a stored trajectory, fed one level at a time:
     the stored-trajectory oracle of the reductions made while marching."""

@@ -330,6 +330,39 @@ def test_duality_check_linearizes_around_the_configured_problem(tmp_path):
     assert got["close"] != got["default"]
 
 
+def test_duality_sources_are_drawn_per_level_on_each_read():
+    from convecopt.cli import _Drawn
+    calls = []
+
+    def draw(rng):
+        calls.append(1)
+        return rng.standard_normal(3)
+
+    src = _Drawn(draw, (5, 2), start=1)
+    assert src[0] is None and not calls
+    assert np.array_equal(src[4], src[4]) and len(calls) == 2
+    assert np.array_equal(src[4], np.random.default_rng((5, 2, 4)).standard_normal(3))
+    assert not np.array_equal(src[3], src[4])
+    assert not np.array_equal(src[4], _Drawn(draw, (5, 3))[4])
+
+
+def test_duality_check_holds_no_source_stacks(tmp_path):
+    # the source levels are drawn as the marches read them, so at 32^2,
+    # nt 100 the peak is the base state's solve: the trajectory, the random
+    # control and its per-step sources (about 1.52), where the source lists
+    # held 3.2
+    from convecopt.cli import Run, cmd_duality
+    from convecopt.grid import Grid, GridConfig
+    from conftest import traced_peak
+    cfg = from_dict({"grid": {"nx": 32, "ny": 32}, "time": {"nt": 100},
+                     "duality": {"seeds": 1}})
+    run = Run(str(tmp_path), cfg, "duality-check", 0)
+    cmd_duality(cfg, run, 0)        # warm-up: first-call allocations
+    peak = traced_peak(lambda: cmd_duality(cfg, run, 0), Grid(GridConfig(32, 32)), 100)
+    assert json.loads((tmp_path / "summary.json").read_text())["pass_1e-11"] is True
+    assert peak <= 1.65, peak
+
+
 def test_missing_config_file_exit_code(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -7,7 +7,7 @@ import pytest
 
 from convecopt.objective import ObjectiveWeights, Control, ControlSources, Perturbation
 
-from conftest import make_problem, rand_control, traced_peak
+from conftest import inject_region_vector, make_problem, rand_control, traced_peak
 
 
 def test_weights_validation():
@@ -341,7 +341,7 @@ def test_per_step_sources_are_the_stacked_sources_bitwise(family, base):
     if family is not None:
         prob = prob.perturbed(make_perturbation(prob, family, 0.3, 27))
     ctrl = rand_control(sp, np.random.default_rng(28))
-    F = g.inject_region_vector(sp.mask_q, ctrl.q[:, 0], ctrl.q[:, 1])
+    F = inject_region_vector(g, sp.mask_q, ctrl.q[:, 0], ctrl.q[:, 1])
     H = g.scalar(nt)
     H[:, sp.mask_h.ii, sp.mask_h.jj] = ctrl.th
     for df, dh in ((prob.base_sources.f, prob.base_sources.h),
@@ -352,8 +352,8 @@ def test_per_step_sources_are_the_stacked_sources_bitwise(family, base):
         if dh is not None:
             H += dh
     for src, (Fs, Hs) in ((prob._sources_for(ctrl), (F, H)),
-                          (ControlSources(ctrl), (g.inject_region_vector(
-                              sp.mask_q, ctrl.q[:, 0], ctrl.q[:, 1]), None))):
+                          (ControlSources(ctrl), (inject_region_vector(
+                              g, sp.mask_q, ctrl.q[:, 0], ctrl.q[:, 1]), None))):
         for k in range(nt):
             f, h = src.at(k)
             assert (f.u.tobytes(), f.v.tobytes()) == (Fs.u[k].tobytes(), Fs.v[k].tobytes())

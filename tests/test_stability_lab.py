@@ -15,7 +15,7 @@ from convecopt.stability_lab import (fourier_scalar, fourier_vec2,
                                      second_order_stability_check,
                                      default_trust_radius)
 
-from conftest import make_problem, rand_control
+from conftest import make_problem, rand_control, traced_peak
 
 
 def solved_problem(**kw):
@@ -55,6 +55,27 @@ def test_distances_vanish_at_equal_arguments():
     assert state_distance_linf(traj, traj) == 0.0
     adj = prob.adjoint(ctrl)
     assert adjoint_gradient_gap(prob, adj, adj) == 0.0
+
+
+def test_sup_distances_reduce_level_by_level():
+    # bit for bit the whole-stack reductions, with no trajectory-sized
+    # temporary: at 32^2, nt 100 each peaks far below one trajectory
+    from convecopt.boussinesq import StateTrajectory
+    from convecopt.grid import Vec2
+    prob = make_problem(nx=32, ny=32, nt=100)
+    g, nt = prob.grid, prob.tg.nt
+    rng = np.random.default_rng(31)
+    ta, tb = (StateTrajectory(Vec2(rng.standard_normal((nt + 1, g.nx + 1, g.ny)),
+                                   rng.standard_normal((nt + 1, g.nx, g.ny + 1))),
+                              rng.standard_normal((nt + 1, g.nx, g.ny)))
+              for _ in range(2))
+    got = []
+    peak_linf = traced_peak(lambda: got.append(state_distance_linf(ta, tb)), g, nt)
+    peak_gap = traced_peak(lambda: got.append(adjoint_gradient_gap(prob, ta, tb)), g, nt)
+    assert got == [(ta.u - tb.u).max_abs(),
+                   max(g.grad_inf_vec(ta.u - tb.u),
+                       g.grad_inf_scalar_any(ta.theta - tb.theta))]
+    assert peak_linf <= 0.1 and peak_gap <= 0.1, (peak_linf, peak_gap)
 
 
 def test_zero_perturbation_is_a_fixed_point():
