@@ -130,9 +130,11 @@ def _finite(x):
 # shared steps
 # ---------------------------------------------------------------------------
 
-def _optimize_base(prob, cfg):
+def _solve_base(cfg, seed):
+    """The configured problem, its solution from the zero control, the options."""
+    prob = build_problem(cfg, seed)
     opts = opt_options(cfg)
-    return projected_gradient(prob, prob.space.zero(), opts), opts
+    return prob, projected_gradient(prob, prob.space.zero(), opts), opts
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +186,7 @@ def cmd_solve(cfg, run, seed, snapshot_stride):
 
 
 def cmd_optimize(cfg, run, seed):
-    prob = build_problem(cfg, seed)
-    res, _ = _optimize_base(prob, cfg)
+    prob, res, _ = _solve_base(cfg, seed)
     # iterate 0 is the start, reached by no step
     rows = zip(res.J_history, res.kkt_history,
                [0.0] + res.step_history, [0] + res.backtrack_history)
@@ -295,8 +296,7 @@ def cmd_mms(cfg, run, seed):
 
 
 def cmd_tikhonov(cfg, run, seed):
-    prob = build_problem(cfg, seed)
-    res, opts = _optimize_base(prob, cfg)
+    prob, res, opts = _solve_base(cfg, seed)
     rep = lab.tikhonov_path(prob, res.control, cfg["tikhonov"]["eps_grid"],
                             opts, np.asarray(cfg["measure"]["eps_grid"]))
     run.write_records("path.csv", lab.PathPoint, rep.points)
@@ -308,8 +308,7 @@ def cmd_tikhonov(cfg, run, seed):
 
 
 def cmd_sweep(cfg, run, seed):
-    prob = build_problem(cfg, seed)
-    res, opts = _optimize_base(prob, cfg)
+    prob, res, opts = _solve_base(cfg, seed)
     sw = cfg["sweep"]
     plan = lab.SweepPlan(sw["family"], np.asarray(sw["magnitudes"]),
                          seed=seed, modes=sw["modes"], decay=sw["decay"],
@@ -330,8 +329,7 @@ def cmd_sweep(cfg, run, seed):
 
 
 def cmd_growth(cfg, run, seed):
-    prob = build_problem(cfg, seed)
-    res, _ = _optimize_base(prob, cfg)
+    prob, res, _ = _solve_base(cfg, seed)
     gcfg = cfg["growth"]
     rep = lab.growth_probe(prob, res.control, gcfg["n_samples"],
                            gcfg["radius_grid"], seed, gcfg["variant"],
@@ -351,8 +349,7 @@ def cmd_growth(cfg, run, seed):
 
 
 def cmd_second_order(cfg, run, seed):
-    prob = build_problem(cfg, seed)
-    res, opts = _optimize_base(prob, cfg)
+    prob, res, opts = _solve_base(cfg, seed)
     so = cfg["second_order"]
     _, _, _, margin = lab.tracking_margin(prob, res.control, cfg["s_norm"])
     mag = so["magnitude"]
@@ -371,8 +368,7 @@ def cmd_second_order(cfg, run, seed):
 
 
 def cmd_measure(cfg, run, seed):
-    prob = build_problem(cfg, seed)
-    res, _ = _optimize_base(prob, cfg)
+    prob, res, _ = _solve_base(cfg, seed)
     eps = np.asarray(cfg["measure"]["eps_grid"])
     out = {}
     rows = []

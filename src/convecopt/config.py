@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridConfig, cell_span
+from .grid import Grid, GridConfig, cell_span, fourier_scalar, fourier_vec2
 from .boussinesq import PhysicalParams, TimeGrid, SourceData
-from .objective import ObjectiveWeights, Targets, ControlSpace, Problem
+from .objective import ObjectiveWeights, Targets, ControlSpace, Problem, KNOWN_FAMILIES
 from .optimizer import OptOptions
-from .stability_lab import KNOWN_FAMILIES, fourier_scalar, fourier_vec2
 
 
 class ConfigError(ValueError):

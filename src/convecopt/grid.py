@@ -564,6 +564,46 @@ class Grid:
 
 
 # ---------------------------------------------------------------------------
+# field synthesis
+# ---------------------------------------------------------------------------
+
+def fourier_scalar(grid: Grid, rng, modes=4, decay=2.0, x=None, y=None):
+    """Seeded truncated Fourier sine series sampled on cell centers.
+
+    Coefficients are standard normal damped by (m^2+n^2)^(-decay/2); the
+    field is normalized to unit L2 norm.  Optional x/y coordinate vectors
+    sample the same series on other (e.g. face) layouts.
+    """
+    if x is None:
+        x = grid.xc
+    if y is None:
+        y = grid.yc
+    out = np.zeros((len(x), len(y)))
+    for m in range(1, modes + 1):
+        for n in range(1, modes + 1):
+            c = rng.standard_normal() * (m * m + n * n) ** (-decay / 2.0)
+            out += c * np.outer(np.sin(m * np.pi * x / grid.lx),
+                                np.sin(n * np.pi * y / grid.ly))
+    nrm = np.sqrt(grid.vol * float(np.sum(out * out)))
+    if nrm > 0:
+        out /= nrm
+    return out
+
+
+def fourier_vec2(grid: Grid, rng, modes=4, decay=2.0, div_free=False):
+    """Fourier-synthesized face field; optionally projected divergence-free."""
+    u = fourier_scalar(grid, rng, modes, decay, x=grid.xf, y=grid.yc)
+    v = fourier_scalar(grid, rng, modes, decay, x=grid.xc, y=grid.yf)
+    w = Vec2(u, v).zero_normal_boundary()
+    if div_free:
+        w = grid.leray_project(w)
+    nrm = grid.norm2(w)
+    if nrm > 0:
+        w = w * (1.0 / nrm)
+    return w
+
+
+# ---------------------------------------------------------------------------
 # export helpers
 # ---------------------------------------------------------------------------
 

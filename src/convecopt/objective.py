@@ -182,6 +182,35 @@ def _digest(*fields):
     return hsh.hexdigest()
 
 
+# Each Perturbation field but eps1/eps2, in norm_P's summation order: (name,
+# cache role, norm_P term).  A "state" field keys the state and so the
+# adjoint, an "adjoint" field the adjoint only, the control tilts neither.
+PERTURBATION_FIELDS = (
+    ("f_hat", "state", "lp"),
+    ("h_hat", "state", "lp"),
+    ("u0_hat", "state", "h1"),
+    ("th0_hat", "state", "h1"),
+    ("eta_u", "adjoint", "lp"),
+    ("eta_th", "adjoint", "lp"),
+    ("sigma", None, "sup"),
+    ("lam", None, "sup"),
+    ("u_d_hat", "adjoint", "lp"),
+    ("th_d_hat", "adjoint", "lp"),
+)
+# norm_P's terms: L^s, the L2 value-plus-gradient proxy for the trace space, sup
+_SIZES = {"lp": lambda g, a, s: g.norm_lp(a, s),
+          "h1": lambda g, a, s: np.sqrt(g.norm2(a) ** 2 + _h1_semi_sq(g, a)),
+          "sup": lambda g, a, s: float(np.abs(a).max())}
+
+KNOWN_FAMILIES = ("control-tilt", "source", "initial", "objective-tilt",
+                  "target-shift", "tikhonov")
+# The Fourier families: the Perturbation fields of their (vector, scalar) pair
+FOURIER_FIELDS = {"source": ("f_hat", "h_hat"),
+                  "initial": ("u0_hat", "th0_hat"),
+                  "objective-tilt": ("eta_u", "eta_th"),
+                  "target-shift": ("u_d_hat", "th_d_hat")}
+
+
 @dataclass
 class Perturbation:
     """The perturbation tuple driving the stability experiments.
@@ -204,50 +233,30 @@ class Perturbation:
     eps1: float = 0.0
     eps2: float = 0.0
 
+    def _digest_role(self, role):
+        return _digest(*(getattr(self, name) for name, r, _ in PERTURBATION_FIELDS
+                         if r == role))
+
     def state_hash(self):
         """Digest of what the state depends on: sources and initial data."""
-        return _digest(self.f_hat, self.h_hat, self.u0_hat, self.th0_hat)
+        return self._digest_role("state")
 
     def adjoint_hash(self):
         """Digest of what the adjoint adds: objective tilts, target shifts."""
-        return _digest(self.eta_u, self.eta_th, self.u_d_hat, self.th_d_hat)
+        return self._digest_role("adjoint")
 
     def norm_P(self, grid: Grid, control: Control, s=4):
-        """Size of the perturbation: sum of per-component norms.
-
-        Sources, tilts and target shifts in L^s; initial data by the L2
-        value-plus-gradient proxy for the trace space; control-space tilts
-        in the sup norm.  Tikhonov weights enter through the equivalent
-        control tilt eps * rho at `control`.
-        """
+        """Size of the perturbation: the sum of each set field's norm_P term
+        (PERTURBATION_FIELDS), then the Tikhonov weights through the
+        equivalent control tilt eps * rho at `control`."""
         total = 0.0
-        if self.f_hat is not None:
-            total += grid.norm_lp(self.f_hat, s)
-        if self.h_hat is not None:
-            total += grid.norm_lp(self.h_hat, s)
-        if self.u0_hat is not None:
-            total += np.sqrt(grid.norm2(self.u0_hat) ** 2
-                             + _h1_semi_sq(grid, self.u0_hat))
-        if self.th0_hat is not None:
-            total += np.sqrt(grid.norm2(self.th0_hat) ** 2
-                             + _h1_semi_sq(grid, self.th0_hat))
-        if self.eta_u is not None:
-            total += grid.norm_lp(self.eta_u, s)
-        if self.eta_th is not None:
-            total += grid.norm_lp(self.eta_th, s)
-        if self.sigma is not None:
-            total += float(np.abs(self.sigma).max())
-        if self.lam is not None:
-            total += float(np.abs(self.lam).max())
-        if self.u_d_hat is not None:
-            total += grid.norm_lp(self.u_d_hat, s)
-        if self.th_d_hat is not None:
-            total += grid.norm_lp(self.th_d_hat, s)
+        for name, _, term in PERTURBATION_FIELDS:
+            a = getattr(self, name)
+            if a is not None:
+                total += _SIZES[term](grid, a, s)
         if self.eps1 or self.eps2:
-            total += self.eps1 * (float(np.abs(control.q).max())
-                                  if control.q.size else 0.0)
-            total += self.eps2 * (float(np.abs(control.th).max())
-                                  if control.th.size else 0.0)
+            total += self.eps1 * float(np.abs(control.q).max(initial=0.0))
+            total += self.eps2 * float(np.abs(control.th).max(initial=0.0))
         return float(total)
 
 
@@ -261,11 +270,9 @@ class Problem:
 
     Forward and adjoint solves are cached, so the optimizer's repeated
     J/grad evaluations at one point cost one solve of each.  A state is
-    keyed on the control and the perturbation's sources and initial data
-    (f_hat, h_hat, u0_hat, th0_hat); an adjoint also on its objective tilts
-    and target shifts (eta_u, eta_th, u_d_hat, th_d_hat).  Control tilts
-    (sigma, lam) and Tikhonov weights change neither, so the perturbed
-    copies of a problem reuse both.
+    keyed on the control and the perturbation's "state" fields, an adjoint
+    also on its "adjoint" fields (PERTURBATION_FIELDS); the other fields
+    change neither, so the perturbed copies of a problem reuse both.
 
     The cache rule: each kind keeps one strong entry, the trajectory last
     solved or looked up.  A lookup also finds any trajectory of the kind

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, Vec2
-from .objective import Control, Perturbation, Problem
+from .grid import fourier_scalar, fourier_vec2
+from .objective import Control, Perturbation, Problem, KNOWN_FAMILIES, FOURIER_FIELDS
 from .optimizer import (OptOptions, OptResult, projected_gradient,
                         project_box, kkt_residual_from_grad, loglog_fit,
                         adjoint_measure_fits)
@@ -23,51 +23,6 @@ from .optimizer import (OptOptions, OptResult, projected_gradient,
 # ---------------------------------------------------------------------------
 # perturbation synthesis
 # ---------------------------------------------------------------------------
-
-def fourier_scalar(grid: Grid, rng, modes=4, decay=2.0, x=None, y=None):
-    """Seeded truncated Fourier sine series sampled on cell centers.
-
-    Coefficients are standard normal damped by (m^2+n^2)^(-decay/2); the
-    field is normalized to unit L2 norm.  Optional x/y coordinate vectors
-    sample the same series on other (e.g. face) layouts.
-    """
-    if x is None:
-        x = grid.xc
-    if y is None:
-        y = grid.yc
-    out = np.zeros((len(x), len(y)))
-    for m in range(1, modes + 1):
-        for n in range(1, modes + 1):
-            c = rng.standard_normal() * (m * m + n * n) ** (-decay / 2.0)
-            out += c * np.outer(np.sin(m * np.pi * x / grid.lx),
-                                np.sin(n * np.pi * y / grid.ly))
-    nrm = np.sqrt(grid.vol * float(np.sum(out * out)))
-    if nrm > 0:
-        out /= nrm
-    return out
-
-
-def fourier_vec2(grid: Grid, rng, modes=4, decay=2.0, div_free=False):
-    """Fourier-synthesized face field; optionally projected divergence-free."""
-    u = fourier_scalar(grid, rng, modes, decay, x=grid.xf, y=grid.yc)
-    v = fourier_scalar(grid, rng, modes, decay, x=grid.xc, y=grid.yf)
-    w = Vec2(u, v).zero_normal_boundary()
-    if div_free:
-        w = grid.leray_project(w)
-    nrm = grid.norm2(w)
-    if nrm > 0:
-        w = w * (1.0 / nrm)
-    return w
-
-
-KNOWN_FAMILIES = ("control-tilt", "source", "initial", "objective-tilt",
-                  "target-shift", "tikhonov")
-# The Fourier families: the Perturbation fields of their (vector, scalar) pair
-FOURIER_FIELDS = {"source": ("f_hat", "h_hat"),
-                  "initial": ("u0_hat", "th0_hat"),
-                  "objective-tilt": ("eta_u", "eta_th"),
-                  "target-shift": ("u_d_hat", "th_d_hat")}
-
 
 def make_perturbation(prob: Problem, family: str, magnitude: float,
                       seed: int, modes: int = 4, decay: float = 2.0) -> Perturbation:

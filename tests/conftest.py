@@ -160,7 +160,7 @@ def make_problem(nx=8, ny=8, T=0.2, nt=8, nu=0.05, kappa=0.02,
     pp = PhysicalParams(nu, kappa, coupling=coupling)
     w = ObjectiveWeights(1.0, 1.0, beta1, beta2, eps1, eps2)
     rng = np.random.default_rng(seed)
-    from convecopt.stability_lab import fourier_scalar, fourier_vec2
+    from convecopt.grid import fourier_scalar, fourier_vec2
     ud = fourier_vec2(grid, rng, 3, 2.0) * target_scale
     td = target_scale * fourier_scalar(grid, rng, 3, 2.0)
     targets = Targets(u_d=ud, theta_d=td)

@@ -309,7 +309,7 @@ def test_energy_ratio_regression():
     rng = np.random.default_rng(42)
     pp = PhysicalParams(0.05, 0.02)
     tg = TimeGrid(0.5, 20)
-    from convecopt.stability_lab import fourier_scalar, fourier_vec2
+    from convecopt.grid import fourier_scalar, fourier_vec2
     src = SourceData(fourier_vec2(grid, rng, 3, 2.0),
                      fourier_scalar(grid, rng, 3, 2.0))
     u0 = grid.leray_project(fourier_vec2(grid, rng, 3, 2.0))

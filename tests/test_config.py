@@ -2,6 +2,9 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -145,6 +148,17 @@ def test_build_problem_is_seed_deterministic():
     c = build_problem(cfg, seed=6)
     assert np.array_equal(a.targets.theta_d, b.targets.theta_d)
     assert not np.array_equal(a.targets.theta_d, c.targets.theta_d)
+
+
+def test_the_layers_below_the_lab_do_not_load_it():
+    import convecopt
+    src = os.path.dirname(os.path.dirname(convecopt.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import convecopt.config, convecopt.optimizer, convecopt.sensitivity; "
+            "print('convecopt.stability_lab' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_opt_options_built_from_config():

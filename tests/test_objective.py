@@ -1,11 +1,15 @@
 """Objective, gradient, and second-variation tests."""
 
+import dataclasses
 import weakref
 
 import numpy as np
 import pytest
 
-from convecopt.objective import ObjectiveWeights, Control, ControlSources, Perturbation
+from convecopt.boussinesq import _h1_semi_sq
+from convecopt.grid import fourier_scalar, fourier_vec2
+from convecopt.objective import (ObjectiveWeights, Control, ControlSources, Perturbation,
+                                 PERTURBATION_FIELDS, _digest)
 
 from conftest import inject_region_vector, make_problem, rand_control, traced_peak
 
@@ -331,7 +335,7 @@ def test_per_step_sources_are_the_stacked_sources_bitwise(family, base):
     # (nt, ...) injection stacks with the held fields added in place
     from dataclasses import replace
     from convecopt.boussinesq import SourceData
-    from convecopt.stability_lab import fourier_scalar, fourier_vec2, make_perturbation
+    from convecopt.stability_lab import make_perturbation
     prob = make_problem()
     g, sp, nt = prob.grid, prob.space, prob.tg.nt
     if base == "fourier":
@@ -468,6 +472,63 @@ def test_perturbation_norm_components():
     sigma = np.zeros((2, prob.space.mask_q.ncells))
     sigma[0, 0] = -0.7
     assert Perturbation(sigma=sigma).norm_P(g, ctrl) == pytest.approx(0.7)
+
+
+def _every_field_set(prob):
+    g, sp = prob.grid, prob.space
+    rng = np.random.default_rng(4)
+
+    def vec():
+        return fourier_vec2(g, rng, 3, 2.0) * 0.3
+
+    def scalar():
+        return 0.3 * fourier_scalar(g, rng, 3, 2.0)
+
+    return Perturbation(f_hat=vec(), h_hat=scalar(), u0_hat=vec(), th0_hat=scalar(),
+                        eta_u=vec(), eta_th=scalar(),
+                        sigma=rng.standard_normal((2, sp.mask_q.ncells)),
+                        lam=rng.standard_normal(sp.mask_h.ncells),
+                        u_d_hat=vec(), th_d_hat=scalar(), eps1=0.3, eps2=0.2)
+
+
+def test_the_field_table_lists_every_field_but_the_tikhonov_weights_once():
+    names = [f.name for f in dataclasses.fields(Perturbation)]
+    assert sorted(name for name, _, _ in PERTURBATION_FIELDS) \
+        == sorted(n for n in names if n not in ("eps1", "eps2"))
+
+
+@pytest.mark.parametrize("s", [2, 4])
+def test_the_field_table_keys_and_sizes_as_the_explicit_field_lists(s):
+    prob = make_problem()
+    g = prob.grid
+    p = _every_field_set(prob)
+    ctrl = rand_control(prob.space, np.random.default_rng(0))
+    assert p.state_hash() == _digest(p.f_hat, p.h_hat, p.u0_hat, p.th0_hat)
+    assert p.adjoint_hash() == _digest(p.eta_u, p.eta_th, p.u_d_hat, p.th_d_hat)
+    # norm_P's field-by-field sum, in its order
+    ref = 0.0
+    ref += g.norm_lp(p.f_hat, s)
+    ref += g.norm_lp(p.h_hat, s)
+    ref += np.sqrt(g.norm2(p.u0_hat) ** 2 + _h1_semi_sq(g, p.u0_hat))
+    ref += np.sqrt(g.norm2(p.th0_hat) ** 2 + _h1_semi_sq(g, p.th0_hat))
+    ref += g.norm_lp(p.eta_u, s)
+    ref += g.norm_lp(p.eta_th, s)
+    ref += float(np.abs(p.sigma).max())
+    ref += float(np.abs(p.lam).max())
+    ref += g.norm_lp(p.u_d_hat, s)
+    ref += g.norm_lp(p.th_d_hat, s)
+    ref += p.eps1 * float(np.abs(ctrl.q).max())
+    ref += p.eps2 * float(np.abs(ctrl.th).max())
+    assert p.norm_P(g, ctrl, s=s) == float(ref)
+
+
+@pytest.mark.parametrize("name, role",
+                         [(n, r) for n, r, _ in PERTURBATION_FIELDS if r != "state"])
+def test_a_field_outside_the_state_role_leaves_the_state_key(name, role):
+    p = _every_field_set(make_problem())
+    q = dataclasses.replace(p, **{name: 2.0 * getattr(p, name)})
+    assert q.state_hash() == p.state_hash()
+    assert (q.adjoint_hash() != p.adjoint_hash()) == (role == "adjoint")
 
 
 def test_perturbed_replaces_the_perturbation_and_leaves_the_problem_alone():
