@@ -215,12 +215,11 @@ def cmd_taylor(cfg, run, seed):
     slopes = []
     for s in range(int(tcfg["seeds"])):
         rng = np.random.default_rng(seed + 1000 + s)
-        ctrl = prob.space.zero()
-        ctrl.q += 0.3 * rng.standard_normal(ctrl.q.shape)
-        ctrl.th += 0.3 * rng.standard_normal(ctrl.th.shape)
-        delta = prob.space.zero()
-        delta.q += tcfg["amplitude"] * rng.standard_normal(delta.q.shape)
-        delta.th += tcfg["amplitude"] * rng.standard_normal(delta.th.shape)
+        ctrl, delta = prob.space.zero(), prob.space.zero()
+        # ctrl's q and th, then delta's
+        for c, scale in ((ctrl, 0.3), (delta, tcfg["amplitude"])):
+            for a in c.parts:
+                a += scale * rng.standard_normal(a.shape)
         J0 = prob.eval_J(ctrl)
         dd = prob.grad_J(ctrl).dot_l2(delta)
         j2 = prob.second_variation(ctrl, delta) if order >= 2 else 0.0

@@ -50,7 +50,7 @@ class Targets:
     theta_T: np.ndarray | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlSpace:
     """Geometry and bounds of the admissible set."""
 
@@ -64,8 +64,13 @@ class ControlSpace:
     th_hi: float = 1.0
 
     def __post_init__(self):
-        if self.q_lo > self.q_hi or self.th_lo > self.th_hi:
+        if any(lo > hi for lo, hi in self.bounds):
             raise ValueError("control bounds must satisfy lo <= hi")
+
+    @property
+    def bounds(self):
+        """((q_lo, q_hi), (th_lo, th_hi)), in the order of Control.parts."""
+        return (self.q_lo, self.q_hi), (self.th_lo, self.th_hi)
 
     def zero(self):
         nt = self.tg.nt
@@ -74,16 +79,14 @@ class ControlSpace:
                        np.zeros((nt, self.mask_h.ncells)))
 
     def uniform(self, rng):
-        """A control drawn uniformly from the box."""
-        nt = self.tg.nt
-        return Control(self,
-                       rng.uniform(self.q_lo, self.q_hi, (nt, 2, self.mask_q.ncells)),
-                       rng.uniform(self.th_lo, self.th_hi, (nt, self.mask_h.ncells)))
+        """A control drawn uniformly from the box, q first."""
+        return Control(self, *(rng.uniform(lo, hi, a.shape)
+                               for a, (lo, hi) in zip(self.zero().parts, self.bounds)))
 
     @property
     def m_u(self):
         """Largest admissible control magnitude (the paper's box bound)."""
-        return max(abs(self.q_lo), abs(self.q_hi), abs(self.th_lo), abs(self.th_hi))
+        return max(abs(b) for box in self.bounds for b in box)
 
 
 @dataclass
@@ -93,6 +96,11 @@ class Control:
     space: ControlSpace
     q: np.ndarray
     th: np.ndarray
+
+    @property
+    def parts(self):
+        """(q, th), the live arrays, in the order of ControlSpace.bounds."""
+        return self.q, self.th
 
     def axpy(self, a, other):
         return Control(self.space, self.q + a * other.q, self.th + a * other.th)
@@ -108,14 +116,11 @@ class Control:
         return w * (float(np.abs(self.q).sum()) + float(np.abs(self.th).sum()))
 
     def is_admissible(self, tol=0.0):
-        sp = self.space
-        return (self.q.min(initial=sp.q_lo) >= sp.q_lo - tol
-                and self.q.max(initial=sp.q_hi) <= sp.q_hi + tol
-                and self.th.min(initial=sp.th_lo) >= sp.th_lo - tol
-                and self.th.max(initial=sp.th_hi) <= sp.th_hi + tol)
+        return all(a.min(initial=lo) >= lo - tol and a.max(initial=hi) <= hi + tol
+                   for a, (lo, hi) in zip(self.parts, self.space.bounds))
 
     def hash(self):
-        return _digest(self.q, self.th)
+        return _digest(*self.parts)
 
 
 class ControlSources:
@@ -202,13 +207,12 @@ _SIZES = {"lp": lambda g, a, s: g.norm_lp(a, s),
           "h1": lambda g, a, s: np.sqrt(g.norm2(a) ** 2 + _h1_semi_sq(g, a)),
           "sup": lambda g, a, s: float(np.abs(a).max())}
 
-KNOWN_FAMILIES = ("control-tilt", "source", "initial", "objective-tilt",
-                  "target-shift", "tikhonov")
 # The Fourier families: the Perturbation fields of their (vector, scalar) pair
 FOURIER_FIELDS = {"source": ("f_hat", "h_hat"),
                   "initial": ("u0_hat", "th0_hat"),
                   "objective-tilt": ("eta_u", "eta_th"),
                   "target-shift": ("u_d_hat", "th_d_hat")}
+KNOWN_FAMILIES = ("control-tilt", *FOURIER_FIELDS, "tikhonov")
 
 
 @dataclass
@@ -254,9 +258,9 @@ class Perturbation:
             a = getattr(self, name)
             if a is not None:
                 total += _SIZES[term](grid, a, s)
-        if self.eps1 or self.eps2:
-            total += self.eps1 * float(np.abs(control.q).max(initial=0.0))
-            total += self.eps2 * float(np.abs(control.th).max(initial=0.0))
+        for eps, a in zip((self.eps1, self.eps2), control.parts):
+            if eps:
+                total += eps * float(np.abs(a).max(initial=0.0))
         return float(total)
 
 
@@ -345,6 +349,12 @@ class Problem:
         return ControlSources(ctrl, (self.base_sources.f, self.base_sources.h),
                               (self.pert.f_hat, self.pert.h_hat))
 
+    def _control_terms(self):
+        """Per component, in the order of Control.parts: the summed Tikhonov
+        weight (base plus perturbation) and the tilt (sigma, lam) or None."""
+        w, pert = self.weights, self.pert
+        return (w.eps1 + pert.eps1, pert.sigma), (w.eps2 + pert.eps2, pert.lam)
+
     def _initial_for(self):
         pert = self.pert
         u0 = self.u0
@@ -402,17 +412,15 @@ class Problem:
             duT, dthT = self._terminal_misfits(traj)
             val += 0.5 * w.beta1 * g.norm2(duT) ** 2
             val += 0.5 * w.beta2 * g.norm2(dthT) ** 2
-        eps1 = w.eps1 + pert.eps1
-        eps2 = w.eps2 + pert.eps2
         wq = dt * g.vol
-        if eps1:
-            val += 0.5 * eps1 * wq * float(np.sum(ctrl.q ** 2))
-        if eps2:
-            val += 0.5 * eps2 * wq * float(np.sum(ctrl.th ** 2))
-        if pert.sigma is not None:
-            val += wq * float(np.sum(pert.sigma * ctrl.q))
-        if pert.lam is not None:
-            val += wq * float(np.sum(pert.lam * ctrl.th))
+        terms = self._control_terms()
+        # both Tikhonov terms, then both tilts
+        for (eps, _), a in zip(terms, ctrl.parts):
+            if eps:
+                val += 0.5 * eps * wq * float(np.sum(a ** 2))
+        for (_, tilt), a in zip(terms, ctrl.parts):
+            if tilt is not None:
+                val += wq * float(np.sum(tilt * a))
         return val
 
     # -- adjoint and gradient ------------------------------------------------
@@ -440,21 +448,16 @@ class Problem:
         The directional derivative is the control-space L2 product of this
         object with the direction.
         """
-        pert = self.pert
         adj = self.adjoint(ctrl)
         # levels 0..nt-1 carry the gradient; level nt is terminal data
-        gq, gt = restrict_adjoint(self.space, adj.u[:-1], adj.theta[:-1])
-        eps1 = self.weights.eps1 + pert.eps1
-        eps2 = self.weights.eps2 + pert.eps2
-        if eps1:
-            gq += eps1 * ctrl.q
-        if eps2:
-            gt += eps2 * ctrl.th
-        if pert.sigma is not None:
-            gq += pert.sigma
-        if pert.lam is not None:
-            gt += pert.lam
-        return Control(self.space, gq, gt)
+        grad = Control(self.space, *restrict_adjoint(self.space, adj.u[:-1],
+                                                     adj.theta[:-1]))
+        for out, a, (eps, tilt) in zip(grad.parts, ctrl.parts, self._control_terms()):
+            if eps:
+                out += eps * a
+            if tilt is not None:
+                out += tilt
+        return grad
 
     # -- tangent along a control direction ------------------------------------
 
@@ -498,13 +501,10 @@ class Problem:
             adj = self.adjoint(ctrl)
             rhsF, rhsG = sen.second_rhs(g, lin1, lin2, nt)
             val += dt * (g.inner(adj.u[:nt], rhsF) + g.inner(adj.theta[:nt], rhsG))
-        eps1 = w.eps1 + self.pert.eps1
-        eps2 = w.eps2 + self.pert.eps2
         wq = dt * g.vol
-        if eps1:
-            val += eps1 * wq * float(np.dot(d1.q.ravel(), d2.q.ravel()))
-        if eps2:
-            val += eps2 * wq * float(np.dot(d1.th.ravel(), d2.th.ravel()))
+        for (eps, _), a, b in zip(self._control_terms(), d1.parts, d2.parts):
+            if eps:
+                val += eps * wq * float(np.dot(a.ravel(), b.ravel()))
         return val
 
 

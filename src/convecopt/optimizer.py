@@ -55,10 +55,7 @@ class OptResult:
 def project_box(ctrl: Control) -> Control:
     """Componentwise clamp onto the admissible box."""
     sp = ctrl.space
-    if sp.q_lo > sp.q_hi or sp.th_lo > sp.th_hi:
-        raise ValueError("control bounds must satisfy lo <= hi")
-    return Control(sp, np.clip(ctrl.q, sp.q_lo, sp.q_hi),
-                   np.clip(ctrl.th, sp.th_lo, sp.th_hi))
+    return Control(sp, *(np.clip(a, lo, hi) for a, (lo, hi) in zip(ctrl.parts, sp.bounds)))
 
 
 def kkt_residual_from_grad(ctrl: Control, grad: Control) -> float:
@@ -71,21 +68,13 @@ def kkt_residual_from_grad(ctrl: Control, grad: Control) -> float:
 def bang_bang_fraction(ctrl: Control):
     """Fraction of control mass within 1e-6 of the box gap of either bound.
 
-    Returns a pair (force fraction, heat fraction), one per component;
-    components with an empty region return 0.
+    Returns a pair (force fraction, heat fraction), one per component.
     """
-    sp = ctrl.space
-    bq = 1e-6 * (sp.q_hi - sp.q_lo)
-    bt = 1e-6 * (sp.th_hi - sp.th_lo)
-    fq = 0.0
-    if ctrl.q.size:
-        at = (ctrl.q <= sp.q_lo + bq) | (ctrl.q >= sp.q_hi - bq)
-        fq = float(np.count_nonzero(at)) / ctrl.q.size
-    ft = 0.0
-    if ctrl.th.size:
-        at = (ctrl.th <= sp.th_lo + bt) | (ctrl.th >= sp.th_hi - bt)
-        ft = float(np.count_nonzero(at)) / ctrl.th.size
-    return fq, ft
+    out = []
+    for a, (lo, hi) in zip(ctrl.parts, ctrl.space.bounds):
+        b = 1e-6 * (hi - lo)
+        out.append(float(np.count_nonzero((a <= lo + b) | (a >= hi - b))) / a.size)
+    return tuple(out)
 
 
 def projected_gradient(prob: Problem, ctrl0: Control, opts: OptOptions) -> OptResult:
@@ -177,21 +166,14 @@ def pointwise_sign_check(prob: Problem, ctrl: Control) -> ViolationReport:
     sp = ctrl.space
     g = prob.grad_J(ctrl)
     w = sp.tg.dt * sp.grid.vol
-    gap_q = max(sp.q_hi - sp.q_lo, 1.0)
-    gap_t = max(sp.th_hi - sp.th_lo, 1.0)
-    bq = 1e-9 * gap_q
-    bt = 1e-9 * gap_t
-    lower = ctrl.q <= sp.q_lo + bq
-    upper = ctrl.q >= sp.q_hi - bq
-    inner = ~(lower | upper)
-    bad_q = (lower & (g.q < -tol)) | (upper & (g.q > tol)) | (inner & (np.abs(g.q) > tol))
-    lower = ctrl.th <= sp.th_lo + bt
-    upper = ctrl.th >= sp.th_hi - bt
-    inner = ~(lower | upper)
-    bad_t = (lower & (g.th < -tol)) | (upper & (g.th > tol)) | (inner & (np.abs(g.th) > tol))
-    return ViolationReport(w * float(np.count_nonzero(bad_q)),
-                           w * float(np.count_nonzero(bad_t)),
-                           w * bad_q.size, w * bad_t.size)
+    bad = []
+    for a, ga, (lo, hi) in zip(ctrl.parts, g.parts, sp.bounds):
+        b = 1e-9 * max(hi - lo, 1.0)
+        lower, upper = a <= lo + b, a >= hi - b
+        inner = ~(lower | upper)
+        bad.append((lower & (ga < -tol)) | (upper & (ga > tol)) | (inner & (np.abs(ga) > tol)))
+    return ViolationReport(*(w * float(np.count_nonzero(m)) for m in bad),
+                           *(w * m.size for m in bad))
 
 
 @dataclass

@@ -36,10 +36,9 @@ def make_perturbation(prob: Problem, family: str, magnitude: float,
     g = prob.grid
     sp = prob.space
     if family == "control-tilt":
-        sigma = rng.standard_normal((2, sp.mask_q.ncells))
-        sigma *= magnitude / max(np.abs(sigma).max(), 1e-300)
-        lam = rng.standard_normal(sp.mask_h.ncells)
-        lam *= magnitude / max(np.abs(lam).max(), 1e-300)
+        # one level of each component: sigma drawn first, then lam
+        draws = [rng.standard_normal(a.shape[1:]) for a in sp.zero().parts]
+        sigma, lam = (t * (magnitude / max(np.abs(t).max(), 1e-300)) for t in draws)
         return Perturbation(sigma=sigma, lam=lam)
     if family in FOURIER_FIELDS:
         vec, scalar = FOURIER_FIELDS[family]
@@ -207,8 +206,9 @@ def stability_sweep(prob: Problem, ctrl_star: Control, plan: SweepPlan,
             termination=res.termination,
             seed=plan.seed + idx,
             in_trust_region=dl1 <= trust,
-            flags=("" if plan.warm_start else "cold-start;non-local")
-                  + ("" if res.termination in ("kkt_tol", "stagnation") else ";unconverged"),
+            flags=";".join((() if plan.warm_start else ("cold-start", "non-local"))
+                           + (() if res.termination in ("kkt_tol", "stagnation")
+                              else ("unconverged",))),
         ))
     zn = [r.zeta_norm for r in records]
     cfit = _fit_records(zn, [r.control_dist_l1 for r in records])
@@ -311,7 +311,7 @@ class GrowthReport:
     tracking_misfit: float
     adjoint_grad_sup: float
     delta_hat: float
-    margin: float              # min(alpha1, alpha2) - 2*(sup grad w + sup grad Psi)
+    margin: float              # min(alpha1, alpha2) - 2 max_k(|grad w_k|inf + |grad Psi_k|inf)
 
     @property
     def margin_positive(self):
@@ -323,17 +323,15 @@ def _random_directions(prob: Problem, ctrl_star: Control, n, rng):
     sp = prob.space
     out = []
     for i in range(n):
-        if i % 2 == 0:
-            vq = np.where(rng.random(ctrl_star.q.shape) < 0.5, sp.q_lo, sp.q_hi)
-            vt = np.where(rng.random(ctrl_star.th.shape) < 0.5, sp.th_lo, sp.th_hi)
-            kind = "vertex"
-        else:
-            vq = np.clip(ctrl_star.q + rng.standard_normal(ctrl_star.q.shape),
-                         sp.q_lo, sp.q_hi)
-            vt = np.clip(ctrl_star.th + rng.standard_normal(ctrl_star.th.shape),
-                         sp.th_lo, sp.th_hi)
-            kind = "smooth"
-        d = Control(sp, vq - ctrl_star.q, vt - ctrl_star.th)
+        kind = "smooth" if i % 2 else "vertex"
+        parts = []
+        for a, (lo, hi) in zip(ctrl_star.parts, sp.bounds):
+            if kind == "vertex":
+                v = np.where(rng.random(a.shape) < 0.5, lo, hi)
+            else:
+                v = np.clip(a + rng.standard_normal(a.shape), lo, hi)
+            parts.append(v - a)
+        d = Control(sp, *parts)
         if d.norm_l1() > 0:
             out.append((d, kind))
     return out
@@ -342,8 +340,9 @@ def _random_directions(prob: Problem, ctrl_star: Control, n, rng):
 def tracking_margin(prob: Problem, ctrl_star: Control, s_norm: int = 4):
     """Tracking-closeness quantities at the reference solution.
 
-    Returns (misfit, sup-gradient of the adjoint pair, delta_hat, margin)
-    where margin = min(alpha1, alpha2) - 2 * adjoint sup-gradient.
+    Returns (misfit, sup-gradient of the adjoint pair, delta_hat, margin): the
+    sup-gradient is max_k (|grad w_k|inf + |grad Psi_k|inf), at most the sum of
+    the two sups, and margin = min(alpha1, alpha2) - 2 * sup-gradient.
     """
     g = prob.grid
     dt = prob.tg.dt

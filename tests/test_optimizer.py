@@ -1,10 +1,13 @@
 """Optimizer and optimality-diagnostics tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from convecopt.objective import Control
-from convecopt.optimizer import (OptOptions, project_box,
+from convecopt.objective import (Control, ControlSpace, Perturbation, restrict_adjoint,
+                                 _digest)
+from convecopt.optimizer import (OptOptions, SIGN_TOL, ViolationReport, project_box,
                                  kkt_residual_from_grad, bang_bang_fraction,
                                  projected_gradient,
                                  pointwise_sign_check, loglog_fit,
@@ -211,3 +214,132 @@ def test_projected_gradient_peak_holds_one_cached_adjoint():
     assert res[0].iterations == 6
     assert peak <= 5.6, peak
     assert peak <= 3.9, peak
+
+
+# q in [-0.5, 2.0], theta in [-3.0, 0.25]: each box holds values the other's
+# excludes, so a rule that reads the other component's box shows
+BOXES = (-0.5, 2.0, -3.0, 0.25)
+
+
+def asymmetric_problem():
+    """The BOXES problem with eps1 != eps2 and the tilts sigma and lam set,
+    and the same problem without Tikhonov weights or tilts."""
+    base = make_problem()
+    sp = base.space
+    base = dataclasses.replace(base, space=ControlSpace(sp.grid, sp.tg, sp.mask_q,
+                                                        sp.mask_h, *BOXES))
+    rng = np.random.default_rng(7)
+    pert = Perturbation(sigma=0.1 * rng.standard_normal((2, sp.mask_q.ncells)),
+                        lam=0.1 * rng.standard_normal(sp.mask_h.ncells),
+                        eps1=0.01, eps2=0.003)
+    weights = dataclasses.replace(base.weights, eps1=0.02, eps2=0.05)
+    return dataclasses.replace(base, weights=weights).perturbed(pert), base
+
+
+def test_the_control_space_keeps_each_components_box():
+    prob, _ = asymmetric_problem()
+    sp = prob.space
+    q_lo, q_hi, th_lo, th_hi = BOXES
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sp.q_lo = 3.0
+    for bad in ((1.0, 0.0, -1.0, 1.0), (-1.0, 1.0, 1.0, 0.0)):
+        with pytest.raises(ValueError):
+            ControlSpace(sp.grid, sp.tg, sp.mask_q, sp.mask_h, *bad)
+    assert sp.bounds == ((q_lo, q_hi), (th_lo, th_hi))
+    assert sp.m_u == max(abs(q_lo), abs(q_hi), abs(th_lo), abs(th_hi))
+    u = sp.uniform(np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    assert np.array_equal(u.q, rng.uniform(q_lo, q_hi, u.q.shape))
+    assert np.array_equal(u.th, rng.uniform(th_lo, th_hi, u.th.shape))
+    raw = rand_control(sp, np.random.default_rng(8), 3.0)
+    ctrl = project_box(raw)
+    assert np.array_equal(ctrl.q, np.clip(raw.q, q_lo, q_hi))
+    assert np.array_equal(ctrl.th, np.clip(raw.th, th_lo, th_hi))
+    assert ctrl.parts[0] is ctrl.q and ctrl.parts[1] is ctrl.th
+    assert ctrl.hash() == _digest(ctrl.q, ctrl.th)
+    assert ctrl.is_admissible()
+    # a value inside the other component's box only
+    c = Control(sp, ctrl.q.copy(), ctrl.th.copy())
+    c.q[0, 0, 0] = -1.0
+    assert not c.is_admissible()
+    c = Control(sp, ctrl.q.copy(), ctrl.th.copy())
+    c.th[0, 0] = 1.0
+    assert not c.is_admissible()
+    bq = 1e-6 * (q_hi - q_lo)
+    bt = 1e-6 * (th_hi - th_lo)
+    fq = float(np.count_nonzero((ctrl.q <= q_lo + bq) | (ctrl.q >= q_hi - bq))) / ctrl.q.size
+    ft = float(np.count_nonzero((ctrl.th <= th_lo + bt) | (ctrl.th >= th_hi - bt))) / ctrl.th.size
+    assert 0.0 < fq < 1.0 and 0.0 < ft < 1.0
+    assert bang_bang_fraction(ctrl) == (fq, ft)
+
+
+def test_each_component_takes_its_own_weight_tilt_and_box():
+    prob, base = asymmetric_problem()
+    sp, pert = prob.space, prob.pert
+    q_lo, q_hi, th_lo, th_hi = BOXES
+    eps1, eps2 = 0.02 + 0.01, 0.05 + 0.003
+    wq = sp.tg.dt * sp.grid.vol
+    rng = np.random.default_rng(10)
+    ctrl = project_box(rand_control(sp, rng, 3.0))
+    ref = base.eval_J(ctrl)
+    ref += 0.5 * eps1 * wq * float(np.sum(ctrl.q ** 2))
+    ref += 0.5 * eps2 * wq * float(np.sum(ctrl.th ** 2))
+    ref += wq * float(np.sum(pert.sigma * ctrl.q))
+    ref += wq * float(np.sum(pert.lam * ctrl.th))
+    assert prob.eval_J(ctrl) == ref
+    adj = prob.adjoint(ctrl)
+    gq, gt = restrict_adjoint(sp, adj.u[:-1], adj.theta[:-1])
+    gq += eps1 * ctrl.q
+    gt += eps2 * ctrl.th
+    gq += pert.sigma
+    gt += pert.lam
+    g = prob.grad_J(ctrl)
+    assert np.array_equal(g.q, gq) and np.array_equal(g.th, gt)
+    d1, d2 = rand_control(sp, rng), rand_control(sp, rng)
+    ref = base.second_bilinear(ctrl, d1, d2)
+    ref += eps1 * wq * float(np.dot(d1.q.ravel(), d2.q.ravel()))
+    ref += eps2 * wq * float(np.dot(d1.th.ravel(), d2.th.ravel()))
+    assert prob.second_bilinear(ctrl, d1, d2) == ref
+    tik = Perturbation(eps1=0.3, eps2=0.2)
+    assert tik.norm_P(sp.grid, ctrl) == (0.3 * float(np.abs(ctrl.q).max(initial=0.0))
+                                         + 0.2 * float(np.abs(ctrl.th).max(initial=0.0)))
+    tol = SIGN_TOL
+    bq = 1e-9 * max(q_hi - q_lo, 1.0)
+    bt = 1e-9 * max(th_hi - th_lo, 1.0)
+    lower, upper = ctrl.q <= q_lo + bq, ctrl.q >= q_hi - bq
+    bad_q = ((lower & (g.q < -tol)) | (upper & (g.q > tol))
+             | (~(lower | upper) & (np.abs(g.q) > tol)))
+    lower, upper = ctrl.th <= th_lo + bt, ctrl.th >= th_hi - bt
+    bad_t = ((lower & (g.th < -tol)) | (upper & (g.th > tol))
+             | (~(lower | upper) & (np.abs(g.th) > tol)))
+    assert np.any(bad_q) and np.any(bad_t)
+    assert pointwise_sign_check(prob, ctrl) == ViolationReport(
+        wq * float(np.count_nonzero(bad_q)), wq * float(np.count_nonzero(bad_t)),
+        wq * bad_q.size, wq * bad_t.size)
+
+
+def test_the_lab_draws_each_component_in_its_own_box():
+    from convecopt.stability_lab import _random_directions, make_perturbation
+    prob, _ = asymmetric_problem()
+    sp = prob.space
+    q_lo, q_hi, th_lo, th_hi = BOXES
+    rng = np.random.default_rng(5)
+    sigma = rng.standard_normal((2, sp.mask_q.ncells))
+    sigma *= 0.4 / max(np.abs(sigma).max(), 1e-300)
+    lam = rng.standard_normal(sp.mask_h.ncells)
+    lam *= 0.4 / max(np.abs(lam).max(), 1e-300)
+    tilt = make_perturbation(prob, "control-tilt", 0.4, 5)
+    assert np.array_equal(tilt.sigma, sigma) and np.array_equal(tilt.lam, lam)
+    star = project_box(rand_control(sp, np.random.default_rng(11), 3.0))
+    dirs = _random_directions(prob, star, 4, np.random.default_rng(12))
+    rng = np.random.default_rng(12)
+    for i, (d, kind) in enumerate(dirs):
+        if i % 2 == 0:
+            vq = np.where(rng.random(star.q.shape) < 0.5, q_lo, q_hi)
+            vt = np.where(rng.random(star.th.shape) < 0.5, th_lo, th_hi)
+        else:
+            vq = np.clip(star.q + rng.standard_normal(star.q.shape), q_lo, q_hi)
+            vt = np.clip(star.th + rng.standard_normal(star.th.shape), th_lo, th_hi)
+        assert kind == ("smooth" if i % 2 else "vertex")
+        assert np.array_equal(d.q, vq - star.q) and np.array_equal(d.th, vt - star.th)
+    assert len(dirs) == 4

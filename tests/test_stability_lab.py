@@ -183,6 +183,17 @@ def test_cold_start_records_are_flagged():
         assert "non-local" in rec.flags
 
 
+@pytest.mark.parametrize("warm_start, flags", [
+    (True, "unconverged"), (False, "cold-start;non-local;unconverged")])
+def test_an_unconverged_point_is_flagged_without_a_stray_separator(warm_start, flags):
+    prob, ctrl, _ = solved_problem()
+    plan = SweepPlan("source", np.array([1e-2, 1e-1]), seed=3, warm_start=warm_start)
+    rep = stability_sweep(prob, ctrl, plan, OptOptions(max_iters=1))
+    for rec in rep.records[1:]:
+        assert rec.termination == "max_iters"
+        assert rec.flags == flags
+
+
 def test_default_trust_radius_positive():
     prob = make_problem()
     assert default_trust_radius(prob) > 0
