@@ -350,14 +350,14 @@ def cmd_growth(cfg, run, seed):
 def cmd_second_order(cfg, run, seed):
     prob, res, opts = _solve_base(cfg, seed)
     so = cfg["second_order"]
-    _, _, _, margin = lab.tracking_margin(prob, res.control, cfg["s_norm"])
+    tracking = lab.tracking_margin(prob, res.control, cfg["s_norm"])
     mag = so["magnitude"]
     if mag is None:
-        mag = 0.5 * max(margin, 0.0)
+        mag = 0.5 * max(tracking[-1], 0.0)
     pert = lab.make_perturbation(prob, so["family"], mag, seed + 7)
     rep = lab.second_order_stability_check(prob, res.control, pert,
                                            so["n_samples"], seed, opts,
-                                           cfg["s_norm"])
+                                           tracking, cfg["s_norm"])
     run.write_json("summary.json", {
         "skipped": rep.skipped, "reason": rep.reason,
         "margin": rep.margin, "perturbation_magnitude": mag,

@@ -531,20 +531,26 @@ class Grid:
         a, b = max(i0 - 1, 0), min(i1 + 1, self.nx)
         cx = np.zeros(lead + (b - a, j1 - j0))
         cx[..., region.ii - a, region.jj - j0] = qx
-        su = (..., slice(a + 1, b), slice(j0, j1))
         a, b = max(j0 - 1, 0), min(j1 + 1, self.ny)
         cy = np.zeros(lead + (i1 - i0, b - a))
         cy[..., region.ii - i0, region.jj - a] = qy
-        sv = (..., slice(i0, i1), slice(a + 1, b))
-        return Vec2(_ax(cx), _ay(cy)), (su, sv)
+        return Vec2(_ax(cx), _ay(cy)), self.region_faces(region)
 
-    def restrict_region_vector(self, region: RegionMask, C: Vec2):
-        """Transpose of inject_region_box's injection: (..., ncells) values per axis."""
+    def region_faces(self, region: RegionMask):
+        """(su, sv): the slices of u and v that inject_region_box can make
+        nonzero, the interior faces of the region's box grown by one cell;
+        the only faces restrict_region_box reads."""
         (i0, i1), (j0, j1) = region.box
-        a, b = max(i0 - 1, 0), min(i1 + 1, self.nx)
-        rx = _ax_t(C.u[..., a + 1:b, j0:j1])[..., region.ii - a, region.jj - j0]
-        a, b = max(j0 - 1, 0), min(j1 + 1, self.ny)
-        ry = _ay_t(C.v[..., i0:i1, a + 1:b])[..., region.ii - i0, region.jj - a]
+        return ((..., slice(max(i0, 1), min(i1 + 1, self.nx)), slice(j0, j1)),
+                (..., slice(i0, i1), slice(max(j0, 1), min(j1 + 1, self.ny))))
+
+    def restrict_region_box(self, region: RegionMask, box: Vec2):
+        """Transpose of inject_region_box: box holds the faces u[su], v[sv]
+        of region_faces; returns (..., ncells) values per axis."""
+        (i0, _), (j0, _) = region.box
+        a, c = max(i0 - 1, 0), max(j0 - 1, 0)
+        rx = _ax_t(box.u)[..., region.ii - a, region.jj - j0]
+        ry = _ay_t(box.v)[..., region.ii - i0, region.jj - c]
         return rx, ry
 
     # -- gradient magnitude for sup-norm diagnostics ------------------------

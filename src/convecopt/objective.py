@@ -139,13 +139,12 @@ class ControlSources:
     def __init__(self, ctrl: Control, *held):
         sp = ctrl.space
         g = sp.grid
-        self.f_box, (su, sv) = g.inject_region_box(sp.mask_q, ctrl.q[:, 0], ctrl.q[:, 1])
+        self.f_box, _ = g.inject_region_box(sp.mask_q, ctrl.q[:, 0], ctrl.q[:, 1])
         (i0, i1), (j0, j1) = sp.mask_h.box
-        sh = (..., slice(i0, i1), slice(j0, j1))
         self.h_box = np.zeros((len(ctrl.th), i1 - i0, j1 - j0))
         self.h_box[:, sp.mask_h.ii - i0, sp.mask_h.jj - j0] = ctrl.th
         self.f_rest, self.h_rest = g.vec2(), g.scalar()
-        self.slices = su, sv, sh
+        self.slices = su, sv, sh = _control_windows(sp)
         for df, dh in held:
             if df is not None:
                 self.f_rest.u += df.u
@@ -163,15 +162,29 @@ class ControlSources:
         return f, h
 
 
+def _control_windows(space: ControlSpace):
+    """(su, sv, sh): the slices of the force's u and v (Grid.region_faces)
+    and of the heat source (the heat region's box) that a control can make
+    nonzero; restrict_adjoint reads only these."""
+    (i0, i1), (j0, j1) = space.mask_h.box
+    return (*space.grid.region_faces(space.mask_q), (..., slice(i0, i1), slice(j0, j1)))
+
+
 def restrict_adjoint(space: ControlSpace, w: Vec2, psi):
     """Transpose of the control-to-source mapping.
 
     On one level (w a Vec2, psi (nx, ny)) returns q of shape (2, n_q) and
     th of shape (n_h,); on a stack of nt levels, (nt, 2, n_q) and (nt, n_h).
     """
-    q = np.stack(space.grid.restrict_region_vector(space.mask_q, w), axis=-2)
-    th = psi[..., space.mask_h.ii, space.mask_h.jj]
-    return q, th
+    su, sv, sh = _control_windows(space)
+    return _restrict_windows(space, Vec2(w.u[su], w.v[sv]), psi[sh])
+
+
+def _restrict_windows(space: ControlSpace, w_box: Vec2, psi_box):
+    """restrict_adjoint from the windows _control_windows slices out."""
+    (i0, _), (j0, _) = space.mask_h.box
+    q = np.stack(space.grid.restrict_region_box(space.mask_q, w_box), axis=-2)
+    return q, psi_box[..., space.mask_h.ii - i0, space.mask_h.jj - j0]
 
 
 def _digest(*fields):
@@ -272,23 +285,29 @@ class Problem:
     unperturbed one.  `perturbed(zeta)` returns a copy with zeta in place of
     `pert` that shares this problem's caches.
 
-    Forward and adjoint solves are cached, so the optimizer's repeated
-    J/grad evaluations at one point cost one solve of each.  A state is
-    keyed on the control and the perturbation's "state" fields, an adjoint
-    also on its "adjoint" fields (PERTURBATION_FIELDS); the other fields
-    change neither, so the perturbed copies of a problem reuse both.
+    Solves are cached, so the optimizer's repeated J/grad evaluations at one
+    point cost one solve of each, in three kinds: the state, the full
+    adjoint, and the gradient (the adjoint restricted to the control
+    regions).  A state is keyed on the control and the perturbation's
+    "state" fields, an adjoint or gradient also on its "adjoint" fields
+    (PERTURBATION_FIELDS); the other fields change none, so the perturbed
+    copies of a problem reuse all three.  Only `adjoint` stores a full
+    adjoint, and only callers that read its fields call it (the lab's
+    distances, second_bilinear, tracking_margin).  grad_J restricts a full
+    adjoint that is cached or held; otherwise it sweeps into
+    _GradientWindows, which keeps only what the restriction reads.
 
-    The cache rule: each kind keeps one strong entry, the trajectory last
-    solved or looked up.  A lookup also finds any trajectory of the kind
-    that a caller still holds, through a weak view of every entry, and makes
-    it the strong entry; so a held trajectory is never solved again, and one
-    that nobody holds is freed once a newer one of its kind is cached.  A
-    miss evicts the strong entry before it solves, so no evicted trajectory
-    is live while the new one is formed (unless a caller holds it), and a
-    solve that fails leaves no entry.  Both caches are shared with the
-    perturbed copies.  The optimizer holds no trajectory: when a line
-    search fails, its start point's state was evicted by the trials, and
-    it is solved again unless a caller holds it.
+    The cache rule: each kind keeps one strong entry, the value last solved
+    or looked up.  A lookup also finds any value of the kind that a caller
+    still holds, through a weak view of every entry, and makes it the strong
+    entry; so a held trajectory is never solved again, and one that nobody
+    holds is freed once a newer one of its kind is cached.  A miss evicts
+    the strong entry before it solves, so no evicted value is live while the
+    new one is formed (unless a caller holds it), and a solve that fails
+    leaves no entry.  The caches are shared with the perturbed copies.  The
+    optimizer holds no trajectory: when a line search fails, its start
+    point's state was evicted by the trials, and it is solved again unless
+    a caller holds it.
 
     Base sources and the perturbation's f_hat and h_hat are one level each
     (or None), held on every step; the state sweep forms each step's sources
@@ -312,7 +331,7 @@ class Problem:
         if self.theta0 is None:
             self.theta0 = self.grid.scalar()
         # per kind: the one strong entry, and the weak view of all entries
-        self._caches = {kind: {} for kind in ("state", "adjoint")}
+        self._caches = {kind: {} for kind in ("state", "adjoint", "gradient")}
         self._held = {kind: weakref.WeakValueDictionary() for kind in self._caches}
 
     def perturbed(self, pert: Perturbation) -> Problem:
@@ -425,33 +444,51 @@ class Problem:
 
     # -- adjoint and gradient ------------------------------------------------
 
-    def adjoint(self, ctrl: Control) -> StateTrajectory:
-        """Adjoint sweep with the tracking right-hand sides and terminal
-        data: w in u, Psi in theta (see sensitivity.solve_adjoint)."""
-        pert = self.pert
-        key = (ctrl.hash(), pert.state_hash(), pert.adjoint_hash())
-        hit = self._recall("adjoint", key)
-        if hit is not None:
-            return hit
+    def _adjoint_key(self, ctrl: Control):
+        return ctrl.hash(), self.pert.state_hash(), self.pert.adjoint_hash()
+
+    def _sweep_adjoint(self, ctrl: Control, out):
+        """solve_adjoint with the tracking right-hand sides and terminal data
+        around ctrl's state, into the level sink out (None: a StateTrajectory)."""
         w = self.weights
         traj = self.state(ctrl)
         duT, dthT = self._terminal_misfits(traj)
         wT = w.beta1 * duT if w.beta1 else None
         psiT = w.beta2 * dthT if w.beta2 else None
-        adj = sen.solve_adjoint(self.grid, self.phys, self.tg, traj,
-                                _AdjointSources(self, traj), wT, psiT)
-        return self._remember("adjoint", key, adj)
+        return sen.solve_adjoint(self.grid, self.phys, self.tg, traj,
+                                 _AdjointSources(self, traj), wT, psiT, out)
+
+    def adjoint(self, ctrl: Control) -> StateTrajectory:
+        """The full adjoint: w in u, Psi in theta (see
+        sensitivity.solve_adjoint), cached."""
+        key = self._adjoint_key(ctrl)
+        hit = self._recall("adjoint", key)
+        if hit is not None:
+            return hit
+        return self._remember("adjoint", key, self._sweep_adjoint(ctrl, None))
+
+    def restricted_adjoint(self, ctrl: Control) -> Control:
+        """The adjoint's levels 0..nt-1 (level nt is terminal data) restricted
+        to the control regions: grad_J without its Tikhonov and tilt terms.
+        The result may be a cache entry; callers must not modify it."""
+        key = self._adjoint_key(ctrl)
+        adj = self._held["adjoint"].get(key)
+        if adj is not None:     # a full adjoint at hand; nothing is evicted
+            return Control(self.space, *restrict_adjoint(self.space, adj.u[:-1],
+                                                         adj.theta[:-1]))
+        hit = self._recall("gradient", key)
+        if hit is not None:
+            return hit
+        windows = self._sweep_adjoint(ctrl, _GradientWindows(self.space))
+        return self._remember("gradient", key, Control(self.space, *windows.restrict()))
 
     def grad_J(self, ctrl: Control) -> Control:
-        """Pointwise gradient density on the control regions.
+        """Pointwise gradient density on the control regions, a fresh Control.
 
         The directional derivative is the control-space L2 product of this
         object with the direction.
         """
-        adj = self.adjoint(ctrl)
-        # levels 0..nt-1 carry the gradient; level nt is terminal data
-        grad = Control(self.space, *restrict_adjoint(self.space, adj.u[:-1],
-                                                     adj.theta[:-1]))
+        grad = Control(self.space, *(a.copy() for a in self.restricted_adjoint(ctrl).parts))
         for out, a, (eps, tilt) in zip(grad.parts, ctrl.parts, self._control_terms()):
             if eps:
                 out += eps * a
@@ -544,3 +581,27 @@ class _AdjointSources:
         if pert.eta_th is not None:
             h = h + pert.eta_th
         return f, h
+
+
+class _GradientWindows:
+    """Level sink of an adjoint sweep keeping, of each level k < nt, only
+    the windows restrict_adjoint reads (_control_windows): three slice
+    copies a level, where StateTrajectory.put copies the whole level.
+    restrict() is restrict_adjoint of the sweep's levels 0..nt-1, bit for
+    bit."""
+
+    def __init__(self, space: ControlSpace):
+        g, nt = space.grid, space.tg.nt
+        self.space, self.slices = space, _control_windows(space)
+        su, sv, sh = self.slices
+        w, psi = g.vec2(), g.scalar()
+        self.w = Vec2(np.empty((nt,) + w.u[su].shape), np.empty((nt,) + w.v[sv].shape))
+        self.psi = np.empty((nt,) + psi[sh].shape)
+
+    def put(self, k, u, theta, p):
+        if k < len(self.psi):
+            su, sv, sh = self.slices
+            self.w.u[k], self.w.v[k], self.psi[k] = u.u[su], u.v[sv], theta[sh]
+
+    def restrict(self):
+        return _restrict_windows(self.space, self.w, self.psi)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objective import Control, Problem, restrict_adjoint
+from .objective import Control, Problem
 
 # Clamp of every trial step length, and the step after a non-positive curvature
 STEP_MIN, STEP_MAX = 1e-10, 1e6
@@ -121,8 +121,7 @@ def projected_gradient(prob: Problem, ctrl0: Control, opts: OptOptions) -> OptRe
         trial, Jt, d, s_used = cand
         g_new = prob.grad_J(trial)
         # Barzilai-Borwein step from the accepted displacement
-        y = g_new.axpy(-1.0, g)
-        sy = d.dot_l2(y)
+        sy = d.dot_l2(g_new.axpy(-1.0, g))
         ss = d.dot_l2(d)
         step = ss / sy if sy > 0 else STEP_MAX
         x, J, g = trial, Jt, g_new
@@ -246,9 +245,8 @@ def adjoint_restriction_samples(prob: Problem, ctrl: Control):
     Tikhonov and tilt contributions are excluded: the condition is about the
     adjoint state itself.
     """
-    adj = prob.adjoint(ctrl)
-    q, ps = restrict_adjoint(prob.space, adj.u[:-1], adj.theta[:-1])
-    return q[:, 0], q[:, 1], ps
+    r = prob.restricted_adjoint(ctrl)
+    return r.q[:, 0], r.q[:, 1], r.th
 
 
 def adjoint_measure_fits(prob: Problem, ctrl: Control, eps_grid):

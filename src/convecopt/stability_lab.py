@@ -430,13 +430,15 @@ class SecondOrderReport:
 
 def second_order_stability_check(prob: Problem, ctrl_star: Control,
                                  pert: Perturbation, n_samples, seed,
-                                 opts: OptOptions, s_norm: int = 4) -> SecondOrderReport:
+                                 opts: OptOptions, tracking,
+                                 s_norm: int = 4) -> SecondOrderReport:
     """Positivity of the perturbed second variation against state distances.
 
-    Requires the tracking-closeness margin to be positive at the reference
-    solution; otherwise returns a skipped report with the measured margin.
+    tracking is tracking_margin(prob, ctrl_star, s_norm), which the caller
+    has already computed.  Requires its margin to be positive; otherwise
+    returns a skipped report with that margin.
     """
-    mis, sup, delta_hat, margin = tracking_margin(prob, ctrl_star, s_norm)
+    margin = tracking[-1]
     if margin <= 0:
         return SecondOrderReport(True, "tracking-closeness margin not positive",
                                  margin, np.nan, np.nan, np.nan, np.nan, [])

@@ -61,6 +61,13 @@ def inject_region_vector(grid, region, qx, qy):
     return out
 
 
+def restrict_region_vector(grid, region, C):
+    """Transpose of inject_region_vector: Grid.restrict_region_box of the
+    faces of the whole field C that it reads, (..., ncells) values per axis."""
+    su, sv = grid.region_faces(region)
+    return grid.restrict_region_box(region, Vec2(C.u[su], C.v[sv]))
+
+
 def energy_report(grid, tg, traj, sources, u0, theta0):
     """EnergySeries.report of a stored trajectory, fed one level at a time:
     the stored-trajectory oracle of the reductions made while marching."""

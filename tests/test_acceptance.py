@@ -20,7 +20,7 @@ from convecopt.optimizer import (OptOptions, projected_gradient,
                                  smallness_mass)
 from convecopt.stability_lab import (make_perturbation, SweepPlan,
                                      stability_sweep, tikhonov_path,
-                                     growth_probe,
+                                     growth_probe, tracking_margin,
                                      second_order_stability_check)
 
 from conftest import (make_problem, rand_control, rand_scalar, rand_vec2,
@@ -253,7 +253,7 @@ def test_12_second_order_stability():
     rep = second_order_stability_check(
         prob, base.control,
         make_perturbation(prob, "control-tilt", 0.5 * probe.margin, 3),
-        4, 0, opts)
+        4, 0, opts, tracking_margin(prob, base.control))
     ok = margin_ok and not rep.skipped and rep.min_ratio > 0
     report("second-order stability", ok,
            f"margin {probe.margin:.3f} positive {margin_ok}, "

@@ -8,7 +8,8 @@ from convecopt.grid import (Grid, GridConfig, Vec2,
 
 from hypothesis import given, strategies as st
 
-from conftest import GRIDS, PROPS, inject_region_vector, rand_scalar, rand_vec2
+from conftest import (GRIDS, PROPS, inject_region_vector, rand_scalar, rand_vec2,
+                      restrict_region_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +641,7 @@ def test_inject_restrict_transpose(grid_rect):
     qy = rng.standard_normal(region.ncells)
     C = rand_vec2(grid_rect, rng)
     lhs = grid_rect.inner(inject_region_vector(grid_rect, region, qx, qy), C)
-    rx, ry = grid_rect.restrict_region_vector(region, C)
+    rx, ry = restrict_region_vector(grid_rect, region, C)
     rhs = grid_rect.vol * (np.dot(qx, rx) + np.dot(qy, ry))
     assert np.isclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
@@ -666,7 +667,7 @@ def test_region_injection_matches_full_grid_oracle(grid_rect, rect):
         # nonzero wall faces: restriction must ignore them, as the oracle does
         C = Vec2(rng.standard_normal(lead + (g.nx + 1, g.ny)),
                  rng.standard_normal(lead + (g.nx, g.ny + 1)))
-        rx, ry = g.restrict_region_vector(region, C)
+        rx, ry = restrict_region_vector(g, region, C)
         ox, oy = restrict_face_vector(C)
         assert rx.tobytes() == ox[..., region.ii, region.jj].tobytes()
         assert ry.tobytes() == oy[..., region.ii, region.jj].tobytes()

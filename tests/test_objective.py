@@ -239,6 +239,69 @@ def test_warm_started_tikhonov_path_repeats_no_state_solve(monkeypatch):
     assert len(set(seen)) == len(seen)
 
 
+def _set_field(prob, name, rng):
+    """A Perturbation with the PERTURBATION_FIELDS field name set to a
+    smooth field, plus Tikhonov weights and both control tilts."""
+    from convecopt.objective import FOURIER_FIELDS
+    g, sp = prob.grid, prob.space
+    vector = name in (pair[0] for pair in FOURIER_FIELDS.values())
+    a = fourier_vec2(g, rng, 3, 2.0) * 0.3 if vector else 0.3 * fourier_scalar(g, rng, 3, 2.0)
+    return Perturbation(**{name: a}, sigma=0.1 * rng.standard_normal((2, sp.mask_q.ncells)),
+                        lam=0.1 * rng.standard_normal(sp.mask_h.ncells),
+                        eps1=0.003, eps2=0.001)
+
+
+KEYED_FIELDS = [name for name, role, _ in PERTURBATION_FIELDS if role is not None]
+
+
+@pytest.mark.parametrize("coupling", [True, False])
+@pytest.mark.parametrize("name", KEYED_FIELDS)
+def test_gradient_sweep_is_the_restricted_full_adjoint_bitwise(coupling, name):
+    # the gradient sweep keeps only the control-region windows of each
+    # level, and its restriction is that of the stored full adjoint, bit
+    # for bit; grad_J adds the same terms to either
+    from convecopt.objective import restrict_adjoint
+    prob = make_problem(coupling=coupling, eps1=0.01, eps2=0.02, beta1=0.5, beta2=0.3)
+    rng = np.random.default_rng(40)
+    prob = prob.perturbed(_set_field(prob, name, rng))
+    ctrl = rand_control(prob.space, rng)
+    grad = prob.grad_J(ctrl)
+    assert len(prob._held["adjoint"]) == 0
+    cached = prob.restricted_adjoint(ctrl)
+    adj = prob.adjoint(ctrl)
+    q, th = restrict_adjoint(prob.space, adj.u[:-1], adj.theta[:-1])
+    assert (cached.q.tobytes(), cached.th.tobytes()) == (q.tobytes(), th.tobytes())
+    from_full = prob.grad_J(ctrl)       # restricts the held full adjoint
+    assert prob.restricted_adjoint(ctrl) is not cached
+    assert (grad.q.tobytes(), grad.th.tobytes()) \
+        == (from_full.q.tobytes(), from_full.th.tobytes())
+
+
+@pytest.mark.parametrize("name", [n for n, role, _ in PERTURBATION_FIELDS if role == "adjoint"])
+def test_an_adjoint_field_misses_the_cached_gradient_and_a_tilt_hits_it(sweeps, name):
+    from convecopt.stability_lab import make_perturbation
+    prob = make_problem()
+    rng = np.random.default_rng(41)
+    ctrl = rand_control(prob.space, rng)
+    base = prob.restricted_adjoint(ctrl)
+    tilted = prob.perturbed(make_perturbation(prob, "control-tilt", 0.3, 42))
+    assert tilted.restricted_adjoint(ctrl) is base
+    assert sweeps == {"state": 1, "adjoint": 1}
+    shifted = prob.perturbed(_set_field(prob, name, rng))
+    got = shifted.restricted_adjoint(ctrl)
+    assert got is not base and not np.array_equal(got.th, base.th)
+    assert sweeps == {"state": 1, "adjoint": 2}
+
+
+def test_projected_gradient_leaves_no_full_adjoint():
+    from convecopt.optimizer import OptOptions, projected_gradient
+    prob = make_problem()
+    res = projected_gradient(prob, prob.space.zero(), OptOptions(max_iters=5))
+    assert res.iterations == 5
+    assert len(prob._caches["adjoint"]) == len(prob._held["adjoint"]) == 0
+    assert list(prob._caches["gradient"]) == [prob._adjoint_key(res.control)]
+
+
 def test_adjoint_cache_holds_one_entry(sweeps):
     prob = make_problem()
     rng = np.random.default_rng(17)

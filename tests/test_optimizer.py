@@ -193,18 +193,21 @@ def test_options_validation():
         OptOptions(backtrack=1.5)
 
 
-def test_projected_gradient_peak_holds_one_cached_adjoint():
-    # six iterations with their caches (one state, one adjoint), per-step
-    # sources and no misfit or right-hand side stacks peak at 3.75
-    # trajectories at 32^2, nt = 100; with two cached states, source and
-    # misfit stacks it was 5.30, with two cached adjoints and stacked
-    # right-hand sides too 7.35
-    from dataclasses import replace
+def warmed_problem():
+    """A fresh 32^2, nt = 100 problem on a grid warmed up by one SPG run."""
     warm = make_problem(nx=32, ny=32, T=0.5, nt=100)
+    projected_gradient(warm, warm.space.zero(), OptOptions(max_iters=1))
+    return dataclasses.replace(warm)        # empty caches, the warmed-up grid
+
+
+def test_projected_gradient_peak_holds_no_full_adjoint():
+    # six iterations with their caches (one state, one gradient), per-step
+    # sources and no misfit or right-hand side stacks peak at 2.75
+    # trajectories at 32^2, nt = 100; with one cached full adjoint they
+    # peaked at 3.75, with two cached states, source and misfit stacks at
+    # 5.30, with two cached adjoints and stacked right-hand sides at 7.35
+    prob = warmed_problem()
     opts = OptOptions(max_iters=6, kkt_tol=1e-12)
-    projected_gradient(warm, warm.space.zero(), opts)
-    prob = replace(warm)        # empty caches, the warmed-up grid
-    del warm
     res = []
 
     def solve():
@@ -212,8 +215,25 @@ def test_projected_gradient_peak_holds_one_cached_adjoint():
 
     peak = traced_peak(solve, prob.grid, prob.tg.nt)
     assert res[0].iterations == 6
-    assert peak <= 5.6, peak
-    assert peak <= 3.9, peak
+    assert peak <= 2.9, peak
+
+
+def test_gradient_at_the_zero_control_holds_one_trajectory():
+    # the state sweep and then the gradient sweep, which keeps only the
+    # control-region windows of each adjoint level: 1.73 trajectories at
+    # 32^2, nt = 100, where storing the full adjoint peaked at 2.50
+    prob = warmed_problem()
+    peak = traced_peak(lambda: prob.grad_J(prob.space.zero()), prob.grid, prob.tg.nt)
+    assert peak <= 1.9, peak
+
+
+def test_projected_gradient_sweeps_one_adjoint_per_iteration(sweeps):
+    # one gradient at the start point and one at each accepted trial; the
+    # trials themselves sweep the state only
+    prob = make_problem()
+    res = projected_gradient(prob, prob.space.zero(), OptOptions(max_iters=6, kkt_tol=1e-12))
+    assert res.iterations == 6
+    assert sweeps["adjoint"] == 1 + res.iterations
 
 
 # q in [-0.5, 2.0], theta in [-3.0, 0.25]: each box holds values the other's

@@ -124,13 +124,15 @@ def test_sweep_thread_count_does_not_change_output(sweeps):
 def test_default_sweep_points_start_from_the_held_reference(sweeps, tmp_path):
     # a control tilt leaves the state and adjoint keys of the reference
     # unchanged, and the sweep holds both, so every point after the first
-    # starts without a sweep: 88 forward and 85 adjoint sweeps, where a
-    # cache of two states and one adjoint with no view of held ones made
-    # 93 and 90
+    # starts without a sweep: 88 forward and 92 adjoint sweeps.  The solves
+    # keep only gradients, so the reference and each of the six points
+    # sweep their full adjoint once more for the distances (85 when every
+    # gradient kept its full adjoint; a cache of two states and one adjoint
+    # with no view of held ones made 93 and 90)
     from convecopt.cli import run_command
     from convecopt.config import from_dict
     assert run_command("stability-sweep", from_dict({}), str(tmp_path / "s")) == 0
-    assert sweeps == {"state": 88, "adjoint": 85}
+    assert sweeps == {"state": 88, "adjoint": 92}
 
 
 def test_serial_sweep_reference_reuses_the_base_adjoint(monkeypatch):
@@ -254,9 +256,10 @@ def test_growth_probe_state_variant():
 
 def test_second_order_check_skips_on_negative_margin():
     prob, ctrl, opts = solved_problem()
-    _, _, _, margin = tracking_margin(prob, ctrl)
+    tracking = tracking_margin(prob, ctrl)
+    margin = tracking[-1]
     pert = make_perturbation(prob, "control-tilt", 1e-3, 5)
-    rep = second_order_stability_check(prob, ctrl, pert, 3, 0, opts)
+    rep = second_order_stability_check(prob, ctrl, pert, 3, 0, opts, tracking)
     if margin <= 0:
         assert rep.skipped
         assert rep.margin == margin
@@ -272,26 +275,47 @@ def test_second_order_check_runs_when_margin_positive():
                         target_scale=0.01)
     opts = OptOptions(max_iters=300, kkt_tol=1e-8)
     res = solve_perturbed(prob, Perturbation(), prob.space.zero(), opts)
-    _, _, _, margin = tracking_margin(prob, res.control)
-    assert margin > 0
+    tracking = tracking_margin(prob, res.control)
+    assert tracking[-1] > 0
     pert = make_perturbation(prob, "control-tilt", 1e-4, 6)
-    rep = second_order_stability_check(prob, res.control, pert, 3, 0, opts)
+    rep = second_order_stability_check(prob, res.control, pert, 3, 0, opts, tracking)
     assert not rep.skipped
     assert rep.zeta_norm > 0
     assert rep.smallness > rep.zeta_norm
     assert rep.min_ratio > 0     # convex surrogate: curvature is positive
 
 
+def test_second_order_check_computes_the_tracking_margin_once(monkeypatch, tmp_path):
+    # the command passes its margin to second_order_stability_check, which
+    # used to compute it a second time
+    from convecopt import stability_lab
+    from convecopt.cli import run_command
+    from convecopt.config import from_dict
+    calls = []
+    margin = stability_lab.tracking_margin
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return margin(*args, **kwargs)
+
+    monkeypatch.setattr(stability_lab, "tracking_margin", counted)
+    cfg = from_dict({"grid": {"nx": 8, "ny": 8}, "time": {"nt": 6}})
+    assert run_command("second-order-check", cfg, str(tmp_path / "so")) == 0
+    assert len(calls) == 1
+
+
 def test_second_order_check_takes_the_reference_adjoint_from_the_cache(sweeps):
     # tracking_margin leaves ctrl_star's adjoint cached; taken before the
     # perturbed solve evicts it, the reference adjoint costs no sweep.
-    # Taken after, it cost one forward and one adjoint sweep more (23, 20)
+    # Taken after, it cost one forward and one adjoint sweep more.  The
+    # perturbed solve keeps only gradients, so the perturbed optimum's full
+    # adjoint is one sweep of its own (19 when every gradient kept it)
     prob = make_problem(target_scale=0.01)
     opts = OptOptions(max_iters=300, kkt_tol=1e-8)
     res = solve_perturbed(prob, Perturbation(), prob.space.zero(), opts)
-    _, _, _, margin = tracking_margin(prob, res.control)
-    pert = make_perturbation(prob, "control-tilt", 0.5 * margin, 6)
+    tracking = tracking_margin(prob, res.control)
+    pert = make_perturbation(prob, "control-tilt", 0.5 * tracking[-1], 6)
     sweeps.update(state=0, adjoint=0)
-    rep = second_order_stability_check(prob, res.control, pert, 3, 0, opts)
+    rep = second_order_stability_check(prob, res.control, pert, 3, 0, opts, tracking)
     assert not rep.skipped
-    assert sweeps["state"] <= 22 and sweeps["adjoint"] <= 19, sweeps
+    assert sweeps == {"state": 22, "adjoint": 20}
