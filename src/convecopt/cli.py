@@ -373,7 +373,7 @@ def cmd_measure(cfg, run, seed):
     rows = []
     for name, fit in adjoint_measure_fits(prob, res.control, eps).items():
         out[name] = {
-            "mu_hat": (fit.mu_hat if fit.reliable or not np.isfinite(fit.mu_hat)
+            "mu_hat": (fit.mu_hat if fit.reliable or fit.vacuous
                        else "no reliable fit"),
             "r2": fit.r2, "n_used": fit.n_used}
         for e, m in zip(fit.eps, fit.mass):

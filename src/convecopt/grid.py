@@ -22,6 +22,10 @@ Verstappen & Veldman 2003), which is how the `advect_*` stencils are written;
 they assume such transport, as every caller's is (sensitivity._check_compat).
 The matrix in the advected field is then exactly antisymmetric in floating
 point: each entry is one rounded transport value, negated across the diagonal.
+
+The grid keeps fields and stencils only; where the control acts (its
+windows, injection, transpose and quadrature weight) lives with the control,
+in objective.ControlMap.
 """
 
 from __future__ import annotations
@@ -515,43 +519,6 @@ class Grid:
         if by != 0.0:
             out += by * _ay_t(C.v[:, 1:-1])
         return out
-
-    # -- cell-vector <-> face injection (control forcing) -------------------
-
-    # For densities that vanish off a region: they touch only the region's
-    # bounding box widened by one cell along the interpolation axis, [a, b).
-
-    def inject_region_box(self, region: RegionMask, qx, qy):
-        """A cell-centered vector density, (..., ncells) values per axis on
-        the region's cells and zero elsewhere, interpolated onto the interior
-        faces it can make nonzero: returns (box, (su, sv)), box a Vec2 of the
-        values of u[su] and v[sv]; every other face of the field is zero."""
-        lead = qx.shape[:-1]
-        (i0, i1), (j0, j1) = region.box
-        a, b = max(i0 - 1, 0), min(i1 + 1, self.nx)
-        cx = np.zeros(lead + (b - a, j1 - j0))
-        cx[..., region.ii - a, region.jj - j0] = qx
-        a, b = max(j0 - 1, 0), min(j1 + 1, self.ny)
-        cy = np.zeros(lead + (i1 - i0, b - a))
-        cy[..., region.ii - i0, region.jj - a] = qy
-        return Vec2(_ax(cx), _ay(cy)), self.region_faces(region)
-
-    def region_faces(self, region: RegionMask):
-        """(su, sv): the slices of u and v that inject_region_box can make
-        nonzero, the interior faces of the region's box grown by one cell;
-        the only faces restrict_region_box reads."""
-        (i0, i1), (j0, j1) = region.box
-        return ((..., slice(max(i0, 1), min(i1 + 1, self.nx)), slice(j0, j1)),
-                (..., slice(i0, i1), slice(max(j0, 1), min(j1 + 1, self.ny))))
-
-    def restrict_region_box(self, region: RegionMask, box: Vec2):
-        """Transpose of inject_region_box: box holds the faces u[su], v[sv]
-        of region_faces; returns (..., ncells) values per axis."""
-        (i0, _), (j0, _) = region.box
-        a, c = max(i0 - 1, 0), max(j0 - 1, 0)
-        rx = _ax_t(box.u)[..., region.ii - a, region.jj - j0]
-        ry = _ay_t(box.v)[..., region.ii - i0, region.jj - c]
-        return rx, ry
 
     # -- gradient magnitude for sup-norm diagnostics ------------------------
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Grid, Vec2, RegionMask, _dot
+from .grid import Grid, Vec2, RegionMask, _ax, _ax_t, _ay, _ay_t, _dot
 from .boussinesq import (PhysicalParams, TimeGrid, SourceData, StateTrajectory,
                          solve_state, _h1_semi_sq)
 from . import sensitivity as sen
@@ -52,7 +52,7 @@ class Targets:
 
 @dataclass(frozen=True)
 class ControlSpace:
-    """Geometry and bounds of the admissible set."""
+    """Geometry and bounds of the admissible set; `map` is its ControlMap."""
 
     grid: Grid
     tg: TimeGrid
@@ -66,6 +66,7 @@ class ControlSpace:
     def __post_init__(self):
         if any(lo > hi for lo, hi in self.bounds):
             raise ValueError("control bounds must satisfy lo <= hi")
+        object.__setattr__(self, "map", ControlMap(self))
 
     @property
     def bounds(self):
@@ -89,6 +90,53 @@ class ControlSpace:
         return max(abs(b) for box in self.bounds for b in box)
 
 
+class ControlMap:
+    """Where the control acts: a ControlSpace's control operator B_h, its
+    exact transpose and the quadrature weight dt * vol of every control
+    product and mass.  B_h takes a force q (..., 2, n_q) on mask_q's cells,
+    each component averaged onto the faces along its axis, and a heat source
+    th (..., n_h) on mask_h's cells; it can make nonzero only the windows
+    u[su], v[sv] (mask_q's box grown by one cell) and h[sh] (mask_h's box).
+    inject returns their values, restrict reads only them; both take any
+    leading axes."""
+
+    def __init__(self, space: ControlSpace):
+        g, mq, mh = space.grid, space.mask_q, space.mask_h
+        (i0, i1), (j0, j1) = mq.box
+        a, b = max(i0 - 1, 0), max(j0 - 1, 0)
+        # per force component: the box widened by one cell along its axis,
+        # which averaging takes onto u[su] or v[sv]: its shape, mask_q's cells
+        self._cells = (((min(i1 + 1, g.nx) - a, j1 - j0), (..., mq.ii - a, mq.jj - j0)),
+                       ((i1 - i0, min(j1 + 1, g.ny) - b), (..., mq.ii - i0, mq.jj - b)))
+        self.su = (..., slice(max(i0, 1), min(i1 + 1, g.nx)), slice(j0, j1))
+        self.sv = (..., slice(i0, i1), slice(max(j0, 1), min(j1 + 1, g.ny)))
+        (i0, i1), (j0, j1) = mh.box
+        self._heat = ((i1 - i0, j1 - j0), (..., mh.ii - i0, mh.jj - j0))
+        self.sh = (..., slice(i0, i1), slice(j0, j1))
+        self.weight = space.tg.dt * g.vol
+
+    def inject(self, q, th):
+        """B_h's windows of (q, th): fresh (Vec2 of u[su] and v[sv], h[sh])."""
+        (sx, ix), (sy, iy) = self._cells
+        cx, cy = np.zeros(q.shape[:-2] + sx), np.zeros(q.shape[:-2] + sy)
+        cx[ix], cy[iy] = q[..., 0, :], q[..., 1, :]
+        shape, ih = self._heat
+        h = np.zeros(th.shape[:-1] + shape)
+        h[ih] = th
+        return Vec2(_ax(cx), _ay(cy)), h
+
+    def take(self, w: Vec2, psi):
+        """The windows (Vec2 of w.u[su] and w.v[sv], psi[sh]) of whole
+        fields, views."""
+        return Vec2(w.u[self.su], w.v[self.sv]), psi[self.sh]
+
+    def restrict(self, w_box: Vec2, psi_box):
+        """Transpose of inject: the windows take returns to (q, th)."""
+        (_, ix), (_, iy) = self._cells
+        q = np.stack((_ax_t(w_box.u)[ix], _ay_t(w_box.v)[iy]), axis=-2)
+        return q, psi_box[self._heat[1]]
+
+
 @dataclass
 class Control:
     """Zero-order-hold control: q[(k, comp, cell)], theta[(k, cell)]."""
@@ -106,14 +154,14 @@ class Control:
         return Control(self.space, self.q + a * other.q, self.th + a * other.th)
 
     def dot_l2(self, other):
-        """L2(Q) control-space inner product (dt and cell-volume weighted)."""
-        w = self.space.tg.dt * self.space.grid.vol
-        return w * (float(np.dot(self.q.ravel(), other.q.ravel()))
-                    + float(np.dot(self.th.ravel(), other.th.ravel())))
+        """L2(Q) control-space inner product (ControlMap.weight)."""
+        return self.space.map.weight * (
+            float(np.dot(self.q.ravel(), other.q.ravel()))
+            + float(np.dot(self.th.ravel(), other.th.ravel())))
 
     def norm_l1(self):
-        w = self.space.tg.dt * self.space.grid.vol
-        return w * (float(np.abs(self.q).sum()) + float(np.abs(self.th).sum()))
+        return self.space.map.weight * (float(np.abs(self.q).sum())
+                                        + float(np.abs(self.th).sum()))
 
     def is_admissible(self, tol=0.0):
         return all(a.min(initial=lo) >= lo - tol and a.max(initial=hi) <= hi + tol
@@ -124,67 +172,43 @@ class Control:
 
 
 class ControlSources:
-    """The control-to-source mapping, formed per step: the sources of ctrl
-    plus the (f, h) pairs in held, one level each (or None) held on every
-    step.
-
-    at(k) = (inject(q_k) + f_1 + f_2 + ..., theta_k on the heat region
-    + h_1 + h_2 + ...), added in that order, so each step is bit for bit the
-    step of the (nt, ...) stacks summed in place; it is a fresh pair, read
-    as boussinesq.SourceData describes.  Only the region boxes change with
-    k: their (nt, box) stacks, and the rest of both fields, where the control
-    adds zero, are formed once.
+    """The control's sources, formed per step: at(k) is B_h(q_k, theta_k)
+    (ControlMap.inject) plus the (f, h) pairs in held, one level each (or
+    None) held on every step, added in that order, so each step is bit for
+    bit the step of the (nt, ...) stacks summed in place; a fresh pair, read
+    as boussinesq.SourceData describes.  Only the map's windows change with
+    k: their (nt, window) stacks, and the rest of both fields, are formed once.
     """
 
     def __init__(self, ctrl: Control, *held):
-        sp = ctrl.space
-        g = sp.grid
-        self.f_box, _ = g.inject_region_box(sp.mask_q, ctrl.q[:, 0], ctrl.q[:, 1])
-        (i0, i1), (j0, j1) = sp.mask_h.box
-        self.h_box = np.zeros((len(ctrl.th), i1 - i0, j1 - j0))
-        self.h_box[:, sp.mask_h.ii - i0, sp.mask_h.jj - j0] = ctrl.th
+        g = ctrl.space.grid
+        self.map = m = ctrl.space.map
+        self.f_box, self.h_box = m.inject(ctrl.q, ctrl.th)
         self.f_rest, self.h_rest = g.vec2(), g.scalar()
-        self.slices = su, sv, sh = _control_windows(sp)
         for df, dh in held:
             if df is not None:
                 self.f_rest.u += df.u
                 self.f_rest.v += df.v
-                self.f_box.u += df.u[su]
-                self.f_box.v += df.v[sv]
+                self.f_box.u += df.u[m.su]
+                self.f_box.v += df.v[m.sv]
             if dh is not None:
                 self.h_rest += dh
-                self.h_box += dh[sh]
+                self.h_box += dh[m.sh]
 
     def at(self, k):
         f, h = self.f_rest.copy(), self.h_rest.copy()
-        su, sv, sh = self.slices
-        f.u[su], f.v[sv], h[sh] = self.f_box.u[k], self.f_box.v[k], self.h_box[k]
+        m = self.map
+        f.u[m.su], f.v[m.sv], h[m.sh] = self.f_box.u[k], self.f_box.v[k], self.h_box[k]
         return f, h
 
 
-def _control_windows(space: ControlSpace):
-    """(su, sv, sh): the slices of the force's u and v (Grid.region_faces)
-    and of the heat source (the heat region's box) that a control can make
-    nonzero; restrict_adjoint reads only these."""
-    (i0, i1), (j0, j1) = space.mask_h.box
-    return (*space.grid.region_faces(space.mask_q), (..., slice(i0, i1), slice(j0, j1)))
-
-
 def restrict_adjoint(space: ControlSpace, w: Vec2, psi):
-    """Transpose of the control-to-source mapping.
+    """Transpose of the control-to-source mapping, from whole fields.
 
     On one level (w a Vec2, psi (nx, ny)) returns q of shape (2, n_q) and
     th of shape (n_h,); on a stack of nt levels, (nt, 2, n_q) and (nt, n_h).
     """
-    su, sv, sh = _control_windows(space)
-    return _restrict_windows(space, Vec2(w.u[su], w.v[sv]), psi[sh])
-
-
-def _restrict_windows(space: ControlSpace, w_box: Vec2, psi_box):
-    """restrict_adjoint from the windows _control_windows slices out."""
-    (i0, _), (j0, _) = space.mask_h.box
-    q = np.stack(space.grid.restrict_region_box(space.mask_q, w_box), axis=-2)
-    return q, psi_box[..., space.mask_h.ii - i0, space.mask_h.jj - j0]
+    return space.map.restrict(*space.map.take(w, psi))
 
 
 def _digest(*fields):
@@ -295,7 +319,7 @@ class Problem:
     adjoint, and only callers that read its fields call it (the lab's
     distances, second_bilinear, tracking_margin).  grad_J restricts a full
     adjoint that is cached or held; otherwise it sweeps into
-    _GradientWindows, which keeps only what the restriction reads.
+    _GradientWindows, which keeps only the control map's windows.
 
     The cache rule: each kind keeps one strong entry, the value last solved
     or looked up.  A lookup also finds any value of the kind that a caller
@@ -309,6 +333,8 @@ class Problem:
     point's state was evicted by the trials, and it is solved again unless
     a caller holds it.
 
+    Where the control acts is space.map (ControlMap): the sources' control
+    part, the gradient's restriction and the control weight of J and J''.
     Base sources and the perturbation's f_hat and h_hat are one level each
     (or None), held on every step; the state sweep forms each step's sources
     as it reads them (ControlSources).
@@ -431,7 +457,7 @@ class Problem:
             duT, dthT = self._terminal_misfits(traj)
             val += 0.5 * w.beta1 * g.norm2(duT) ** 2
             val += 0.5 * w.beta2 * g.norm2(dthT) ** 2
-        wq = dt * g.vol
+        wq = self.space.map.weight
         terms = self._control_terms()
         # both Tikhonov terms, then both tilts
         for (eps, _), a in zip(terms, ctrl.parts):
@@ -538,7 +564,7 @@ class Problem:
             adj = self.adjoint(ctrl)
             rhsF, rhsG = sen.second_rhs(g, lin1, lin2, nt)
             val += dt * (g.inner(adj.u[:nt], rhsF) + g.inner(adj.theta[:nt], rhsG))
-        wq = dt * g.vol
+        wq = self.space.map.weight
         for (eps, _), a, b in zip(self._control_terms(), d1.parts, d2.parts):
             if eps:
                 val += eps * wq * float(np.dot(a.ravel(), b.ravel()))
@@ -585,23 +611,21 @@ class _AdjointSources:
 
 class _GradientWindows:
     """Level sink of an adjoint sweep keeping, of each level k < nt, only
-    the windows restrict_adjoint reads (_control_windows): three slice
+    the windows restrict_adjoint reads (ControlMap.take): three slice
     copies a level, where StateTrajectory.put copies the whole level.
     restrict() is restrict_adjoint of the sweep's levels 0..nt-1, bit for
     bit."""
 
     def __init__(self, space: ControlSpace):
         g, nt = space.grid, space.tg.nt
-        self.space, self.slices = space, _control_windows(space)
-        su, sv, sh = self.slices
-        w, psi = g.vec2(), g.scalar()
-        self.w = Vec2(np.empty((nt,) + w.u[su].shape), np.empty((nt,) + w.v[sv].shape))
-        self.psi = np.empty((nt,) + psi[sh].shape)
+        self.map = space.map
+        w, psi = self.map.take(g.vec2(), g.scalar())
+        self.w = Vec2(np.empty((nt,) + w.u.shape), np.empty((nt,) + w.v.shape))
+        self.psi = np.empty((nt,) + psi.shape)
 
     def put(self, k, u, theta, p):
         if k < len(self.psi):
-            su, sv, sh = self.slices
-            self.w.u[k], self.w.v[k], self.psi[k] = u.u[su], u.v[sv], theta[sh]
+            self.w[k], self.psi[k] = self.map.take(u, theta)
 
     def restrict(self):
-        return _restrict_windows(self.space, self.w, self.psi)
+        return self.map.restrict(self.w, self.psi)

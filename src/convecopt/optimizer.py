@@ -164,7 +164,7 @@ def pointwise_sign_check(prob: Problem, ctrl: Control) -> ViolationReport:
     tol = SIGN_TOL
     sp = ctrl.space
     g = prob.grad_J(ctrl)
-    w = sp.tg.dt * sp.grid.vol
+    w = sp.map.weight
     bad = []
     for a, ga, (lo, hi) in zip(ctrl.parts, g.parts, sp.bounds):
         b = 1e-9 * max(hi - lo, 1.0)
@@ -177,7 +177,7 @@ def pointwise_sign_check(prob: Problem, ctrl: Control) -> ViolationReport:
 
 @dataclass
 class MeasureFit:
-    mu_hat: float          # +inf marker when every mass is zero
+    mu_hat: float          # +inf when every mass is zero, nan below two points
     intercept: float
     r2: float
     eps: np.ndarray
@@ -185,8 +185,14 @@ class MeasureFit:
     n_used: int
 
     @property
+    def vacuous(self):
+        """Every mass is zero: the condition holds with any exponent."""
+        return self.mu_hat == np.inf
+
+    @property
     def reliable(self):
-        return np.isfinite(self.mu_hat) and self.r2 >= 0.8
+        # three points at least: the R^2 of two is 1 whatever they are
+        return self.n_used >= 3 and np.isfinite(self.mu_hat) and self.r2 >= 0.8
 
 
 def loglog_fit(x, y):
@@ -213,8 +219,9 @@ def measure_condition_estimate(values, eps_grid, weight) -> MeasureFit:
     `values` are the adjoint samples on a control region over time, `weight`
     the dt*cell-volume quadrature weight.  Entries with zero mass (field
     bounded away from zero there) or saturated mass (the whole region) are
-    excluded from the fit; all-zero masses return a +inf marker meaning the
-    structural condition holds vacuously.
+    excluded from the fit, which is reliable only on three of them or
+    more.  All-zero masses return a +inf marker meaning the structural
+    condition holds vacuously; fewer than two fitted entries, a nan one.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if eps_grid.ndim != 1 or len(eps_grid) < 2:
@@ -227,14 +234,10 @@ def measure_condition_estimate(values, eps_grid, weight) -> MeasureFit:
     if not np.any(mass > 0):
         return MeasureFit(np.inf, 0.0, 1.0, eps_grid, mass, 0)
     use = (mass > 0) & (mass < total)
-    if np.count_nonzero(use) < 2:
-        # degenerate curve: report the raw slope over positive entries
-        use = mass > 0
-    if np.count_nonzero(use) < 2:
-        return MeasureFit(np.inf, 0.0, 0.0, eps_grid, mass, int(np.count_nonzero(use)))
-    slope, intercept, r2 = loglog_fit(eps_grid[use], mass[use])
-    return MeasureFit(slope, intercept, r2, eps_grid, mass,
-                      int(np.count_nonzero(use)))
+    n = int(np.count_nonzero(use))
+    if n < 2:
+        return MeasureFit(np.nan, 0.0, 0.0, eps_grid, mass, n)
+    return MeasureFit(*loglog_fit(eps_grid[use], mass[use]), eps_grid, mass, n)
 
 
 def adjoint_restriction_samples(prob: Problem, ctrl: Control):
@@ -252,7 +255,7 @@ def adjoint_restriction_samples(prob: Problem, ctrl: Control):
 def adjoint_measure_fits(prob: Problem, ctrl: Control, eps_grid):
     """measure_condition_estimate of each adjoint density on eps_grid, as
     {"w1": fit, "w2": fit, "psi": fit}."""
-    weight = prob.tg.dt * prob.grid.vol
+    weight = prob.space.map.weight
     return {name: measure_condition_estimate(vals, eps_grid, weight)
             for name, vals in zip(("w1", "w2", "psi"),
                                   adjoint_restriction_samples(prob, ctrl))}

@@ -240,7 +240,7 @@ class PathPoint:
 class PathReport:
     points: list
     fit: HolderFit
-    mu_hat: float            # from the measure-condition estimate at the base
+    mu_hat: float            # best reliable measure fit at the base (nan if none)
     mu_r2: float
     slope_vs_inv_mu: float   # fitted slope minus 1/mu_hat (nan if unreliable)
 
@@ -273,12 +273,14 @@ def tikhonov_path(prob: Problem, ctrl_star: Control, eps_grid,
     if measure_eps_grid is None:
         measure_eps_grid = np.geomspace(1e-4, 1e-1, 8)
     fits = adjoint_measure_fits(prob, ctrl_star, measure_eps_grid).values()
-    finite = [f for f in fits if np.isfinite(f.mu_hat)]
-    if finite:
-        best = max(finite, key=lambda f: f.r2)
+    reliable = [f for f in fits if f.reliable]
+    if reliable:
+        best = max(reliable, key=lambda f: f.r2)
         mu_hat, mu_r2 = best.mu_hat, best.r2
-    else:
+    elif all(f.vacuous for f in fits):
         mu_hat, mu_r2 = np.inf, 1.0
+    else:
+        mu_hat, mu_r2 = np.nan, 0.0
     gap = np.nan
     if fit.reliable and np.isfinite(mu_hat) and mu_hat > 0:
         gap = fit.slope - 1.0 / mu_hat

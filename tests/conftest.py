@@ -51,21 +51,20 @@ def leaf_paths(d, prefix=()):
             yield prefix + (key,)
 
 
-def inject_region_vector(grid, region, qx, qy):
-    """Cell-centered vector density, (..., ncells) values per axis on the
-    region's cells and zero elsewhere, interpolated onto interior faces:
-    the whole field whose nonzero faces Grid.inject_region_box gives."""
-    out = grid.vec2(*qx.shape[:-1])
-    box, (su, sv) = grid.inject_region_box(region, qx, qy)
-    out.u[su], out.v[sv] = box.u, box.v
-    return out
+def region_space(grid, region):
+    """A one-step ControlSpace whose force and heat both act on region."""
+    return ControlSpace(grid, TimeGrid(1.0, 1), region, region)
 
 
-def restrict_region_vector(grid, region, C):
-    """Transpose of inject_region_vector: Grid.restrict_region_box of the
-    faces of the whole field C that it reads, (..., ncells) values per axis."""
-    su, sv = grid.region_faces(region)
-    return grid.restrict_region_box(region, Vec2(C.u[su], C.v[sv]))
+def control_fields(space, q, th):
+    """The whole force and heat fields of the densities q (..., 2, n_q) and
+    th (..., n_h): ControlMap.inject's windows written into zero fields.
+    objective.restrict_adjoint is its transpose."""
+    m = space.map
+    f, h = space.grid.vec2(*th.shape[:-1]), space.grid.scalar(*th.shape[:-1])
+    f_box, h_box = m.inject(q, th)
+    f.u[m.su], f.v[m.sv], h[m.sh] = f_box.u, f_box.v, h_box
+    return f, h
 
 
 def energy_report(grid, tg, traj, sources, u0, theta0):

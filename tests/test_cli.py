@@ -507,6 +507,20 @@ def test_every_command_runs_clean_and_keeps_its_schema(tmp_path, cmd):
     assert list(summary) == ["provenance"] + keys
 
 
+def test_measure_condition_on_a_saturated_curve_has_no_reliable_fit(tmp_path):
+    # zero data and terminal tracking only: the optimum is the zero control,
+    # whose adjoint vanishes, so every mass is the whole region
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"nx": 6, "ny": 6}, "time": {"nt": 3},
+                               "weights": {"alpha1": 0, "alpha2": 0, "beta1": 1}}))
+    out = tmp_path / "o"
+    assert main(["measure-condition", "--config", str(cfg), "--out", str(out)]) == 0
+    fits = json.loads((out / "summary.json").read_text(),
+                      parse_constant=_not_strict_json)["fits"]
+    assert {name: fit["mu_hat"] for name, fit in fits.items()} == dict.fromkeys(
+        ("w1", "w2", "psi"), "no reliable fit")
+
+
 def test_summaries_write_arrays_and_numpy_scalars_as_strict_json(tmp_path):
     from convecopt.cli import Run
     run = Run(str(tmp_path), from_dict({}), "solve", 0)

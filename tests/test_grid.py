@@ -8,8 +8,9 @@ from convecopt.grid import (Grid, GridConfig, Vec2,
 
 from hypothesis import given, strategies as st
 
-from conftest import (GRIDS, PROPS, inject_region_vector, rand_scalar, rand_vec2,
-                      restrict_region_vector)
+from convecopt.objective import restrict_adjoint
+
+from conftest import GRIDS, PROPS, control_fields, rand_scalar, rand_vec2, region_space
 
 
 # ---------------------------------------------------------------------------
@@ -634,15 +635,19 @@ def test_buoyancy_transpose(grid_rect):
     assert np.isclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
 
+# the control map (objective.ControlMap) on grids: the paper's B_h and B_h^T
+
+
 def test_inject_restrict_transpose(grid_rect):
     rng = np.random.default_rng(22)
-    region = grid_rect.rect_mask(0.1, 0.6, 0.1, 0.3)
-    qx = rng.standard_normal(region.ncells)
-    qy = rng.standard_normal(region.ncells)
-    C = rand_vec2(grid_rect, rng)
-    lhs = grid_rect.inner(inject_region_vector(grid_rect, region, qx, qy), C)
-    rx, ry = restrict_region_vector(grid_rect, region, C)
-    rhs = grid_rect.vol * (np.dot(qx, rx) + np.dot(qy, ry))
+    sp = region_space(grid_rect, grid_rect.rect_mask(0.1, 0.6, 0.1, 0.3))
+    q = rng.standard_normal((2, sp.mask_q.ncells))
+    th = rng.standard_normal(sp.mask_h.ncells)
+    C, psi = rand_vec2(grid_rect, rng), rand_scalar(grid_rect, rng)
+    f, h = control_fields(sp, q, th)
+    lhs = grid_rect.inner(f, C) + grid_rect.inner(h, psi)
+    rq, rth = restrict_adjoint(sp, C, psi)
+    rhs = grid_rect.vol * (np.dot(q.ravel(), rq.ravel()) + np.dot(th, rth))
     assert np.isclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
 
@@ -651,33 +656,38 @@ def test_inject_restrict_transpose(grid_rect):
                                   (0.4, 0.5, 0.0, 0.5)],
                          ids=["interior", "whole", "sw-corner", "ne-corner", "strip"])
 def test_region_injection_matches_full_grid_oracle(grid_rect, rect):
-    # the region versions compute on a window around the region and must
+    # the control map computes on windows around the region and must
     # reproduce the full-grid pair bitwise, on one level and on a stack
     g = grid_rect
     rng = np.random.default_rng(24)
     region = g.rect_mask(*rect)
+    sp = region_space(g, region)
     for lead in ((), (3,)):
-        qx = rng.standard_normal(lead + (region.ncells,))
-        qy = rng.standard_normal(lead + (region.ncells,))
-        full_x, full_y = np.zeros(lead + (g.nx, g.ny)), np.zeros(lead + (g.nx, g.ny))
-        full_x[..., region.ii, region.jj] = qx
-        full_y[..., region.ii, region.jj] = qy
-        f, ref = inject_region_vector(g, region, qx, qy), inject_cell_vector(g, full_x, full_y)
+        q = rng.standard_normal(lead + (2, region.ncells))
+        th = rng.standard_normal(lead + (region.ncells,))
+        full_x, full_y, full_h = (np.zeros(lead + (g.nx, g.ny)) for _ in range(3))
+        full_x[..., region.ii, region.jj] = q[..., 0, :]
+        full_y[..., region.ii, region.jj] = q[..., 1, :]
+        full_h[..., region.ii, region.jj] = th
+        (f, h), ref = control_fields(sp, q, th), inject_cell_vector(g, full_x, full_y)
         assert f.u.tobytes() == ref.u.tobytes() and f.v.tobytes() == ref.v.tobytes()
+        assert h.tobytes() == full_h.tobytes()
         # nonzero wall faces: restriction must ignore them, as the oracle does
         C = Vec2(rng.standard_normal(lead + (g.nx + 1, g.ny)),
                  rng.standard_normal(lead + (g.nx, g.ny + 1)))
-        rx, ry = restrict_region_vector(g, region, C)
+        psi = rng.standard_normal(lead + (g.nx, g.ny))
+        rq, rth = restrict_adjoint(sp, C, psi)
         ox, oy = restrict_face_vector(C)
-        assert rx.tobytes() == ox[..., region.ii, region.jj].tobytes()
-        assert ry.tobytes() == oy[..., region.ii, region.jj].tobytes()
+        assert rq[..., 0, :].tobytes() == ox[..., region.ii, region.jj].tobytes()
+        assert rq[..., 1, :].tobytes() == oy[..., region.ii, region.jj].tobytes()
+        assert rth.tobytes() == psi[..., region.ii, region.jj].tobytes()
 
 
 def test_injection_keeps_boundary_faces_zero(grid_rect):
     rng = np.random.default_rng(23)
-    region = grid_rect.rect_mask(0.0, 1.0, 0.0, 0.5)    # every cell
-    f = inject_region_vector(grid_rect, region, rng.standard_normal(region.ncells),
-                             rng.standard_normal(region.ncells))
+    sp = region_space(grid_rect, grid_rect.rect_mask(0.0, 1.0, 0.0, 0.5))  # every cell
+    f, _ = control_fields(sp, rng.standard_normal((2, sp.mask_q.ncells)),
+                          rng.standard_normal(sp.mask_h.ncells))
     assert np.all(f.u[0, :] == 0) and np.all(f.u[-1, :] == 0)
     assert np.all(f.v[:, 0] == 0) and np.all(f.v[:, -1] == 0)
 

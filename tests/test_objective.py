@@ -11,7 +11,7 @@ from convecopt.grid import fourier_scalar, fourier_vec2
 from convecopt.objective import (ObjectiveWeights, Control, ControlSources, Perturbation,
                                  PERTURBATION_FIELDS, _digest)
 
-from conftest import inject_region_vector, make_problem, rand_control, traced_peak
+from conftest import control_fields, make_problem, rand_control, traced_peak
 
 
 def test_weights_validation():
@@ -408,7 +408,7 @@ def test_per_step_sources_are_the_stacked_sources_bitwise(family, base):
     if family is not None:
         prob = prob.perturbed(make_perturbation(prob, family, 0.3, 27))
     ctrl = rand_control(sp, np.random.default_rng(28))
-    F = inject_region_vector(g, sp.mask_q, ctrl.q[:, 0], ctrl.q[:, 1])
+    F, _ = control_fields(sp, ctrl.q, ctrl.th)
     H = g.scalar(nt)
     H[:, sp.mask_h.ii, sp.mask_h.jj] = ctrl.th
     for df, dh in ((prob.base_sources.f, prob.base_sources.h),
@@ -419,8 +419,8 @@ def test_per_step_sources_are_the_stacked_sources_bitwise(family, base):
         if dh is not None:
             H += dh
     for src, (Fs, Hs) in ((prob._sources_for(ctrl), (F, H)),
-                          (ControlSources(ctrl), (inject_region_vector(
-                              g, sp.mask_q, ctrl.q[:, 0], ctrl.q[:, 1]), None))):
+                          (ControlSources(ctrl), (control_fields(sp, ctrl.q, ctrl.th)[0],
+                                                  None))):
         for k in range(nt):
             f, h = src.at(k)
             assert (f.u.tobytes(), f.v.tobytes()) == (Fs.u[k].tobytes(), Fs.v[k].tobytes())

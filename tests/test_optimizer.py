@@ -175,6 +175,28 @@ def test_measure_estimate_validates_grid():
         measure_condition_estimate(np.ones(5), np.array([0.1, 0.05]), 1.0)
 
 
+@pytest.mark.parametrize("kappa,eps", [(0.5, np.geomspace(1e-4, 1e-1, 10)),
+                                       (2.0, np.geomspace(1e-1, 9e-1, 10))])
+def test_measure_estimate_recovers_the_exponent_of_a_power_field(kappa, eps):
+    # |{ |x|^(1/kappa) <= eps }| = 2 eps^kappa on [-1, 1]: mu = kappa, on
+    # masses from 1 % to 81 % of the region
+    x = np.linspace(-1.0, 1.0, 20001)
+    fit = measure_condition_estimate(np.abs(x) ** (1.0 / kappa), eps, 2.0 / len(x))
+    assert fit.reliable and fit.n_used == len(eps)
+    assert abs(fit.mu_hat - kappa) <= 0.02 * kappa
+
+
+@pytest.mark.parametrize("eps,n_used", [([3.0, 4.0, 5.0], 0),
+                                        ([0.5, 1.5, 2.5, 3.5, 4.5], 2)],
+                         ids=["all-saturated", "two-points"])
+def test_measure_estimate_on_fewer_than_three_points_is_unreliable(eps, n_used):
+    # the masses of {1, 2, 3} saturate from eps = 3 on, so these grids leave
+    # no unsaturated positive mass, or exactly two (whose R^2 is 1 regardless)
+    fit = measure_condition_estimate(np.array([1.0, 2.0, 3.0]), np.array(eps), 1.0)
+    assert fit.n_used == n_used
+    assert not fit.reliable and not fit.vacuous
+
+
 def test_adjoint_samples_shapes():
     prob = make_problem()
     ctrl = prob.space.zero()
