@@ -66,7 +66,8 @@ class SourceData:
     at(k) gives such an (f, h) pair will do; a march reads each pair once,
     on its step, and keeps none, so such an object may form every pair when
     it is read (objective.ControlSources, objective._AdjointSources and
-    mms._Levels do, and hold no (nt, ...) stack).
+    mms._Levels do; the latter two hold no (nt, ...) stack, and
+    ControlSources holds only its windows' (nt, window) stacks).
     """
 
     f: object = None

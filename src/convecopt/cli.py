@@ -302,7 +302,7 @@ def cmd_tikhonov(cfg, run, seed):
     run.write_json("summary.json", {
         "slope": rep.fit.describe(), "slope_value": rep.fit.slope,
         "r2": rep.fit.r2, "mu_hat": rep.mu_hat, "mu_r2": rep.mu_r2,
-        "slope_minus_inv_mu": rep.slope_vs_inv_mu,
+        "slope_minus_mu": rep.slope_vs_mu,
         "base_kkt": res.kkt_history[-1]})
 
 

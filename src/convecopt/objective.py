@@ -312,26 +312,15 @@ class Problem:
     Solves are cached, so the optimizer's repeated J/grad evaluations at one
     point cost one solve of each, in three kinds: the state, the full
     adjoint, and the gradient (the adjoint restricted to the control
-    regions).  A state is keyed on the control and the perturbation's
-    "state" fields, an adjoint or gradient also on its "adjoint" fields
-    (PERTURBATION_FIELDS); the other fields change none, so the perturbed
-    copies of a problem reuse all three.  Only `adjoint` stores a full
-    adjoint, and only callers that read its fields call it (the lab's
-    distances, second_bilinear, tracking_margin).  grad_J restricts a full
-    adjoint that is cached or held; otherwise it sweeps into
-    _GradientWindows, which keeps only the control map's windows.
-
-    The cache rule: each kind keeps one strong entry, the value last solved
-    or looked up.  A lookup also finds any value of the kind that a caller
-    still holds, through a weak view of every entry, and makes it the strong
-    entry; so a held trajectory is never solved again, and one that nobody
-    holds is freed once a newer one of its kind is cached.  A miss evicts
-    the strong entry before it solves, so no evicted value is live while the
-    new one is formed (unless a caller holds it), and a solve that fails
-    leaves no entry.  The caches are shared with the perturbed copies.  The
-    optimizer holds no trajectory: when a line search fails, its start
-    point's state was evicted by the trials, and it is solved again unless
-    a caller holds it.
+    regions).  Every lookup goes through _cached, which states the hit/miss
+    rule, under the key _key builds; the perturbed copies share the caches.
+    Only `adjoint` stores a full adjoint, and only callers that read its
+    fields call it (the lab's distances, second_bilinear, tracking_margin).
+    grad_J restricts a full adjoint that is cached or held; otherwise it
+    sweeps into _GradientWindows, which keeps only the control map's
+    windows.  The optimizer holds no trajectory: when a line search fails,
+    its start point's state was evicted by the trials, and it is solved
+    again unless a caller holds it.
 
     Where the control acts is space.map (ControlMap): the sources' control
     part, the gradient's restriction and the control weight of J and J''.
@@ -372,20 +361,31 @@ class Problem:
         """phys.coupling, read-only; kept for callers written against the old field."""
         return self.phys.coupling
 
-    def _recall(self, kind, key):
-        """The trajectory under key, cached or held by a caller, now the
-        kind's strong entry; on a miss None, with the strong entry evicted
-        before the caller solves."""
-        hit = self._held[kind].get(key)
-        cache = self._caches[kind]
-        cache.clear()
-        if hit is not None:
-            cache[key] = hit
-        return hit
+    def _key(self, kind, ctrl: Control):
+        """ctrl's hash and the digest of the perturbation's "state" fields,
+        and for the "adjoint" and "gradient" kinds also of its "adjoint"
+        fields (PERTURBATION_FIELDS); no other field keys a kind."""
+        key = (ctrl.hash(), self.pert.state_hash())
+        return key if kind == "state" else key + (self.pert.adjoint_hash(),)
 
-    def _remember(self, kind, key, value):
-        """Cache value under key as the kind's strong entry."""
-        self._caches[kind][key] = self._held[kind][key] = value
+    def _cached(self, kind, key, solve):
+        """The kind's value under key (_key): from the cache, or from solve().
+
+        The rule: each kind keeps one strong entry.  A value of the kind
+        that is cached, or that a caller still holds (found through a weak
+        view of every entry), becomes the strong entry and is returned; so
+        a held value is never solved again, and one that nobody holds is
+        freed once a newer one of its kind is cached.  Otherwise the strong
+        entry is evicted before solve() runs, so no evicted value is live
+        while the new one is formed (unless a caller holds it), and the
+        result is cached; a solve that fails leaves no entry.
+        """
+        cache, held = self._caches[kind], self._held[kind]
+        value = held.get(key)
+        cache.clear()
+        if value is None:
+            value = held[key] = solve()
+        cache[key] = value
         return value
 
     # -- state solves --------------------------------------------------------
@@ -411,14 +411,8 @@ class Problem:
         return u0, th0
 
     def state(self, ctrl: Control) -> StateTrajectory:
-        key = (ctrl.hash(), self.pert.state_hash())
-        hit = self._recall("state", key)
-        if hit is not None:
-            return hit
-        sources = self._sources_for(ctrl)
-        u0, th0 = self._initial_for()
-        traj = solve_state(self.grid, self.phys, self.tg, sources, u0, th0)
-        return self._remember("state", key, traj)
+        return self._cached("state", self._key("state", ctrl), lambda: solve_state(
+            self.grid, self.phys, self.tg, self._sources_for(ctrl), *self._initial_for()))
 
     # -- objective -----------------------------------------------------------
 
@@ -470,9 +464,6 @@ class Problem:
 
     # -- adjoint and gradient ------------------------------------------------
 
-    def _adjoint_key(self, ctrl: Control):
-        return ctrl.hash(), self.pert.state_hash(), self.pert.adjoint_hash()
-
     def _sweep_adjoint(self, ctrl: Control, out):
         """solve_adjoint with the tracking right-hand sides and terminal data
         around ctrl's state, into the level sink out (None: a StateTrajectory)."""
@@ -487,26 +478,20 @@ class Problem:
     def adjoint(self, ctrl: Control) -> StateTrajectory:
         """The full adjoint: w in u, Psi in theta (see
         sensitivity.solve_adjoint), cached."""
-        key = self._adjoint_key(ctrl)
-        hit = self._recall("adjoint", key)
-        if hit is not None:
-            return hit
-        return self._remember("adjoint", key, self._sweep_adjoint(ctrl, None))
+        return self._cached("adjoint", self._key("adjoint", ctrl),
+                            lambda: self._sweep_adjoint(ctrl, None))
 
     def restricted_adjoint(self, ctrl: Control) -> Control:
         """The adjoint's levels 0..nt-1 (level nt is terminal data) restricted
         to the control regions: grad_J without its Tikhonov and tilt terms.
         The result may be a cache entry; callers must not modify it."""
-        key = self._adjoint_key(ctrl)
+        key = self._key("gradient", ctrl)     # the adjoint kind's key too
         adj = self._held["adjoint"].get(key)
-        if adj is not None:     # a full adjoint at hand; nothing is evicted
+        if adj is not None:     # a full adjoint at hand; no kind is touched
             return Control(self.space, *restrict_adjoint(self.space, adj.u[:-1],
                                                          adj.theta[:-1]))
-        hit = self._recall("gradient", key)
-        if hit is not None:
-            return hit
-        windows = self._sweep_adjoint(ctrl, _GradientWindows(self.space))
-        return self._remember("gradient", key, Control(self.space, *windows.restrict()))
+        return self._cached("gradient", key, lambda: Control(
+            self.space, *self._sweep_adjoint(ctrl, _GradientWindows(self.space)).restrict()))
 
     def grad_J(self, ctrl: Control) -> Control:
         """Pointwise gradient density on the control regions, a fresh Control.

@@ -242,7 +242,7 @@ class PathReport:
     fit: HolderFit
     mu_hat: float            # best reliable measure fit at the base (nan if none)
     mu_r2: float
-    slope_vs_inv_mu: float   # fitted slope minus 1/mu_hat (nan if unreliable)
+    slope_vs_mu: float       # fitted slope minus mu_hat (nan if unreliable)
 
 
 def tikhonov_path(prob: Problem, ctrl_star: Control, eps_grid,
@@ -250,7 +250,11 @@ def tikhonov_path(prob: Problem, ctrl_star: Control, eps_grid,
     """Warm-started continuation over decreasing Tikhonov weights.
 
     eps_grid must be strictly decreasing; a trailing 0 reproduces the base
-    problem and must return the reference solution unchanged.
+    problem and must return the reference solution unchanged.  Under the
+    measure condition with exponent mu, the L1 distance to the reference
+    is predicted to shrink like eps^mu (D. Wachsmuth and G. Wachsmuth,
+    Control Cybernet. 40, 2011), so the fitted slope is compared with the
+    measure fit's mu_hat: slope_vs_mu = slope - mu_hat.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if np.any(np.diff(eps_grid) >= 0):
@@ -283,7 +287,7 @@ def tikhonov_path(prob: Problem, ctrl_star: Control, eps_grid,
         mu_hat, mu_r2 = np.nan, 0.0
     gap = np.nan
     if fit.reliable and np.isfinite(mu_hat) and mu_hat > 0:
-        gap = fit.slope - 1.0 / mu_hat
+        gap = fit.slope - mu_hat
     return PathReport(points, fit, mu_hat, mu_r2, gap)
 
 

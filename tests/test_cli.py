@@ -462,7 +462,7 @@ SCHEMAS = {
     "mms": ({"mms.csv": "n,nt,error_l2q"}, ["errors", "orders", "min_order"]),
     "tikhonov-path": ({"path.csv": "eps,control_dist_l1,J,kkt,iterations"},
                       ["slope", "slope_value", "r2", "mu_hat", "mu_r2",
-                       "slope_minus_inv_mu", "base_kkt"]),
+                       "slope_minus_mu", "base_kkt"]),
     "stability-sweep": ({"sweep.csv": "magnitude,zeta_norm,control_dist_l1,"
                          "state_dist_l2,state_dist_linf,adjoint_grad_gap,kkt,"
                          "iterations,termination,seed,in_trust_region,flags"},
@@ -505,6 +505,34 @@ def test_every_command_runs_clean_and_keeps_its_schema(tmp_path, cmd):
     summary = json.loads((out / "summary.json").read_text(),
                          parse_constant=_not_strict_json)
     assert list(summary) == ["provenance"] + keys
+
+
+# forward, adjoint and tangent sweeps per command on the family sweeps'
+# 8^2, nt 6 config: the caches' hits and misses, end to end
+SWEEP_COUNTS = {"stability-sweep": (64, 66, 0), "growth-probe": (23, 23, 24),
+                "tikhonov-path": (101, 95, 0)}
+
+
+@pytest.mark.parametrize("cmd", SWEEP_COUNTS)
+def test_each_command_makes_its_known_number_of_sweeps(tmp_path, monkeypatch, cmd):
+    from convecopt import objective, sensitivity
+    n = [0, 0, 0]
+
+    def counting(module, name, i):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            n[i] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(objective, "solve_state", 0)
+    counting(sensitivity, "solve_adjoint", 1)
+    counting(sensitivity, "solve_linearized", 2)
+    cfg = from_dict({"grid": {"nx": 8, "ny": 8}, "time": {"nt": 6},
+                     "sweep": {"magnitudes": [0.01, 0.1]}})
+    assert run_command(cmd, cfg, tmp_path / "o") == 0
+    assert tuple(n) == SWEEP_COUNTS[cmd]
 
 
 def test_measure_condition_on_a_saturated_curve_has_no_reliable_fit(tmp_path):

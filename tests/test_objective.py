@@ -9,7 +9,7 @@ import pytest
 from convecopt.boussinesq import _h1_semi_sq
 from convecopt.grid import fourier_scalar, fourier_vec2
 from convecopt.objective import (ObjectiveWeights, Control, ControlSources, Perturbation,
-                                 PERTURBATION_FIELDS, _digest)
+                                 PERTURBATION_FIELDS, Problem, _digest)
 
 from conftest import control_fields, make_problem, rand_control, traced_peak
 
@@ -299,7 +299,8 @@ def test_projected_gradient_leaves_no_full_adjoint():
     res = projected_gradient(prob, prob.space.zero(), OptOptions(max_iters=5))
     assert res.iterations == 5
     assert len(prob._caches["adjoint"]) == len(prob._held["adjoint"]) == 0
-    assert list(prob._caches["gradient"]) == [prob._adjoint_key(res.control)]
+    assert list(prob._caches["gradient"]) \
+        == [(res.control.hash(), prob.pert.state_hash(), prob.pert.adjoint_hash())]
 
 
 def test_adjoint_cache_holds_one_entry(sweeps):
@@ -312,8 +313,14 @@ def test_adjoint_cache_holds_one_entry(sweeps):
     assert sweeps == {"state": 3, "adjoint": 3}
 
 
-def test_a_miss_evicts_before_it_solves(monkeypatch):
-    # no evicted trajectory is live while the new one is formed
+# each cache kind and the Problem method that looks it up
+LOOKUPS = {"state": Problem.state, "adjoint": Problem.adjoint,
+           "gradient": Problem.restricted_adjoint}
+
+
+@pytest.mark.parametrize("kind", LOOKUPS)
+def test_a_miss_evicts_before_it_solves(monkeypatch, kind):
+    # no evicted value is live while the new one is formed
     from convecopt import objective, sensitivity
     prob = make_problem()
     seen = []
@@ -327,68 +334,95 @@ def test_a_miss_evicts_before_it_solves(monkeypatch):
     monkeypatch.setattr(objective, "solve_state",
                         watching("state", objective.solve_state))
     monkeypatch.setattr(sensitivity, "solve_adjoint",
-                        watching("adjoint", sensitivity.solve_adjoint))
+                        watching(kind, sensitivity.solve_adjoint))
     rng = np.random.default_rng(18)
     for _ in range(3):
-        prob.adjoint(rand_control(prob.space, rng))
-    assert seen == [("state", 0), ("adjoint", 0)] * 3
-    assert len(prob._caches["state"]) == 1
-    assert len(prob._caches["adjoint"]) == 1
+        LOOKUPS[kind](prob, rand_control(prob.space, rng))
+    solves = [("state", 0)] if kind == "state" else [("state", 0), (kind, 0)]
+    assert seen == solves * 3
+    assert len(prob._caches["state"]) == len(prob._caches[kind]) == 1
 
 
-def test_a_failing_solve_leaves_no_entry():
+@pytest.mark.parametrize("kind", LOOKUPS)
+def test_a_failing_solve_leaves_no_entry(kind):
     from convecopt.grid import NumericalFailure
     prob = make_problem()
+    look = LOOKUPS[kind]
     rng = np.random.default_rng(19)
     good = rand_control(prob.space, rng)
-    adj = weakref.ref(prob.adjoint(good))   # held by no one but the cache
+    value = weakref.ref(look(prob, good))   # held by no one but the cache
     bad = rand_control(prob.space, rng)
     bad.th[3, 0] = np.nan
     with pytest.raises(NumericalFailure):
-        prob.adjoint(bad)           # the state sweep fails
+        look(prob, bad)             # the state sweep fails
     assert list(prob._caches["state"]) == []        # evicted for the failed solve
-    assert list(prob._caches["adjoint"]) == []
-    assert adj() is None
-    adj = weakref.ref(prob.adjoint(good))
-    nan_tilt = Perturbation(eta_th=np.full((prob.grid.nx, prob.grid.ny), np.nan))
+    assert list(prob._caches[kind]) == []
+    assert value() is None
+    value = weakref.ref(look(prob, good))
+    # the kind's own sweep fails: the state's, else the adjoint's
+    name = "h_hat" if kind == "state" else "eta_th"
+    nan = Perturbation(**{name: np.full((prob.grid.nx, prob.grid.ny), np.nan)})
     with pytest.raises(NumericalFailure):
-        prob.perturbed(nan_tilt).adjoint(good)      # the adjoint sweep fails
-    assert list(prob._caches["state"]) == [(good.hash(), prob.pert.state_hash())]
-    assert list(prob._caches["adjoint"]) == []
-    assert adj() is None
+        look(prob.perturbed(nan), good)
+    assert list(prob._caches["state"]) \
+        == ([] if kind == "state" else [(good.hash(), prob.pert.state_hash())])
+    assert list(prob._caches[kind]) == []
+    assert value() is None
 
 
-def test_a_held_trajectory_is_found_without_a_sweep(sweeps):
+@pytest.mark.parametrize("kind", LOOKUPS)
+def test_a_held_trajectory_is_found_without_a_sweep(sweeps, kind):
     # one strong entry per kind, and a weak view of every entry, which the
     # perturbed copies share
     from convecopt.stability_lab import make_perturbation
     prob = make_problem()
+    look = LOOKUPS[kind]
     rng = np.random.default_rng(23)
     a, b, c = (rand_control(prob.space, rng) for _ in range(3))
-    ta, adj_a = prob.state(a), prob.adjoint(a)
-    prob.adjoint(b)
-    tc = prob.state(c)          # a's entries are no longer the strong ones
-    assert sweeps == {"state": 3, "adjoint": 2}
-    assert prob.state(a) is ta
-    assert prob.adjoint(a) is adj_a
-    assert prob.adjoint(c) is not adj_a and prob.state(c) is tc
+    va = look(prob, a)
+    look(prob, b)
+    vc = look(prob, c)          # a's entry is no longer the strong one
+    solved = {"state": 3, "adjoint": 0 if kind == "state" else 3}
+    assert sweeps == solved
+    assert look(prob, a) is va
+    assert look(prob, c) is vc and vc is not va
     pprob = prob.perturbed(make_perturbation(prob, "control-tilt", 0.3, 24))
-    assert pprob.state(a) is ta
-    assert pprob.adjoint(a) is adj_a
-    assert sweeps == {"state": 3, "adjoint": 3}
+    assert look(pprob, a) is va
+    assert sweeps == solved
 
 
-def test_an_unheld_trajectory_is_freed_by_the_next_entry():
+@pytest.mark.parametrize("kind", LOOKUPS)
+def test_an_unheld_trajectory_is_freed_by_the_next_entry(kind):
     prob = make_problem()
+    look = LOOKUPS[kind]
     rng = np.random.default_rng(25)
     a, b = rand_control(prob.space, rng), rand_control(prob.space, rng)
-    state, adj = weakref.ref(prob.state(a)), weakref.ref(prob.adjoint(a))
-    assert state() is not None and adj() is not None    # the strong entries
-    prob.state(b)
-    assert state() is None and adj() is not None
-    prob.adjoint(b)
-    assert adj() is None
-    assert len(prob._caches["state"]) == len(prob._caches["adjoint"]) == 1
+    value = weakref.ref(look(prob, a))
+    assert value() is not None          # the strong entry
+    if kind != "state":
+        prob.state(b)                   # another kind's entry frees nothing of it
+        assert value() is not None
+    look(prob, b)
+    assert value() is None
+    assert len(prob._caches["state"]) == len(prob._caches[kind]) == 1
+
+
+def test_a_held_full_adjoint_is_restricted_without_touching_the_gradient_kind(sweeps):
+    from convecopt.objective import restrict_adjoint
+    prob = make_problem()
+    rng = np.random.default_rng(31)
+    a, b = rand_control(prob.space, rng), rand_control(prob.space, rng)
+    grad_a = weakref.ref(prob.restricted_adjoint(a))    # the gradient kind's entry
+    adj_b = prob.adjoint(b)
+    assert sweeps == {"state": 2, "adjoint": 2}
+    got = prob.restricted_adjoint(b)        # restricts the held full adjoint
+    assert sweeps == {"state": 2, "adjoint": 2}
+    assert grad_a() is not None
+    assert list(prob._caches["gradient"]) \
+        == [(a.hash(), prob.pert.state_hash(), prob.pert.adjoint_hash())]
+    assert len(prob._held["gradient"]) == 1
+    q, th = restrict_adjoint(prob.space, adj_b.u[:-1], adj_b.theta[:-1])
+    assert (got.q.tobytes(), got.th.tobytes()) == (q.tobytes(), th.tobytes())
 
 
 @pytest.mark.parametrize("family", [None, "source"])
