@@ -65,9 +65,9 @@ class SourceData:
     step that produces level k, so it never reads level 0.  Any object whose
     at(k) gives such an (f, h) pair will do; a march reads each pair once,
     on its step, and keeps none, so such an object may form every pair when
-    it is read (objective.ControlSources, objective._AdjointSources and
-    mms._Levels do; the latter two hold no (nt, ...) stack, and
-    ControlSources holds only its windows' (nt, window) stacks).
+    it is read (objective.ControlSources, objective._AdjointSources,
+    sensitivity.second_rhs's and mms._Levels do; only ControlSources holds
+    an (nt, ...) stack, that of its windows).
     """
 
     f: object = None

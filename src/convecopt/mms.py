@@ -146,6 +146,13 @@ def _face_parts(grid: Grid, fu: Field, fv: Field):
     return parts.zero_normal_boundary()
 
 
+def _field_levels(grid: Grid, basis, fu: Field, fv: Field, s: Field):
+    """_Levels of the face pair (fu, fv) and the cell scalar s; the samples
+    are dropped once _Levels has concatenated them."""
+    f = _face_parts(grid, fu, fv)
+    return _Levels(basis, f.u, f.v, s.sample(grid.xc, grid.yc))
+
+
 def initial_data(grid: Grid, case: MMSCase, t=0.0):
     """Exactly discretely divergence-free initial velocity from psi corners."""
     psi = _eval(case.psi_fn, grid.xf, grid.yf, t)
@@ -177,11 +184,9 @@ def run_level(n, pp: PhysicalParams, case: MMSCase, T=0.1, dt_factor=1.0):
     nt = max(4, int(np.ceil(T / (dt_factor * h2))))
     tg = TimeGrid(T, nt)
     basis = _time_basis(tg.times())
-    f = _face_parts(grid, case.fx_fn, case.fy_fn)
-    sources = _Levels(basis, f.u, f.v, case.g_fn.sample(grid.xc, grid.yc))
+    sources = _field_levels(grid, basis, case.fx_fn, case.fy_fn, case.g_fn)
     u0, th0 = initial_data(grid, case)
-    ue = _face_parts(grid, case.u_fn, case.v_fn)
-    exact = _Levels(basis, ue.u, ue.v, case.th_fn.sample(grid.xc, grid.yc))
+    exact = _field_levels(grid, basis, case.u_fn, case.v_fn, case.th_fn)
     err = solve_state(grid, pp, tg, sources, u0, th0, out=_SquaredError(exact))
     return float(np.sqrt(tg.dt * grid.vol * err.err2)), nt
 

@@ -315,10 +315,11 @@ class Problem:
     regions).  Every lookup goes through _cached, which states the hit/miss
     rule, under the key _key builds; the perturbed copies share the caches.
     Only `adjoint` stores a full adjoint, and only callers that read its
-    fields call it (the lab's distances, second_bilinear, tracking_margin).
-    grad_J restricts a full adjoint that is cached or held; otherwise it
-    sweeps into _GradientWindows, which keeps only the control map's
-    windows.  The optimizer holds no trajectory: when a line search fails,
+    fields call it (second_bilinear, tracking_margin, the lab's gaps); one
+    that reduces each level as it arrives passes it a level sink instead,
+    and none is stored.  grad_J restricts a full adjoint that is cached or
+    held; otherwise it sweeps into _GradientWindows, which keeps only the
+    control map's windows.  The optimizer holds no trajectory: when a line search fails,
     its start point's state was evicted by the trials, and it is solved
     again unless a caller holds it.
 
@@ -364,7 +365,9 @@ class Problem:
     def _key(self, kind, ctrl: Control):
         """ctrl's hash and the digest of the perturbation's "state" fields,
         and for the "adjoint" and "gradient" kinds also of its "adjoint"
-        fields (PERTURBATION_FIELDS); no other field keys a kind."""
+        fields (PERTURBATION_FIELDS); no other field keys a kind.  So the
+        state key is the first two entries of the other kinds' key, and a
+        caller that has one passes its state part on (state's key)."""
         key = (ctrl.hash(), self.pert.state_hash())
         return key if kind == "state" else key + (self.pert.adjoint_hash(),)
 
@@ -410,8 +413,12 @@ class Problem:
             th0 = th0 + pert.th0_hat
         return u0, th0
 
-    def state(self, ctrl: Control) -> StateTrajectory:
-        return self._cached("state", self._key("state", ctrl), lambda: solve_state(
+    def state(self, ctrl: Control, key=None) -> StateTrajectory:
+        """ctrl's state trajectory, cached under key, _key("state", ctrl)
+        unless the caller already has it."""
+        if key is None:
+            key = self._key("state", ctrl)
+        return self._cached("state", key, lambda: solve_state(
             self.grid, self.phys, self.tg, self._sources_for(ctrl), *self._initial_for()))
 
     # -- objective -----------------------------------------------------------
@@ -464,22 +471,33 @@ class Problem:
 
     # -- adjoint and gradient ------------------------------------------------
 
-    def _sweep_adjoint(self, ctrl: Control, out):
+    def _sweep_adjoint(self, ctrl: Control, key, out):
         """solve_adjoint with the tracking right-hand sides and terminal data
-        around ctrl's state, into the level sink out (None: a StateTrajectory)."""
+        around ctrl's state, into the level sink out (None: a StateTrajectory);
+        key is ctrl's adjoint or gradient key (_key)."""
         w = self.weights
-        traj = self.state(ctrl)
+        traj = self.state(ctrl, key[:2])
         duT, dthT = self._terminal_misfits(traj)
         wT = w.beta1 * duT if w.beta1 else None
         psiT = w.beta2 * dthT if w.beta2 else None
         return sen.solve_adjoint(self.grid, self.phys, self.tg, traj,
                                  _AdjointSources(self, traj), wT, psiT, out)
 
-    def adjoint(self, ctrl: Control) -> StateTrajectory:
+    def adjoint(self, ctrl: Control, out=None):
         """The full adjoint: w in u, Psi in theta (see
-        sensitivity.solve_adjoint), cached."""
-        return self._cached("adjoint", self._key("adjoint", ctrl),
-                            lambda: self._sweep_adjoint(ctrl, None))
+        sensitivity.solve_adjoint), cached.  Given a level sink out, hands
+        it the adjoint's levels nt, ..., 0 instead and returns it: a full
+        adjoint's that is cached or held, or else a sweep's, which nothing
+        caches; no kind is touched."""
+        key = self._key("adjoint", ctrl)
+        if out is None:
+            return self._cached("adjoint", key, lambda: self._sweep_adjoint(ctrl, key, None))
+        adj = self._held["adjoint"].get(key)
+        if adj is None:
+            return self._sweep_adjoint(ctrl, key, out)
+        for k in range(self.tg.nt, -1, -1):
+            out.put(k, adj.u[k], adj.theta[k], None)
+        return out
 
     def restricted_adjoint(self, ctrl: Control) -> Control:
         """The adjoint's levels 0..nt-1 (level nt is terminal data) restricted
@@ -491,7 +509,7 @@ class Problem:
             return Control(self.space, *restrict_adjoint(self.space, adj.u[:-1],
                                                          adj.theta[:-1]))
         return self._cached("gradient", key, lambda: Control(
-            self.space, *self._sweep_adjoint(ctrl, _GradientWindows(self.space)).restrict()))
+            self.space, *self._sweep_adjoint(ctrl, key, _GradientWindows(self.space)).restrict()))
 
     def grad_J(self, ctrl: Control) -> Control:
         """Pointwise gradient density on the control regions, a fresh Control.
@@ -546,9 +564,12 @@ class Problem:
         if w.beta2:
             val += w.beta2 * g.inner(lin1.theta[nt], lin2.theta[nt])
         if self.phys.coupling:
+            # each step's bilinear sources, formed as they are paired
             adj = self.adjoint(ctrl)
-            rhsF, rhsG = sen.second_rhs(g, lin1, lin2, nt)
-            val += dt * (g.inner(adj.u[:nt], rhsF) + g.inner(adj.theta[:nt], rhsG))
+            rhs = sen.second_rhs(g, lin1, lin2)
+            for k in range(nt):
+                f, h = rhs.at(k)
+                val += dt * (g.inner(adj.u[k], f) + g.inner(adj.theta[k], h))
         wq = self.space.map.weight
         for (eps, _), a, b in zip(self._control_terms(), d1.parts, d2.parts):
             if eps:

@@ -87,26 +87,33 @@ def solve_linearized(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
     return march(grid, range(tg.nt + 1), advance, *first_level(grid, v0, theta0), out)
 
 
-def second_rhs(grid: Grid, lin1: StateTrajectory, lin2: StateTrajectory, nt):
+def second_rhs(grid: Grid, lin1: StateTrajectory, lin2: StateTrajectory):
     """Symmetrized bilinear right-hand sides for the second derivative.
 
-    Returns (F, G) stacked over the steps k = 0..nt-1; solve_linearized
-    with SourceData(F, G) and zero initial data gives the second derivative
-    of the control-to-state map along (lin1, lin2).  When lin1 is lin2
-    (every second variation) the two terms of each sum are the same call,
-    so it is made once.
+    Returns a source provider (see SourceData) whose at(k), k = 0..nt-1,
+    forms step k's pair (-(A(v1, v2) + A(v2, v1)), -(a(v1, th2) + a(v2,
+    th1))), A = advect_vector and a = advect_scalar, from the tangents'
+    level k when it is read, so no (nt, ...) stack is built.
+    solve_linearized with it and zero initial data gives the second
+    derivative of the control-to-state map along (lin1, lin2).  When lin1
+    is lin2 (every second variation) the two terms of each sum are the
+    same call, so it is made once.
     """
-    same = lin1 is lin2
-    rhsF = grid.vec2(nt)
-    rhsG = grid.scalar(nt)
-    for k in range(nt):
-        a = grid.advect_vector(lin1.u[k], lin2.u[k])
-        b = a if same else grid.advect_vector(lin2.u[k], lin1.u[k])
-        rhsF[k] = -(a + b)
-        c = grid.advect_scalar(lin1.u[k], lin2.theta[k])
-        d = c if same else grid.advect_scalar(lin2.u[k], lin1.theta[k])
-        rhsG[k] = -(c + d)
-    return rhsF, rhsG
+    return _SecondSources(grid, lin1, lin2)
+
+
+class _SecondSources:
+    def __init__(self, grid: Grid, lin1: StateTrajectory, lin2: StateTrajectory):
+        self.grid, self.lin1, self.lin2 = grid, lin1, lin2
+
+    def at(self, k):
+        g, l1, l2 = self.grid, self.lin1, self.lin2
+        same = l1 is l2
+        a = g.advect_vector(l1.u[k], l2.u[k])
+        b = a if same else g.advect_vector(l2.u[k], l1.u[k])
+        c = g.advect_scalar(l1.u[k], l2.theta[k])
+        d = c if same else g.advect_scalar(l2.u[k], l1.theta[k])
+        return -(a + b), -(c + d)
 
 
 def solve_adjoint(grid: Grid, pp: PhysicalParams, tg: TimeGrid,

@@ -53,8 +53,27 @@ def make_perturbation(prob: Problem, family: str, magnitude: float,
 
 
 # ---------------------------------------------------------------------------
-# distances (the sup-norm ones reduce level by level)
+# distances and norms, every one reduced one level at a time
 # ---------------------------------------------------------------------------
+
+class _LevelFold:
+    """Level sink folding term(k, u, theta), a float or a tuple of floats,
+    into value with the ufunc fold (np.add or np.maximum) from 0.0, level
+    by level in the order the levels arrive: from the march it is the sink
+    of, or from over(traj, ks), which hands a held trajectory's levels ks
+    over in ascending k.  No level is kept."""
+
+    def __init__(self, term, fold):
+        self.term, self.fold, self.value = term, fold, 0.0
+
+    def put(self, k, u, theta, p=None):
+        self.value = self.fold(self.value, self.term(k, u, theta))
+
+    def over(self, traj, ks):
+        for k in ks:
+            self.put(k, traj.u[k], traj.theta[k])
+        return self.value
+
 
 def control_distance_l1(a: Control, b: Control) -> float:
     return a.axpy(-1.0, b).norm_l1()
@@ -64,21 +83,31 @@ def state_distance_l2(prob: Problem, ta, tb) -> float:
     """L2(Q) distance of two trajectories: velocity plus temperature."""
     g = prob.grid
     dt = prob.tg.dt
-    su = dt * g.norm2(ta.u[1:] - tb.u[1:]) ** 2
-    st = dt * g.norm2(ta.theta[1:] - tb.theta[1:]) ** 2
-    return float(np.sqrt(su) + np.sqrt(st))
+
+    def squares(k, u, theta):
+        du, dth = u - tb.u[k], theta - tb.theta[k]
+        return g.inner(du, du), g.inner(dth, dth)
+
+    su, st = _LevelFold(squares, np.add).over(ta, range(1, prob.tg.nt + 1))
+    return float(np.sqrt(dt * su) + np.sqrt(dt * st))
 
 
 def state_distance_linf(ta, tb) -> float:
-    return max((ta.u[k] - tb.u[k]).max_abs() for k in range(len(ta.u)))
+    return float(_LevelFold(lambda k, u, theta: (u - tb.u[k]).max_abs(),
+                            np.maximum).over(ta, range(len(ta.u))))
+
+
+def _gradient_gap(prob: Problem, adj_b):
+    """_LevelFold of adjoint_gradient_gap against adj_b, level by level."""
+    g = prob.grid
+    return _LevelFold(lambda k, w, psi: max(g.grad_inf_vec(w - adj_b.u[k]),
+                                            g.grad_inf_scalar_any(psi - adj_b.theta[k])),
+                      np.maximum)
 
 
 def adjoint_gradient_gap(prob: Problem, adj_a, adj_b) -> float:
     """sup-norm of the discrete gradients of (w - w*) and (Psi - Psi*)."""
-    g = prob.grid
-    return max(max(g.grad_inf_vec(adj_a.u[k] - adj_b.u[k]),
-                   g.grad_inf_scalar_any(adj_a.theta[k] - adj_b.theta[k]))
-               for k in range(len(adj_a.u)))
+    return float(_gradient_gap(prob, adj_b).over(adj_a, range(len(adj_a.u))))
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +222,15 @@ def stability_sweep(prob: Problem, ctrl_star: Control, plan: SweepPlan,
         dl1 = control_distance_l1(res.control, ctrl_star)
         pprob = prob.perturbed(pert)
         pstate = pprob.state(res.control)
-        padj = pprob.adjoint(res.control)
+        # the point's adjoint is reduced as its sweep makes it, never stored
+        gap = pprob.adjoint(res.control, _gradient_gap(prob, base_adj)).value
         records.append(StabilityRecord(
             magnitude=mag,
             zeta_norm=pert.norm_P(prob.grid, res.control, s=s_norm),
             control_dist_l1=dl1,
             state_dist_l2=state_distance_l2(prob, pstate, base_state),
             state_dist_linf=state_distance_linf(pstate, base_state),
-            adjoint_grad_gap=adjoint_gradient_gap(prob, padj, base_adj),
+            adjoint_grad_gap=float(gap),
             kkt=res.kkt_history[-1],
             iterations=res.iterations,
             termination=res.termination,
@@ -210,6 +240,7 @@ def stability_sweep(prob: Problem, ctrl_star: Control, plan: SweepPlan,
                            + (() if res.termination in ("kkt_tol", "stagnation")
                               else ("unconverged",))),
         ))
+        del pstate      # left to the cache, so the next point's solve evicts it
     zn = [r.zeta_norm for r in records]
     cfit = _fit_records(zn, [r.control_dist_l1 for r in records])
     sfit = _fit_records(zn, [r.state_dist_l2 for r in records])
@@ -351,15 +382,17 @@ def tracking_margin(prob: Problem, ctrl_star: Control, s_norm: int = 4):
     the two sups, and margin = min(alpha1, alpha2) - 2 * sup-gradient.
     """
     g = prob.grid
-    dt = prob.tg.dt
-    traj = prob.state(ctrl_star)
-    adj = prob.adjoint(ctrl_star)
-    du, dth = prob._misfits(traj.u, traj.theta)
-    mis = (dt * g.norm_lp(du[1:], s_norm) ** s_norm) ** (1.0 / s_norm) \
-        + (dt * g.norm_lp(dth[1:], s_norm) ** s_norm) ** (1.0 / s_norm)
-    sup = 0.0
-    for k in range(prob.tg.nt + 1):
-        sup = max(sup, g.grad_inf_vec(adj.u[k]) + g.grad_inf_scalar_any(adj.theta[k]))
+    nt = prob.tg.nt
+
+    def powers(k, u, theta):
+        # |misfit_k|_s^s of each component
+        return tuple(g.norm_lp(d, s_norm) ** s_norm for d in prob._misfits(u, theta))
+
+    mu, mt = prob.tg.dt * _LevelFold(powers, np.add).over(prob.state(ctrl_star),
+                                                          range(1, nt + 1))
+    mis = float(mu ** (1.0 / s_norm) + mt ** (1.0 / s_norm))
+    sup = float(_LevelFold(lambda k, w, psi: g.grad_inf_vec(w) + g.grad_inf_scalar_any(psi),
+                           np.maximum).over(prob.adjoint(ctrl_star), range(nt + 1)))
     delta_hat = 2.0 * sup / mis if mis > 0 else np.inf
     margin = min(prob.weights.alpha1, prob.weights.alpha2) - 2.0 * sup
     return mis, sup, delta_hat, margin
@@ -407,6 +440,7 @@ def growth_probe(prob: Problem, ctrl_star: Control, n_samples, radius_grid,
             else:
                 pstate = prob.state(cand)
                 rhs = state_distance_l2(prob, pstate, base_state) ** 2
+            del lin     # no tangent outlives its sample
             ratio = lhs / rhs if rhs > 0 else np.inf
             ratios.append(ratio)
             samples.append(GrowthSample(float(r), dl1, lhs, rhs, ratio, kind))

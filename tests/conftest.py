@@ -112,6 +112,43 @@ def duality_residual_stored(grid, pp, tg, base, tanF=None, tanG=None,
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
+# The whole-stack forms of the lab's reductions, as they were before each
+# was reduced one level at a time: the oracles of the streamed ones, which
+# sum in another order and so agree to roundoff.
+
+def second_rhs_stacked(grid, lin1, lin2, nt):
+    """sensitivity.second_rhs's pairs stacked over the steps k = 0..nt-1."""
+    rhsF, rhsG = grid.vec2(nt), grid.scalar(nt)
+    for k in range(nt):
+        rhsF[k] = -(grid.advect_vector(lin1.u[k], lin2.u[k])
+                    + grid.advect_vector(lin2.u[k], lin1.u[k]))
+        rhsG[k] = -(grid.advect_scalar(lin1.u[k], lin2.theta[k])
+                    + grid.advect_scalar(lin2.u[k], lin1.theta[k]))
+    return rhsF, rhsG
+
+
+def state_distance_l2_stacked(prob, ta, tb):
+    g, dt = prob.grid, prob.tg.dt
+    su = dt * g.norm2(ta.u[1:] - tb.u[1:]) ** 2
+    st = dt * g.norm2(ta.theta[1:] - tb.theta[1:]) ** 2
+    return float(np.sqrt(su) + np.sqrt(st))
+
+
+def tracking_misfit_stacked(prob, traj, s):
+    """tracking_margin's misfit from the whole misfit stacks."""
+    g, dt = prob.grid, prob.tg.dt
+    du, dth = prob._misfits(traj.u, traj.theta)
+    return (dt * g.norm_lp(du[1:], s) ** s) ** (1.0 / s) \
+        + (dt * g.norm_lp(dth[1:], s) ** s) ** (1.0 / s)
+
+
+def second_pairing_stacked(prob, adj, lin1, lin2):
+    """second_bilinear's adjoint term: the stacked pairs against adj."""
+    g, dt, nt = prob.grid, prob.tg.dt, prob.tg.nt
+    rhsF, rhsG = second_rhs_stacked(g, lin1, lin2, nt)
+    return dt * (g.inner(adj.u[:nt], rhsF) + g.inner(adj.theta[:nt], rhsG))
+
+
 def traced_peak(fn, grid, nt):
     """tracemalloc peak of fn() above what was allocated when it started,
     in trajectories of nt + 1 velocity and temperature levels on grid."""

@@ -425,6 +425,59 @@ def test_a_held_full_adjoint_is_restricted_without_touching_the_gradient_kind(sw
     assert (got.q.tobytes(), got.th.tobytes()) == (q.tobytes(), th.tobytes())
 
 
+def test_a_gradient_miss_hashes_its_control_once(monkeypatch, sweeps):
+    # the adjoint sweep's state lookup takes the first two entries of the
+    # gradient key for its own, so a grad_J miss hashes ctrl once, with its
+    # state cached or not; so does a full adjoint's miss
+    from convecopt import objective
+    prob = make_problem()
+    calls = []
+    digest = objective.Control.hash
+
+    def counted(ctrl):
+        calls.append(ctrl)
+        return digest(ctrl)
+
+    monkeypatch.setattr(objective.Control, "hash", counted)
+    rng = np.random.default_rng(33)
+    a, b, c = (rand_control(prob.space, rng) for _ in range(3))
+    prob.grad_J(a)                  # state and gradient miss
+    assert calls == [a] and sweeps == {"state": 1, "adjoint": 1}
+    prob.state(b)
+    del calls[:]
+    prob.grad_J(b)                  # the gradient misses, the state hits
+    assert calls == [b] and sweeps == {"state": 2, "adjoint": 2}
+    del calls[:]
+    prob.adjoint(c)
+    assert calls == [c] and sweeps == {"state": 3, "adjoint": 3}
+
+
+class _Recorder:
+    """Level sink keeping the bytes of every level it is handed, in order."""
+
+    def __init__(self):
+        self.levels = []
+
+    def put(self, k, u, theta, p):
+        self.levels.append((k, u.u.tobytes(), u.v.tobytes(), theta.tobytes()))
+
+
+def test_an_adjoint_level_sink_is_handed_the_adjoint_and_nothing_is_stored(sweeps):
+    # without a full adjoint at hand the sweep's levels go to the sink and
+    # no kind is touched; with one held, its levels, in the sweep's order
+    prob = make_problem()
+    ctrl = rand_control(prob.space, np.random.default_rng(34))
+    swept = prob.adjoint(ctrl, _Recorder())
+    assert sweeps == {"state": 1, "adjoint": 1}
+    assert all(len(prob._held[kind]) == 0 for kind in ("adjoint", "gradient"))
+    adj = prob.adjoint(ctrl)
+    held = prob.adjoint(ctrl, _Recorder())
+    assert sweeps == {"state": 1, "adjoint": 2}
+    want = [(k, adj.u[k].u.tobytes(), adj.u[k].v.tobytes(), adj.theta[k].tobytes())
+            for k in range(prob.tg.nt, -1, -1)]
+    assert swept.levels == held.levels == want
+
+
 @pytest.mark.parametrize("family", [None, "source"])
 @pytest.mark.parametrize("base", ["zero", "fourier"])
 def test_per_step_sources_are_the_stacked_sources_bitwise(family, base):

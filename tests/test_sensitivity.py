@@ -10,7 +10,7 @@ from convecopt.sensitivity import (solve_linearized, solve_adjoint,
                                    tangent_explicit_t)
 
 from conftest import (rand_scalar, rand_vec2, rand_div_free,
-                      duality_residual_stored, traced_peak)
+                      duality_residual_stored, second_rhs_stacked, traced_peak)
 
 
 def base_setup(grid, seed=0, nt=8, T=0.2, coupling=True):
@@ -101,7 +101,7 @@ def test_second_derivative_taylor_rate(grid8):
     # the second derivative solves the tangent system with the bilinear
     # advection sources of the first-order tangent
     sec = solve_linearized(grid8, pp, tg, base,
-                           SourceData(*second_rhs(grid8, lin, lin, tg.nt)))
+                           second_rhs(grid8, lin, lin))
     rems = []
     ts = [1e-1, 3e-2, 1e-2]
     for t in ts:
@@ -129,9 +129,9 @@ def test_second_solver_is_symmetric(grid8):
     l1 = solve_linearized(grid8, pp, tg, base, SourceData(dF1, dG1), v01, t01)
     l2 = solve_linearized(grid8, pp, tg, base, SourceData(dF2, dG2), v02, t02)
     s12 = solve_linearized(grid8, pp, tg, base,
-                           SourceData(*second_rhs(grid8, l1, l2, tg.nt)))
+                           second_rhs(grid8, l1, l2))
     s21 = solve_linearized(grid8, pp, tg, base,
-                           SourceData(*second_rhs(grid8, l2, l1, tg.nt)))
+                           second_rhs(grid8, l2, l1))
     for k in range(tg.nt + 1):
         assert (s12.u[k] - s21.u[k]).max_abs() <= 1e-12
         assert np.max(np.abs(s12.theta[k] - s21.theta[k])) <= 1e-12
@@ -141,15 +141,37 @@ def test_second_rhs_of_one_tangent_is_the_two_call_form_bitwise(grid_rect):
     pp, tg, _, _, _, base, rng = base_setup(grid_rect)
     dF, dG, dv0, dth0 = perturb_inputs(grid_rect, tg, rng)
     lin = solve_linearized(grid_rect, pp, tg, base, SourceData(dF, dG), dv0, dth0)
-    rhsF, rhsG = second_rhs(grid_rect, lin, lin, tg.nt)
+    rhs = second_rhs(grid_rect, lin, lin)
     g = grid_rect
     for k in range(tg.nt):
         v, th = lin.u[k], lin.theta[k]
         refF = -(g.advect_vector(v, v) + g.advect_vector(v, v))
         refG = -(g.advect_scalar(v, th) + g.advect_scalar(v, th))
-        assert rhsF[k].u.tobytes() == refF.u.tobytes()
-        assert rhsF[k].v.tobytes() == refF.v.tobytes()
-        assert rhsG[k].tobytes() == refG.tobytes()
+        f, h = rhs.at(k)
+        assert f.u.tobytes() == refF.u.tobytes()
+        assert f.v.tobytes() == refF.v.tobytes()
+        assert h.tobytes() == refG.tobytes()
+
+
+@pytest.mark.parametrize("same", [True, False])
+def test_second_rhs_provider_gives_the_stacked_pairs_bitwise(grid_rect, same):
+    # formed per step on demand, each pair is the stacked form's level k
+    # bit for bit, for one tangent and for two
+    pp, tg, _, _, _, base, rng = base_setup(grid_rect)
+
+    def tangent():
+        dF, dG, dv0, dth0 = perturb_inputs(grid_rect, tg, rng)
+        return solve_linearized(grid_rect, pp, tg, base, SourceData(dF, dG), dv0, dth0)
+
+    l1 = tangent()
+    l2 = l1 if same else tangent()
+    rhs = second_rhs(grid_rect, l1, l2)
+    refF, refG = second_rhs_stacked(grid_rect, l1, l2, tg.nt)
+    for k in range(tg.nt):
+        f, h = rhs.at(k)
+        assert f.u.tobytes() == refF[k].u.tobytes()
+        assert f.v.tobytes() == refF[k].v.tobytes()
+        assert h.tobytes() == refG[k].tobytes()
 
 
 class OnDemandSources:

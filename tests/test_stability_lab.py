@@ -15,7 +15,9 @@ from convecopt.stability_lab import (fourier_scalar, fourier_vec2,
                                      second_order_stability_check,
                                      default_trust_radius)
 
-from conftest import make_problem, rand_control, traced_peak
+from conftest import (make_problem, rand_control, traced_peak,
+                      state_distance_l2_stacked, tracking_misfit_stacked,
+                      second_pairing_stacked)
 
 
 def solved_problem(**kw):
@@ -78,6 +80,56 @@ def test_sup_distances_reduce_level_by_level():
     assert peak_linf <= 0.1 and peak_gap <= 0.1, (peak_linf, peak_gap)
 
 
+@pytest.mark.parametrize("s_norm", [2, 4])
+@pytest.mark.parametrize("ny", [8, 6], ids=["square", "anisotropic"])
+def test_streamed_reductions_match_the_whole_stack_forms(ny, s_norm):
+    # reduced one level at a time, each sums in another order than its
+    # whole-stack form, so they agree to roundoff
+    import math
+    prob = make_problem(ny=ny)
+    prob = prob.perturbed(make_perturbation(prob, "target-shift", 0.1, 3))
+    g, dt = prob.grid, prob.tg.dt
+    rng = np.random.default_rng(40)
+    a, b, d1, d2 = (rand_control(prob.space, rng) for _ in range(4))
+    tb = prob.state(b)
+    ta = prob.state(a)
+    assert math.isclose(state_distance_l2(prob, ta, tb),
+                        state_distance_l2_stacked(prob, ta, tb), rel_tol=1e-13)
+    assert math.isclose(tracking_margin(prob, a, s_norm)[0],
+                        tracking_misfit_stacked(prob, ta, s_norm), rel_tol=1e-13)
+    adj = prob.adjoint(a)
+    lin1, lin2 = prob.tangent(a, d1), prob.tangent(a, d2)
+    for e, l2 in ((d1, lin1), (d2, lin2)):
+        ref = dt * (g.inner(lin1.u[1:], l2.u[1:]) + g.inner(lin1.theta[1:], l2.theta[1:]))
+        ref += second_pairing_stacked(prob, adj, lin1, l2)
+        assert math.isclose(prob.second_bilinear(a, d1, e, lin1, l2), ref, rel_tol=1e-13)
+
+
+def test_every_lab_reduction_streams():
+    # at 32^2, nt 100, with the state and the adjoint cached, no reduction
+    # holds a trajectory-sized temporary: the whole-stack state distance,
+    # tracking misfit and J'' pairing peaked at 2.00, 3.00 and 1.02
+    # trajectories, and a sweep point's stored adjoint at 1 more
+    from convecopt.stability_lab import _gradient_gap
+    prob = make_problem(nx=32, ny=32, T=0.5, nt=100)
+    g, nt = prob.grid, prob.tg.nt
+    rng = np.random.default_rng(41)
+    a, b, delta = (rand_control(prob.space, rng) for _ in range(3))
+    tb = prob.state(b)
+    ta = prob.state(a)
+    adj = prob.adjoint(a)
+    lin = prob.tangent(a, delta)
+    peaks = {
+        "state_distance_l2": traced_peak(lambda: state_distance_l2(prob, ta, tb), g, nt),
+        "tracking_margin": traced_peak(lambda: tracking_margin(prob, a), g, nt),
+        "second_variation": traced_peak(
+            lambda: prob.second_variation(a, delta, lin=lin), g, nt),
+        # b's adjoint is nowhere at hand: swept into the gap, never stored
+        "gap_sink": traced_peak(lambda: prob.adjoint(b, _gradient_gap(prob, adj)), g, nt),
+    }
+    assert all(p <= 0.5 for p in peaks.values()), peaks
+
+
 def test_zero_perturbation_is_a_fixed_point():
     prob, ctrl, opts = solved_problem()
     res = solve_perturbed(prob, Perturbation(), ctrl, opts)
@@ -126,7 +178,8 @@ def test_default_sweep_points_start_from_the_held_reference(sweeps, tmp_path):
     # unchanged, and the sweep holds both, so every point after the first
     # starts without a sweep: 88 forward and 92 adjoint sweeps.  The solves
     # keep only gradients, so the reference and each of the six points
-    # sweep their full adjoint once more for the distances (85 when every
+    # sweep their adjoint once more for the distances, each point's
+    # straight into its gradient gap (85 when every
     # gradient kept its full adjoint; a cache of two states and one adjoint
     # with no view of held ones made 93 and 90)
     from convecopt.cli import run_command
