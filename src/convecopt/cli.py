@@ -308,13 +308,8 @@ def cmd_tikhonov(cfg, run, seed):
 
 def cmd_sweep(cfg, run, seed):
     prob, res, opts = _solve_base(cfg, seed)
-    sw = cfg["sweep"]
-    plan = lab.SweepPlan(sw["family"], np.asarray(sw["magnitudes"]),
-                         seed=seed, modes=sw["modes"], decay=sw["decay"],
-                         warm_start=sw["warm_start"],
-                         trust_radius=sw["trust_radius"])
-    rep = lab.stability_sweep(prob, res.control, plan, opts,
-                              s_norm=cfg["s_norm"])
+    plan = lab.SweepPlan(seed=seed, **cfg["sweep"])
+    rep = lab.stability_sweep(prob, res.control, plan, opts, s_norm=cfg["s_norm"])
     run.write_records("sweep.csv", lab.StabilityRecord, rep.records)
     run.write_json("summary.json", {
         "control_fit": rep.control_fit.describe(),
@@ -329,10 +324,8 @@ def cmd_sweep(cfg, run, seed):
 
 def cmd_growth(cfg, run, seed):
     prob, res, _ = _solve_base(cfg, seed)
-    gcfg = cfg["growth"]
-    rep = lab.growth_probe(prob, res.control, gcfg["n_samples"],
-                           gcfg["radius_grid"], seed, gcfg["variant"],
-                           gcfg["tau"], cfg["s_norm"])
+    rep = lab.growth_probe(prob, res.control, seed=seed, s_norm=cfg["s_norm"],
+                           **cfg["growth"])
     run.write_records("growth_samples.csv", lab.GrowthSample, rep.samples)
     run.write_json("summary.json", {
         "variant": rep.variant, "tau": rep.tau,

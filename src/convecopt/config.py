@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridConfig, cell_span, fourier_scalar, fourier_vec2
+from .grid import Grid, GridConfig, cell_span, fourier_pair
 from .boussinesq import PhysicalParams, TimeGrid, SourceData
 from .objective import ObjectiveWeights, Targets, ControlSpace, Problem, KNOWN_FAMILIES
 from .optimizer import OptOptions
@@ -280,10 +280,7 @@ def _synth_pair(grid, spec, rng):
     """(Vec2, scalar) pair from a 'zero'/'fourier' section."""
     if spec["kind"] == "zero":
         return None, None
-    amp = spec["amplitude"]
-    w = fourier_vec2(grid, rng, spec["modes"], spec["decay"]) * amp
-    s = amp * fourier_scalar(grid, rng, spec["modes"], spec["decay"])
-    return w, s
+    return fourier_pair(grid, rng, spec["amplitude"], spec["modes"], spec["decay"])
 
 
 def build_problem(cfg: ExperimentConfig, seed=None) -> Problem:

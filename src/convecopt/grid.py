@@ -522,17 +522,15 @@ class Grid:
 
     # -- gradient magnitude for sup-norm diagnostics ------------------------
 
-    def grad_inf_vec(self, w: Vec2):
-        return max(self.grad_inf_scalar_any(w.u), self.grad_inf_scalar_any(w.v))
-
-    def grad_inf_scalar_any(self, arr):
-        gx = np.abs(np.diff(arr, axis=-2)) / self.hx
-        gy = np.abs(np.diff(arr, axis=-1)) / self.hy
+    def grad_inf(self, a):
+        """Largest difference quotient |da/dx|, |da/dy| between neighbours of
+        a field on any layout (each Vec2 component on its own), or of a stack
+        of them; works for scalars and Vec2."""
+        if isinstance(a, Vec2):
+            return max(self.grad_inf(a.u), self.grad_inf(a.v))
         m = 0.0
-        if gx.size:
-            m = max(m, float(gx.max()))
-        if gy.size:
-            m = max(m, float(gy.max()))
+        for axis, h in ((-2, self.hx), (-1, self.hy)):
+            m = max(m, float((np.abs(np.diff(a, axis=axis)) / h).max(initial=0.0)))
         return m
 
 
@@ -576,6 +574,13 @@ def fourier_vec2(grid: Grid, rng, modes=4, decay=2.0, div_free=False):
     return w
 
 
+def fourier_pair(grid: Grid, rng, amplitude, modes=4, decay=2.0, div_free=False):
+    """(vector, scalar) pair of unit Fourier fields scaled by amplitude, the
+    vector drawn first (fourier_vec2, then fourier_scalar)."""
+    w = fourier_vec2(grid, rng, modes, decay, div_free) * amplitude
+    return w, amplitude * fourier_scalar(grid, rng, modes, decay)
+
+
 # ---------------------------------------------------------------------------
 # export helpers
 # ---------------------------------------------------------------------------
@@ -599,13 +604,10 @@ def fields_to_vtk(grid: Grid, path, scalars=None, vectors=None, title="fields"):
         fh.write(f"POINT_DATA {n}\n")
         for name, s in scalars.items():
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            for j in range(grid.ny):
-                for i in range(grid.nx):
-                    fh.write(f"{s[i, j]:.17g}\n")
+            # j-major cell order: i runs fastest
+            fh.write("".join(f"{x:.17g}\n" for x in s.T.ravel().tolist()))
         for name, w in vectors.items():
-            uc = _ax(w.u)
-            vc = _ay(w.v)
             fh.write(f"VECTORS {name} double\n")
-            for j in range(grid.ny):
-                for i in range(grid.nx):
-                    fh.write(f"{uc[i, j]:.17g} {vc[i, j]:.17g} 0\n")
+            fh.write("".join(f"{a:.17g} {b:.17g} 0\n"
+                             for a, b in zip(_ax(w.u).T.ravel().tolist(),
+                                             _ay(w.v).T.ravel().tolist())))

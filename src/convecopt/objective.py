@@ -212,14 +212,16 @@ def restrict_adjoint(space: ControlSpace, w: Vec2, psi):
 
 
 def _digest(*fields):
-    """SHA-256 over optional Vec2 and array fields, None distinct from zero."""
+    """SHA-256 over optional Vec2 and array fields, None distinct from zero:
+    each array's bytes in C order, read from its buffer, so only an array
+    that is not C-contiguous is copied."""
     hsh = hashlib.sha256()
     for a in fields:
         if isinstance(a, Vec2):
-            hsh.update(a.u.tobytes())
-            hsh.update(a.v.tobytes())
+            hsh.update(np.ascontiguousarray(a.u))
+            hsh.update(np.ascontiguousarray(a.v))
         elif a is not None:
-            hsh.update(np.ascontiguousarray(a).tobytes())
+            hsh.update(np.ascontiguousarray(a))
         hsh.update(b"|")
     return hsh.hexdigest()
 
@@ -274,17 +276,12 @@ class Perturbation:
     eps1: float = 0.0
     eps2: float = 0.0
 
-    def _digest_role(self, role):
+    def digest(self, role):
+        """Digest of the fields of one cache role (PERTURBATION_FIELDS):
+        "state", what the state depends on (sources and initial data), or
+        "adjoint", what the adjoint adds (objective tilts, target shifts)."""
         return _digest(*(getattr(self, name) for name, r, _ in PERTURBATION_FIELDS
                          if r == role))
-
-    def state_hash(self):
-        """Digest of what the state depends on: sources and initial data."""
-        return self._digest_role("state")
-
-    def adjoint_hash(self):
-        """Digest of what the adjoint adds: objective tilts, target shifts."""
-        return self._digest_role("adjoint")
 
     def norm_P(self, grid: Grid, control: Control, s=4):
         """Size of the perturbation: the sum of each set field's norm_P term
@@ -368,8 +365,8 @@ class Problem:
         fields (PERTURBATION_FIELDS); no other field keys a kind.  So the
         state key is the first two entries of the other kinds' key, and a
         caller that has one passes its state part on (state's key)."""
-        key = (ctrl.hash(), self.pert.state_hash())
-        return key if kind == "state" else key + (self.pert.adjoint_hash(),)
+        key = (ctrl.hash(), self.pert.digest("state"))
+        return key if kind == "state" else key + (self.pert.digest("adjoint"),)
 
     def _cached(self, kind, key, solve):
         """The kind's value under key (_key): from the cache, or from solve().
@@ -474,11 +471,13 @@ class Problem:
     def _sweep_adjoint(self, ctrl: Control, key, out):
         """solve_adjoint with the tracking right-hand sides and terminal data
         around ctrl's state, into the level sink out (None: a StateTrajectory);
-        key is ctrl's adjoint or gradient key (_key)."""
+        key is ctrl's adjoint or gradient key (_key).  The terminal velocity
+        pairs only with divergence-free directions, so its datum is the
+        projected misfit."""
         w = self.weights
         traj = self.state(ctrl, key[:2])
         duT, dthT = self._terminal_misfits(traj)
-        wT = w.beta1 * duT if w.beta1 else None
+        wT = self.grid.leray_project(w.beta1 * duT) if w.beta1 else None
         psiT = w.beta2 * dthT if w.beta2 else None
         return sen.solve_adjoint(self.grid, self.phys, self.tg, traj,
                                  _AdjointSources(self, traj), wT, psiT, out)

@@ -126,8 +126,9 @@ def solve_adjoint(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
     velocity carrier w in u and the temperature carrier Psi in theta.
     w[k], Psi[k] for k < nt carry the gradient: the pairing
     sum_k dt*<w[k], F_k> + dt*<Psi[k], G_k> equals the tangent/terminal
-    pairing exactly.  Level nt holds the terminal data (velocity projected
-    if it was not divergence-free, with a warning).  sources.at(k) pairs
+    pairing exactly.  Level nt holds the terminal data.  objective.Problem
+    hands over a projected terminal velocity; for raw callers, one that is
+    not divergence-free is projected here, with a warning.  sources.at(k) pairs
     against the tangent state at level k, so level 0 is never read (see
     SourceData).  The costate that pairs against tangent initial data is
     tangent_explicit_t around base level 0 applied to level 0; the sweep

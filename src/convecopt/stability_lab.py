@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import fourier_scalar, fourier_vec2
+from .grid import fourier_pair
 from .objective import Control, Perturbation, Problem, KNOWN_FAMILIES, FOURIER_FIELDS
 from .optimizer import (OptOptions, OptResult, projected_gradient,
                         project_box, kkt_residual_from_grad, loglog_fit,
@@ -33,19 +33,15 @@ def make_perturbation(prob: Problem, family: str, magnitude: float,
     the Fourier families only `initial` makes its velocity divergence-free.
     """
     rng = np.random.default_rng(seed)
-    g = prob.grid
-    sp = prob.space
     if family == "control-tilt":
         # one level of each component: sigma drawn first, then lam
-        draws = [rng.standard_normal(a.shape[1:]) for a in sp.zero().parts]
+        draws = [rng.standard_normal(a.shape[1:]) for a in prob.space.zero().parts]
         sigma, lam = (t * (magnitude / max(np.abs(t).max(), 1e-300)) for t in draws)
         return Perturbation(sigma=sigma, lam=lam)
     if family in FOURIER_FIELDS:
-        vec, scalar = FOURIER_FIELDS[family]
-        # the vector field draws first
-        v = fourier_vec2(g, rng, modes, decay, div_free=family == "initial")
-        return Perturbation(**{vec: v * magnitude,
-                               scalar: magnitude * fourier_scalar(g, rng, modes, decay)})
+        pair = fourier_pair(prob.grid, rng, magnitude, modes, decay,
+                            div_free=family == "initial")
+        return Perturbation(**dict(zip(FOURIER_FIELDS[family], pair)))
     if family == "tikhonov":
         return Perturbation(eps1=magnitude, eps2=magnitude)
     raise ValueError(f"unknown perturbation family {family!r}; "
@@ -100,8 +96,8 @@ def state_distance_linf(ta, tb) -> float:
 def _gradient_gap(prob: Problem, adj_b):
     """_LevelFold of adjoint_gradient_gap against adj_b, level by level."""
     g = prob.grid
-    return _LevelFold(lambda k, w, psi: max(g.grad_inf_vec(w - adj_b.u[k]),
-                                            g.grad_inf_scalar_any(psi - adj_b.theta[k])),
+    return _LevelFold(lambda k, w, psi: max(g.grad_inf(w - adj_b.u[k]),
+                                            g.grad_inf(psi - adj_b.theta[k])),
                       np.maximum)
 
 
@@ -391,7 +387,7 @@ def tracking_margin(prob: Problem, ctrl_star: Control, s_norm: int = 4):
     mu, mt = prob.tg.dt * _LevelFold(powers, np.add).over(prob.state(ctrl_star),
                                                           range(1, nt + 1))
     mis = float(mu ** (1.0 / s_norm) + mt ** (1.0 / s_norm))
-    sup = float(_LevelFold(lambda k, w, psi: g.grad_inf_vec(w) + g.grad_inf_scalar_any(psi),
+    sup = float(_LevelFold(lambda k, w, psi: g.grad_inf(w) + g.grad_inf(psi),
                            np.maximum).over(prob.adjoint(ctrl_star), range(nt + 1)))
     delta_hat = 2.0 * sup / mis if mis > 0 else np.inf
     margin = min(prob.weights.alpha1, prob.weights.alpha2) - 2.0 * sup

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -505,6 +506,16 @@ def test_every_command_runs_clean_and_keeps_its_schema(tmp_path, cmd):
     summary = json.loads((out / "summary.json").read_text(),
                          parse_constant=_not_strict_json)
     assert list(summary) == ["provenance"] + keys
+
+
+@pytest.mark.parametrize("cmd", COMMANDS)
+def test_every_command_on_terminal_tracking_runs_without_warnings(tmp_path, cmd):
+    # the adjoint's terminal velocity datum is the projected misfit, so no
+    # command warns that it was not divergence-free
+    cfg = write_cfg(tmp_path, {"weights": {"beta1": 1.0}, "targets": {"terminal": True}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 # forward, adjoint and tangent sweeps per command on the family sweeps'

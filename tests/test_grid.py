@@ -707,3 +707,36 @@ def test_vtk_export_structure(grid8, tmp_path):
     assert "SCALARS theta double 1" in text
     assert "VECTORS u double" in text
     assert f"POINT_DATA {grid8.nx * grid8.ny}" in text
+
+
+def _vtk_per_cell(grid, path, scalars, vectors, title):
+    """fields_to_vtk's file, written one cell per write in j-major order."""
+    with open(path, "w") as fh:
+        fh.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
+                 f"DATASET STRUCTURED_POINTS\nDIMENSIONS {grid.nx} {grid.ny} 1\n"
+                 f"ORIGIN {grid.hx / 2:.17g} {grid.hy / 2:.17g} 0\n"
+                 f"SPACING {grid.hx:.17g} {grid.hy:.17g} 1\n"
+                 f"POINT_DATA {grid.nx * grid.ny}\n")
+        for name, s in scalars.items():
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            for j in range(grid.ny):
+                for i in range(grid.nx):
+                    fh.write(f"{s[i, j]:.17g}\n")
+        for name, w in vectors.items():
+            uc, vc = _ax(w.u), _ay(w.v)
+            fh.write(f"VECTORS {name} double\n")
+            for j in range(grid.ny):
+                for i in range(grid.nx):
+                    fh.write(f"{uc[i, j]:.17g} {vc[i, j]:.17g} 0\n")
+
+
+def test_vtk_export_writes_the_per_cell_file(grid_rect, tmp_path):
+    # nx != ny, so a file written i-major would differ
+    from convecopt.grid import fields_to_vtk
+    rng = np.random.default_rng(26)
+    fields = dict(scalars={"theta": rand_scalar(grid_rect, rng),
+                           "p": rand_scalar(grid_rect, rng)},
+                  vectors={"u": rand_vec2(grid_rect, rng)}, title="state level 3")
+    fields_to_vtk(grid_rect, tmp_path / "got.vtk", **fields)
+    _vtk_per_cell(grid_rect, tmp_path / "want.vtk", **fields)
+    assert (tmp_path / "got.vtk").read_text() == (tmp_path / "want.vtk").read_text()

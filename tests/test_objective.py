@@ -164,7 +164,7 @@ def test_cache_hit_refreshes_so_eviction_takes_least_recently_used(sweeps):
     ta = prob.state(a)
     prob.state(b)
     assert prob.state(a) is ta      # a hit: a is now the strong entry
-    assert list(prob._caches["state"]) == [(a.hash(), prob.pert.state_hash())]
+    assert list(prob._caches["state"]) == [(a.hash(), prob.pert.digest("state"))]
     prob.state(c)                   # evicts a, which the caller holds
     assert sweeps["state"] == 3
     assert prob.state(a) is ta
@@ -300,7 +300,7 @@ def test_projected_gradient_leaves_no_full_adjoint():
     assert res.iterations == 5
     assert len(prob._caches["adjoint"]) == len(prob._held["adjoint"]) == 0
     assert list(prob._caches["gradient"]) \
-        == [(res.control.hash(), prob.pert.state_hash(), prob.pert.adjoint_hash())]
+        == [(res.control.hash(), prob.pert.digest("state"), prob.pert.digest("adjoint"))]
 
 
 def test_adjoint_cache_holds_one_entry(sweeps):
@@ -365,7 +365,7 @@ def test_a_failing_solve_leaves_no_entry(kind):
     with pytest.raises(NumericalFailure):
         look(prob.perturbed(nan), good)
     assert list(prob._caches["state"]) \
-        == ([] if kind == "state" else [(good.hash(), prob.pert.state_hash())])
+        == ([] if kind == "state" else [(good.hash(), prob.pert.digest("state"))])
     assert list(prob._caches[kind]) == []
     assert value() is None
 
@@ -419,7 +419,7 @@ def test_a_held_full_adjoint_is_restricted_without_touching_the_gradient_kind(sw
     assert sweeps == {"state": 2, "adjoint": 2}
     assert grad_a() is not None
     assert list(prob._caches["gradient"]) \
-        == [(a.hash(), prob.pert.state_hash(), prob.pert.adjoint_hash())]
+        == [(a.hash(), prob.pert.digest("state"), prob.pert.digest("adjoint"))]
     assert len(prob._held["gradient"]) == 1
     q, th = restrict_adjoint(prob.space, adj_b.u[:-1], adj_b.theta[:-1])
     assert (got.q.tobytes(), got.th.tobytes()) == (q.tobytes(), th.tobytes())
@@ -653,8 +653,8 @@ def test_the_field_table_keys_and_sizes_as_the_explicit_field_lists(s):
     g = prob.grid
     p = _every_field_set(prob)
     ctrl = rand_control(prob.space, np.random.default_rng(0))
-    assert p.state_hash() == _digest(p.f_hat, p.h_hat, p.u0_hat, p.th0_hat)
-    assert p.adjoint_hash() == _digest(p.eta_u, p.eta_th, p.u_d_hat, p.th_d_hat)
+    assert p.digest("state") == _digest(p.f_hat, p.h_hat, p.u0_hat, p.th0_hat)
+    assert p.digest("adjoint") == _digest(p.eta_u, p.eta_th, p.u_d_hat, p.th_d_hat)
     # norm_P's field-by-field sum, in its order
     ref = 0.0
     ref += g.norm_lp(p.f_hat, s)
@@ -677,8 +677,8 @@ def test_the_field_table_keys_and_sizes_as_the_explicit_field_lists(s):
 def test_a_field_outside_the_state_role_leaves_the_state_key(name, role):
     p = _every_field_set(make_problem())
     q = dataclasses.replace(p, **{name: 2.0 * getattr(p, name)})
-    assert q.state_hash() == p.state_hash()
-    assert (q.adjoint_hash() != p.adjoint_hash()) == (role == "adjoint")
+    assert q.digest("state") == p.digest("state")
+    assert (q.digest("adjoint") != p.digest("adjoint")) == (role == "adjoint")
 
 
 def test_perturbed_replaces_the_perturbation_and_leaves_the_problem_alone():

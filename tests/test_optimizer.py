@@ -315,6 +315,33 @@ def test_the_control_space_keeps_each_components_box():
     assert bang_bang_fraction(ctrl) == (fq, ft)
 
 
+def test_the_digest_is_sha256_over_each_arrays_c_order_bytes():
+    # read from the buffer, with no copy unless the array is not C-contiguous
+    import hashlib
+    import tracemalloc
+    from convecopt.grid import Vec2
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((5, 3))
+    w = Vec2(rng.standard_normal((4, 3)), rng.standard_normal((3, 4)).T)
+
+    def sha(*parts):
+        return hashlib.sha256(b"".join(p if isinstance(p, bytes) else p.tobytes()
+                                       for p in parts)).hexdigest()
+
+    assert not a.T.flags.c_contiguous and not w.v.flags.c_contiguous
+    assert _digest(a) == sha(a, b"|")
+    assert _digest(a.T) == sha(a.T, b"|")
+    assert _digest(w, None, a.T) == sha(w.u, w.v, b"|", b"|", a.T, b"|")
+    big = rng.standard_normal(1 << 16)
+    tracemalloc.start()
+    try:
+        _digest(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < big.nbytes // 8, peak
+
+
 def test_each_component_takes_its_own_weight_tilt_and_box():
     prob, base = asymmetric_problem()
     sp, pert = prob.space, prob.pert
