@@ -3,7 +3,9 @@
 One IMEX Euler step per time level: `explicit_stage` (advection, buoyancy and
 forcing; the tangent step's too), then `implicit_block`, the shared P D P
 block (project, diffuse, project the velocity; diffuse the temperature).
-Every march is `march` from the level `first_level` prepares.  The step is
+Every march is `march` from the level `first_level` prepares, handing each
+level to a level sink: a StateTrajectory keeps it (and can replay it into
+another sink later), a LevelFold reduces it to a number.  The step is
 deliberately a composition of linear solves and bilinear terms so that its
 linearization and transpose can be written down exactly (see the
 sensitivity module).
@@ -98,6 +100,25 @@ class StateTrajectory:
 
     def put(self, k, u, theta, p):
         self.u[k], self.theta[k] = u, theta
+
+    def replay(self, out, ks):
+        """Hands the level sink out this trajectory's levels ks, in that
+        order, as a march would (p None); returns out."""
+        for k in ks:
+            out.put(k, self.u[k], self.theta[k], None)
+        return out
+
+
+class LevelFold:
+    """Level sink folding term(k, u, theta) into value, from 0.0, with
+    fold(value, term) (np.add or np.maximum over a float or a tuple of
+    floats), in the order the levels arrive; no level is kept."""
+
+    def __init__(self, term, fold):
+        self.term, self.fold, self.value = term, fold, 0.0
+
+    def put(self, k, u, theta, p):
+        self.value = self.fold(self.value, self.term(k, u, theta))
 
 
 @dataclass

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .grid import Vec2, fields_to_vtk
 from .boussinesq import EnergySeries, solve_state
-from .optimizer import projected_gradient, pointwise_sign_check, adjoint_measure_fits
+from .optimizer import projected_gradient, pointwise_sign_check, adjoint_measure_fits, fit_loglog
 from . import sensitivity as sen
 from . import stability_lab as lab
 from .config import (ConfigError, ExperimentConfig, load_config, default_config,
@@ -223,18 +223,16 @@ def cmd_taylor(cfg, run, seed):
         J0 = prob.eval_J(ctrl)
         dd = prob.grad_J(ctrl).dot_l2(delta)
         j2 = prob.second_variation(ctrl, delta) if order >= 2 else 0.0
-        ts, rs = [], []
+        rs = []
         for t in tcfg["t_values"]:
             rem = prob.eval_J(ctrl.axpy(t, delta)) - J0 - t * dd
             if order >= 2:
                 rem -= 0.5 * t * t * j2
             rows.append((s, t, abs(rem)))
-            if abs(rem) > 0:
-                ts.append(t)
-                rs.append(abs(rem))
-        if len(ts) >= 2:
-            sl, _, r2 = lab.loglog_fit(ts, rs)
-            slopes.append({"seed": s, "slope": sl, "r2": r2})
+            rs.append(abs(rem))
+        fit = fit_loglog(tcfg["t_values"], rs)
+        if fit.n_used >= 2:
+            slopes.append({"seed": s, "slope": fit.slope, "r2": fit.r2})
     run.write_csv("taylor.csv", ["seed", "t", "remainder"], rows)
     run.write_json("summary.json", {"order": order, "fits": slopes})
 
@@ -331,8 +329,8 @@ def cmd_growth(cfg, run, seed):
         "variant": rep.variant, "tau": rep.tau,
         "min_ratio_per_radius": {str(k): v for k, v in rep.min_ratio_per_radius.items()},
         "c_hat": rep.c_hat,
-        "mu_hat": rep.mu_hat if rep.fit_r2 >= 0.8 else "no reliable fit",
-        "fit_r2": rep.fit_r2,
+        "mu_hat": rep.fit.reported(rep.mu_hat),
+        "fit_r2": rep.fit.r2,
         "tracking_misfit": rep.tracking_misfit,
         "adjoint_grad_sup": rep.adjoint_grad_sup,
         "delta_hat": rep.delta_hat,
@@ -366,8 +364,7 @@ def cmd_measure(cfg, run, seed):
     rows = []
     for name, fit in adjoint_measure_fits(prob, res.control, eps).items():
         out[name] = {
-            "mu_hat": (fit.mu_hat if fit.reliable or fit.vacuous
-                       else "no reliable fit"),
+            "mu_hat": fit.mu_hat if fit.vacuous else fit.reported(fit.mu_hat),
             "r2": fit.r2, "n_used": fit.n_used}
         for e, m in zip(fit.eps, fit.mass):
             rows.append((name, e, m))

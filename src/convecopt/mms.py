@@ -14,19 +14,22 @@ parts are written out in closed form (the tests check them against a
 symbolic derivation from the strong-form equations).  `run_level` samples
 them once per grid, and forms each step's sources (held from the start of
 the step, as the solver expects) and each level's exact field only when it
-is read, from the three time factors.  The march hands each level to a sink
-that adds its squared error and drops it: the study keeps no trajectory.
+is read, from the three time factors.  The march hands each level to a
+boussinesq.LevelFold that adds its squared error and drops it: the study
+keeps no trajectory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable
 
 import numpy as np
 
 from .grid import Grid, GridConfig, Vec2
-from .boussinesq import PhysicalParams, TimeGrid, solve_state
+from .boussinesq import PhysicalParams, TimeGrid, LevelFold, solve_state
 
 
 @dataclass(frozen=True)
@@ -161,20 +164,17 @@ def initial_data(grid: Grid, case: MMSCase, t=0.0):
     return u0.zero_normal_boundary(), th0
 
 
-class _SquaredError:
-    """Level sink: sum over k = 1..nt of |level k - exact level k|^2 (u, v,
-    theta in turn), added as the march hands each level over."""
+def _squared_error(exact: _Levels):
+    """LevelFold of the sum over k = 1..nt of |level k - exact level k|^2,
+    adding u, v and theta in turn as the march hands each level over."""
 
-    def __init__(self, exact: _Levels):
-        self.exact = exact
-        self.err2 = 0.0
-
-    def put(self, k, u, theta, p):
+    def squares(k, u, theta):
         if k == 0:
-            return
-        for got, want in zip((u.u, u.v, theta), self.exact.fields(k)):
-            d = (got - want).ravel()
-            self.err2 += float(d @ d)
+            return ()
+        ds = [(got - want).ravel() for got, want in zip((u.u, u.v, theta), exact.fields(k))]
+        return [float(d @ d) for d in ds]
+
+    return LevelFold(squares, lambda total, sq: reduce(add, sq, total))
 
 
 def run_level(n, pp: PhysicalParams, case: MMSCase, T=0.1, dt_factor=1.0):
@@ -187,8 +187,8 @@ def run_level(n, pp: PhysicalParams, case: MMSCase, T=0.1, dt_factor=1.0):
     sources = _field_levels(grid, basis, case.fx_fn, case.fy_fn, case.g_fn)
     u0, th0 = initial_data(grid, case)
     exact = _field_levels(grid, basis, case.u_fn, case.v_fn, case.th_fn)
-    err = solve_state(grid, pp, tg, sources, u0, th0, out=_SquaredError(exact))
-    return float(np.sqrt(tg.dt * grid.vol * err.err2)), nt
+    err2 = solve_state(grid, pp, tg, sources, u0, th0, out=_squared_error(exact)).value
+    return float(np.sqrt(tg.dt * grid.vol * err2)), nt
 
 
 def convergence_study(levels=(16, 32, 64), nu=0.05, kappa=0.05,

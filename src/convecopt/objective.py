@@ -202,15 +202,6 @@ class ControlSources:
         return f, h
 
 
-def restrict_adjoint(space: ControlSpace, w: Vec2, psi):
-    """Transpose of the control-to-source mapping, from whole fields.
-
-    On one level (w a Vec2, psi (nx, ny)) returns q of shape (2, n_q) and
-    th of shape (n_h,); on a stack of nt levels, (nt, 2, n_q) and (nt, n_h).
-    """
-    return space.map.restrict(*space.map.take(w, psi))
-
-
 def _digest(*fields):
     """SHA-256 over optional Vec2 and array fields, None distinct from zero:
     each array's bytes in C order, read from its buffer, so only an array
@@ -314,11 +305,12 @@ class Problem:
     Only `adjoint` stores a full adjoint, and only callers that read its
     fields call it (second_bilinear, tracking_margin, the lab's gaps); one
     that reduces each level as it arrives passes it a level sink instead,
-    and none is stored.  grad_J restricts a full adjoint that is cached or
-    held; otherwise it sweeps into _GradientWindows, which keeps only the
-    control map's windows.  The optimizer holds no trajectory: when a line search fails,
-    its start point's state was evicted by the trials, and it is solved
-    again unless a caller holds it.
+    and none is stored.  That sink, and a gradient miss's _GradientWindows
+    (which keeps only the control map's windows), are fed by _sweep_adjoint:
+    it replays a held full adjoint and sweeps only without one.  The
+    optimizer holds no trajectory: when a line search fails, its start
+    point's state was evicted by the trials, and it is solved again unless
+    a caller holds it.
 
     Where the control acts is space.map (ControlMap): the sources' control
     part, the gradient's restriction and the control weight of J and J''.
@@ -469,11 +461,17 @@ class Problem:
     # -- adjoint and gradient ------------------------------------------------
 
     def _sweep_adjoint(self, ctrl: Control, key, out):
-        """solve_adjoint with the tracking right-hand sides and terminal data
-        around ctrl's state, into the level sink out (None: a StateTrajectory);
-        key is ctrl's adjoint or gradient key (_key).  The terminal velocity
-        pairs only with divergence-free directions, so its datum is the
-        projected misfit."""
+        """ctrl's adjoint, levels nt, ..., 0, into the level sink out; key is
+        ctrl's adjoint or gradient key (_key), the same tuple.  A full
+        adjoint under key that is cached or held is replayed into out; else
+        (always for out None, a StateTrajectory) solve_adjoint sweeps, with
+        the tracking right-hand sides and terminal data around ctrl's state.
+        The terminal velocity pairs only with divergence-free directions, so
+        its datum is the projected misfit."""
+        if out is not None:
+            adj = self._held["adjoint"].get(key)
+            if adj is not None:
+                return adj.replay(out, range(self.tg.nt, -1, -1))
         w = self.weights
         traj = self.state(ctrl, key[:2])
         duT, dthT = self._terminal_misfits(traj)
@@ -485,28 +483,20 @@ class Problem:
     def adjoint(self, ctrl: Control, out=None):
         """The full adjoint: w in u, Psi in theta (see
         sensitivity.solve_adjoint), cached.  Given a level sink out, hands
-        it the adjoint's levels nt, ..., 0 instead and returns it: a full
-        adjoint's that is cached or held, or else a sweep's, which nothing
-        caches; no kind is touched."""
+        it the adjoint's levels nt, ..., 0 instead (_sweep_adjoint) and
+        returns it; no kind is touched."""
         key = self._key("adjoint", ctrl)
         if out is None:
             return self._cached("adjoint", key, lambda: self._sweep_adjoint(ctrl, key, None))
-        adj = self._held["adjoint"].get(key)
-        if adj is None:
-            return self._sweep_adjoint(ctrl, key, out)
-        for k in range(self.tg.nt, -1, -1):
-            out.put(k, adj.u[k], adj.theta[k], None)
-        return out
+        return self._sweep_adjoint(ctrl, key, out)
 
     def restricted_adjoint(self, ctrl: Control) -> Control:
         """The adjoint's levels 0..nt-1 (level nt is terminal data) restricted
-        to the control regions: grad_J without its Tikhonov and tilt terms.
-        The result may be a cache entry; callers must not modify it."""
-        key = self._key("gradient", ctrl)     # the adjoint kind's key too
-        adj = self._held["adjoint"].get(key)
-        if adj is not None:     # a full adjoint at hand; no kind is touched
-            return Control(self.space, *restrict_adjoint(self.space, adj.u[:-1],
-                                                         adj.theta[:-1]))
+        to the control regions: grad_J without its Tikhonov and tilt terms,
+        cached as the gradient kind.  A miss replays a held full adjoint
+        into the windows, or sweeps into them.  The result may be a cache
+        entry; callers must not modify it."""
+        key = self._key("gradient", ctrl)
         return self._cached("gradient", key, lambda: Control(
             self.space, *self._sweep_adjoint(ctrl, key, _GradientWindows(self.space)).restrict()))
 
@@ -616,10 +606,10 @@ class _AdjointSources:
 
 class _GradientWindows:
     """Level sink of an adjoint sweep keeping, of each level k < nt, only
-    the windows restrict_adjoint reads (ControlMap.take): three slice
+    the windows ControlMap.restrict reads (ControlMap.take): three slice
     copies a level, where StateTrajectory.put copies the whole level.
-    restrict() is restrict_adjoint of the sweep's levels 0..nt-1, bit for
-    bit."""
+    restrict() is ControlMap.restrict of the windows of the sweep's levels
+    0..nt-1, taken as one stack, bit for bit."""
 
     def __init__(self, space: ControlSpace):
         g, nt = space.grid, space.tg.nt

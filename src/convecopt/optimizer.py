@@ -4,7 +4,9 @@ The solver is a spectral projected gradient method with a nonmonotone Armijo
 line search.  Diagnostics implement the pointwise sign conditions of the
 first-order optimality theorem, the bang-bang mass fraction, and the
 least-squares estimator for the structural measure condition
-|{ |adjoint| <= eps }| <= c eps^mu on the control regions.
+|{ |adjoint| <= eps }| <= c eps^mu on the control regions.  Every fitted
+exponent, here and in the lab, is a log-log `Fit` (fit_loglog) with one
+reliability rule.
 """
 
 from __future__ import annotations
@@ -176,23 +178,28 @@ def pointwise_sign_check(prob: Problem, ctrl: Control) -> ViolationReport:
 
 
 @dataclass
-class MeasureFit:
-    mu_hat: float          # +inf when every mass is zero, nan below two points
+class Fit:
+    """Least-squares fit of log y = slope log x + intercept on n_used points
+    (fit_loglog), for every fitted exponent.  `reliable` is the one rule:
+    at least min_points points, a finite slope and R^2 >= 0.8 (the R^2 of
+    two points is 1 whatever they are)."""
+
+    slope: float
     intercept: float
     r2: float
-    eps: np.ndarray
-    mass: np.ndarray
     n_used: int
-
-    @property
-    def vacuous(self):
-        """Every mass is zero: the condition holds with any exponent."""
-        return self.mu_hat == np.inf
+    min_points: int
 
     @property
     def reliable(self):
-        # three points at least: the R^2 of two is 1 whatever they are
-        return self.n_used >= 3 and np.isfinite(self.mu_hat) and self.r2 >= 0.8
+        return self.n_used >= self.min_points and np.isfinite(self.slope) and self.r2 >= 0.8
+
+    def reported(self, value):
+        """value if the fit is reliable, else the string saying that it is not."""
+        return value if self.reliable else "no reliable fit"
+
+    def describe(self):
+        return self.reported(f"{self.slope:.4f} (R^2 {self.r2:.4f})")
 
 
 def loglog_fit(x, y):
@@ -206,6 +213,35 @@ def loglog_fit(x, y):
     sst = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if sst == 0.0 else 1.0 - sse / sst
     return float(coef[0]), float(coef[1]), r2
+
+
+def fit_loglog(x, y, keep=True, min_points=2) -> Fit:
+    """Fit of the points with x > 0 and y > 0 where keep (a mask) holds;
+    below two such points, a nan slope and intercept with R^2 0."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    use = (x > 0) & (y > 0) & keep
+    n = int(np.count_nonzero(use))
+    if n < 2:
+        return Fit(np.nan, np.nan, 0.0, n, min_points)
+    return Fit(*loglog_fit(x[use], y[use]), n, min_points)
+
+
+@dataclass
+class MeasureFit(Fit):
+    """A measure-condition Fit of mass against eps, with both curves."""
+
+    eps: np.ndarray = None
+    mass: np.ndarray = None
+
+    @property
+    def mu_hat(self):
+        """The fitted exponent: +inf when every mass is zero, nan below two points."""
+        return self.slope
+
+    @property
+    def vacuous(self):
+        """Every mass is zero: the condition holds with any exponent."""
+        return self.slope == np.inf
 
 
 def smallness_mass(values, eps, weight):
@@ -237,12 +273,9 @@ def measure_condition_estimate(values, eps_grid, weight) -> MeasureFit:
     total = weight * flat.size
     mass = np.array([smallness_mass(flat, e, weight) for e in eps_grid])
     if not np.any(mass > 0):
-        return MeasureFit(np.inf, 0.0, 1.0, eps_grid, mass, 0)
-    use = (mass > 0) & (mass < total)
-    n = int(np.count_nonzero(use))
-    if n < 2:
-        return MeasureFit(np.nan, 0.0, 0.0, eps_grid, mass, n)
-    return MeasureFit(*loglog_fit(eps_grid[use], mass[use]), eps_grid, mass, n)
+        return MeasureFit(np.inf, 0.0, 1.0, 0, 3, eps_grid, mass)
+    fit = fit_loglog(eps_grid, mass, mass < total, min_points=3)
+    return MeasureFit(**vars(fit), eps=eps_grid, mass=mass)
 
 
 def adjoint_restriction_samples(prob: Problem, ctrl: Control):

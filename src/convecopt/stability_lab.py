@@ -3,8 +3,8 @@
 Everything here drives the objective/optimizer layers: solve the perturbed
 problems warm-started from the unperturbed solution, record distances in the
 norms the theory pairs (L1 for controls, L2 for states, sup-gradient for the
-adjoints), and fit log-log exponents with ordinary least squares.  Exponent
-fits carry an R^2 and are reported as unreliable below 0.8.
+adjoints), and fit log-log exponents with ordinary least squares
+(optimizer.fit_loglog), reliable on two points or more with R^2 >= 0.8.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import fourier_pair
+from .boussinesq import LevelFold
 from .objective import Control, Perturbation, Problem, KNOWN_FAMILIES, FOURIER_FIELDS
-from .optimizer import (OptOptions, OptResult, projected_gradient,
-                        project_box, kkt_residual_from_grad, loglog_fit,
+from .optimizer import (Fit, OptOptions, OptResult, projected_gradient,
+                        project_box, kkt_residual_from_grad, fit_loglog,
                         adjoint_measure_fits)
 
 
@@ -52,25 +53,6 @@ def make_perturbation(prob: Problem, family: str, magnitude: float,
 # distances and norms, every one reduced one level at a time
 # ---------------------------------------------------------------------------
 
-class _LevelFold:
-    """Level sink folding term(k, u, theta), a float or a tuple of floats,
-    into value with the ufunc fold (np.add or np.maximum) from 0.0, level
-    by level in the order the levels arrive: from the march it is the sink
-    of, or from over(traj, ks), which hands a held trajectory's levels ks
-    over in ascending k.  No level is kept."""
-
-    def __init__(self, term, fold):
-        self.term, self.fold, self.value = term, fold, 0.0
-
-    def put(self, k, u, theta, p=None):
-        self.value = self.fold(self.value, self.term(k, u, theta))
-
-    def over(self, traj, ks):
-        for k in ks:
-            self.put(k, traj.u[k], traj.theta[k])
-        return self.value
-
-
 def control_distance_l1(a: Control, b: Control) -> float:
     return a.axpy(-1.0, b).norm_l1()
 
@@ -84,26 +66,26 @@ def state_distance_l2(prob: Problem, ta, tb) -> float:
         du, dth = u - tb.u[k], theta - tb.theta[k]
         return g.inner(du, du), g.inner(dth, dth)
 
-    su, st = _LevelFold(squares, np.add).over(ta, range(1, prob.tg.nt + 1))
+    su, st = ta.replay(LevelFold(squares, np.add), range(1, prob.tg.nt + 1)).value
     return float(np.sqrt(dt * su) + np.sqrt(dt * st))
 
 
 def state_distance_linf(ta, tb) -> float:
-    return float(_LevelFold(lambda k, u, theta: (u - tb.u[k]).max_abs(),
-                            np.maximum).over(ta, range(len(ta.u))))
+    return float(ta.replay(LevelFold(lambda k, u, theta: (u - tb.u[k]).max_abs(),
+                                     np.maximum), range(len(ta.u))).value)
 
 
 def _gradient_gap(prob: Problem, adj_b):
-    """_LevelFold of adjoint_gradient_gap against adj_b, level by level."""
+    """LevelFold of adjoint_gradient_gap against adj_b, level by level."""
     g = prob.grid
-    return _LevelFold(lambda k, w, psi: max(g.grad_inf(w - adj_b.u[k]),
-                                            g.grad_inf(psi - adj_b.theta[k])),
-                      np.maximum)
+    return LevelFold(lambda k, w, psi: max(g.grad_inf(w - adj_b.u[k]),
+                                           g.grad_inf(psi - adj_b.theta[k])),
+                     np.maximum)
 
 
 def adjoint_gradient_gap(prob: Problem, adj_a, adj_b) -> float:
     """sup-norm of the discrete gradients of (w - w*) and (Psi - Psi*)."""
-    return float(_gradient_gap(prob, adj_b).over(adj_a, range(len(adj_a.u))))
+    return float(adj_a.replay(_gradient_gap(prob, adj_b), range(len(adj_a.u))).value)
 
 
 # ---------------------------------------------------------------------------
@@ -151,39 +133,12 @@ class SweepPlan:
 
 
 @dataclass
-class HolderFit:
-    slope: float
-    intercept: float
-    r2: float
-    n_used: int
-
-    @property
-    def reliable(self):
-        return self.n_used >= 2 and self.r2 >= 0.8
-
-    def describe(self):
-        if not self.reliable:
-            return "no reliable fit"
-        return f"{self.slope:.4f} (R^2 {self.r2:.4f})"
-
-
-@dataclass
 class SweepReport:
     records: list
-    control_fit: HolderFit
-    state_fit: HolderFit
+    control_fit: Fit
+    state_fit: Fit
     linf_constant: float      # fitted c in |u-u*|_inf <= c |rho-rho*|_L1^(1/s)
     exponent_consistency: bool
-
-
-def _fit_records(xs, ys):
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
-    use = (xs > 0) & (ys > 0)
-    if np.count_nonzero(use) < 2:
-        return HolderFit(np.nan, np.nan, 0.0, int(np.count_nonzero(use)))
-    s, b, r2 = loglog_fit(xs[use], ys[use])
-    return HolderFit(s, b, r2, int(np.count_nonzero(use)))
 
 
 def default_trust_radius(prob: Problem) -> float:
@@ -238,8 +193,8 @@ def stability_sweep(prob: Problem, ctrl_star: Control, plan: SweepPlan,
         ))
         del pstate      # left to the cache, so the next point's solve evicts it
     zn = [r.zeta_norm for r in records]
-    cfit = _fit_records(zn, [r.control_dist_l1 for r in records])
-    sfit = _fit_records(zn, [r.state_dist_l2 for r in records])
+    cfit = fit_loglog(zn, [r.control_dist_l1 for r in records])
+    sfit = fit_loglog(zn, [r.state_dist_l2 for r in records])
     # fitted constant of the sup-norm vs control-distance consistency check
     cs = [r.state_dist_linf / r.control_dist_l1 ** (1.0 / s_norm)
           for r in records if r.control_dist_l1 > 0]
@@ -266,7 +221,7 @@ class PathPoint:
 @dataclass
 class PathReport:
     points: list
-    fit: HolderFit
+    fit: Fit
     mu_hat: float            # best reliable measure fit at the base (nan if none)
     mu_r2: float
     slope_vs_mu: float       # fitted slope minus mu_hat (nan if unreliable)
@@ -299,8 +254,7 @@ def tikhonov_path(prob: Problem, ctrl_star: Control, eps_grid,
                                 res.J_history[-1],
                                 res.kkt_history[-1],
                                 res.iterations))
-    fit = _fit_records([p.eps for p in points],
-                       [p.control_dist_l1 for p in points])
+    fit = fit_loglog([p.eps for p in points], [p.control_dist_l1 for p in points])
     if measure_eps_grid is None:
         measure_eps_grid = np.geomspace(1e-4, 1e-1, 8)
     fits = adjoint_measure_fits(prob, ctrl_star, measure_eps_grid).values()
@@ -339,8 +293,8 @@ class GrowthReport:
     samples: list
     min_ratio_per_radius: dict
     c_hat: float
-    mu_hat: float
-    fit_r2: float
+    mu_hat: float              # slope - 1 of the control variant's fit
+    fit: Fit
     tracking_misfit: float
     adjoint_grad_sup: float
     delta_hat: float
@@ -384,11 +338,12 @@ def tracking_margin(prob: Problem, ctrl_star: Control, s_norm: int = 4):
         # |misfit_k|_s^s of each component
         return tuple(g.norm_lp(d, s_norm) ** s_norm for d in prob._misfits(u, theta))
 
-    mu, mt = prob.tg.dt * _LevelFold(powers, np.add).over(prob.state(ctrl_star),
-                                                          range(1, nt + 1))
+    mu, mt = prob.tg.dt * prob.state(ctrl_star).replay(LevelFold(powers, np.add),
+                                                       range(1, nt + 1)).value
     mis = float(mu ** (1.0 / s_norm) + mt ** (1.0 / s_norm))
-    sup = float(_LevelFold(lambda k, w, psi: g.grad_inf(w) + g.grad_inf(psi),
-                           np.maximum).over(prob.adjoint(ctrl_star), range(nt + 1)))
+    sup = float(prob.adjoint(ctrl_star).replay(
+        LevelFold(lambda k, w, psi: g.grad_inf(w) + g.grad_inf(psi), np.maximum),
+        range(nt + 1)).value)
     delta_hat = 2.0 * sup / mis if mis > 0 else np.inf
     margin = min(prob.weights.alpha1, prob.weights.alpha2) - 2.0 * sup
     return mis, sup, delta_hat, margin
@@ -442,10 +397,10 @@ def growth_probe(prob: Problem, ctrl_star: Control, n_samples, radius_grid,
             samples.append(GrowthSample(float(r), dl1, lhs, rhs, ratio, kind))
         if ratios:
             per_radius[float(r)] = min(ratios)
-    fit = _fit_records(xs, ys)      # no points in the state variant: NaN
+    fit = fit_loglog(xs, ys)        # no points in the state variant: NaN
     mis, sup, delta_hat, margin = tracking_margin(prob, ctrl_star, s_norm)
     return GrowthReport(variant, tau, samples, per_radius, float(np.exp(fit.intercept)),
-                        fit.slope - 1.0, fit.r2, mis, sup, delta_hat, margin)
+                        fit.slope - 1.0, fit, mis, sup, delta_hat, margin)
 
 
 # ---------------------------------------------------------------------------

@@ -59,12 +59,22 @@ def region_space(grid, region):
 def control_fields(space, q, th):
     """The whole force and heat fields of the densities q (..., 2, n_q) and
     th (..., n_h): ControlMap.inject's windows written into zero fields.
-    objective.restrict_adjoint is its transpose."""
+    restrict_adjoint is its transpose."""
     m = space.map
     f, h = space.grid.vec2(*th.shape[:-1]), space.grid.scalar(*th.shape[:-1])
     f_box, h_box = m.inject(q, th)
     f.u[m.su], f.v[m.sv], h[m.sh] = f_box.u, f_box.v, h_box
     return f, h
+
+
+def restrict_adjoint(space, w, psi):
+    """Transpose of the control-to-source mapping, from whole fields: the
+    oracle of the restriction Problem.restricted_adjoint caches.
+
+    On one level (w a Vec2, psi (nx, ny)) returns q of shape (2, n_q) and
+    th of shape (n_h,); on a stack of nt levels, (nt, 2, n_q) and (nt, n_h).
+    """
+    return space.map.restrict(*space.map.take(w, psi))
 
 
 def energy_report(grid, tg, traj, sources, u0, theta0):

@@ -519,15 +519,18 @@ def test_every_command_on_terminal_tracking_runs_without_warnings(tmp_path, cmd)
 
 
 # forward, adjoint and tangent sweeps per command on the family sweeps'
-# 8^2, nt 6 config: the caches' hits and misses, end to end
-SWEEP_COUNTS = {"stability-sweep": (64, 66, 0), "growth-probe": (23, 23, 24),
-                "tikhonov-path": (101, 95, 0)}
+# 8^2, nt 6 config, second-order-check with tracking-close's data (whose
+# margin is positive, so its point is solved): the caches' hits and misses,
+# end to end.  Last, the gradient misses filled by replaying a held full
+# adjoint, here the sweep's reference adjoint, which cost no sweep.
+SWEEP_COUNTS = {"stability-sweep": (64, 66, 0, 1), "growth-probe": (23, 23, 24, 0),
+                "tikhonov-path": (101, 95, 0, 0), "second-order-check": (91, 75, 6, 0)}
 
 
 @pytest.mark.parametrize("cmd", SWEEP_COUNTS)
 def test_each_command_makes_its_known_number_of_sweeps(tmp_path, monkeypatch, cmd):
-    from convecopt import objective, sensitivity
-    n = [0, 0, 0]
+    from convecopt import boussinesq, objective, sensitivity
+    n = [0, 0, 0, 0]
 
     def counting(module, name, i):
         fn = getattr(module, name)
@@ -540,10 +543,40 @@ def test_each_command_makes_its_known_number_of_sweeps(tmp_path, monkeypatch, cm
     counting(objective, "solve_state", 0)
     counting(sensitivity, "solve_adjoint", 1)
     counting(sensitivity, "solve_linearized", 2)
+    replay = boussinesq.StateTrajectory.replay
+
+    def replaying(traj, out, ks):
+        n[3] += isinstance(out, objective._GradientWindows)
+        return replay(traj, out, ks)
+    monkeypatch.setattr(boussinesq.StateTrajectory, "replay", replaying)
     cfg = from_dict({"grid": {"nx": 8, "ny": 8}, "time": {"nt": 6},
-                     "sweep": {"magnitudes": [0.01, 0.1]}})
+                     "sweep": {"magnitudes": [0.01, 0.1]},
+                     **(json.loads(TRACKING_CLOSE.read_text())
+                        if cmd == "second-order-check" else {})})
     assert run_command(cmd, cfg, tmp_path / "o") == 0
     assert tuple(n) == SWEEP_COUNTS[cmd]
+
+
+# where each command's summary reports a fit: its value, or "no reliable fit"
+FIT_KEYS = {"stability-sweep": [("control_fit",), ("state_fit",)],
+            "tikhonov-path": [("slope",)], "growth-probe": [("mu_hat",)],
+            "measure-condition": [("fits", name, "mu_hat") for name in ("w1", "w2", "psi")]}
+
+
+@pytest.mark.parametrize("reliable", [True, False])
+def test_every_summary_writes_no_reliable_fit_as_fit_reliable_says(tmp_path, monkeypatch,
+                                                                    reliable):
+    from convecopt.optimizer import Fit
+    monkeypatch.setattr(Fit, "reliable", property(lambda fit: reliable))
+    for cmd, keys in FIT_KEYS.items():
+        out = tmp_path / cmd
+        assert main([cmd, "--config", str(write_cfg(tmp_path)), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        for key in keys:
+            value = summary
+            for part in key:
+                value = value[part]
+            assert (value == "no reliable fit") is not reliable, (cmd, key, value)
 
 
 def test_measure_condition_on_a_saturated_curve_has_no_reliable_fit(tmp_path):

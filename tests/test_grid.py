@@ -8,9 +8,8 @@ from convecopt.grid import (Grid, GridConfig, Vec2,
 
 from hypothesis import given, strategies as st
 
-from convecopt.objective import restrict_adjoint
-
-from conftest import GRIDS, PROPS, control_fields, rand_scalar, rand_vec2, region_space
+from conftest import (GRIDS, PROPS, control_fields, rand_scalar, rand_vec2, region_space,
+                      restrict_adjoint)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from convecopt.grid import fourier_scalar, fourier_vec2
 from convecopt.objective import (ObjectiveWeights, Control, ControlSources, Perturbation,
                                  PERTURBATION_FIELDS, Problem, _digest)
 
-from conftest import control_fields, make_problem, rand_control, traced_peak
+from conftest import control_fields, make_problem, rand_control, restrict_adjoint, traced_peak
 
 
 def test_weights_validation():
@@ -260,7 +260,6 @@ def test_gradient_sweep_is_the_restricted_full_adjoint_bitwise(coupling, name):
     # the gradient sweep keeps only the control-region windows of each
     # level, and its restriction is that of the stored full adjoint, bit
     # for bit; grad_J adds the same terms to either
-    from convecopt.objective import restrict_adjoint
     prob = make_problem(coupling=coupling, eps1=0.01, eps2=0.02, beta1=0.5, beta2=0.3)
     rng = np.random.default_rng(40)
     prob = prob.perturbed(_set_field(prob, name, rng))
@@ -271,10 +270,8 @@ def test_gradient_sweep_is_the_restricted_full_adjoint_bitwise(coupling, name):
     adj = prob.adjoint(ctrl)
     q, th = restrict_adjoint(prob.space, adj.u[:-1], adj.theta[:-1])
     assert (cached.q.tobytes(), cached.th.tobytes()) == (q.tobytes(), th.tobytes())
-    from_full = prob.grad_J(ctrl)       # restricts the held full adjoint
-    assert prob.restricted_adjoint(ctrl) is not cached
-    assert (grad.q.tobytes(), grad.th.tobytes()) \
-        == (from_full.q.tobytes(), from_full.th.tobytes())
+    again = prob.grad_J(ctrl)           # with the full adjoint held
+    assert (grad.q.tobytes(), grad.th.tobytes()) == (again.q.tobytes(), again.th.tobytes())
 
 
 @pytest.mark.parametrize("name", [n for n, role, _ in PERTURBATION_FIELDS if role == "adjoint"])
@@ -407,20 +404,19 @@ def test_an_unheld_trajectory_is_freed_by_the_next_entry(kind):
     assert len(prob._caches["state"]) == len(prob._caches[kind]) == 1
 
 
-def test_a_held_full_adjoint_is_restricted_without_touching_the_gradient_kind(sweeps):
-    from convecopt.objective import restrict_adjoint
+def test_a_held_full_adjoint_is_replayed_into_the_gradient_kind_without_a_sweep(sweeps):
     prob = make_problem()
     rng = np.random.default_rng(31)
     a, b = rand_control(prob.space, rng), rand_control(prob.space, rng)
     grad_a = weakref.ref(prob.restricted_adjoint(a))    # the gradient kind's entry
     adj_b = prob.adjoint(b)
     assert sweeps == {"state": 2, "adjoint": 2}
-    got = prob.restricted_adjoint(b)        # restricts the held full adjoint
+    got = prob.restricted_adjoint(b)        # a gradient miss: replays adj_b
     assert sweeps == {"state": 2, "adjoint": 2}
-    assert grad_a() is not None
+    assert grad_a() is None                 # evicted by b's entry
     assert list(prob._caches["gradient"]) \
-        == [(a.hash(), prob.pert.digest("state"), prob.pert.digest("adjoint"))]
-    assert len(prob._held["gradient"]) == 1
+        == [(b.hash(), prob.pert.digest("state"), prob.pert.digest("adjoint"))]
+    assert prob.restricted_adjoint(b) is got
     q, th = restrict_adjoint(prob.space, adj_b.u[:-1], adj_b.theta[:-1])
     assert (got.q.tobytes(), got.th.tobytes()) == (q.tobytes(), th.tobytes())
 

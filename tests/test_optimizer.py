@@ -5,16 +5,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from convecopt.objective import (Control, ControlSpace, Perturbation, restrict_adjoint,
-                                 _digest)
+from convecopt.objective import Control, ControlSpace, Perturbation, _digest
 from convecopt.optimizer import (OptOptions, SIGN_TOL, ViolationReport, project_box,
                                  kkt_residual_from_grad, bang_bang_fraction,
                                  projected_gradient,
-                                 pointwise_sign_check, loglog_fit,
+                                 pointwise_sign_check, loglog_fit, fit_loglog,
                                  smallness_mass, measure_condition_estimate,
                                  adjoint_restriction_samples)
 
-from conftest import make_problem, rand_control, traced_peak
+from conftest import make_problem, rand_control, restrict_adjoint, traced_peak
 
 
 def test_project_box_elementwise_oracle():
@@ -195,6 +194,27 @@ def test_measure_estimate_on_fewer_than_three_points_is_unreliable(eps, n_used):
     fit = measure_condition_estimate(np.array([1.0, 2.0, 3.0]), np.array(eps), 1.0)
     assert fit.n_used == n_used
     assert not fit.reliable and not fit.vacuous
+
+
+def test_two_points_are_reliable_where_two_are_enough():
+    # the two unsaturated masses of the two-point measure curve above, fit
+    # once with the measure fit's three points and once with two
+    measure = measure_condition_estimate(np.array([1.0, 2.0, 3.0]),
+                                         np.array([0.5, 1.5, 2.5, 3.5, 4.5]), 1.0)
+    pair = fit_loglog(measure.eps, measure.mass, measure.mass < 3.0)
+    assert (measure.n_used, measure.min_points, pair.n_used, pair.min_points) == (2, 3, 2, 2)
+    assert (pair.slope, pair.r2) == (measure.slope, measure.r2) and pair.r2 == 1.0
+    assert pair.reliable and not measure.reliable
+    assert pair.describe() == f"{pair.slope:.4f} (R^2 1.0000)" and pair.reported(0.5) == 0.5
+    assert measure.describe() == measure.reported(0.5) == "no reliable fit"
+
+
+@pytest.mark.parametrize("x,y", [([1.0, 2.0, 4.0], [3.0, np.nan, 0.0]),
+                                 ([0.0, -1.0, 4.0], [3.0, 2.0, 1.0])])
+def test_fit_loglog_below_two_positive_points_has_no_slope(x, y):
+    fit = fit_loglog(x, y, min_points=1)
+    assert fit.n_used == 1 and np.isnan(fit.slope) and fit.r2 == 0.0
+    assert not fit.reliable
 
 
 def test_adjoint_samples_shapes():

@@ -13,12 +13,11 @@ import pytest
 from convecopt.boussinesq import (PhysicalParams, TimeGrid, SourceData,
                                   solve_state)
 from convecopt.objective import (ObjectiveWeights, Targets, ControlSpace,
-                                 ControlSources, Problem, Perturbation,
-                                 restrict_adjoint)
+                                 ControlSources, Problem, Perturbation)
 from convecopt.stability_lab import state_distance_l2, tracking_margin
 
 from conftest import (energy_report, rand_scalar, rand_vec2, rand_div_free,
-                      rand_control)
+                      rand_control, restrict_adjoint)
 
 
 def _problem(grid, rng):
