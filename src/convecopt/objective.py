@@ -42,12 +42,15 @@ class ObjectiveWeights:
 
 @dataclass
 class Targets:
-    """Tracking data, constant in time; `None` entries mean zero fields."""
+    """Tracking data and the objective's linear tilts (eta_u, eta_th) in
+    the state, constant in time; `None` entries mean zero fields."""
 
     u_d: Vec2 | None = None
     theta_d: np.ndarray | None = None
     u_T: Vec2 | None = None
     theta_T: np.ndarray | None = None
+    eta_u: Vec2 | None = None
+    eta_th: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -144,6 +147,7 @@ class Control:
     space: ControlSpace
     q: np.ndarray
     th: np.ndarray
+    _hash: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def parts(self):
@@ -168,32 +172,38 @@ class Control:
                    for a, (lo, hi) in zip(self.parts, self.space.bounds))
 
     def hash(self):
-        return _digest(*self.parts)
+        """The digest of (q, th), formed on the first call, which then makes
+        q and th read-only: a write after a cache lookup raises ValueError
+        instead of leaving a stale key."""
+        if self._hash is None:
+            self._hash = _digest(*self.parts)
+            for a in self.parts:
+                a.flags.writeable = False
+        return self._hash
 
 
 class ControlSources:
     """The control's sources, formed per step: at(k) is B_h(q_k, theta_k)
-    (ControlMap.inject) plus the (f, h) pairs in held, one level each (or
-    None) held on every step, added in that order, so each step is bit for
-    bit the step of the (nt, ...) stacks summed in place; a fresh pair, read
-    as boussinesq.SourceData describes.  Only the map's windows change with
-    k: their (nt, window) stacks, and the rest of both fields, are formed once.
+    (ControlMap.inject) plus the held pair (df, dh), one level each (or
+    None) held on every step, so each step is bit for bit the step of the
+    (nt, ...) stacks summed in place; a fresh pair, read as
+    boussinesq.SourceData describes.  Only the map's windows change with k:
+    their (nt, window) stacks, and the rest of both fields, are formed once.
     """
 
-    def __init__(self, ctrl: Control, *held):
+    def __init__(self, ctrl: Control, df=None, dh=None):
         g = ctrl.space.grid
         self.map = m = ctrl.space.map
         self.f_box, self.h_box = m.inject(ctrl.q, ctrl.th)
         self.f_rest, self.h_rest = g.vec2(), g.scalar()
-        for df, dh in held:
-            if df is not None:
-                self.f_rest.u += df.u
-                self.f_rest.v += df.v
-                self.f_box.u += df.u[m.su]
-                self.f_box.v += df.v[m.sv]
-            if dh is not None:
-                self.h_rest += dh
-                self.h_box += dh[m.sh]
+        if df is not None:
+            self.f_rest.u += df.u
+            self.f_rest.v += df.v
+            self.f_box.u += df.u[m.su]
+            self.f_box.v += df.v[m.sv]
+        if dh is not None:
+            self.h_rest += dh
+            self.h_box += dh[m.sh]
 
     def at(self, k):
         f, h = self.f_rest.copy(), self.h_rest.copy()
@@ -218,19 +228,13 @@ def _digest(*fields):
 
 
 # Each Perturbation field but eps1/eps2, in norm_P's summation order: (name,
-# cache role, norm_P term).  A "state" field keys the state and so the
-# adjoint, an "adjoint" field the adjoint only, the control tilts neither.
+# norm_P term).  Problem.perturbed adds each field to the datum it perturbs.
 PERTURBATION_FIELDS = (
-    ("f_hat", "state", "lp"),
-    ("h_hat", "state", "lp"),
-    ("u0_hat", "state", "h1"),
-    ("th0_hat", "state", "h1"),
-    ("eta_u", "adjoint", "lp"),
-    ("eta_th", "adjoint", "lp"),
-    ("sigma", None, "sup"),
-    ("lam", None, "sup"),
-    ("u_d_hat", "adjoint", "lp"),
-    ("th_d_hat", "adjoint", "lp"),
+    ("f_hat", "lp"), ("h_hat", "lp"),
+    ("u0_hat", "h1"), ("th0_hat", "h1"),
+    ("eta_u", "lp"), ("eta_th", "lp"),
+    ("sigma", "sup"), ("lam", "sup"),
+    ("u_d_hat", "lp"), ("th_d_hat", "lp"),
 )
 # norm_P's terms: L^s, the L2 value-plus-gradient proxy for the trace space, sup
 _SIZES = {"lp": lambda g, a, s: g.norm_lp(a, s),
@@ -250,8 +254,10 @@ class Perturbation:
     """The perturbation tuple driving the stability experiments.
 
     Fields are constant in time; sigma and lam may also carry one entry
-    per step.  Signs are normalized so the perturbed gradient on the control
-    regions is exactly (restricted adjoint) + Tikhonov + (sigma, Lambda).
+    per step.  Problem.perturbed adds each field to the datum it perturbs,
+    eps1 and eps2 to the Tikhonov weights.  Signs are normalized so the
+    perturbed gradient on the control regions is exactly (restricted
+    adjoint) + Tikhonov + (sigma, Lambda).
     """
 
     f_hat: Vec2 | None = None
@@ -267,19 +273,12 @@ class Perturbation:
     eps1: float = 0.0
     eps2: float = 0.0
 
-    def digest(self, role):
-        """Digest of the fields of one cache role (PERTURBATION_FIELDS):
-        "state", what the state depends on (sources and initial data), or
-        "adjoint", what the adjoint adds (objective tilts, target shifts)."""
-        return _digest(*(getattr(self, name) for name, r, _ in PERTURBATION_FIELDS
-                         if r == role))
-
     def norm_P(self, grid: Grid, control: Control, s=4):
         """Size of the perturbation: the sum of each set field's norm_P term
         (PERTURBATION_FIELDS), then the Tikhonov weights through the
         equivalent control tilt eps * rho at `control`."""
         total = 0.0
-        for name, _, term in PERTURBATION_FIELDS:
+        for name, term in PERTURBATION_FIELDS:
             a = getattr(self, name)
             if a is not None:
                 total += _SIZES[term](grid, a, s)
@@ -293,15 +292,20 @@ class Perturbation:
 class Problem:
     """Bundles everything needed to evaluate the objective at a control.
 
-    `pert` makes this the perturbed problem P(zeta); the empty default is the
-    unperturbed one.  `perturbed(zeta)` returns a copy with zeta in place of
-    `pert` that shares this problem's caches.
+    The problem owns all of its data: sources, initial data, targets and
+    the objective's tilts eta (in targets), the weights, and the control
+    tilt (sigma, lam), one per component of Control.parts, each None, one
+    level, or one level per step.  `perturbed(zeta)` is the perturbed
+    problem P(zeta): a copy with each field of zeta added to the datum it
+    perturbs, which shares this problem's caches; every method reads only
+    the problem's own data.
 
     Solves are cached, so the optimizer's repeated J/grad evaluations at one
     point cost one solve of each, in three kinds: the state, the full
     adjoint, and the gradient (the adjoint restricted to the control
     regions).  Every lookup goes through _cached, which states the hit/miss
-    rule, under the key _key builds; the perturbed copies share the caches.
+    rule, under the key _key builds from the control's hash and the digests
+    __post_init__ forms once; the perturbed copies share the caches.
     Only `adjoint` stores a full adjoint, and only callers that read its
     fields call it (second_bilinear, tracking_margin, the lab's gaps); one
     that reduces each level as it arrives passes it a level sink instead,
@@ -314,9 +318,8 @@ class Problem:
 
     Where the control acts is space.map (ControlMap): the sources' control
     part, the gradient's restriction and the control weight of J and J''.
-    Base sources and the perturbation's f_hat and h_hat are one level each
-    (or None), held on every step; the state sweep forms each step's sources
-    as it reads them (ControlSources).
+    Base sources are one level each (or None), held on every step; the
+    state sweep forms each step's sources as it reads them (ControlSources).
     """
 
     grid: Grid
@@ -328,21 +331,43 @@ class Problem:
     base_sources: SourceData = field(default_factory=SourceData)
     u0: Vec2 | None = None
     theta0: np.ndarray | None = None
-    pert: Perturbation = field(default_factory=Perturbation)
+    tilt: tuple = (None, None)
 
     def __post_init__(self):
         if self.u0 is None:
             self.u0 = self.grid.vec2()
         if self.theta0 is None:
             self.theta0 = self.grid.scalar()
+        # what the state depends on, and what the adjoint adds to it
+        t = self.targets
+        self._state_digest = _digest(self.base_sources.f, self.base_sources.h,
+                                     self.u0, self.theta0)
+        self._adjoint_digest = _digest(t.u_d, t.theta_d, t.u_T, t.theta_T,
+                                       t.eta_u, t.eta_th)
         # per kind: the one strong entry, and the weak view of all entries
         self._caches = {kind: {} for kind in ("state", "adjoint", "gradient")}
         self._held = {kind: weakref.WeakValueDictionary() for kind in self._caches}
 
-    def perturbed(self, pert: Perturbation) -> Problem:
-        """This problem with pert in place of its perturbation, sharing
-        its caches (their keys tell perturbations apart)."""
-        out = replace(self, pert=pert)
+    def perturbed(self, zeta: Perturbation) -> Problem:
+        """This problem with each field of zeta added to the datum it
+        perturbs, sharing its caches (their keys tell the data apart); this
+        problem is left as it is, and a perturbed problem's perturbed(zeta)
+        adds zeta on top.  The initial velocity's sum is made
+        divergence-free again."""
+        t, w, u0 = self.targets, self.weights, self.u0
+        if zeta.u0_hat is not None:
+            u0 = self.grid.leray_project((u0 + zeta.u0_hat).zero_normal_boundary())
+        out = replace(
+            self,
+            base_sources=SourceData(_plus(self.base_sources.f, zeta.f_hat),
+                                    _plus(self.base_sources.h, zeta.h_hat)),
+            u0=u0, theta0=_plus(self.theta0, zeta.th0_hat),
+            targets=replace(t, u_d=_plus(t.u_d, zeta.u_d_hat),
+                            theta_d=_plus(t.theta_d, zeta.th_d_hat),
+                            eta_u=_plus(t.eta_u, zeta.eta_u),
+                            eta_th=_plus(t.eta_th, zeta.eta_th)),
+            weights=replace(w, eps1=w.eps1 + zeta.eps1, eps2=w.eps2 + zeta.eps2),
+            tilt=(_plus(self.tilt[0], zeta.sigma), _plus(self.tilt[1], zeta.lam)))
         out._caches, out._held = self._caches, self._held
         return out
 
@@ -352,13 +377,11 @@ class Problem:
         return self.phys.coupling
 
     def _key(self, kind, ctrl: Control):
-        """ctrl's hash and the digest of the perturbation's "state" fields,
-        and for the "adjoint" and "gradient" kinds also of its "adjoint"
-        fields (PERTURBATION_FIELDS); no other field keys a kind.  So the
-        state key is the first two entries of the other kinds' key, and a
-        caller that has one passes its state part on (state's key)."""
-        key = (ctrl.hash(), self.pert.digest("state"))
-        return key if kind == "state" else key + (self.pert.digest("adjoint"),)
+        """ctrl's hash and the digest of the state's data (sources and
+        initial data), and for the "adjoint" and "gradient" kinds also of
+        the adjoint's (targets and eta); no other field keys a kind."""
+        key = (ctrl.hash(), self._state_digest)
+        return key if kind == "state" else key + (self._adjoint_digest,)
 
     def _cached(self, kind, key, solve):
         """The kind's value under key (_key): from the cache, or from solve().
@@ -383,48 +406,31 @@ class Problem:
     # -- state solves --------------------------------------------------------
 
     def _sources_for(self, ctrl: Control):
-        return ControlSources(ctrl, (self.base_sources.f, self.base_sources.h),
-                              (self.pert.f_hat, self.pert.h_hat))
+        return ControlSources(ctrl, self.base_sources.f, self.base_sources.h)
 
     def _control_terms(self):
-        """Per component, in the order of Control.parts: the summed Tikhonov
-        weight (base plus perturbation) and the tilt (sigma, lam) or None."""
-        w, pert = self.weights, self.pert
-        return (w.eps1 + pert.eps1, pert.sigma), (w.eps2 + pert.eps2, pert.lam)
+        """Per component, in the order of Control.parts: the Tikhonov weight
+        and the tilt (sigma, lam) or None."""
+        return tuple(zip((self.weights.eps1, self.weights.eps2), self.tilt))
 
-    def _initial_for(self):
-        pert = self.pert
-        u0 = self.u0
-        th0 = self.theta0
-        if pert.u0_hat is not None:
-            u0 = self.grid.leray_project((u0 + pert.u0_hat).zero_normal_boundary())
-        if pert.th0_hat is not None:
-            th0 = th0 + pert.th0_hat
-        return u0, th0
-
-    def state(self, ctrl: Control, key=None) -> StateTrajectory:
-        """ctrl's state trajectory, cached under key, _key("state", ctrl)
-        unless the caller already has it."""
-        if key is None:
-            key = self._key("state", ctrl)
-        return self._cached("state", key, lambda: solve_state(
-            self.grid, self.phys, self.tg, self._sources_for(ctrl), *self._initial_for()))
+    def state(self, ctrl: Control) -> StateTrajectory:
+        """ctrl's state trajectory, cached."""
+        return self._cached("state", self._key("state", ctrl), lambda: solve_state(
+            self.grid, self.phys, self.tg, self._sources_for(ctrl), self.u0, self.theta0))
 
     # -- objective -----------------------------------------------------------
 
     def _misfits(self, u, theta):
-        """(u - u_d - u_d_hat, theta - theta_d - theta_d_hat), on one level
-        or a stack of them (see _minus)."""
-        return (_minus(u, self.targets.u_d, self.pert.u_d_hat),
-                _minus(theta, self.targets.theta_d, self.pert.th_d_hat))
+        """(u - u_d, theta - theta_d), on one level or a stack (see _minus)."""
+        return _minus(u, self.targets.u_d), _minus(theta, self.targets.theta_d)
 
     def _terminal_misfits(self, traj):
         return (_minus(traj.u[-1], self.targets.u_T),
                 _minus(traj.theta[-1], self.targets.theta_T))
 
     def eval_J(self, ctrl: Control) -> float:
-        """Objective value, with the terms of this problem's perturbation."""
-        pert = self.pert
+        """Objective value."""
+        t = self.targets
         w = self.weights
         g = self.grid
         dt = self.tg.dt
@@ -432,17 +438,15 @@ class Problem:
         val = 0.0
         # the misfits one component at a time, each reduced by inner's np.dot
         if w.alpha1:
-            shifts = [a for a in (self.targets.u_d, pert.u_d_hat) if a is not None]
+            su, sv = (None, None) if t.u_d is None else (t.u_d.u, t.u_d.v)
             val += 0.5 * w.alpha1 * dt * (g.vol * (
-                _sq_misfit(traj.u.u[1:], *(a.u for a in shifts))
-                + _sq_misfit(traj.u.v[1:], *(a.v for a in shifts))))
+                _sq_misfit(traj.u.u[1:], su) + _sq_misfit(traj.u.v[1:], sv)))
         if w.alpha2:
-            val += 0.5 * w.alpha2 * dt * (g.vol * _sq_misfit(
-                traj.theta[1:], self.targets.theta_d, pert.th_d_hat))
-        if pert.eta_u is not None:
-            val += dt * g.inner(pert.eta_u, traj.u[1:])
-        if pert.eta_th is not None:
-            val += dt * g.inner(pert.eta_th, traj.theta[1:])
+            val += 0.5 * w.alpha2 * dt * (g.vol * _sq_misfit(traj.theta[1:], t.theta_d))
+        if t.eta_u is not None:
+            val += dt * g.inner(t.eta_u, traj.u[1:])
+        if t.eta_th is not None:
+            val += dt * g.inner(t.eta_th, traj.theta[1:])
         if w.beta1 or w.beta2:
             duT, dthT = self._terminal_misfits(traj)
             val += 0.5 * w.beta1 * g.norm2(duT) ** 2
@@ -460,20 +464,19 @@ class Problem:
 
     # -- adjoint and gradient ------------------------------------------------
 
-    def _sweep_adjoint(self, ctrl: Control, key, out):
-        """ctrl's adjoint, levels nt, ..., 0, into the level sink out; key is
-        ctrl's adjoint or gradient key (_key), the same tuple.  A full
-        adjoint under key that is cached or held is replayed into out; else
-        (always for out None, a StateTrajectory) solve_adjoint sweeps, with
-        the tracking right-hand sides and terminal data around ctrl's state.
-        The terminal velocity pairs only with divergence-free directions, so
-        its datum is the projected misfit."""
+    def _sweep_adjoint(self, ctrl: Control, out):
+        """ctrl's adjoint, levels nt, ..., 0, into the level sink out.  A
+        full adjoint of ctrl that is cached or held is replayed into out;
+        else (always for out None, a StateTrajectory) solve_adjoint sweeps,
+        with the tracking right-hand sides and terminal data around ctrl's
+        state.  The terminal velocity pairs only with divergence-free
+        directions, so its datum is the projected misfit."""
         if out is not None:
-            adj = self._held["adjoint"].get(key)
+            adj = self._held["adjoint"].get(self._key("adjoint", ctrl))
             if adj is not None:
                 return adj.replay(out, range(self.tg.nt, -1, -1))
         w = self.weights
-        traj = self.state(ctrl, key[:2])
+        traj = self.state(ctrl)
         duT, dthT = self._terminal_misfits(traj)
         wT = self.grid.leray_project(w.beta1 * duT) if w.beta1 else None
         psiT = w.beta2 * dthT if w.beta2 else None
@@ -485,10 +488,10 @@ class Problem:
         sensitivity.solve_adjoint), cached.  Given a level sink out, hands
         it the adjoint's levels nt, ..., 0 instead (_sweep_adjoint) and
         returns it; no kind is touched."""
-        key = self._key("adjoint", ctrl)
         if out is None:
-            return self._cached("adjoint", key, lambda: self._sweep_adjoint(ctrl, key, None))
-        return self._sweep_adjoint(ctrl, key, out)
+            return self._cached("adjoint", self._key("adjoint", ctrl),
+                                lambda: self._sweep_adjoint(ctrl, None))
+        return self._sweep_adjoint(ctrl, out)
 
     def restricted_adjoint(self, ctrl: Control) -> Control:
         """The adjoint's levels 0..nt-1 (level nt is terminal data) restricted
@@ -496,9 +499,8 @@ class Problem:
         cached as the gradient kind.  A miss replays a held full adjoint
         into the windows, or sweeps into them.  The result may be a cache
         entry; callers must not modify it."""
-        key = self._key("gradient", ctrl)
-        return self._cached("gradient", key, lambda: Control(
-            self.space, *self._sweep_adjoint(ctrl, key, _GradientWindows(self.space)).restrict()))
+        return self._cached("gradient", self._key("gradient", ctrl), lambda: Control(
+            self.space, *self._sweep_adjoint(ctrl, _GradientWindows(self.space)).restrict()))
 
     def grad_J(self, ctrl: Control) -> Control:
         """Pointwise gradient density on the control regions, a fresh Control.
@@ -566,42 +568,33 @@ class Problem:
         return val
 
 
-def _minus(a, *shifts):
-    """a minus each shift that is not None, formed in one fresh array and
-    then in place; a itself when every shift is None, so callers must not
-    modify the result in place."""
-    d = a
-    for s in shifts:
-        if s is not None:
-            if d is a:
-                d = a - s
-            else:
-                d -= s
-    return d
+def _plus(a, b):
+    """a + b, with None a zero field: the other operand itself if one is None."""
+    return a if b is None else b if a is None else a + b
 
 
-def _sq_misfit(a, *shifts):
-    d = _minus(a, *shifts)
+def _minus(a, s):
+    """a - s, fresh; a itself when s is None, so callers must not modify the
+    result in place."""
+    return a if s is None else a - s
+
+
+def _sq_misfit(a, s):
+    d = _minus(a, s)
     return _dot(d, d)
 
 
 class _AdjointSources:
     """The adjoint sweep's sources, formed per level as the sweep reads them:
-    at(k) = (alpha1 (u_k - u_d - u_d_hat) + eta_u,
-             alpha2 (theta_k - theta_d - theta_d_hat) + eta_th)."""
+    at(k) = (alpha1 (u_k - u_d) + eta_u, alpha2 (theta_k - theta_d) + eta_th)."""
 
     def __init__(self, prob: Problem, traj: StateTrajectory):
         self.prob, self.traj = prob, traj
 
     def at(self, k):
-        prob, pert, w = self.prob, self.prob.pert, self.prob.weights
+        prob, t, w = self.prob, self.prob.targets, self.prob.weights
         du, dth = prob._misfits(self.traj.u[k], self.traj.theta[k])
-        f, h = w.alpha1 * du, w.alpha2 * dth
-        if pert.eta_u is not None:
-            f = f + pert.eta_u
-        if pert.eta_th is not None:
-            h = h + pert.eta_th
-        return f, h
+        return _plus(w.alpha1 * du, t.eta_u), _plus(w.alpha2 * dth, t.eta_th)
 
 
 class _GradientWindows:

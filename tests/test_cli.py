@@ -428,6 +428,25 @@ def test_manifest_checksums_are_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_the_manifest_records_the_blas_thread_setting(tmp_path, monkeypatch):
+    # the thread variables, null if unset, next to unchanged file checksums
+    cfg = write_cfg(tmp_path)
+    mans = []
+    for name, omp in (("a", None), ("b", "1")):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        if omp is None:
+            monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OMP_NUM_THREADS", omp)
+        out = tmp_path / name
+        assert main(["duality-check", "--config", str(cfg), "--out", str(out)]) == 0
+        mans.append(read_manifest(out))
+    assert [m["env"] for m in mans] == [
+        {"OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "1"},
+        {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}]
+    assert mans[0]["files"] == mans[1]["files"]
+
+
 def test_seed_override_changes_outputs(tmp_path):
     cfg = write_cfg(tmp_path)
     mans = []

@@ -6,12 +6,27 @@ import weakref
 import numpy as np
 import pytest
 
-from convecopt.boussinesq import _h1_semi_sq
-from convecopt.grid import fourier_scalar, fourier_vec2
+from convecopt.boussinesq import SourceData, _h1_semi_sq
+from convecopt.grid import Vec2, fourier_scalar, fourier_vec2
 from convecopt.objective import (ObjectiveWeights, Control, ControlSources, Perturbation,
-                                 PERTURBATION_FIELDS, Problem, _digest)
+                                 PERTURBATION_FIELDS, Problem, Targets, _digest)
 
 from conftest import control_fields, make_problem, rand_control, restrict_adjoint, traced_peak
+
+
+def state_key(prob, ctrl):
+    """The state kind's key, from the explicit list of what the state
+    depends on: the control, the sources and the initial data."""
+    return (ctrl.hash(), _digest(prob.base_sources.f, prob.base_sources.h,
+                                 prob.u0, prob.theta0))
+
+
+def adjoint_key(prob, ctrl):
+    """The adjoint and gradient kinds' key: the state's, then what the
+    adjoint adds, the targets and the objective's tilts eta."""
+    t = prob.targets
+    return state_key(prob, ctrl) + (_digest(t.u_d, t.theta_d, t.u_T, t.theta_T,
+                                            t.eta_u, t.eta_th),)
 
 
 def test_weights_validation():
@@ -164,7 +179,7 @@ def test_cache_hit_refreshes_so_eviction_takes_least_recently_used(sweeps):
     ta = prob.state(a)
     prob.state(b)
     assert prob.state(a) is ta      # a hit: a is now the strong entry
-    assert list(prob._caches["state"]) == [(a.hash(), prob.pert.digest("state"))]
+    assert list(prob._caches["state"]) == [state_key(prob, a)]
     prob.state(c)                   # evicts a, which the caller holds
     assert sweeps["state"] == 3
     assert prob.state(a) is ta
@@ -239,6 +254,14 @@ def test_warm_started_tikhonov_path_repeats_no_state_solve(monkeypatch):
     assert len(set(seen)) == len(seen)
 
 
+# where each field of zeta goes, by the part of a cache key it changes:
+# the state's data (sources and initial data), the adjoint's (targets and
+# eta), or neither (the control tilts, like the Tikhonov weights)
+STATE_FIELDS = ("f_hat", "h_hat", "u0_hat", "th0_hat")
+ADJOINT_FIELDS = ("eta_u", "eta_th", "u_d_hat", "th_d_hat")
+KEYED_FIELDS = STATE_FIELDS + ADJOINT_FIELDS
+
+
 def _set_field(prob, name, rng):
     """A Perturbation with the PERTURBATION_FIELDS field name set to a
     smooth field, plus Tikhonov weights and both control tilts."""
@@ -249,9 +272,6 @@ def _set_field(prob, name, rng):
     return Perturbation(**{name: a}, sigma=0.1 * rng.standard_normal((2, sp.mask_q.ncells)),
                         lam=0.1 * rng.standard_normal(sp.mask_h.ncells),
                         eps1=0.003, eps2=0.001)
-
-
-KEYED_FIELDS = [name for name, role, _ in PERTURBATION_FIELDS if role is not None]
 
 
 @pytest.mark.parametrize("coupling", [True, False])
@@ -274,7 +294,7 @@ def test_gradient_sweep_is_the_restricted_full_adjoint_bitwise(coupling, name):
     assert (grad.q.tobytes(), grad.th.tobytes()) == (again.q.tobytes(), again.th.tobytes())
 
 
-@pytest.mark.parametrize("name", [n for n, role, _ in PERTURBATION_FIELDS if role == "adjoint"])
+@pytest.mark.parametrize("name", ADJOINT_FIELDS)
 def test_an_adjoint_field_misses_the_cached_gradient_and_a_tilt_hits_it(sweeps, name):
     from convecopt.stability_lab import make_perturbation
     prob = make_problem()
@@ -297,7 +317,7 @@ def test_projected_gradient_leaves_no_full_adjoint():
     assert res.iterations == 5
     assert len(prob._caches["adjoint"]) == len(prob._held["adjoint"]) == 0
     assert list(prob._caches["gradient"]) \
-        == [(res.control.hash(), prob.pert.digest("state"), prob.pert.digest("adjoint"))]
+        == [adjoint_key(prob, res.control)]
 
 
 def test_adjoint_cache_holds_one_entry(sweeps):
@@ -362,7 +382,7 @@ def test_a_failing_solve_leaves_no_entry(kind):
     with pytest.raises(NumericalFailure):
         look(prob.perturbed(nan), good)
     assert list(prob._caches["state"]) \
-        == ([] if kind == "state" else [(good.hash(), prob.pert.digest("state"))])
+        == ([] if kind == "state" else [state_key(prob, good)])
     assert list(prob._caches[kind]) == []
     assert value() is None
 
@@ -415,37 +435,60 @@ def test_a_held_full_adjoint_is_replayed_into_the_gradient_kind_without_a_sweep(
     assert sweeps == {"state": 2, "adjoint": 2}
     assert grad_a() is None                 # evicted by b's entry
     assert list(prob._caches["gradient"]) \
-        == [(b.hash(), prob.pert.digest("state"), prob.pert.digest("adjoint"))]
+        == [adjoint_key(prob, b)]
     assert prob.restricted_adjoint(b) is got
     q, th = restrict_adjoint(prob.space, adj_b.u[:-1], adj_b.theta[:-1])
     assert (got.q.tobytes(), got.th.tobytes()) == (q.tobytes(), th.tobytes())
 
 
 def test_a_gradient_miss_hashes_its_control_once(monkeypatch, sweeps):
-    # the adjoint sweep's state lookup takes the first two entries of the
-    # gradient key for its own, so a grad_J miss hashes ctrl once, with its
-    # state cached or not; so does a full adjoint's miss
+    # a control's digest is formed on its first lookup and read by every
+    # later one, of any kind and on any perturbed copy: one _digest call
+    # per Control object, however many lookups it makes
     from convecopt import objective
+    from convecopt.stability_lab import make_perturbation
     prob = make_problem()
-    calls = []
-    digest = objective.Control.hash
-
-    def counted(ctrl):
-        calls.append(ctrl)
-        return digest(ctrl)
-
-    monkeypatch.setattr(objective.Control, "hash", counted)
     rng = np.random.default_rng(33)
     a, b, c = (rand_control(prob.space, rng) for _ in range(3))
+    shifted = prob.perturbed(make_perturbation(prob, "target-shift", 0.3, 34))
+    names = {id(x.q): n for n, x in zip("abc", (a, b, c))}
+    calls = []
+    digest = objective._digest
+
+    def counted(*fields):
+        if id(fields[0]) in names:
+            calls.append(names[id(fields[0])])
+        return digest(*fields)
+
+    monkeypatch.setattr(objective, "_digest", counted)
     prob.grad_J(a)                  # state and gradient miss
-    assert calls == [a] and sweeps == {"state": 1, "adjoint": 1}
+    assert calls == ["a"] and sweeps == {"state": 1, "adjoint": 1}
+    prob.grad_J(a)
+    prob.eval_J(a)
+    prob.adjoint(a)
+    shifted.grad_J(a)
+    assert calls == ["a"] and sweeps == {"state": 1, "adjoint": 3}
     prob.state(b)
-    del calls[:]
     prob.grad_J(b)                  # the gradient misses, the state hits
-    assert calls == [b] and sweeps == {"state": 2, "adjoint": 2}
-    del calls[:]
+    prob.adjoint(b, _Recorder())
+    assert calls == ["a", "b"] and sweeps == {"state": 2, "adjoint": 5}
     prob.adjoint(c)
-    assert calls == [c] and sweeps == {"state": 3, "adjoint": 3}
+    prob.second_variation(c, b)
+    assert calls == ["a", "b", "c"] and sweeps == {"state": 3, "adjoint": 6}
+
+
+def test_a_control_is_read_only_once_it_keys_a_lookup():
+    # a write after a lookup would leave the cache under a stale key
+    prob = make_problem()
+    ctrl = rand_control(prob.space, np.random.default_rng(35))
+    ctrl.q[0, 0, 0] = 0.25          # writable until its first lookup
+    traj = prob.state(ctrl)
+    for a in ctrl.parts:
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+        with pytest.raises(ValueError):
+            a += 1.0
+    assert prob.state(ctrl) is traj
 
 
 class _Recorder:
@@ -480,7 +523,6 @@ def test_per_step_sources_are_the_stacked_sources_bitwise(family, base):
     # each step of the state sweep's sources is the step of the control's
     # (nt, ...) injection stacks with the held fields added in place
     from dataclasses import replace
-    from convecopt.boussinesq import SourceData
     from convecopt.stability_lab import make_perturbation
     prob = make_problem()
     g, sp, nt = prob.grid, prob.space, prob.tg.nt
@@ -494,13 +536,12 @@ def test_per_step_sources_are_the_stacked_sources_bitwise(family, base):
     F, _ = control_fields(sp, ctrl.q, ctrl.th)
     H = g.scalar(nt)
     H[:, sp.mask_h.ii, sp.mask_h.jj] = ctrl.th
-    for df, dh in ((prob.base_sources.f, prob.base_sources.h),
-                   (prob.pert.f_hat, prob.pert.h_hat)):
-        if df is not None:
-            F.u += df.u
-            F.v += df.v
-        if dh is not None:
-            H += dh
+    df, dh = prob.base_sources.f, prob.base_sources.h
+    if df is not None:
+        F.u += df.u
+        F.v += df.v
+    if dh is not None:
+        H += dh
     for src, (Fs, Hs) in ((prob._sources_for(ctrl), (F, H)),
                           (ControlSources(ctrl), (control_fields(sp, ctrl.q, ctrl.th)[0],
                                                   None))):
@@ -520,17 +561,17 @@ def test_objective_is_the_stacked_sum_bitwise_without_a_misfit_stack(family):
     prob = make_problem(nx=32, ny=32, T=0.5, nt=100)
     if family is not None:
         prob = prob.perturbed(make_perturbation(prob, family, 0.3, 29))
-    g, dt, w, pert = prob.grid, prob.tg.dt, prob.weights, prob.pert
+    g, dt, w, tgt = prob.grid, prob.tg.dt, prob.weights, prob.targets
     ctrl = rand_control(prob.space, np.random.default_rng(30))
     traj = prob.state(ctrl)
     du, dth = prob._misfits(traj.u, traj.theta)
     ref = 0.0
     ref += 0.5 * w.alpha1 * dt * g.inner(du[1:], du[1:])
     ref += 0.5 * w.alpha2 * dt * g.inner(dth[1:], dth[1:])
-    if pert.eta_u is not None:
-        ref += dt * g.inner(pert.eta_u, traj.u[1:])
-    if pert.eta_th is not None:
-        ref += dt * g.inner(pert.eta_th, traj.theta[1:])
+    if tgt.eta_u is not None:
+        ref += dt * g.inner(tgt.eta_u, traj.u[1:])
+    if tgt.eta_th is not None:
+        ref += dt * g.inner(tgt.eta_th, traj.theta[1:])
     del du, dth
     got = []
     peak = traced_peak(lambda: got.append(prob.eval_J(ctrl)), g, prob.tg.nt)
@@ -544,27 +585,22 @@ def test_adjoint_sources_are_the_stacked_right_hand_sides_bitwise(family, target
     # each level of the per-step sources is alpha * misfit (+ tilt) formed
     # on the whole stack with the same operations, bit for bit
     from dataclasses import replace
-    from convecopt.objective import Targets, _AdjointSources
+    from convecopt.objective import _AdjointSources
     from convecopt.stability_lab import make_perturbation
     prob = make_problem()
     prob = replace(prob, weights=ObjectiveWeights(0.7, 1.3),
                    targets=prob.targets if targets else Targets())
     if family is not None:
         prob = prob.perturbed(make_perturbation(prob, family, 0.3, 20))
-    pert, tgt, w = prob.pert, prob.targets, prob.weights
+    tgt, w = prob.targets, prob.weights
     traj = prob.state(rand_control(prob.space, np.random.default_rng(21)))
-    du, dth = traj.u, traj.theta
-    for shift in (tgt.u_d, pert.u_d_hat):
-        if shift is not None:
-            du = du - shift
-    for shift in (tgt.theta_d, pert.th_d_hat):
-        if shift is not None:
-            dth = dth - shift
+    du = traj.u if tgt.u_d is None else traj.u - tgt.u_d
+    dth = traj.theta if tgt.theta_d is None else traj.theta - tgt.theta_d
     F, G = w.alpha1 * du, w.alpha2 * dth
-    if pert.eta_u is not None:
-        F = F + pert.eta_u
-    if pert.eta_th is not None:
-        G = G + pert.eta_th
+    if tgt.eta_u is not None:
+        F = F + tgt.eta_u
+    if tgt.eta_th is not None:
+        G = G + tgt.eta_th
     src = _AdjointSources(prob, traj)
     for k in range(prob.tg.nt + 1):
         f, h = src.at(k)
@@ -639,7 +675,7 @@ def _every_field_set(prob):
 
 def test_the_field_table_lists_every_field_but_the_tikhonov_weights_once():
     names = [f.name for f in dataclasses.fields(Perturbation)]
-    assert sorted(name for name, _, _ in PERTURBATION_FIELDS) \
+    assert sorted(name for name, _ in PERTURBATION_FIELDS) \
         == sorted(n for n in names if n not in ("eps1", "eps2"))
 
 
@@ -649,8 +685,11 @@ def test_the_field_table_keys_and_sizes_as_the_explicit_field_lists(s):
     g = prob.grid
     p = _every_field_set(prob)
     ctrl = rand_control(prob.space, np.random.default_rng(0))
-    assert p.digest("state") == _digest(p.f_hat, p.h_hat, p.u0_hat, p.th0_hat)
-    assert p.digest("adjoint") == _digest(p.eta_u, p.eta_th, p.u_d_hat, p.th_d_hat)
+    # the perturbed problem's key: its own data, as the explicit lists
+    pprob = prob.perturbed(p)
+    assert pprob._key("state", ctrl) == state_key(pprob, ctrl)
+    assert pprob._key("adjoint", ctrl) == pprob._key("gradient", ctrl) \
+        == adjoint_key(pprob, ctrl)
     # norm_P's field-by-field sum, in its order
     ref = 0.0
     ref += g.norm_lp(p.f_hat, s)
@@ -668,24 +707,125 @@ def test_the_field_table_keys_and_sizes_as_the_explicit_field_lists(s):
     assert p.norm_P(g, ctrl, s=s) == float(ref)
 
 
-@pytest.mark.parametrize("name, role",
-                         [(n, r) for n, r, _ in PERTURBATION_FIELDS if r != "state"])
-def test_a_field_outside_the_state_role_leaves_the_state_key(name, role):
-    p = _every_field_set(make_problem())
-    q = dataclasses.replace(p, **{name: 2.0 * getattr(p, name)})
-    assert q.digest("state") == p.digest("state")
-    assert (q.digest("adjoint") != p.digest("adjoint")) == (role == "adjoint")
-
-
-def test_perturbed_replaces_the_perturbation_and_leaves_the_problem_alone():
-    from convecopt.stability_lab import make_perturbation
+@pytest.mark.parametrize("name", [n for n, _ in PERTURBATION_FIELDS] + ["eps"])
+def test_a_field_changes_only_the_key_part_of_its_datum(name):
+    # doubling one field of zeta: the state part of the key moves only for
+    # sources and initial data, the adjoint part only for targets and eta
     prob = make_problem()
-    p = make_perturbation(prob, "source", 0.3, 1)
-    q = make_perturbation(prob, "control-tilt", 0.3, 2)
-    pprob = prob.perturbed(p)
-    assert pprob.pert is p
-    assert prob.pert == Perturbation()
-    assert pprob.perturbed(q).pert is q
+    ctrl = rand_control(prob.space, np.random.default_rng(36))
+    p = _every_field_set(prob)
+    if name == "eps":
+        q = dataclasses.replace(p, eps1=2.0 * p.eps1, eps2=2.0 * p.eps2)
+    else:
+        q = dataclasses.replace(p, **{name: 2.0 * getattr(p, name)})
+    _, state_p, adjoint_p = prob.perturbed(p)._key("adjoint", ctrl)
+    _, state_q, adjoint_q = prob.perturbed(q)._key("adjoint", ctrl)
+    assert (state_q != state_p) == (name in STATE_FIELDS)
+    assert (adjoint_q != adjoint_p) == (name in ADJOINT_FIELDS)
+
+
+def _composed_data(prob):
+    """Each datum of prob, under the name of the field of zeta that
+    Problem.perturbed adds to it, and the Tikhonov weights under "eps"."""
+    t = prob.targets
+    return {"f_hat": prob.base_sources.f, "h_hat": prob.base_sources.h,
+            "u0_hat": prob.u0, "th0_hat": prob.theta0,
+            "eta_u": t.eta_u, "eta_th": t.eta_th,
+            "sigma": prob.tilt[0], "lam": prob.tilt[1],
+            "u_d_hat": t.u_d, "th_d_hat": t.theta_d,
+            "eps": (prob.weights.eps1, prob.weights.eps2)}
+
+
+def _bytes(data):
+    """Every datum's bytes (a Vec2's per component), so data compare bitwise."""
+    def one(a):
+        if isinstance(a, Vec2):
+            return a.u.tobytes(), a.v.tobytes()
+        return a if a is None or isinstance(a, tuple) else a.tobytes()
+    return {name: one(a) for name, a in data.items()}
+
+
+def _with_every_datum(prob):
+    """prob with nonzero sources, initial data, targets, eta, Tikhonov
+    weights and a base control tilt (sigma0, lam0)."""
+    g, sp = prob.grid, prob.space
+    rng = np.random.default_rng(37)
+
+    def vec():
+        return fourier_vec2(g, rng, 3, 2.0) * 0.3
+
+    def scalar():
+        return 0.3 * fourier_scalar(g, rng, 3, 2.0)
+
+    return dataclasses.replace(
+        prob, base_sources=SourceData(vec(), scalar()),
+        u0=g.leray_project(vec()), theta0=scalar(),
+        targets=Targets(u_d=vec(), theta_d=scalar(), eta_u=vec(), eta_th=scalar()),
+        weights=dataclasses.replace(prob.weights, eps1=0.02, eps2=0.01),
+        tilt=(0.1 * rng.standard_normal((2, sp.mask_q.ncells)),
+              0.1 * rng.standard_normal(sp.mask_h.ncells)))
+
+
+def _expected(prob, data, zeta):
+    """Each datum of prob.perturbed(zeta), from data: the datum plus zeta's
+    field, the initial velocity's sum made divergence-free again."""
+    out = {}
+    for name, a in data.items():
+        if name == "eps":
+            out[name] = (a[0] + zeta.eps1, a[1] + zeta.eps2)
+        elif getattr(zeta, name) is None:
+            out[name] = a
+        elif name == "u0_hat":
+            out[name] = prob.grid.leray_project((a + zeta.u0_hat).zero_normal_boundary())
+        else:
+            out[name] = a + getattr(zeta, name)
+    return out
+
+
+def test_perturbed_adds_zeta_to_each_datum_and_leaves_the_problem_alone():
+    from convecopt.objective import KNOWN_FAMILIES
+    from convecopt.stability_lab import make_perturbation
+    prob = _with_every_datum(make_problem(beta1=0.5))
+    before = _bytes(_composed_data(prob))
+    terminal = prob.targets.u_T
+    for i, family in enumerate(KNOWN_FAMILIES):
+        zeta = make_perturbation(prob, family, 0.3, 50 + i)
+        pprob = prob.perturbed(zeta)
+        got = _bytes(_composed_data(pprob))
+        assert got == _bytes(_expected(prob, _composed_data(prob), zeta)), family
+        if family != "control-tilt":        # sigma0 survives, by itself
+            assert pprob.tilt[0] is prob.tilt[0] and pprob.tilt[1] is prob.tilt[1]
+        # and a second zeta goes on top of the first
+        again = make_perturbation(prob, family, 0.2, 60 + i)
+        assert _bytes(_composed_data(pprob.perturbed(again))) \
+            == _bytes(_expected(prob, _composed_data(pprob), again)), family
+        assert pprob.targets.u_T is terminal
+        assert pprob._caches is prob._caches and pprob._held is prob._held
+    assert _bytes(_composed_data(prob)) == before
+
+
+def test_the_base_tilt_survives_every_tikhonov_path_point(monkeypatch):
+    from convecopt import stability_lab
+    from convecopt.optimizer import OptOptions
+    prob = _with_every_datum(make_problem())
+    before = _bytes(_composed_data(prob))
+    seen = []
+    solve = stability_lab.projected_gradient
+
+    def recording(p, ctrl0, opts):
+        seen.append(p)
+        return solve(p, ctrl0, opts)
+
+    monkeypatch.setattr(stability_lab, "projected_gradient", recording)
+    eps_grid = [1e-2, 1e-3, 0.0]
+    stability_lab.tikhonov_path(prob, prob.space.zero(), eps_grid,
+                                OptOptions(max_iters=2), measure_eps_grid=[1e-2, 1e-1])
+    assert len(seen) == len(eps_grid)
+    for p, eps in zip(seen, eps_grid):
+        want = _composed_data(prob)
+        want["eps"] = (0.02 + eps, 0.01 + eps)
+        assert _bytes(_composed_data(p)) == _bytes(want)
+    assert _bytes(_composed_data(prob)) == before
 
 
 def test_perturbed_state_differs_from_base():

@@ -364,7 +364,7 @@ def test_the_digest_is_sha256_over_each_arrays_c_order_bytes():
 
 def test_each_component_takes_its_own_weight_tilt_and_box():
     prob, base = asymmetric_problem()
-    sp, pert = prob.space, prob.pert
+    sp, (sigma, lam) = prob.space, prob.tilt
     q_lo, q_hi, th_lo, th_hi = BOXES
     eps1, eps2 = 0.02 + 0.01, 0.05 + 0.003
     wq = sp.tg.dt * sp.grid.vol
@@ -373,15 +373,15 @@ def test_each_component_takes_its_own_weight_tilt_and_box():
     ref = base.eval_J(ctrl)
     ref += 0.5 * eps1 * wq * float(np.sum(ctrl.q ** 2))
     ref += 0.5 * eps2 * wq * float(np.sum(ctrl.th ** 2))
-    ref += wq * float(np.sum(pert.sigma * ctrl.q))
-    ref += wq * float(np.sum(pert.lam * ctrl.th))
+    ref += wq * float(np.sum(sigma * ctrl.q))
+    ref += wq * float(np.sum(lam * ctrl.th))
     assert prob.eval_J(ctrl) == ref
     adj = prob.adjoint(ctrl)
     gq, gt = restrict_adjoint(sp, adj.u[:-1], adj.theta[:-1])
     gq += eps1 * ctrl.q
     gt += eps2 * ctrl.th
-    gq += pert.sigma
-    gt += pert.lam
+    gq += sigma
+    gt += lam
     g = prob.grad_J(ctrl)
     assert np.array_equal(g.q, gq) and np.array_equal(g.th, gt)
     d1, d2 = rand_control(sp, rng), rand_control(sp, rng)
