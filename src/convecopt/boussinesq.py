@@ -138,7 +138,7 @@ ENERGY_BOUND = 1e4
 
 def check_step(grid: Grid, k, u: Vec2, theta, bound=np.inf):
     """Fail step k, which produced level k, unless |u|^2 + |theta|^2 is finite and <= bound."""
-    e = grid.vol * (np.vdot(u.u, u.u) + np.vdot(u.v, u.v) + np.vdot(theta, theta))
+    e = grid.inner(u, u) + grid.inner(theta, theta)
     if not np.isfinite(e) or e > bound:     # a NaN bound (NaN data) checks finiteness only
         raise NumericalFailure(f"step {k}: energy |u|^2 + |theta|^2 = {e:.3g}, bound {bound:.3g}")
 
@@ -246,8 +246,8 @@ class EnergySeries:
     """Level sink reducing each level to its row of the energy series.
 
     Columns: k, t, ke_u, ke_theta, enstrophy_u, grad_theta (squared L2 norms
-    and H1 seminorms, from _sq and _h1_semi_sq of the one level); no level
-    is kept.  report() is the final reduction.
+    and H1 seminorms, from Grid.inner and _h1_semi_sq of the one level); no
+    level is kept.  report() is the final reduction.
     """
 
     def __init__(self, grid: Grid, tg: TimeGrid):
@@ -258,7 +258,7 @@ class EnergySeries:
 
     def put(self, k, u, theta, p):
         g = self.grid
-        self.series[k, 2:] = (_sq(g, u), _sq(g, theta),
+        self.series[k, 2:] = (g.inner(u, u), g.inner(theta, theta),
                               _h1_semi_sq(g, u), _h1_semi_sq(g, theta))
 
     def report(self, sources: SourceData, u0: Vec2, theta0) -> EnergyReport:
@@ -284,18 +284,11 @@ def data_norm(grid: Grid, tg: TimeGrid, sources: SourceData, u0: Vec2, theta0):
     for k in range(tg.nt):
         f, h = sources.at(k)
         if f is not None:
-            fsq.append(_sq(grid, f))
+            fsq.append(grid.inner(f, f))
         if h is not None:
-            hsq.append(_sq(grid, h))
+            hsq.append(grid.inner(h, h))
     fnorm, gnorm = (tg.dt * float(np.sum(s)) if s else 0.0 for s in (fsq, hsq))
     return np.sqrt(fnorm) + np.sqrt(gnorm) + grid.norm2(u0) + grid.norm2(theta0)
-
-
-def _sq(grid: Grid, a):
-    """Squared L2 norm of a scalar or Vec2, one value per level."""
-    if isinstance(a, Vec2):
-        return _sq(grid, a.u) + _sq(grid, a.v)
-    return grid.vol * np.sum(a * a, axis=(-2, -1))
 
 
 def _h1_semi_sq(grid: Grid, a):

@@ -91,7 +91,7 @@ class Run:
             **self.provenance,
             "started": self.started,
             "ended": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            # null if unset; a long dot product's summation order depends on it
+            # null if unset; provenance only, as no artifact depends on it
             "env": {k: os.environ.get(k) for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")},
             "files": [{"path": os.path.basename(p), "sha256": _sha256(p)}
                       for p in self.files],

@@ -299,10 +299,8 @@ def build_problem(cfg: ExperimentConfig, seed=None) -> Problem:
                          c["q_bounds"][0], c["q_bounds"][1],
                          c["th_bounds"][0], c["th_bounds"][1])
     tu, ts = _synth_pair(grid, data["targets"], rng)
-    targets = Targets(u_d=tu, theta_d=ts)
-    if data["targets"].get("terminal") and tu is not None:
-        targets.u_T = tu
-        targets.theta_T = ts
+    terminal = (tu, ts) if data["targets"].get("terminal") else (None, None)
+    targets = Targets(tu, ts, *terminal)
     iu, is_ = _synth_pair(grid, data["initial"], rng)
     if iu is not None:
         iu = grid.leray_project(iu)

@@ -252,8 +252,13 @@ def _modes_1d(kind, n, h):
 
 
 def _dot(a, b):
-    a, b = np.broadcast_arrays(a, b)
-    return float(np.dot(a.ravel(), b.ravel()))
+    """sum(a * b) over all entries, broadcast: the one product reduction of
+    fields and controls.  einsum sums in an order set by the size alone;
+    BLAS ddot (np.dot, 1-D @) splits long sums across its threads, and
+    np.sum(a * b) measured 1.5-2.5x slower."""
+    if np.shape(a) != np.shape(b):
+        a, b = np.broadcast_arrays(a, b)
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
 class Grid:

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Grid, GridConfig, Vec2
+from .grid import Grid, GridConfig, Vec2, _dot
 from .boussinesq import PhysicalParams, TimeGrid, LevelFold, solve_state
 
 
@@ -171,8 +171,8 @@ def _squared_error(exact: _Levels):
     def squares(k, u, theta):
         if k == 0:
             return ()
-        ds = [(got - want).ravel() for got, want in zip((u.u, u.v, theta), exact.fields(k))]
-        return [float(d @ d) for d in ds]
+        ds = [got - want for got, want in zip((u.u, u.v, theta), exact.fields(k))]
+        return [_dot(d, d) for d in ds]
 
     return LevelFold(squares, lambda total, sq: reduce(add, sq, total))
 

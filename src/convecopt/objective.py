@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import weakref
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class ObjectiveWeights:
             raise ValueError("Tikhonov weights must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Targets:
     """Tracking data and the objective's linear tilts (eta_u, eta_th) in
     the state, constant in time; `None` entries mean zero fields."""
@@ -159,9 +160,7 @@ class Control:
 
     def dot_l2(self, other):
         """L2(Q) control-space inner product (ControlMap.weight)."""
-        return self.space.map.weight * (
-            float(np.dot(self.q.ravel(), other.q.ravel()))
-            + float(np.dot(self.th.ravel(), other.th.ravel())))
+        return self.space.map.weight * (_dot(self.q, other.q) + _dot(self.th, other.th))
 
     def norm_l1(self):
         return self.space.map.weight * (float(np.abs(self.q).sum())
@@ -238,7 +237,7 @@ PERTURBATION_FIELDS = (
 )
 # norm_P's terms: L^s, the L2 value-plus-gradient proxy for the trace space, sup
 _SIZES = {"lp": lambda g, a, s: g.norm_lp(a, s),
-          "h1": lambda g, a, s: np.sqrt(g.norm2(a) ** 2 + _h1_semi_sq(g, a)),
+          "h1": lambda g, a, s: np.sqrt(g.inner(a, a) + _h1_semi_sq(g, a)),
           "sup": lambda g, a, s: float(np.abs(a).max())}
 
 # The Fourier families: the Perturbation fields of their (vector, scalar) pair
@@ -288,7 +287,7 @@ class Perturbation:
         return float(total)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Problem:
     """Bundles everything needed to evaluate the objective at a control.
 
@@ -298,7 +297,9 @@ class Problem:
     level, or one level per step.  `perturbed(zeta)` is the perturbed
     problem P(zeta): a copy with each field of zeta added to the datum it
     perturbs, which shares this problem's caches; every method reads only
-    the problem's own data.
+    the problem's own data.  Problem and its Targets are frozen: __post_init__
+    digests the data once, so assigning a datum later would leave the cache
+    keys stale.
 
     Solves are cached, so the optimizer's repeated J/grad evaluations at one
     point cost one solve of each, in three kinds: the state, the full
@@ -334,19 +335,20 @@ class Problem:
     tilt: tuple = (None, None)
 
     def __post_init__(self):
+        put = partial(object.__setattr__, self)
         if self.u0 is None:
-            self.u0 = self.grid.vec2()
+            put("u0", self.grid.vec2())
         if self.theta0 is None:
-            self.theta0 = self.grid.scalar()
+            put("theta0", self.grid.scalar())
         # what the state depends on, and what the adjoint adds to it
         t = self.targets
-        self._state_digest = _digest(self.base_sources.f, self.base_sources.h,
-                                     self.u0, self.theta0)
-        self._adjoint_digest = _digest(t.u_d, t.theta_d, t.u_T, t.theta_T,
-                                       t.eta_u, t.eta_th)
+        put("_state_digest", _digest(self.base_sources.f, self.base_sources.h,
+                                     self.u0, self.theta0))
+        put("_adjoint_digest", _digest(t.u_d, t.theta_d, t.u_T, t.theta_T,
+                                       t.eta_u, t.eta_th))
         # per kind: the one strong entry, and the weak view of all entries
-        self._caches = {kind: {} for kind in ("state", "adjoint", "gradient")}
-        self._held = {kind: weakref.WeakValueDictionary() for kind in self._caches}
+        put("_caches", {kind: {} for kind in ("state", "adjoint", "gradient")})
+        put("_held", {kind: weakref.WeakValueDictionary() for kind in self._caches})
 
     def perturbed(self, zeta: Perturbation) -> Problem:
         """This problem with each field of zeta added to the datum it
@@ -368,7 +370,8 @@ class Problem:
                             eta_th=_plus(t.eta_th, zeta.eta_th)),
             weights=replace(w, eps1=w.eps1 + zeta.eps1, eps2=w.eps2 + zeta.eps2),
             tilt=(_plus(self.tilt[0], zeta.sigma), _plus(self.tilt[1], zeta.lam)))
-        out._caches, out._held = self._caches, self._held
+        object.__setattr__(out, "_caches", self._caches)
+        object.__setattr__(out, "_held", self._held)
         return out
 
     @property
@@ -436,7 +439,7 @@ class Problem:
         dt = self.tg.dt
         traj = self.state(ctrl)
         val = 0.0
-        # the misfits one component at a time, each reduced by inner's np.dot
+        # the misfits one component at a time, each reduced by _dot
         if w.alpha1:
             su, sv = (None, None) if t.u_d is None else (t.u_d.u, t.u_d.v)
             val += 0.5 * w.alpha1 * dt * (g.vol * (
@@ -449,17 +452,17 @@ class Problem:
             val += dt * g.inner(t.eta_th, traj.theta[1:])
         if w.beta1 or w.beta2:
             duT, dthT = self._terminal_misfits(traj)
-            val += 0.5 * w.beta1 * g.norm2(duT) ** 2
-            val += 0.5 * w.beta2 * g.norm2(dthT) ** 2
+            val += 0.5 * w.beta1 * g.inner(duT, duT)
+            val += 0.5 * w.beta2 * g.inner(dthT, dthT)
         wq = self.space.map.weight
         terms = self._control_terms()
         # both Tikhonov terms, then both tilts
         for (eps, _), a in zip(terms, ctrl.parts):
             if eps:
-                val += 0.5 * eps * wq * float(np.sum(a ** 2))
+                val += 0.5 * eps * wq * _dot(a, a)
         for (_, tilt), a in zip(terms, ctrl.parts):
             if tilt is not None:
-                val += wq * float(np.sum(tilt * a))
+                val += wq * _dot(tilt, a)
         return val
 
     # -- adjoint and gradient ------------------------------------------------
@@ -564,7 +567,7 @@ class Problem:
         wq = self.space.map.weight
         for (eps, _), a, b in zip(self._control_terms(), d1.parts, d2.parts):
             if eps:
-                val += eps * wq * float(np.dot(a.ravel(), b.ravel()))
+                val += eps * wq * _dot(a, b)
         return val
 
 

@@ -92,10 +92,10 @@ def adjoint_gradient_gap(prob: Problem, adj_a, adj_b) -> float:
 # perturbed solves
 # ---------------------------------------------------------------------------
 
-def solve_perturbed(prob: Problem, pert: Perturbation, ctrl0: Control,
-                    opts: OptOptions) -> OptResult:
-    """Minimize the objective of prob.perturbed(pert) starting from ctrl0."""
-    return projected_gradient(prob.perturbed(pert), ctrl0, opts)
+def solve_perturbed(pprob: Problem, ctrl0: Control, opts: OptOptions) -> OptResult:
+    """Minimize the objective of the perturbed problem pprob (made once per
+    lab point, by Problem.perturbed) starting from ctrl0."""
+    return projected_gradient(pprob, ctrl0, opts)
 
 
 @dataclass
@@ -169,9 +169,9 @@ def stability_sweep(prob: Problem, ctrl_star: Control, plan: SweepPlan,
         pert = make_perturbation(prob, plan.family, mag, plan.seed + idx,
                                  plan.modes, plan.decay)
         start = ctrl_star if plan.warm_start else prob.space.zero()
-        res = solve_perturbed(prob, pert, start, opts)
-        dl1 = control_distance_l1(res.control, ctrl_star)
         pprob = prob.perturbed(pert)
+        res = solve_perturbed(pprob, start, opts)
+        dl1 = control_distance_l1(res.control, ctrl_star)
         pstate = pprob.state(res.control)
         # the point's adjoint is reduced as its sweep makes it, never stored
         gap = pprob.adjoint(res.control, _gradient_gap(prob, base_adj)).value
@@ -246,8 +246,8 @@ def tikhonov_path(prob: Problem, ctrl_star: Control, eps_grid,
     points = []
     current = ctrl_star
     for eps in eps_grid:
-        pert = Perturbation(eps1=float(eps), eps2=float(eps))
-        res = solve_perturbed(prob, pert, current, opts)
+        pprob = prob.perturbed(Perturbation(eps1=float(eps), eps2=float(eps)))
+        res = solve_perturbed(pprob, current, opts)
         current = res.control
         points.append(PathPoint(float(eps),
                                 control_distance_l1(res.control, ctrl_star),
@@ -383,8 +383,8 @@ def growth_probe(prob: Problem, ctrl_star: Control, n_samples, radius_grid,
             if variant == "control":
                 w = prob.weights
                 g = prob.grid
-                term = w.beta1 * g.norm2(lin.u[-1]) ** 2 \
-                    + w.beta2 * g.norm2(lin.theta[-1]) ** 2
+                uT, thT = lin.u[-1], lin.theta[-1]
+                term = w.beta1 * g.inner(uT, uT) + w.beta2 * g.inner(thT, thT)
                 rhs = dl1 ** 2 + term     # quadratic reference; mu fitted below
                 xs.append(dl1)
                 ys.append(max(lhs, 0.0))
@@ -435,11 +435,10 @@ def second_order_stability_check(prob: Problem, ctrl_star: Control,
                                  margin, np.nan, np.nan, np.nan, np.nan, [])
     # taken while tracking_margin's adjoint is still the one cached
     adj_star = prob.adjoint(ctrl_star)
-    res = solve_perturbed(prob, pert, ctrl_star, opts)
-    rho_hat = res.control
+    pprob = prob.perturbed(pert)
+    rho_hat = solve_perturbed(pprob, ctrl_star, opts).control
     zn = pert.norm_P(prob.grid, rho_hat, s=s_norm)
     small = zn + zn ** 0.2
-    pprob = prob.perturbed(pert)
     pstate_hat = pprob.state(rho_hat)
     adj_hat = pprob.adjoint(rho_hat)
     degr = adjoint_gradient_gap(prob, adj_hat, adj_star)

@@ -269,7 +269,7 @@ def test_solve_reduces_as_it_marches(tmp_path):
     # region-box stacks of its per-step sources and a few levels more: 0.66
     # trajectories at 32^2, nt = 100 (1.26 with the control's full source
     # stacks), where a march into a stored trajectory peaks at 3.25.
-    from convecopt.boussinesq import _sq, _h1_semi_sq
+    from convecopt.boussinesq import _h1_semi_sq
     from convecopt.config import build_problem
     cfg, out, peak = _solve_peak(tmp_path, {"initial": {"kind": "fourier"}})
     assert peak <= 1.3, peak
@@ -285,7 +285,7 @@ def test_solve_reduces_as_it_marches(tmp_path):
     rows = np.array([[float(x) for x in ln.split(",")] for ln in lines])
     assert np.array_equal(rows, rep.series)
     g = prob.grid
-    stacked = [_sq(g, traj.u), _sq(g, traj.theta),
+    stacked = [[g.inner(a, a) for a in traj.u], [g.inner(a, a) for a in traj.theta],
                _h1_semi_sq(g, traj.u), _h1_semi_sq(g, traj.theta)]
     assert np.array_equal(rows[:, 2:], np.column_stack(stacked))
     s = json.loads((out / "summary.json").read_text())

@@ -1,5 +1,9 @@
 """Grid operator tests: dense oracles, transposes, and invariants."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -260,6 +264,38 @@ def test_inner_product_is_volume_weighted(grid_rect):
     b = rand_scalar(grid_rect, rng)
     assert np.isclose(grid_rect.inner(a, b),
                       grid_rect.vol * np.sum(a * b), rtol=1e-14)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="BLAS runs one thread on one core")
+def test_products_do_not_depend_on_the_blas_thread_count():
+    # BLAS ddot (np.dot) splits a sum of 2^17 products across its threads,
+    # which changed its bits between one and two threads
+    import convecopt
+    src = os.path.dirname(os.path.dirname(convecopt.__file__))
+    code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from convecopt.boussinesq import TimeGrid
+from convecopt.grid import Grid, GridConfig, _dot
+from convecopt.objective import ControlSpace
+g = Grid(GridConfig(32, 32))
+whole = g.rect_mask(0.0, 1.0, 0.0, 1.0)
+sp = ControlSpace(g, TimeGrid(1.0, 64), whole, whole)
+rng = np.random.default_rng(0)
+x, y = rng.standard_normal((2, 1 << 17))
+a, b = sp.uniform(rng), sp.uniform(rng)
+print(_dot(x, y).hex(), a.dot_l2(b).hex())
+"""
+
+    def run(threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        return subprocess.run([sys.executable, "-c", code, src], env=env, capture_output=True,
+                              text=True, check=True, timeout=120).stdout
+
+    one = run(1)
+    assert len(one.split()) == 2
+    assert run(2) == one
 
 
 def test_rect_mask_snaps_outward(grid8):

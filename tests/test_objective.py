@@ -233,7 +233,7 @@ def test_warm_started_tikhonov_path_repeats_no_state_solve(monkeypatch):
     from convecopt.stability_lab import solve_perturbed, tikhonov_path
     prob = make_problem()
     opts = OptOptions(max_iters=40)
-    base = solve_perturbed(prob, Perturbation(), prob.space.zero(), opts)
+    base = solve_perturbed(prob, prob.space.zero(), opts)
     seen = []
     solve = objective.solve_state
 
@@ -491,6 +491,21 @@ def test_a_control_is_read_only_once_it_keys_a_lookup():
     assert prob.state(ctrl) is traj
 
 
+def test_a_problem_and_its_targets_are_frozen():
+    # the data digests key the caches, so a datum assigned after a lookup
+    # made the next lookup return the solve for the old data
+    prob = make_problem(eps1=0.01)
+    ctrl = rand_control(prob.space, np.random.default_rng(36))
+    grad = prob.restricted_adjoint(ctrl)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prob.targets.u_d = 2 * prob.targets.u_d
+    for name, value in (("targets", Targets()), ("u0", prob.grid.vec2()),
+                        ("weights", ObjectiveWeights()), ("tilt", (None, None))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(prob, name, value)
+    assert prob.restricted_adjoint(ctrl) is grad
+
+
 class _Recorder:
     """Level sink keeping the bytes of every level it is handed, in order."""
 
@@ -554,7 +569,7 @@ def test_per_step_sources_are_the_stacked_sources_bitwise(family, base):
 
 @pytest.mark.parametrize("family", [None, "target-shift", "objective-tilt"])
 def test_objective_is_the_stacked_sum_bitwise_without_a_misfit_stack(family):
-    # one misfit component at a time, each with the np.dot of the stacked
+    # one misfit component at a time, each with the _dot of the stacked
     # form: the same bits, at a peak of 0.36 trajectories at 32^2, nt = 100
     # (the stacked misfits peaked at 1.03 to 1.37)
     from convecopt.stability_lab import make_perturbation
@@ -694,8 +709,8 @@ def test_the_field_table_keys_and_sizes_as_the_explicit_field_lists(s):
     ref = 0.0
     ref += g.norm_lp(p.f_hat, s)
     ref += g.norm_lp(p.h_hat, s)
-    ref += np.sqrt(g.norm2(p.u0_hat) ** 2 + _h1_semi_sq(g, p.u0_hat))
-    ref += np.sqrt(g.norm2(p.th0_hat) ** 2 + _h1_semi_sq(g, p.th0_hat))
+    ref += np.sqrt(g.inner(p.u0_hat, p.u0_hat) + _h1_semi_sq(g, p.u0_hat))
+    ref += np.sqrt(g.inner(p.th0_hat, p.th0_hat) + _h1_semi_sq(g, p.th0_hat))
     ref += g.norm_lp(p.eta_u, s)
     ref += g.norm_lp(p.eta_th, s)
     ref += float(np.abs(p.sigma).max())

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from convecopt.grid import _dot
 from convecopt.objective import Control, ControlSpace, Perturbation, _digest
 from convecopt.optimizer import (OptOptions, SIGN_TOL, ViolationReport, project_box,
                                  kkt_residual_from_grad, bang_bang_fraction,
@@ -371,10 +372,10 @@ def test_each_component_takes_its_own_weight_tilt_and_box():
     rng = np.random.default_rng(10)
     ctrl = project_box(rand_control(sp, rng, 3.0))
     ref = base.eval_J(ctrl)
-    ref += 0.5 * eps1 * wq * float(np.sum(ctrl.q ** 2))
-    ref += 0.5 * eps2 * wq * float(np.sum(ctrl.th ** 2))
-    ref += wq * float(np.sum(sigma * ctrl.q))
-    ref += wq * float(np.sum(lam * ctrl.th))
+    ref += 0.5 * eps1 * wq * _dot(ctrl.q, ctrl.q)
+    ref += 0.5 * eps2 * wq * _dot(ctrl.th, ctrl.th)
+    ref += wq * _dot(sigma, ctrl.q)
+    ref += wq * _dot(lam, ctrl.th)
     assert prob.eval_J(ctrl) == ref
     adj = prob.adjoint(ctrl)
     gq, gt = restrict_adjoint(sp, adj.u[:-1], adj.theta[:-1])
@@ -386,8 +387,8 @@ def test_each_component_takes_its_own_weight_tilt_and_box():
     assert np.array_equal(g.q, gq) and np.array_equal(g.th, gt)
     d1, d2 = rand_control(sp, rng), rand_control(sp, rng)
     ref = base.second_bilinear(ctrl, d1, d2)
-    ref += eps1 * wq * float(np.dot(d1.q.ravel(), d2.q.ravel()))
-    ref += eps2 * wq * float(np.dot(d1.th.ravel(), d2.th.ravel()))
+    ref += eps1 * wq * _dot(d1.q, d2.q)
+    ref += eps2 * wq * _dot(d1.th, d2.th)
     assert prob.second_bilinear(ctrl, d1, d2) == ref
     tik = Perturbation(eps1=0.3, eps2=0.2)
     assert tik.norm_P(sp.grid, ctrl) == (0.3 * float(np.abs(ctrl.q).max(initial=0.0))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from convecopt.grid import fourier_scalar, fourier_vec2
-from convecopt.objective import Perturbation
+from convecopt.objective import Perturbation, Problem
 from convecopt.optimizer import OptOptions
 from convecopt.stability_lab import (make_perturbation, KNOWN_FAMILIES,
                                      control_distance_l1, state_distance_l2,
@@ -23,7 +23,7 @@ from conftest import (make_problem, rand_control, traced_peak,
 def solved_problem(**kw):
     prob = make_problem(coupling=False, eps1=1e-2, eps2=1e-2, **kw)
     opts = OptOptions(max_iters=300, kkt_tol=1e-8)
-    res = solve_perturbed(prob, Perturbation(), prob.space.zero(), opts)
+    res = solve_perturbed(prob, prob.space.zero(), opts)
     return prob, res.control, opts
 
 
@@ -131,7 +131,7 @@ def test_every_lab_reduction_streams():
 
 def test_zero_perturbation_is_a_fixed_point():
     prob, ctrl, opts = solved_problem()
-    res = solve_perturbed(prob, Perturbation(), ctrl, opts)
+    res = solve_perturbed(prob, ctrl, opts)
     assert res.iterations == 0
     assert np.array_equal(res.control.q, ctrl.q)
     assert np.array_equal(res.control.th, ctrl.th)
@@ -204,17 +204,19 @@ def test_serial_sweep_reference_reuses_the_base_adjoint(monkeypatch):
     monkeypatch.setattr(objective, "solve_state", counted("forward", objective.solve_state))
     monkeypatch.setattr(sensitivity, "solve_adjoint",
                         counted("adjoint", sensitivity.solve_adjoint))
-    grad_J, reference_cost = prob.grad_J, []
+    grad_J, reference_cost = Problem.grad_J, []
 
-    def spy(c):
+    def spy(self, c):
         # only the reference's gradient: the points run on perturbed copies,
-        # which share prob's caches but not this instance attribute
+        # which share prob's caches but are other instances
+        if self is not prob:
+            return grad_J(self, c)
         before = dict(calls)
-        g = grad_J(c)
+        g = grad_J(self, c)
         reference_cost.append({k: calls[k] - before[k] for k in calls})
         return g
 
-    monkeypatch.setattr(prob, "grad_J", spy)
+    monkeypatch.setattr(Problem, "grad_J", spy)
     plan = SweepPlan("source", np.array([1e-2, 3e-2, 1e-1]), seed=2)
     stability_sweep(prob, ctrl, plan, opts)
     assert reference_cost == [{"forward": 0, "adjoint": 0}]
@@ -257,12 +259,12 @@ def test_tikhonov_path_consistency_with_direct_solve():
     # the path point at eps must agree with an independent perturbed solve
     prob = make_problem(coupling=False, eps1=1e-2, eps2=1e-2)
     opts = OptOptions(max_iters=600, kkt_tol=1e-12)
-    base = solve_perturbed(prob, Perturbation(), prob.space.zero(), opts)
+    base = solve_perturbed(prob, prob.space.zero(), opts)
     ctrl = base.control
     eps_grid = [1e-2, 1e-3, 0.0]
     rep = tikhonov_path(prob, ctrl, eps_grid, opts)
     assert [p.eps for p in rep.points] == eps_grid
-    direct = solve_perturbed(prob, Perturbation(eps1=1e-2, eps2=1e-2),
+    direct = solve_perturbed(prob.perturbed(Perturbation(eps1=1e-2, eps2=1e-2)),
                              ctrl, opts)
     assert abs(rep.points[0].control_dist_l1
                - control_distance_l1(direct.control, ctrl)) <= 1e-12
@@ -326,7 +328,7 @@ def test_second_order_check_runs_when_margin_positive():
     prob = make_problem(coupling=False, eps1=1e-2, eps2=1e-2,
                         target_scale=0.01)
     opts = OptOptions(max_iters=300, kkt_tol=1e-8)
-    res = solve_perturbed(prob, Perturbation(), prob.space.zero(), opts)
+    res = solve_perturbed(prob, prob.space.zero(), opts)
     tracking = tracking_margin(prob, res.control)
     assert tracking[-1] > 0
     pert = make_perturbation(prob, "control-tilt", 1e-4, 6)
@@ -335,6 +337,31 @@ def test_second_order_check_runs_when_margin_positive():
     assert rep.zeta_norm > 0
     assert rep.smallness > rep.zeta_norm
     assert rep.min_ratio > 0     # convex surrogate: curvature is positive
+
+
+def test_each_lab_point_builds_its_perturbed_problem_once(monkeypatch):
+    # a sweep and the second-order check used to build each point's problem
+    # twice: once to solve it and once to measure its state and adjoint
+    prob = make_problem(coupling=False, eps1=1e-2, eps2=1e-2, target_scale=0.01)
+    opts = OptOptions(max_iters=300, kkt_tol=1e-8)
+    ctrl = solve_perturbed(prob, prob.space.zero(), opts).control
+    tracking = tracking_margin(prob, ctrl)
+    perturbed, calls = Problem.perturbed, []
+
+    def counted(self, zeta):
+        calls.append(zeta)
+        return perturbed(self, zeta)
+
+    monkeypatch.setattr(Problem, "perturbed", counted)
+    stability_sweep(prob, ctrl, SweepPlan("source", np.array([1e-2, 3e-2, 1e-1]),
+                                          seed=2), opts)
+    assert len(calls) == 3
+    tikhonov_path(prob, ctrl, [1e-2, 0.0], opts)
+    assert len(calls) == 5
+    pert = make_perturbation(prob, "control-tilt", 1e-4, 6)
+    assert not second_order_stability_check(prob, ctrl, pert, 2, 0, opts,
+                                            tracking).skipped
+    assert len(calls) == 6 and calls[-1] is pert
 
 
 def test_second_order_check_computes_the_tracking_margin_once(monkeypatch, tmp_path):
@@ -364,7 +391,7 @@ def test_second_order_check_takes_the_reference_adjoint_from_the_cache(sweeps):
     # adjoint is one sweep of its own (19 when every gradient kept it)
     prob = make_problem(target_scale=0.01)
     opts = OptOptions(max_iters=300, kkt_tol=1e-8)
-    res = solve_perturbed(prob, Perturbation(), prob.space.zero(), opts)
+    res = solve_perturbed(prob, prob.space.zero(), opts)
     tracking = tracking_margin(prob, res.control)
     pert = make_perturbation(prob, "control-tilt", 0.5 * tracking[-1], 6)
     sweeps.update(state=0, adjoint=0)
