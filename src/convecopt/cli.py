@@ -225,16 +225,19 @@ def cmd_taylor(cfg, run, seed):
         J0 = prob.eval_J(ctrl)
         dd = prob.grad_J(ctrl).dot_l2(delta)
         j2 = prob.second_variation(ctrl, delta) if order >= 2 else 0.0
-        rs = []
+        rs, keep = [], []
         for t in tcfg["t_values"]:
-            rem = prob.eval_J(ctrl.axpy(t, delta)) - J0 - t * dd
+            J = prob.eval_J(ctrl.axpy(t, delta))
+            rem = J - J0 - t * dd
             if order >= 2:
                 rem -= 0.5 * t * t * j2
             rows.append((s, t, abs(rem)))
             rs.append(abs(rem))
-        fit = fit_loglog(tcfg["t_values"], rs)
+            # a remainder at J's rounding measures the rounding, not the slope
+            keep.append(abs(rem) > 16 * np.finfo(float).eps * abs(J))
+        fit = fit_loglog(tcfg["t_values"], rs, np.array(keep))
         if fit.n_used >= 2:
-            slopes.append({"seed": s, "slope": fit.slope, "r2": fit.r2})
+            slopes.append({"seed": s, "slope": fit.slope, "r2": fit.r2, "n_used": fit.n_used})
     run.write_csv("taylor.csv", ["seed", "t", "remainder"], rows)
     run.write_json("summary.json", {"order": order, "fits": slopes})
 

@@ -252,12 +252,12 @@ def _modes_1d(kind, n, h):
 
 
 def _dot(a, b):
-    """sum(a * b) over all entries, broadcast: the one product reduction of
-    fields and controls.  einsum sums in an order set by the size alone;
-    BLAS ddot (np.dot, 1-D @) splits long sums across its threads, and
-    np.sum(a * b) measured 1.5-2.5x slower."""
-    if np.shape(a) != np.shape(b):
-        a, b = np.broadcast_arrays(a, b)
+    """sum(a * b) over all entries of two arrays of one shape (a mismatch
+    raises): the one product reduction of fields and controls.  einsum sums
+    in an order set by the size alone; BLAS ddot (np.dot, 1-D @) splits long
+    sums across its threads, and np.sum(a * b) measured 1.5-2.5x slower."""
+    if a.shape != b.shape:
+        raise ValueError(f"_dot of shapes {a.shape} and {b.shape}")
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
@@ -327,11 +327,8 @@ class Grid:
     # -- quadrature ---------------------------------------------------------
 
     def inner(self, a, b):
-        """Cell-volume-weighted inner product; works for scalars and Vec2.
-
-        Stacks are summed over their levels; a single level broadcasts
-        against a stack.
-        """
+        """Cell-volume-weighted inner product of two fields of one shape,
+        scalars or Vec2; stacks are summed over their levels (see _dot)."""
         if isinstance(a, Vec2):
             return self.vol * (_dot(a.u, b.u) + _dot(a.v, b.v))
         return self.vol * _dot(a, b)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .grid import Grid, Vec2, RegionMask, _ax, _ax_t, _ay, _ay_t, _dot
 from .boussinesq import (PhysicalParams, TimeGrid, SourceData, StateTrajectory,
-                         solve_state, _h1_semi_sq)
+                         LevelFold, solve_state, _h1_semi_sq)
 from . import sensitivity as sen
 
 
@@ -436,20 +436,18 @@ class Problem:
         t = self.targets
         w = self.weights
         g = self.grid
-        dt = self.tg.dt
         traj = self.state(ctrl)
-        val = 0.0
-        # the misfits one component at a time, each reduced by _dot
-        if w.alpha1:
-            su, sv = (None, None) if t.u_d is None else (t.u_d.u, t.u_d.v)
-            val += 0.5 * w.alpha1 * dt * (g.vol * (
-                _sq_misfit(traj.u.u[1:], su) + _sq_misfit(traj.u.v[1:], sv)))
-        if w.alpha2:
-            val += 0.5 * w.alpha2 * dt * (g.vol * _sq_misfit(traj.theta[1:], t.theta_d))
-        if t.eta_u is not None:
-            val += dt * g.inner(t.eta_u, traj.u[1:])
-        if t.eta_th is not None:
-            val += dt * g.inner(t.eta_th, traj.theta[1:])
+
+        def running(k, u, theta):
+            # level k's squared misfits and eta pairings, in the order summed
+            du, dth = self._misfits(u, theta)
+            return (g.inner(du, du), g.inner(dth, dth),
+                    0.0 if t.eta_u is None else g.inner(t.eta_u, u),
+                    0.0 if t.eta_th is None else g.inner(t.eta_th, theta))
+
+        su, st, eu, et = self.tg.dt * traj.replay(LevelFold(running, np.add),
+                                                  range(1, self.tg.nt + 1)).value
+        val = 0.5 * w.alpha1 * su + 0.5 * w.alpha2 * st + eu + et
         if w.beta1 or w.beta2:
             duT, dthT = self._terminal_misfits(traj)
             val += 0.5 * w.beta1 * g.inner(duT, duT)
@@ -462,8 +460,8 @@ class Problem:
                 val += 0.5 * eps * wq * _dot(a, a)
         for (_, tilt), a in zip(terms, ctrl.parts):
             if tilt is not None:
-                val += wq * _dot(tilt, a)
-        return val
+                val += wq * _dot(np.broadcast_to(tilt, a.shape), a)
+        return float(val)
 
     # -- adjoint and gradient ------------------------------------------------
 
@@ -549,19 +547,18 @@ class Problem:
         if lin2 is None:
             lin2 = self.tangent(ctrl, d2) if d2 is not d1 else lin1
         val = 0.0
-        if w.alpha1:
-            val += w.alpha1 * dt * g.inner(lin1.u[1:], lin2.u[1:])
-        if w.alpha2:
-            val += w.alpha2 * dt * g.inner(lin1.theta[1:], lin2.theta[1:])
         if w.beta1:
             val += w.beta1 * g.inner(lin1.u[nt], lin2.u[nt])
         if w.beta2:
             val += w.beta2 * g.inner(lin1.theta[nt], lin2.theta[nt])
-        if self.phys.coupling:
-            # each step's bilinear sources, formed as they are paired
-            adj = self.adjoint(ctrl)
-            rhs = sen.second_rhs(g, lin1, lin2)
-            for k in range(nt):
+        adj = self.adjoint(ctrl) if self.phys.coupling else None
+        rhs = sen.second_rhs(g, lin1, lin2)
+        for k in range(nt):
+            # level k + 1's tracking curvature, then step k's bilinear
+            # sources, formed as they are paired with the adjoint
+            val += dt * (w.alpha1 * g.inner(lin1.u[k + 1], lin2.u[k + 1])
+                         + w.alpha2 * g.inner(lin1.theta[k + 1], lin2.theta[k + 1]))
+            if adj is not None:
                 f, h = rhs.at(k)
                 val += dt * (g.inner(adj.u[k], f) + g.inner(adj.theta[k], h))
         wq = self.space.map.weight
@@ -580,11 +577,6 @@ def _minus(a, s):
     """a - s, fresh; a itself when s is None, so callers must not modify the
     result in place."""
     return a if s is None else a - s
-
-
-def _sq_misfit(a, s):
-    d = _minus(a, s)
-    return _dot(d, d)
 
 
 class _AdjointSources:

@@ -215,6 +215,18 @@ def test_tracking_close_config_runs_the_paper_regime(tmp_path, monkeypatch):
     assert so["skipped"] is False and so["margin"] > 0
 
 
+def test_second_order_taylor_slopes_fit_only_remainders_above_rounding(tmp_path):
+    # at t = 1e-3 the order-2 remainder sits at J's rounding; fitted with
+    # the others it pulled the slopes to 1.6-1.8 on this config
+    cfg = tmp_path / "aniso.json"
+    cfg.write_text(json.dumps({"grid": {"nx": 12, "ny": 20, "lx": 1.0, "ly": 0.6},
+                               "time": {"nt": 8}, "taylor": {"order": 2}}))
+    assert main(["taylor-test", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    fits = json.loads((tmp_path / "t" / "summary.json").read_text())["fits"]
+    assert len(fits) == 3
+    assert all(abs(f["slope"] - 3) <= 0.1 and f["n_used"] >= 2 for f in fits), fits
+
+
 def _vtk_scalar(path, name, nx, ny):
     lines = path.read_text().splitlines()
     start = lines.index(f"SCALARS {name} double 1") + 2

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from convecopt.grid import (Grid, GridConfig, Vec2,
-                            _dx, _dy, _ax, _ay, _dx_t, _dy_t, _ax_t, _ay_t)
+                            _dot, _dx, _dy, _ax, _ay, _dx_t, _dy_t, _ax_t, _ay_t)
 
 from hypothesis import given, strategies as st
 
@@ -296,6 +296,14 @@ print(_dot(x, y).hex(), a.dot_l2(b).hex())
     one = run(1)
     assert len(one.split()) == 2
     assert run(2) == one
+
+
+def test_dot_raises_on_mismatched_shapes():
+    a = np.ones((3, 4))
+    assert _dot(a, 2.0 * a) == 24.0
+    for b in (np.ones(4), np.ones((4, 3)), np.ones((2, 3, 4))):
+        with pytest.raises(ValueError):
+            _dot(a, b)
 
 
 def test_rect_mask_snaps_outward(grid8):

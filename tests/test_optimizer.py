@@ -374,8 +374,8 @@ def test_each_component_takes_its_own_weight_tilt_and_box():
     ref = base.eval_J(ctrl)
     ref += 0.5 * eps1 * wq * _dot(ctrl.q, ctrl.q)
     ref += 0.5 * eps2 * wq * _dot(ctrl.th, ctrl.th)
-    ref += wq * _dot(sigma, ctrl.q)
-    ref += wq * _dot(lam, ctrl.th)
+    ref += wq * _dot(np.broadcast_to(sigma, ctrl.q.shape), ctrl.q)
+    ref += wq * _dot(np.broadcast_to(lam, ctrl.th.shape), ctrl.th)
     assert prob.eval_J(ctrl) == ref
     adj = prob.adjoint(ctrl)
     gq, gt = restrict_adjoint(sp, adj.u[:-1], adj.theta[:-1])
