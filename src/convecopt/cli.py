@@ -236,7 +236,7 @@ def cmd_taylor(cfg, run, seed):
             # a remainder at J's rounding measures the rounding, not the slope
             keep.append(abs(rem) > 16 * np.finfo(float).eps * abs(J))
         fit = fit_loglog(tcfg["t_values"], rs, np.array(keep))
-        if fit.n_used >= 2:
+        if np.isfinite(fit.slope):
             slopes.append({"seed": s, "slope": fit.slope, "r2": fit.r2, "n_used": fit.n_used})
     run.write_csv("taylor.csv", ["seed", "t", "remainder"], rows)
     run.write_json("summary.json", {"order": order, "fits": slopes})

@@ -227,6 +227,29 @@ def test_second_order_taylor_slopes_fit_only_remainders_above_rounding(tmp_path)
     assert all(abs(f["slope"] - 3) <= 0.1 and f["n_used"] >= 2 for f in fits), fits
 
 
+def test_taylor_test_fits_no_slope_on_one_step_size(tmp_path):
+    # the 1e-9 remainder sits below J's rounding, which leaves two remainders
+    # at the one t = 0.1: no slope, so no fit is listed
+    cfg = tmp_path / "dup.json"
+    cfg.write_text(json.dumps({"grid": {"nx": 8, "ny": 8}, "time": {"nt": 4},
+                               "taylor": {"t_values": [0.1, 0.1, 1e-9], "seeds": 1}}))
+    assert main(["taylor-test", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    assert json.loads((tmp_path / "t" / "summary.json").read_text())["fits"] == []
+
+
+def test_lab_commands_make_no_lstsq_call(tmp_path, monkeypatch):
+    # every fitted exponent is closed form: the LAPACK least-squares solve,
+    # the largest resident-memory step a lab run could take, is off its path
+    def lstsq(*args, **kwargs):
+        raise AssertionError("numpy.linalg.lstsq called")
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    cfg = from_dict({"grid": {"nx": 8, "ny": 8}, "time": {"T": 0.5, "nt": 6},
+                     "sweep": {"magnitudes": [1e-2, 1e-1]},
+                     "growth": {"n_samples": 2, "radius_grid": [0.1, 0.2]}})
+    for cmd in ("stability-sweep", "growth-probe"):
+        assert run_command(cmd, cfg, tmp_path / cmd) == 0
+
+
 def _vtk_scalar(path, name, nx, ny):
     lines = path.read_text().splitlines()
     start = lines.index(f"SCALARS {name} double 1") + 2

@@ -218,6 +218,37 @@ def test_fit_loglog_below_two_positive_points_has_no_slope(x, y):
     assert not fit.reliable
 
 
+@pytest.mark.parametrize("x,y,keep", [([0.1, 0.1], [1e-3, 1e-3], True),
+                                      ([0.1, 0.1, 0.01], [1e-3, 2e-3, 5e-5],
+                                       [True, True, False])])
+def test_fit_loglog_on_one_abscissa_has_no_slope(x, y, keep):
+    # two remainders at one t (the third masked off) say nothing of a slope
+    fit = fit_loglog(x, y, np.array(keep))
+    assert fit.n_used == 2 and np.isnan(fit.slope) and np.isnan(fit.intercept)
+    assert fit.r2 == 0.0 and not fit.reliable
+
+
+def test_loglog_fit_matches_the_lstsq_oracle():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(2, 11))
+        decades = rng.uniform(1, 4)
+        x = rng.uniform(0.01, 1) * 10.0 ** np.r_[0.0, decades, rng.uniform(0, decades, n - 2)]
+        y = rng.uniform(0.1, 10) * x ** rng.uniform(0.5, 3) * np.exp(0.1 * rng.standard_normal(n))
+        lx, ly = np.log(x), np.log(y)
+        A = np.vstack([lx, np.ones_like(lx)]).T
+        coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
+        r2 = 1.0 - np.sum((ly - A @ coef) ** 2) / np.sum((ly - ly.mean()) ** 2)
+        slope, intercept, got_r2 = loglog_fit(x, y)
+        # the intercept is the difference of two terms of this size
+        scale = abs(ly.mean()) + abs(coef[0] * lx.mean())
+        assert abs(slope - coef[0]) <= 1e-12 * abs(coef[0])
+        assert abs(intercept - coef[1]) <= 1e-12 * scale
+        assert abs(got_r2 - r2) <= 1e-12
+        _, _, exact_r2 = loglog_fit(x, 2.0 * x ** 1.5)
+        assert abs(exact_r2 - 1.0) <= 1e-14
+
+
 def test_adjoint_samples_shapes():
     prob = make_problem()
     ctrl = prob.space.zero()
