@@ -59,17 +59,17 @@ class SourceData:
     """Body force f (a Vec2, face layout) and heat source h (a cell scalar).
 
     The one step-data contract of the forward, tangent and adjoint marches:
-    each reads its sources through at(k).  A field is `None` (zero), one
-    level held on every step, or a per-step sequence indexed by k, a list of
-    levels or a stack on a leading axis.  solve_state and solve_linearized
+    each reads its sources through at(k).  solve_state and solve_linearized
     read at(k) on step k (the value held on [t_k, t_{k+1})); solve_adjoint
     reads at(k + 1), the sources pairing with level k + 1, on the backward
     step that produces level k, so it never reads level 0.  Any object whose
     at(k) gives such an (f, h) pair will do; a march reads each pair once,
     on its step, and keeps none, so such an object may form every pair when
     it is read (objective.ControlSources, objective._AdjointSources,
-    sensitivity.second_rhs's and mms._Levels do; only ControlSources holds
-    an (nt, ...) stack, that of its windows).
+    sensitivity.second_rhs's and mms._Levels do).  Each field follows the
+    level rule of every datum that may vary in time (at_level): None (zero)
+    and one level (ndim 2, a Vec2 too) are held on every index, and a
+    sequence, a list of levels or a stack on a leading axis, gives entry k.
     """
 
     f: object = None
@@ -77,11 +77,11 @@ class SourceData:
 
     def at(self, k):
         """(f, h) at index k."""
-        return _entry(self.f, k), _entry(self.h, k)
+        return at_level(self.f, k), at_level(self.h, k)
 
 
-def _entry(a, k):
-    """Entry k of a per-step sequence; a single level or None as it is."""
+def at_level(a, k):
+    """Entry k of a sequence; one level or None as it is (SourceData's rule)."""
     return a if a is None or getattr(a, "ndim", None) == 2 else a[k]
 
 

@@ -151,11 +151,6 @@ class Vec2:
     def __sub__(self, o):
         return Vec2(self.u - o.u, self.v - o.v)
 
-    def __isub__(self, o):
-        self.u -= o.u
-        self.v -= o.v
-        return self
-
     def __mul__(self, a):
         return Vec2(self.u * a, self.v * a)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .grid import Grid, Vec2, RegionMask, _ax, _ax_t, _ay, _ay_t, _dot
 from .boussinesq import (PhysicalParams, TimeGrid, SourceData, StateTrajectory,
-                         LevelFold, solve_state, _h1_semi_sq)
+                         LevelFold, solve_state, at_level, _h1_semi_sq)
 from . import sensitivity as sen
 
 
@@ -43,8 +43,9 @@ class ObjectiveWeights:
 
 @dataclass(frozen=True)
 class Targets:
-    """Tracking data and the objective's linear tilts (eta_u, eta_th) in
-    the state, constant in time; `None` entries mean zero fields."""
+    """Tracking data and the objective's linear tilts (eta_u, eta_th) in the
+    state, `None` a zero field; stacks of u_d, theta_d and eta hold nt + 1
+    levels indexed by state level (SourceData's rule), u_T and theta_T one."""
 
     u_d: Vec2 | None = None
     theta_d: np.ndarray | None = None
@@ -182,32 +183,23 @@ class Control:
 
 
 class ControlSources:
-    """The control's sources, formed per step: at(k) is B_h(q_k, theta_k)
-    (ControlMap.inject) plus the held pair (df, dh), one level each (or
-    None) held on every step, so each step is bit for bit the step of the
-    (nt, ...) stacks summed in place; a fresh pair, read as
-    boussinesq.SourceData describes.  Only the map's windows change with k:
-    their (nt, window) stacks, and the rest of both fields, are formed once.
-    """
+    """The control's sources, formed per step: at(k) is base.at(k) (a copy,
+    `None` a zero field) plus B_h(q_k, theta_k) (ControlMap.inject) added
+    into the map's windows; a fresh pair, read as boussinesq.SourceData
+    describes.  The windows' (nt, window) stacks are formed once."""
 
-    def __init__(self, ctrl: Control, df=None, dh=None):
-        g = ctrl.space.grid
-        self.map = m = ctrl.space.map
-        self.f_box, self.h_box = m.inject(ctrl.q, ctrl.th)
-        self.f_rest, self.h_rest = g.vec2(), g.scalar()
-        if df is not None:
-            self.f_rest.u += df.u
-            self.f_rest.v += df.v
-            self.f_box.u += df.u[m.su]
-            self.f_box.v += df.v[m.sv]
-        if dh is not None:
-            self.h_rest += dh
-            self.h_box += dh[m.sh]
+    def __init__(self, ctrl: Control, base: SourceData = SourceData()):
+        self.grid, self.map, self.base = ctrl.space.grid, ctrl.space.map, base
+        self.f_box, self.h_box = self.map.inject(ctrl.q, ctrl.th)
 
     def at(self, k):
-        f, h = self.f_rest.copy(), self.h_rest.copy()
+        f, h = self.base.at(k)
+        f = self.grid.vec2() if f is None else f.copy()
+        h = self.grid.scalar() if h is None else h.copy()
         m = self.map
-        f.u[m.su], f.v[m.sv], h[m.sh] = self.f_box.u[k], self.f_box.v[k], self.h_box[k]
+        f.u[m.su] += self.f_box.u[k]
+        f.v[m.sv] += self.f_box.v[k]
+        h[m.sh] += self.h_box[k]
         return f, h
 
 
@@ -252,8 +244,8 @@ KNOWN_FAMILIES = ("control-tilt", *FOURIER_FIELDS, "tikhonov")
 class Perturbation:
     """The perturbation tuple driving the stability experiments.
 
-    Fields are constant in time; sigma and lam may also carry one entry
-    per step.  Problem.perturbed adds each field to the datum it perturbs,
+    Each field is one level or a stack, as its datum may be (Problem).
+    Problem.perturbed adds each field to the datum it perturbs,
     eps1 and eps2 to the Tikhonov weights.  Signs are normalized so the
     perturbed gradient on the control regions is exactly (restricted
     adjoint) + Tikhonov + (sigma, Lambda).
@@ -319,8 +311,9 @@ class Problem:
 
     Where the control acts is space.map (ControlMap): the sources' control
     part, the gradient's restriction and the control weight of J and J''.
-    Base sources are one level each (or None), held on every step; the
-    state sweep forms each step's sources as it reads them (ControlSources).
+    Targets, eta and base sources follow SourceData's level rule: target and
+    eta stacks hold nt + 1 levels indexed by state level, base-source stacks
+    nt indexed by step, each step's sources formed as read (ControlSources).
     """
 
     grid: Grid
@@ -336,12 +329,17 @@ class Problem:
 
     def __post_init__(self):
         put = partial(object.__setattr__, self)
+        t, src, nt = self.targets, self.base_sources, self.tg.nt
+        for name, a, n in (("u_d", t.u_d, nt + 1), ("theta_d", t.theta_d, nt + 1),
+                           ("eta_u", t.eta_u, nt + 1), ("eta_th", t.eta_th, nt + 1),
+                           ("base_sources.f", src.f, nt), ("base_sources.h", src.h, nt)):
+            if at_level(a, 0) is not a and len(a) != n:     # a stack, of n levels
+                raise ValueError(f"{name} holds {len(a)} levels; a stack needs {n}")
         if self.u0 is None:
             put("u0", self.grid.vec2())
         if self.theta0 is None:
             put("theta0", self.grid.scalar())
         # what the state depends on, and what the adjoint adds to it
-        t = self.targets
         put("_state_digest", _digest(self.base_sources.f, self.base_sources.h,
                                      self.u0, self.theta0))
         put("_adjoint_digest", _digest(t.u_d, t.theta_d, t.u_T, t.theta_T,
@@ -409,7 +407,7 @@ class Problem:
     # -- state solves --------------------------------------------------------
 
     def _sources_for(self, ctrl: Control):
-        return ControlSources(ctrl, self.base_sources.f, self.base_sources.h)
+        return ControlSources(ctrl, self.base_sources)
 
     def _control_terms(self):
         """Per component, in the order of Control.parts: the Tikhonov weight
@@ -423,9 +421,10 @@ class Problem:
 
     # -- objective -----------------------------------------------------------
 
-    def _misfits(self, u, theta):
-        """(u - u_d, theta - theta_d), on one level or a stack (see _minus)."""
-        return _minus(u, self.targets.u_d), _minus(theta, self.targets.theta_d)
+    def _misfits(self, k, u, theta):
+        """(u - u_d, theta - theta_d) at state level k (see _minus)."""
+        t = self.targets
+        return _minus(u, at_level(t.u_d, k)), _minus(theta, at_level(t.theta_d, k))
 
     def _terminal_misfits(self, traj):
         return (_minus(traj.u[-1], self.targets.u_T),
@@ -440,10 +439,11 @@ class Problem:
 
         def running(k, u, theta):
             # level k's squared misfits and eta pairings, in the order summed
-            du, dth = self._misfits(u, theta)
+            du, dth = self._misfits(k, u, theta)
+            eta_u, eta_th = at_level(t.eta_u, k), at_level(t.eta_th, k)
             return (g.inner(du, du), g.inner(dth, dth),
-                    0.0 if t.eta_u is None else g.inner(t.eta_u, u),
-                    0.0 if t.eta_th is None else g.inner(t.eta_th, theta))
+                    0.0 if eta_u is None else g.inner(eta_u, u),
+                    0.0 if eta_th is None else g.inner(eta_th, theta))
 
         su, st, eu, et = self.tg.dt * traj.replay(LevelFold(running, np.add),
                                                   range(1, self.tg.nt + 1)).value
@@ -581,15 +581,17 @@ def _minus(a, s):
 
 class _AdjointSources:
     """The adjoint sweep's sources, formed per level as the sweep reads them:
-    at(k) = (alpha1 (u_k - u_d) + eta_u, alpha2 (theta_k - theta_d) + eta_th)."""
+    at(k) = (alpha1 (u_k - u_d) + eta_u, alpha2 (theta_k - theta_d) + eta_th),
+    each datum at level k."""
 
     def __init__(self, prob: Problem, traj: StateTrajectory):
         self.prob, self.traj = prob, traj
 
     def at(self, k):
         prob, t, w = self.prob, self.prob.targets, self.prob.weights
-        du, dth = prob._misfits(self.traj.u[k], self.traj.theta[k])
-        return _plus(w.alpha1 * du, t.eta_u), _plus(w.alpha2 * dth, t.eta_th)
+        du, dth = prob._misfits(k, self.traj.u[k], self.traj.theta[k])
+        return (_plus(w.alpha1 * du, at_level(t.eta_u, k)),
+                _plus(w.alpha2 * dth, at_level(t.eta_th, k)))
 
 
 class _GradientWindows:

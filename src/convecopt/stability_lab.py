@@ -336,7 +336,7 @@ def tracking_margin(prob: Problem, ctrl_star: Control, s_norm: int = 4):
 
     def powers(k, u, theta):
         # |misfit_k|_s^s of each component
-        return tuple(g.norm_lp(d, s_norm) ** s_norm for d in prob._misfits(u, theta))
+        return tuple(g.norm_lp(d, s_norm) ** s_norm for d in prob._misfits(k, u, theta))
 
     mu, mt = prob.tg.dt * prob.state(ctrl_star).replay(LevelFold(powers, np.add),
                                                        range(1, nt + 1)).value

@@ -7,7 +7,7 @@ from hypothesis import settings, strategies as st
 from convecopt.grid import Grid, GridConfig, Vec2
 from convecopt.boussinesq import PhysicalParams, TimeGrid, SourceData, EnergySeries
 from convecopt.objective import (ObjectiveWeights, Targets, ControlSpace,
-                                 Problem)
+                                 Problem, _minus)
 
 
 def rand_scalar(grid, rng, scale=1.0):
@@ -147,7 +147,8 @@ def state_distance_l2_stacked(prob, ta, tb):
 def tracking_misfit_stacked(prob, traj, s):
     """tracking_margin's misfit from the whole misfit stacks."""
     g, dt = prob.grid, prob.tg.dt
-    du, dth = prob._misfits(traj.u, traj.theta)
+    t = prob.targets
+    du, dth = _minus(traj.u, t.u_d), _minus(traj.theta, t.theta_d)
     return (dt * g.norm_lp(du[1:], s) ** s) ** (1.0 / s) \
         + (dt * g.norm_lp(dth[1:], s) ** s) ** (1.0 / s)
 

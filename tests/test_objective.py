@@ -854,3 +854,86 @@ def test_perturbed_state_differs_from_base():
     a = prob.state(ctrl)
     b = prob.perturbed(pert).state(ctrl)
     assert (a.u[-1] - b.u[-1]).max_abs() > 0
+
+
+# The data that may vary in time, under SourceData's level rule: target and
+# eta stacks hold nt + 1 levels, base-source and tilt stacks nt.
+LEVEL_DATA = {"u_d": 1, "theta_d": 1, "eta_u": 1, "eta_th": 1,
+              "f": 0, "h": 0, "sigma": 0, "lam": 0}
+
+
+def _repeated(a, n):
+    """n equal levels of the one-level datum a, stacked."""
+    if isinstance(a, Vec2):
+        return Vec2(_repeated(a.u, n), _repeated(a.v, n))
+    return np.stack([a] * n)
+
+
+def _with_stacks(prob, names, extra=0):
+    """prob with each named datum (LEVEL_DATA) repeated into a stack of its
+    level count plus extra."""
+    def n(name):
+        return prob.tg.nt + LEVEL_DATA[name] + extra
+
+    def stacked(obj, fields):
+        return dataclasses.replace(obj, **{k: _repeated(getattr(obj, k), n(k))
+                                           for k in fields if k in names})
+    tilt = tuple(_repeated(a, n(k)) if k in names else a
+                 for k, a in zip(("sigma", "lam"), prob.tilt))
+    return dataclasses.replace(
+        prob, targets=stacked(prob.targets, ("u_d", "theta_d", "eta_u", "eta_th")),
+        base_sources=stacked(prob.base_sources, ("f", "h")), tilt=tilt)
+
+
+def _solved(prob, ctrl, delta):
+    """J, grad_J, the full adjoint and J''[delta, delta] at ctrl, as bytes."""
+    adj = prob.adjoint(ctrl)
+    return (prob.eval_J(ctrl), [a.tobytes() for a in prob.grad_J(ctrl).parts],
+            [a.tobytes() for a in (adj.u.u, adj.u.v, adj.theta)],
+            prob.second_variation(ctrl, delta))
+
+
+@pytest.mark.parametrize("names", [("u_d", "theta_d"), ("eta_u", "eta_th"), ("f", "h"),
+                                   ("sigma", "lam"), tuple(LEVEL_DATA)],
+                         ids=["targets", "eta", "sources", "tilt", "all"])
+def test_stacks_of_equal_levels_are_the_one_level_data_bitwise(names):
+    prob = _with_every_datum(make_problem(beta1=0.5, beta2=0.5))
+    rng = np.random.default_rng(38)
+    ctrl, delta = rand_control(prob.space, rng), rand_control(prob.space, rng)
+    assert _solved(_with_stacks(prob, names), ctrl, delta) == _solved(prob, ctrl, delta)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+@pytest.mark.parametrize("name", ["u_d", "theta_d", "eta_u", "eta_th", "f", "h"])
+def test_a_stack_of_another_level_count_is_refused_by_name(name, extra):
+    # an nt-level target stack would fail mid-sweep, an (nt + 1)-level
+    # source stack would be read without its last level
+    prob = _with_every_datum(make_problem())
+    with pytest.raises(ValueError, match=name):
+        _with_stacks(prob, (name,), extra)
+
+
+@pytest.mark.parametrize("datum", ["targets", "sources"])
+def test_stacks_that_differ_at_one_level_key_the_caches_apart(datum):
+    # two problems sharing caches through perturbed, whose target (or
+    # source) stacks differ at one level: each finds its own state, adjoint
+    # and gradient, those of a problem with caches of its own
+    prob = _with_stacks(_with_every_datum(make_problem()), tuple(LEVEL_DATA))
+    g, nt = prob.grid, prob.tg.nt
+    rng = np.random.default_rng(39)
+    hat = g.scalar(nt + 1 if datum == "targets" else nt)
+    hat[nt // 2] = 0.3 * fourier_scalar(g, rng, 3, 2.0)
+    other = prob.perturbed(Perturbation(**{"th_d_hat" if datum == "targets" else "h_hat": hat}))
+    assert other._caches is prob._caches
+    ctrl = rand_control(prob.space, rng)
+
+    def solved(p):
+        traj, adj = p.state(ctrl), p.adjoint(ctrl)
+        return [a.tobytes() for a in (traj.u.u, traj.u.v, traj.theta, adj.u.u, adj.u.v,
+                                      adj.theta, *p.restricted_adjoint(ctrl).parts)]
+
+    want = [solved(dataclasses.replace(p)) for p in (prob, other)]
+    for p, w in ((prob, want[0]), (other, want[1]), (prob, want[0]), (other, want[1])):
+        assert solved(p) == w
+    assert (want[0][:3] == want[1][:3]) == (datum == "targets")
+    assert want[0][6:] != want[1][6:]
