@@ -63,13 +63,13 @@ class SourceData:
     read at(k) on step k (the value held on [t_k, t_{k+1})); solve_adjoint
     reads at(k + 1), the sources pairing with level k + 1, on the backward
     step that produces level k, so it never reads level 0.  Any object whose
-    at(k) gives such an (f, h) pair will do; a march reads each pair once,
-    on its step, and keeps none, so such an object may form every pair when
-    it is read (objective.ControlSources, objective._AdjointSources,
-    sensitivity.second_rhs's and mms._Levels do).  Each field follows the
-    level rule of every datum that may vary in time (at_level): None (zero)
-    and one level (ndim 2, a Vec2 too) are held on every index, and a
-    sequence, a list of levels or a stack on a leading axis, gives entry k.
+    at(k) gives such an (f, h) pair will do; a march reads each pair on its
+    step and keeps none (solve_state reads them all once before), so such an
+    object may form every pair when it is read (objective.ControlSources,
+    objective._AdjointSources, sensitivity.second_rhs's and mms._Levels do).
+    Each field follows at_level's rule for data that may vary in time: None
+    (zero) and one level (ndim 2, a Vec2 too) are held on every index, and
+    a sequence, a list of levels or a stack on a leading axis, gives entry k.
     """
 
     f: object = None
@@ -223,11 +223,12 @@ def solve_state(grid: Grid, pp: PhysicalParams, tg: TimeGrid,
                 sources: SourceData, u0: Vec2, theta0, out=None):
     """March the nonlinear system from (u0, theta0) over the full time grid.
 
-    Sources must already include any control forcing (see objective module
-    for the control-to-source mapping), read as SourceData describes.  Every
-    step ends in check_step, with the bound ENERGY_BOUND * D^2, D = data_norm.
-    Each level goes to the level sink out (see `march`).  Returns out, by
-    default a fresh StateTrajectory.
+    Sources must already hold any control forcing (objective.ControlSources),
+    read as SourceData describes but twice a step: data_norm reads them all
+    for D before the march, and cli's `solve` a third time, in its report
+    (ROADMAP.md, "Redundant work in every solve").  Every step ends in
+    check_step with the bound ENERGY_BOUND * D^2.  Returns out, the level
+    sink fed each level (see `march`), by default a fresh StateTrajectory.
     """
     grid.check_vec2(u0)
     grid.check_scalar(theta0)

@@ -18,8 +18,9 @@ primitives index with `...`, so leading axes pass through them.
 Advection is the skew form 0.5[(u.grad)s + div(u s)].  For transport with
 zero boundary-normal faces its self terms cancel, leaving the centered flux
 form (u_{i+1} s_{i+1} - u_i s_{i-1}) / 2h per axis (Morinishi et al. 1998;
-Verstappen & Veldman 2003), which is how the `advect_*` stencils are written;
-they assume such transport, as every caller's is (sensitivity._check_compat).
+Verstappen & Veldman 2003), written once as `_flux`, with `_flux_t` its
+transpose in the transport; the `advect_*` stencils call them and assume such
+transport, as every caller's is (sensitivity._check_compat).
 The matrix in the advected field is then exactly antisymmetric in floating
 point: each entry is one rounded transport value, negated across the diagonal.
 
@@ -89,24 +90,33 @@ def _ay_t(c):
     return p[..., :-1] + p[..., 1:]
 
 
-def _cross(c, s):
-    # transpose of the centered flux form in its transport (along axis 0)
-    return c[:-1] * s[1:] - c[1:] * s[:-1]
+def _flux(tx, ty, s):
+    """Centered flux form tx_i s_{i+1} - tx_{i-1} s_{i-1} along axis 0 plus
+    the same along axis 1 with ty; tx and ty sit between neighbours of s."""
+    out = np.zeros_like(s)
+    np.multiply(tx, s[1:], out=out[:-1])
+    out[1:] -= tx * s[:-1]
+    out[:, :-1] += ty * s[:, 1:]
+    out[:, 1:] -= ty * s[:, :-1]
+    return out
+
+
+def _flux_t(c, s):
+    """Transpose of _flux in (tx, ty): c_i s_{i+1} - c_{i+1} s_i per axis."""
+    return (c[:-1] * s[1:] - c[1:] * s[:-1],
+            c[:, :-1] * s[:, 1:] - c[:, 1:] * s[:, :-1])
 
 
 def _face_advect(a, b, w, qa, qb):
-    """advect_vector's component w, on faces along axis 0, transported by
-    (a, b) averaged to cell centers and interior corners, times qa and qb."""
+    """advect_vector's component w, on faces along axis 0: _flux with (a, b)
+    averaged to cell centers and to corners (zero at the walls), times qa, qb."""
+    tb = np.zeros_like(w[:, 1:])      # in w's memory order, transposed or not
+    np.add(b[1:, 1:-1], b[:-1, 1:-1], out=tb[1:-1])
+    tb *= qb
     ta = a[1:] + a[:-1]
     ta *= qa
-    tb = b[1:, 1:-1] + b[:-1, 1:-1]
-    tb *= qb
-    out = np.zeros_like(w)
-    x = out[1:-1]
-    np.multiply(ta[1:], w[2:], out=x)
-    x -= ta[:-1] * w[:-2]
-    x[:, :-1] += tb * w[1:-1, 1:]
-    x[:, 1:] -= tb * w[1:-1, :-1]
+    out = _flux(ta, tb, w)
+    out[0] = out[-1] = 0.0
     return out
 
 
@@ -390,15 +400,12 @@ class Grid:
         return self._diag_solve("p", self._poisson_inv, rhs)
 
     def leray_project(self, w: Vec2, return_phi=False):
-        """Remove the discrete gradient part: returns w - grad(phi)."""
-        self.check_vec2(w)
-        d = self.divergence(w)
-        phi = self.poisson_neumann(d)
-        g = self.gradient(phi)
-        out = Vec2(w.u - g.u, w.v - g.v).zero_normal_boundary()
-        if return_phi:
-            return out, phi
-        return out
+        """Remove the discrete gradient part: w - grad(phi) on interior faces."""
+        phi = self.poisson_neumann(self.divergence(w))
+        out = self.vec2()
+        np.subtract(w.u[1:-1, :], _dx(phi, self.hx), out=out.u[1:-1, :])
+        np.subtract(w.v[:, 1:-1], _dy(phi, self.hy), out=out.v[:, 1:-1])
+        return (out, phi) if return_phi else out
 
     # -- advection (skew-symmetric) and transposes --------------------------
 
@@ -408,14 +415,7 @@ class Grid:
         zero boundary-normal faces; its matrix in s is exactly antisymmetric."""
         self.check_vec2(U)
         self.check_scalar(s)
-        ux = U.u[1:-1, :] * (0.5 / self.hx)
-        vy = U.v[:, 1:-1] * (0.5 / self.hy)
-        out = np.zeros_like(s)
-        np.multiply(ux, s[1:, :], out=out[:-1, :])
-        out[1:, :] -= ux * s[:-1, :]
-        out[:, :-1] += vy * s[:, 1:]
-        out[:, 1:] -= vy * s[:, :-1]
-        return out
+        return _flux(U.u[1:-1, :] * (0.5 / self.hx), U.v[:, 1:-1] * (0.5 / self.hy), s)
 
     def advect_scalar_t_field(self, U: Vec2, c):
         """Transpose of s -> advect_scalar(U, s), stencil by stencil.
@@ -436,9 +436,10 @@ class Grid:
     def advect_scalar_t_vel(self, s, c):
         """Transpose of U -> advect_scalar(U, s) over zero-normal U; a Vec2
         holding (c_{f-1} s_f - c_f s_{f-1}) / 2h on each interior face f."""
+        gx, gy = _flux_t(c, s)
         g = self.vec2()
-        g.u[1:-1, :] = _cross(c, s) * (0.5 / self.hx)
-        g.v[:, 1:-1] = _cross(c.T, s.T).T * (0.5 / self.hy)
+        g.u[1:-1, :] = gx * (0.5 / self.hx)
+        g.v[:, 1:-1] = gy * (0.5 / self.hy)
         return g
 
     def advect_vector(self, U: Vec2, W: Vec2):
@@ -483,16 +484,14 @@ class Grid:
         return Vec2(gu, gv).zero_normal_boundary()
 
     def advect_vector_t_vel(self, W: Vec2, C: Vec2):
-        """Transpose of U -> advect_vector(U, W) over zero-normal U, for W
-        and C with zero boundary-normal faces: each transport's cotangent is
-        a cross difference, averaged back to the faces it came from."""
-        wu, wv, cu, cv = W.u, W.v, C.u, C.v
+        """Transpose of U -> advect_vector(U, W) over zero-normal U, for W and
+        C zero there too: each component's _flux_t, averaged back to U's faces."""
+        cu, ku = _flux_t(C.u, W.u)      # u's transports: centers, corners
+        kv, cv = _flux_t(C.v, W.v)      # v's: corners, centers
         qx, qy = 0.5 / self.hx, 0.5 / self.hy
         g = self.vec2()
-        g.u[1:-1, :] = (_ax(_cross(cu, wu) * qx)
-                        + _ay_t(_cross(cv[:, 1:-1], wv[:, 1:-1]) * qx))
-        g.v[:, 1:-1] = (_ay(_cross(cv.T, wv.T).T * qy)
-                        + _ax_t(_cross(cu[1:-1, :].T, wu[1:-1, :].T).T * qy))
+        g.u[1:-1, :] = _ax(cu * qx) + _ay_t(kv[:, 1:-1] * qx)
+        g.v[:, 1:-1] = _ay(cv * qy) + _ax_t(ku[1:-1, :] * qy)
         return g
 
     # -- buoyancy -----------------------------------------------------------

@@ -7,8 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from convecopt.grid import (Grid, GridConfig, Vec2,
-                            _dot, _dx, _dy, _ax, _ay, _dx_t, _dy_t, _ax_t, _ay_t)
+from convecopt.grid import (Grid, GridConfig, Vec2, _dot, _dx, _dy, _ax, _ay,
+                            _dx_t, _dy_t, _ax_t, _ay_t, _flux, _flux_t)
 
 from hypothesis import given, strategies as st
 
@@ -662,6 +662,22 @@ def test_velocity_transposes_pair_exactly(g, seed):
                           g.inner(U, g.advect_scalar_t_vel(s, c)))
     assert _close_pairing(g, g.advect_vector(U, W), C,
                           g.inner(U, g.advect_vector_t_vel(W, C)))
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (8, 8), (37, 5), (6, 41)],
+                         ids=["odd", "even", "wide", "tall"])
+def test_flux_t_is_the_transpose_of_flux_in_its_transports(shape):
+    # <c, _flux(tx, ty, s)> = <tx, gx> + <ty, gy> for (gx, gy) = _flux_t(c, s)
+    rng = np.random.default_rng(sum(shape))
+    n0, n1 = shape
+    tx, ty = rng.standard_normal((n0 - 1, n1)), rng.standard_normal((n0, n1 - 1))
+    s, c = rng.standard_normal(shape), rng.standard_normal(shape)
+    gx, gy = _flux_t(c, s)
+    assert gx.shape == tx.shape and gy.shape == ty.shape
+    lhs = _dot(c, _flux(tx, ty, s))
+    rhs = _dot(tx, gx) + _dot(ty, gy)
+    scale = np.linalg.norm(c) * np.abs(s).max() * (np.linalg.norm(tx) + np.linalg.norm(ty))
+    assert abs(lhs - rhs) <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------
